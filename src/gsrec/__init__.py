@@ -99,11 +99,8 @@ from .io import (
     save_solver_config,
 )
 from .prox import (
-    BacktrackResult,
     StepSearchConfig,
-    backtrack,
     deterministic_svd,
-    project_mask,
     regularized_solve,
     shrink,
     svt,

@@ -52,7 +52,8 @@ from .solvers import SolverConfig
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
-                        help="base seed for every random draw (default 0)")
+                        help="base seed for every random draw (default 0; "
+                             "for run, the description's seed)")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file with solver parameters")
     parser.add_argument("--out", type=str, default=None,
@@ -143,6 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a full experiment description")
     _add_common(p)
+    # without --seed the description's own seed stays
+    p.set_defaults(seed=None)
 
     return parser
 
@@ -302,7 +305,7 @@ def _cmd_run(args) -> int:
         raise DataError(f"cannot read {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc
-    if args.seed:
+    if args.seed is not None:
         data["seed"] = args.seed
     spec = ExperimentSpec.from_dict(data)
     report = run_experiment(spec, _out_dir(args))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -15,28 +14,21 @@ PINV_CUTOFF = 1e-10
 
 @dataclass(frozen=True)
 class StepSearchConfig:
-    """Backtracking line-search parameters.
+    """Step-size backtracking parameters of the proximal-gradient solvers.
 
-    t0 is the initial step, rho the shrink factor per halving, c the
-    sufficient-decrease constant, max_halvings the cap on shrink steps.
+    t0 is the initial (and largest) step, rho the shrink factor per halving,
+    max_halvings the cap on shrink steps per iteration.
     """
 
     t0: float = 1.0
     rho: float = 0.5
-    c: float = 1e-4
     max_halvings: int = 50
 
     def __post_init__(self):
-        if self.t0 <= 0 or not (0 < self.rho < 1) or self.c <= 0:
-            raise ValueError("step search needs t0 > 0, 0 < rho < 1, c > 0")
+        if self.t0 <= 0 or not (0 < self.rho < 1):
+            raise ValueError("step search needs t0 > 0 and 0 < rho < 1")
         if self.max_halvings < 0:
             raise ValueError("max_halvings must be nonnegative")
-
-
-class BacktrackResult(NamedTuple):
-    step: float
-    point: np.ndarray
-    satisfied: bool
 
 
 def shrink(x: np.ndarray, tau: float) -> np.ndarray:
@@ -68,10 +60,13 @@ def deterministic_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return u, s, vt
 
 
-def svt(X: np.ndarray, tau: float) -> np.ndarray:
+def svt(X: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Singular value thresholding: soft threshold the spectrum of X.
 
-    The proximal operator of ``tau * || . ||_*`` (nuclear norm).
+    The proximal operator of ``tau * || . ||_*`` (nuclear norm). Returns the
+    thresholded matrix together with its singular values ``max(s - tau, 0)``
+    (s the singular values of X, in descending order), whose sum is the
+    nuclear norm of that matrix.
     """
     if tau < 0:
         raise NegativeThreshold(f"threshold must be nonnegative, got {tau}")
@@ -80,50 +75,7 @@ def svt(X: np.ndarray, tau: float) -> np.ndarray:
         raise DimensionMismatch(f"svt expects a matrix, got {X.ndim}-d input")
     u, s, vt = deterministic_svd(X)
     s = np.maximum(s - tau, 0.0)
-    return (u * s) @ vt
-
-
-def project_mask(X: np.ndarray, T: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Overwrite the accessible entries of X with the measured values T."""
-    X = np.asarray(X, dtype=float)
-    T = np.asarray(T, dtype=float)
-    mask = np.asarray(mask)
-    if mask.dtype != np.bool_:
-        raise DimensionMismatch("mask must be a boolean array")
-    if not (X.shape == T.shape == mask.shape):
-        raise DimensionMismatch(
-            f"shape mismatch: X {X.shape}, T {T.shape}, mask {mask.shape}"
-        )
-    return np.where(mask, T, X)
-
-
-def backtrack(
-    f: Callable[[np.ndarray], float],
-    grad: np.ndarray,
-    x: np.ndarray,
-    cfg: StepSearchConfig = StepSearchConfig(),
-) -> BacktrackResult:
-    """Armijo backtracking along the negative gradient.
-
-    Halves the step (factor cfg.rho) until
-    ``f(x - t * grad) <= f(x) - cfg.c * t * ||grad||^2``. If the budget of
-    halvings runs out the smallest tried step is returned with
-    ``satisfied=False``.
-    """
-    x = np.asarray(x, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != x.shape:
-        raise DimensionMismatch(f"gradient shape {grad.shape} != point {x.shape}")
-    fx = float(f(x))
-    gsq = float(np.sum(grad * grad))
-    t = cfg.t0
-    candidate = x
-    for _ in range(cfg.max_halvings + 1):
-        candidate = x - t * grad
-        if float(f(candidate)) <= fx - cfg.c * t * gsq:
-            return BacktrackResult(step=t, point=candidate, satisfied=True)
-        t *= cfg.rho
-    return BacktrackResult(step=t / cfg.rho, point=candidate, satisfied=False)
+    return (u * s) @ vt, s
 
 
 def regularized_solve(

@@ -19,6 +19,16 @@ ADMM
     rgtvr     inpainting robust to sparse corruption of the measurements
     gsr_admm  the full model: smoothness + low rank + sparse outliers + noise
 
+The three proximal-gradient solvers run one shared driver,
+:func:`_prox_gradient`; each supplies only its smooth part, that part's
+gradient and a proximal step (``svt`` or ``shrink``) that also returns the
+nonsmooth value of its result. The driver backtracks the step until the
+smooth part lies below its quadratic model at the candidate (Beck & Teboulle
+2009). ``gmcm`` instead accepts a candidate when the full objective does not
+increase, because re-pinning the measured entries after the thresholding makes
+its step something other than a proximal map. In the ADMM solvers every block
+update is one closed form: a Cholesky solve, an ``svt`` or a ``shrink``.
+
 Iterative solvers stop when the objective changes by less than
 ``config.tol_outer`` between consecutive iterations (ADMM solvers additionally
 require the coupling constraints to hold to 1e-6 relative); hitting
@@ -27,8 +37,8 @@ require the coupling constraints to hold to 1e-6 relative); hitting
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
-from typing import Any
+from dataclasses import dataclass, field, fields, asdict
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -51,31 +61,29 @@ class SolverConfig:
     """Weights and iteration controls shared by every solver.
 
     alpha weights quadratic variation, beta the nuclear norm, gamma the
-    outlier l1 norm, epsilon records a noise budget (informational), penalty
-    is the ADMM penalty parameter.
+    outlier l1 norm, penalty is the ADMM penalty parameter. tol_outer and
+    max_outer control the stop of every iterative solver, step the
+    backtracking of the proximal-gradient ones.
     """
 
     alpha: float = 1.0
     beta: float = 0.0
     gamma: float = 0.0
-    epsilon: float = 0.0
     penalty: float = 1.0
     tol_outer: float = 1e-8
-    tol_inner: float = 1e-8
     max_outer: int = 2000
-    max_inner: int = 100
     step: StepSearchConfig = field(default_factory=StepSearchConfig)
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "epsilon"):
+        for name in ("alpha", "beta", "gamma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.penalty <= 0:
             raise ValueError("penalty must be positive")
-        if self.tol_outer <= 0 or self.tol_inner <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration caps must be at least 1")
+        if self.tol_outer <= 0:
+            raise ValueError("tol_outer must be positive")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
 
     def replace(self, **changes) -> "SolverConfig":
         data = asdict(self)
@@ -92,16 +100,11 @@ class SolverConfig:
     def from_dict(cls, data: dict) -> "SolverConfig":
         data = dict(data)
         step = data.pop("step", None)
-        known = {
-            "alpha", "beta", "gamma", "epsilon", "penalty",
-            "tol_outer", "tol_inner", "max_outer", "max_inner",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
         if step is not None:
-            step_known = {"t0", "rho", "c", "max_halvings"}
-            step_unknown = set(step) - step_known
+            step_unknown = set(step) - {f.name for f in fields(StepSearchConfig)}
             if step_unknown:
                 raise ValueError(f"unknown step config keys: {sorted(step_unknown)}")
             data["step"] = StepSearchConfig(**step)
@@ -126,16 +129,6 @@ class RecoveryResult:
     iterations: int = 0
     converged: bool = False
     meta: dict[str, Any] = field(default_factory=dict)
-
-
-def _blas_threads() -> int | None:
-    try:
-        from threadpoolctl import threadpool_info
-    except ImportError:
-        return None
-    sizes = [entry.get("num_threads") for entry in threadpool_info()]
-    sizes = [s for s in sizes if s]
-    return max(sizes) if sizes else None
 
 
 def _as_matrix(x) -> tuple[np.ndarray, bool]:
@@ -218,7 +211,7 @@ def gtvm(t: np.ndarray, mask: np.ndarray, shift: GraphShift) -> RecoveryResult:
         objective_trace=np.array([obj]),
         iterations=1,
         converged=True,
-        meta={"solver": "gtvm", "blas_threads": _blas_threads()},
+        meta={"solver": "gtvm"},
     )
 
 
@@ -243,8 +236,91 @@ def gtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift, alpha: float) -> Re
         objective_trace=np.array([obj]),
         iterations=1,
         converged=True,
-        meta={"solver": "gtvr", "alpha": alpha, "blas_threads": _blas_threads()},
+        meta={"solver": "gtvr", "alpha": alpha},
     )
+
+
+# ---------------------------------------------------------------------------
+# proximal gradient
+# ---------------------------------------------------------------------------
+
+class _ProxGradientRun(NamedTuple):
+    x: np.ndarray
+    trace: np.ndarray
+    iterations: int
+    converged: bool
+    step: float
+    fixed_point_residual: float | None
+
+
+def _prox_gradient(x: np.ndarray,
+                   smooth: Callable[[np.ndarray], float],
+                   grad: Callable[[np.ndarray], np.ndarray],
+                   prox: Callable[[np.ndarray, float], tuple[np.ndarray, float]],
+                   nonsmooth: float,
+                   config: SolverConfig,
+                   descent: bool = False,
+                   fixed_point_tol: float | None = None) -> _ProxGradientRun:
+    """Minimize ``f + g`` by proximal gradient with a backtracked step.
+
+    ``smooth`` and ``grad`` evaluate f and its gradient; g is reached only
+    through ``prox(v, t)``, which returns ``prox_{t g}(v)`` together with g
+    at that point, and ``nonsmooth`` is g at the start point x. Each
+    iteration first lets the step grow back to ``min(t / rho, t0)``, then
+    shrinks it by rho (at most ``max_halvings`` times) until the candidate is
+    accepted: when f lies below its quadratic model at the candidate, which
+    keeps the objective from increasing, or, with ``descent=True``, when the
+    objective ``f + g`` itself does not increase. Without an accepted
+    candidate the iterate stays where it is.
+
+    The run stops once the objective changes by less than
+    ``config.tol_outer``. With ``fixed_point_tol`` the stop also needs the
+    fixed-point residual ``max |x - prox(x - t grad(x), t)|`` to be at most
+    that tolerance, and the residual at the returned point is reported.
+    """
+    t0, rho = config.step.t0, config.step.rho
+
+    def residual(xc, t):
+        d = xc - prox(xc - t * grad(xc), t)[0]
+        return float(np.max(np.abs(d))) if d.size else 0.0
+
+    f_val = smooth(x)
+    F = f_val + nonsmooth
+    trace = []
+    t = t0
+    converged = False
+    it = 0
+    for it in range(1, config.max_outer + 1):
+        g = grad(x)
+        t = min(t / rho, t0)
+        moved = False
+        for _ in range(config.step.max_halvings + 1):
+            cand, g_cand = prox(x - t * g, t)
+            f_cand = smooth(cand)
+            if descent:
+                moved = f_cand + g_cand <= F
+            else:
+                diff = cand - x
+                moved = f_cand <= (f_val + float(np.vdot(g, diff))
+                                   + float(np.vdot(diff, diff)) / (2.0 * t))
+            if moved:
+                break
+            t *= rho
+        if moved:
+            x, f_val = cand, f_cand
+            F_new = f_val + g_cand
+        else:
+            F_new = F
+        if not np.isfinite(F_new):
+            raise NonFiniteObjective(f"objective became {F_new} at iteration {it}")
+        trace.append(F_new)
+        if abs(F_new - F) < config.tol_outer and (
+                fixed_point_tol is None or residual(x, t) <= fixed_point_tol):
+            converged = True
+            break
+        F = F_new
+    return _ProxGradientRun(x, np.array(trace), it, converged, t,
+                            None if fixed_point_tol is None else residual(x, t))
 
 
 # ---------------------------------------------------------------------------
@@ -269,49 +345,23 @@ def gmcm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     A = shift.weights
     beta = config.beta
 
-    def objective(Xc):
-        val = _variation(Xc, A)
+    def pinned_svt(V, t):
         if beta > 0:
-            val += beta * _nuclear_norm(Xc)
-        return val
+            V = svt(V, t * beta)[0]
+        V = np.where(m, T2, V)
+        return V, (beta * _nuclear_norm(V) if beta > 0 else 0.0)
 
     X = np.where(m, T2, 0.0)
-    F = objective(X)
-    trace = []
-    t_step = config.step.t0
-    converged = False
-    it = 0
-    for it in range(1, config.max_outer + 1):
-        grad = _variation_grad(X, A)
-        t_step = min(t_step / config.step.rho, config.step.t0)
-        moved = False
-        for _ in range(config.step.max_halvings + 1):
-            cand = X - t_step * grad
-            if beta > 0:
-                cand = svt(cand, t_step * beta)
-            cand = np.where(m, T2, cand)
-            F_cand = objective(cand)
-            if F_cand <= F:
-                moved = True
-                break
-            t_step *= config.step.rho
-        F_new = F_cand if moved else F
-        if not np.isfinite(F_new):
-            raise NonFiniteObjective(f"objective became {F_new} at iteration {it}")
-        if moved:
-            X = cand
-        trace.append(F_new)
-        if abs(F_new - F) < config.tol_outer:
-            converged = True
-            F = F_new
-            break
-        F = F_new
+    run = _prox_gradient(X, lambda Xc: _variation(Xc, A),
+                         lambda Xc: _variation_grad(Xc, A), pinned_svt,
+                         beta * _nuclear_norm(X) if beta > 0 else 0.0,
+                         config, descent=True)
     return RecoveryResult(
-        x=X[:, 0] if was_vec else X,
-        objective_trace=np.array(trace),
-        iterations=it,
-        converged=converged,
-        meta={"solver": "gmcm", "step": t_step, "blas_threads": _blas_threads()},
+        x=run.x[:, 0] if was_vec else run.x,
+        objective_trace=run.trace,
+        iterations=run.iterations,
+        converged=run.converged,
+        meta={"solver": "gmcm", "step": run.step},
     )
 
 
@@ -342,49 +392,21 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
         g[m] = 2.0 * (Xc[m] - T2[m])
         return g + alpha * _variation_grad(Xc, A)
 
+    def nuclear_prox(V, t):
+        if beta > 0:
+            V, s = svt(V, t * beta)
+            return V, beta * float(np.sum(s))
+        return V, 0.0
+
     X = np.where(m, T2, 0.0)
-    f_val = smooth(X)
-    F = f_val + (beta * _nuclear_norm(X) if beta > 0 else 0.0)
-    trace = []
-    t_step = config.step.t0
-    converged = False
-    it = 0
-    for it in range(1, config.max_outer + 1):
-        grad = smooth_grad(X)
-        t_step = min(t_step / config.step.rho, config.step.t0)
-        moved = False
-        for _ in range(config.step.max_halvings + 1):
-            cand = X - t_step * grad
-            if beta > 0:
-                cand = svt(cand, t_step * beta)
-            diff = cand - X
-            bound = f_val + float(np.sum(grad * diff)) \
-                + float(np.sum(diff * diff)) / (2.0 * t_step)
-            f_cand = smooth(cand)
-            if f_cand <= bound:
-                moved = True
-                break
-            t_step *= config.step.rho
-        if moved:
-            X = cand
-            f_val = f_cand
-            F_new = f_val + (beta * _nuclear_norm(X) if beta > 0 else 0.0)
-        else:
-            F_new = F
-        if not np.isfinite(F_new):
-            raise NonFiniteObjective(f"objective became {F_new} at iteration {it}")
-        trace.append(F_new)
-        if abs(F_new - F) < config.tol_outer:
-            converged = True
-            F = F_new
-            break
-        F = F_new
+    run = _prox_gradient(X, smooth, smooth_grad, nuclear_prox,
+                         beta * _nuclear_norm(X) if beta > 0 else 0.0, config)
     return RecoveryResult(
-        x=X[:, 0] if was_vec else X,
-        objective_trace=np.array(trace),
-        iterations=it,
-        converged=converged,
-        meta={"solver": "gmcr", "step": t_step, "blas_threads": _blas_threads()},
+        x=run.x[:, 0] if was_vec else run.x,
+        objective_trace=run.trace,
+        iterations=run.iterations,
+        converged=run.converged,
+        meta={"solver": "gmcr", "step": run.step},
     )
 
 
@@ -402,6 +424,9 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
     gradient step, backtracking on the smooth part). Returns the cleaned
     signal ``x = t - e`` and the outlier estimate. ``e0`` warm-starts the
     iteration; the default start is zero.
+
+    ``converged`` means a genuine fixed point of the prox map (residual at
+    most 1e-6), not just a plateau of the objective.
     """
     if beta_reg < 0:
         raise ValueError("beta_reg must be nonnegative")
@@ -422,6 +447,10 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
         d = (t - ec)[:, None]
         return -_variation_grad(d, A)[:, 0]
 
+    def l1_prox(v, step):
+        ec = shrink(v, step * beta_reg)
+        return ec, beta_reg * float(np.sum(np.abs(ec)))
+
     if e0 is None:
         e = np.zeros_like(t)
     else:
@@ -430,56 +459,20 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
             raise DimensionMismatch(
                 f"warm start shape {e.shape} does not match signal {t.shape}"
             )
-    f_val = smooth(e)
-    F = f_val + beta_reg * float(np.sum(np.abs(e)))
-    trace = []
-    t_step = config.step.t0
-    converged = False
-    it = 0
-    for it in range(1, config.max_outer + 1):
-        grad = smooth_grad(e)
-        t_step = min(t_step / config.step.rho, config.step.t0)
-        moved = False
-        for _ in range(config.step.max_halvings + 1):
-            cand = shrink(e - t_step * grad, t_step * beta_reg)
-            diff = cand - e
-            bound = f_val + float(grad @ diff) + float(diff @ diff) / (2.0 * t_step)
-            f_cand = smooth(cand)
-            if f_cand <= bound:
-                moved = True
-                break
-            t_step *= config.step.rho
-        if moved:
-            e = cand
-            f_val = f_cand
-            F_new = f_val + beta_reg * float(np.sum(np.abs(e)))
-        else:
-            F_new = F
-        if not np.isfinite(F_new):
-            raise NonFiniteObjective(f"objective became {F_new} at iteration {it}")
-        trace.append(F_new)
-        if abs(F_new - F) < config.tol_outer:
-            # converged means a genuine fixed point of the prox map, not just
-            # a plateau of the objective
-            fp_now = e - shrink(e - t_step * smooth_grad(e), t_step * beta_reg)
-            if float(np.max(np.abs(fp_now))) <= 1e-6:
-                converged = True
-                F = F_new
-                break
-        F = F_new
-    fp = e - shrink(e - t_step * smooth_grad(e), t_step * beta_reg)
+    run = _prox_gradient(e, smooth, smooth_grad, l1_prox,
+                         beta_reg * float(np.sum(np.abs(e))), config,
+                         fixed_point_tol=1e-6)
     return RecoveryResult(
-        x=t - e,
-        outliers=e,
-        objective_trace=np.array(trace),
-        iterations=it,
-        converged=converged,
+        x=t - run.x,
+        outliers=run.x,
+        objective_trace=run.trace,
+        iterations=run.iterations,
+        converged=run.converged,
         meta={
             "solver": "anomaly_detect",
             "beta_reg": beta_reg,
-            "step": t_step,
-            "fixed_point_residual": float(np.max(np.abs(fp))) if fp.size else 0.0,
-            "blas_threads": _blas_threads(),
+            "step": run.step,
+            "fixed_point_residual": run.fixed_point_residual,
         },
     )
 
@@ -529,7 +522,9 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
 
     ``converged`` certifies the constrained problem: the returned point meets
     the cap and is stationary for the final weight (up to variation-free
-    directions, which the polish handles exactly).
+    directions, which the polish handles exactly). ``iterations`` sums the
+    iterations (and polish steps) of every weight the bisection tried; the
+    objective trace is that of the returned weight alone.
     """
     if eta_smooth < 0:
         raise ValueError("eta_smooth must be nonnegative")
@@ -611,9 +606,11 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
         beta_hi = 1.0
     best = None
     beta_lo = beta_hi
+    iterations = 0
     for _ in range(80):
         beta_lo *= 0.5
         sol = solve_at(beta_lo)
+        iterations += sol.iterations
         if feasible(_variation(sol.x[:, None], shift.weights)):
             best = (beta_lo, sol)
             break
@@ -627,6 +624,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     for _ in range(max_bisect):
         mid = 0.5 * (lo + hi)
         sol = solve_at(mid)
+        iterations += sol.iterations
         steps += 1
         if feasible(_variation(sol.x[:, None], shift.weights)):
             lo = mid
@@ -649,7 +647,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
         x=sol.x,
         outliers=sol.outliers,
         objective_trace=sol.objective_trace,
-        iterations=sol.iterations,
+        iterations=iterations,
         converged=sol.converged or stationary,
         meta=dict(
             sol.meta,
@@ -667,48 +665,6 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
 # ---------------------------------------------------------------------------
 # ADMM solvers
 # ---------------------------------------------------------------------------
-
-def _nuclear_block(X, P, Q, beta, eta, tol, max_inner):
-    """Minimize ``beta ||X||_* + eta/2 (||X-P||^2 + ||X-Q||^2)``.
-
-    Proximal gradient at the exact inverse-Lipschitz step 1/(2 eta); the
-    update is independent of the current point, so the loop lands on the block
-    minimizer immediately and the remaining passes only certify stationarity.
-    """
-    R = 0.5 * (P + Q)
-
-    def phi(Xc):
-        val = 0.5 * eta * (float(np.sum((Xc - P) ** 2)) + float(np.sum((Xc - Q) ** 2)))
-        if beta > 0:
-            val += beta * _nuclear_norm(Xc)
-        return val
-
-    val = phi(X)
-    for _ in range(max_inner):
-        X = svt(R, beta / (2.0 * eta)) if beta > 0 else R
-        new = phi(X)
-        if abs(new - val) < tol:
-            break
-        val = new
-    return X
-
-
-def _l1_block(E, S, gamma, eta, tol, max_inner):
-    """Minimize ``gamma ||E||_1 + eta/2 ||E - S||^2`` (one-step soft threshold)."""
-
-    def psi(Ec):
-        return gamma * float(np.sum(np.abs(Ec))) \
-            + 0.5 * eta * float(np.sum((Ec - S) ** 2))
-
-    val = psi(E)
-    for _ in range(max_inner):
-        E = shrink(S, gamma / eta)
-        new = psi(E)
-        if abs(new - val) < tol:
-            break
-        val = new
-    return E
-
 
 def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
              config: SolverConfig | None = None) -> RecoveryResult:
@@ -743,32 +699,32 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     Y1 = np.zeros_like(T2)
     Y2 = np.zeros_like(T2)
 
-    def objective(Xc, Ec):
+    def objective(Xc, Ec, nuclear):
         val = alpha * _variation(Xc, A)
         if beta > 0:
-            val += beta * _nuclear_norm(Xc)
+            val += beta * nuclear
         if gamma > 0:
             val += gamma * float(np.sum(np.abs(Ec)))
         return val
 
-    F = objective(X, E)
+    F = objective(X, E, _nuclear_norm(X) if beta > 0 else 0.0)
     t_norm = float(np.linalg.norm(T2))
     trace = []
     converged = False
     it = 0
     for it in range(1, config.max_outer + 1):
-        P = T2 - W - E - C - Y1 / eta
-        Q = Z + Y2 / eta
-        X = _nuclear_block(X, P, Q, beta, eta, config.tol_inner, config.max_inner)
+        # X minimizes beta ||X||_* + eta/2 (||X - P||^2 + ||X - Q||^2) for
+        # P = T - W - E - C - Y1/eta and Q = Z + Y2/eta: one svt of their mean
+        R = 0.5 * ((T2 - W - E - C - Y1 / eta) + (Z + Y2 / eta))
+        X, s = svt(R, beta / (2.0 * eta)) if beta > 0 else (R, np.zeros(0))
         W = (eta / (eta + 2.0)) * (T2 - X - E - C - Y1 / eta)
         if gamma > 0:
-            E = _l1_block(E, T2 - X - W - C - Y1 / eta, gamma, eta,
-                          config.tol_inner, config.max_inner)
+            E = shrink(T2 - X - W - C - Y1 / eta, gamma / eta)
         Z = cho_solve(factor, X - Y2 / eta)
         C = np.where(m, 0.0, T2 - X - W - E - Y1 / eta)
         Y1 = Y1 - eta * (T2 - X - W - E - C)
         Y2 = Y2 - eta * (X - Z)
-        F_new = objective(X, E)
+        F_new = objective(X, E, float(np.sum(s)))
         if not np.isfinite(F_new):
             raise NonFiniteObjective(f"objective became {F_new} at iteration {it}")
         trace.append(F_new)
@@ -794,7 +750,7 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
         objective_trace=np.array(trace),
         iterations=it,
         converged=converged,
-        meta={"solver": "gsr_admm", "penalty": eta, "blas_threads": _blas_threads()},
+        meta={"solver": "gsr_admm", "penalty": eta},
     )
 
 
@@ -857,5 +813,5 @@ def rgtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift,
         objective_trace=np.array(trace),
         iterations=it,
         converged=converged,
-        meta={"solver": "rgtvr", "penalty": eta, "blas_threads": _blas_threads()},
+        meta={"solver": "rgtvr", "penalty": eta},
     )

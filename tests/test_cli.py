@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +232,23 @@ class TestRun:
         assert (out / "trials.csv").exists()
         assert (out / "report.json").exists()
 
+    def test_seed_flag_overrides_description(self, tmp_path):
+        desc = json.loads(self.experiment(tmp_path).read_text())
+        desc["seed"] = 5
+        cfg = tmp_path / "seeded.json"
+        cfg.write_text(json.dumps(desc))
+
+        def seeds(*flags):
+            out = tmp_path / ("results" + "".join(flags))
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         *flags]) == 0
+            lines = (out / "trials.csv").read_text().splitlines()
+            column = lines[0].split(",").index("seed")
+            return {line.split(",")[column] for line in lines[1:]}
+
+        assert seeds("--seed", "0") == {"0"}
+        assert seeds() == {"5"}
+
     def test_missing_config_flag(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "r")]) == 2
 
@@ -265,3 +286,17 @@ class TestParser:
     def test_missing_required_flag_exits(self):
         with pytest.raises(SystemExit):
             main(["inpaint"])
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(REPO / "demos" / demo)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -3,14 +3,10 @@ import pytest
 
 import oracles
 from gsrec import (
-    BacktrackResult,
-    DimensionMismatch,
     NegativeThreshold,
     SingularMatrix,
     StepSearchConfig,
-    backtrack,
     deterministic_svd,
-    project_mask,
     regularized_solve,
     shrink,
     svt,
@@ -55,17 +51,17 @@ class TestShrink:
 
 class TestSvt:
     def test_diagonal_example(self):
-        got = svt(np.diag([3.0, 1.0]), 1.0)
+        got = svt(np.diag([3.0, 1.0]), 1.0)[0]
         np.testing.assert_allclose(got, np.diag([2.0, 0.0]), atol=1e-12)
 
     def test_zero_threshold_reconstructs(self):
         X = np.random.default_rng(1).normal(size=(4, 3))
-        np.testing.assert_allclose(svt(X, 0.0), X, atol=1e-10)
+        np.testing.assert_allclose(svt(X, 0.0)[0], X, atol=1e-10)
 
     def test_threshold_above_top_singular_value_kills_matrix(self):
         X = np.random.default_rng(2).normal(size=(3, 3))
         top = np.linalg.svd(X, compute_uv=False)[0]
-        np.testing.assert_allclose(svt(X, top + 1e-9), np.zeros((3, 3)),
+        np.testing.assert_allclose(svt(X, top + 1e-9)[0], np.zeros((3, 3)),
                                    atol=1e-12)
 
     def test_matches_grid_oracle(self):
@@ -74,7 +70,7 @@ class TestSvt:
             X = rng.uniform(-1.5, 1.5, size=(2, 2))
             tau = float(rng.uniform(0.1, 1.0))
             ref = oracles.svt_grid_oracle(X, tau)
-            assert np.max(np.abs(svt(X, tau) - ref)) <= 0.03
+            assert np.max(np.abs(svt(X, tau)[0] - ref)) <= 0.03
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(8)
@@ -82,7 +78,7 @@ class TestSvt:
             X = rng.normal(size=(4, 3))
             Y = rng.normal(size=(4, 3))
             tau = float(rng.uniform(0.0, 2.0))
-            lhs = np.linalg.norm(svt(X, tau) - svt(Y, tau))
+            lhs = np.linalg.norm(svt(X, tau)[0] - svt(Y, tau)[0])
             assert lhs <= np.linalg.norm(X - Y) + 1e-12
 
     def test_agrees_with_plain_numpy_svt(self):
@@ -90,8 +86,20 @@ class TestSvt:
         for _ in range(50):
             X = rng.normal(size=(5, 4))
             tau = float(rng.uniform(0.0, 2.0))
-            np.testing.assert_allclose(svt(X, tau), oracles.numpy_svt(X, tau),
+            np.testing.assert_allclose(svt(X, tau)[0], oracles.numpy_svt(X, tau),
                                        atol=1e-10)
+
+    def test_returns_thresholded_singular_values(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            X = rng.normal(size=(5, 4))
+            tau = float(rng.uniform(0.0, 2.0))
+            Y, s = svt(X, tau)
+            ref = np.maximum(np.linalg.svd(X, compute_uv=False) - tau, 0.0)
+            np.testing.assert_allclose(s, ref, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(
+                np.sum(s), np.sum(np.linalg.svd(Y, compute_uv=False)),
+                rtol=1e-12)
 
 
 class TestDeterministicSvd:
@@ -116,73 +124,8 @@ class TestDeterministicSvd:
         np.testing.assert_array_equal(vt1, vt2)
 
 
-class TestProjectMask:
-    def test_full_mask_returns_target(self):
-        X = np.zeros((2, 2))
-        T = np.arange(4.0).reshape(2, 2)
-        np.testing.assert_array_equal(
-            project_mask(X, T, np.ones((2, 2), dtype=bool)), T)
-
-    def test_empty_mask_returns_input(self):
-        X = np.arange(4.0).reshape(2, 2)
-        T = np.zeros((2, 2))
-        np.testing.assert_array_equal(
-            project_mask(X, T, np.zeros((2, 2), dtype=bool)), X)
-
-    def test_single_entry(self):
-        X = np.zeros((2, 2))
-        T = np.full((2, 2), 9.0)
-        mask = np.zeros((2, 2), dtype=bool)
-        mask[1, 0] = True
-        out = project_mask(X, T, mask)
-        assert out[1, 0] == 9.0
-        assert np.sum(out) == 9.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            project_mask(np.zeros((2, 2)), np.zeros((2, 3)),
-                         np.ones((2, 2), dtype=bool))
-
-
 class TestBacktrack:
-    def test_parabola_needs_one_halving(self):
-        # f(x) = x^2 from x=1: the full step lands at -1 with no decrease,
-        # half step lands exactly at the minimum
-        result = backtrack(lambda x: float(x @ x), np.array([2.0]),
-                           np.array([1.0]))
-        assert result.step == pytest.approx(0.5)
-        np.testing.assert_allclose(result.point, [0.0], atol=1e-15)
-        assert result.satisfied
-
-    def test_zero_gradient_returns_initial_step(self):
-        x = np.array([1.0, -2.0])
-        result = backtrack(lambda v: float(v @ v), np.zeros(2), x)
-        assert result.step == pytest.approx(1.0)
-        np.testing.assert_array_equal(result.point, x)
-        assert result.satisfied
-
-    def test_accepted_step_never_increases_objective(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            H = rng.normal(size=(4, 4))
-            H = H @ H.T + 0.1 * np.eye(4)
-
-            def f(v):
-                return float(v @ H @ v)
-
-            x = rng.normal(size=4)
-            g = 2.0 * H @ x
-            result = backtrack(f, g, x)
-            assert result.satisfied
-            assert f(result.point) <= f(x) + 1e-12
-
-    def test_budget_exhaustion_reports_unsatisfied(self):
-        # gradient pointing away from descent: no step can satisfy Armijo
-        result = backtrack(lambda x: float(x @ x), np.array([-2.0]),
-                           np.array([1.0]),
-                           StepSearchConfig(max_halvings=5))
-        assert not result.satisfied
-        assert isinstance(result, BacktrackResult)
+    """The backtracking parameters the proximal-gradient solvers read."""
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -190,7 +133,7 @@ class TestBacktrack:
         with pytest.raises(ValueError):
             StepSearchConfig(t0=0.0)
         with pytest.raises(ValueError):
-            StepSearchConfig(c=-1.0)
+            StepSearchConfig(max_halvings=-1)
 
 
 class TestRegularizedSolve:

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from gsrec import (
+    ConfigError,
     DimensionMismatch,
     EmptyAccessibleSet,
     GraphShift,
@@ -22,6 +23,7 @@ from gsrec import (
     shrink,
     tilde_shift,
 )
+from gsrec.io import solver_config_from_dict
 
 
 def symmetric_shift(n, seed):
@@ -63,7 +65,7 @@ class TestSolverConfig:
         assert cfg.tol_outer == 1e-8
 
     def test_negative_weight_rejected(self):
-        for key in ("alpha", "beta", "gamma", "epsilon"):
+        for key in ("alpha", "beta", "gamma"):
             with pytest.raises(ValueError):
                 SolverConfig(**{key: -0.5})
 
@@ -86,6 +88,14 @@ class TestSolverConfig:
             SolverConfig.from_dict({"alpha": 1.0, "bogus": 2})
         with pytest.raises(ValueError):
             SolverConfig.from_dict({"step": {"t0": 1.0, "nope": 2}})
+        # keys of settings no solver read any more
+        for key in ("epsilon", "tol_inner", "max_inner"):
+            with pytest.raises(ValueError):
+                SolverConfig.from_dict({"alpha": 1.0, key: 1.0})
+        with pytest.raises(ValueError):
+            SolverConfig.from_dict({"step": {"t0": 1.0, "c": 1e-4}})
+        with pytest.raises(ConfigError):
+            solver_config_from_dict({"alpha": 1.0, "max_inner": 100})
 
     def test_replace_returns_modified_copy(self):
         cfg = SolverConfig()
@@ -365,6 +375,25 @@ class TestAnomalyDetectConstrained:
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
             anomaly_detect_constrained(np.zeros(3), cycle_shift(3), -1.0)
+
+    def test_iterations_count_every_bisection_solve(self, monkeypatch):
+        import gsrec.solvers as solvers
+
+        counts = []
+        inner = solvers.anomaly_detect
+
+        def counted(*args, **kwargs):
+            res = inner(*args, **kwargs)
+            counts.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(solvers, "anomaly_detect", counted)
+        shift = symmetric_shift(10, 28)
+        t = np.random.default_rng(29).normal(size=10)
+        t[3] += 6.0
+        res = anomaly_detect_constrained(t, shift, 0.1)
+        assert len(counts) > 1
+        assert res.iterations >= sum(counts)
 
 
 class TestRgtvr:
