@@ -54,7 +54,6 @@ from .errors import (
     NonOrthonormalBasis,
     NonSymmetricLaplacian,
     NotDiagonalizable,
-    SingularMatrix,
     ZeroSpectralRadius,
 )
 from .experiments import (
@@ -100,7 +99,6 @@ from .io import (
 )
 from .prox import (
     StepSearchConfig,
-    deterministic_svd,
     regularized_solve,
     shrink,
     svt,

@@ -30,7 +30,6 @@ from .graph import (
     partition_blocks,
     quadratic_variation,
 )
-from .prox import deterministic_svd
 
 # Relative cutoff below which singular values count as zero rank.
 _RANK_CUTOFF = 1e-12
@@ -182,7 +181,7 @@ def tv_svd_terms(X: np.ndarray, shift: GraphShift) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != shift.n:
         raise DimensionMismatch(f"expected ({shift.n}, L) matrix, got {X.shape}")
-    u, s, _ = deterministic_svd(X)
+    u, s, _ = np.linalg.svd(X, full_matrices=False)
     d = u - shift.weights @ u
     return s ** 2 * np.sum(d * d, axis=0)
 
@@ -198,7 +197,7 @@ def nuclear_tv_bound(X: np.ndarray, shift: GraphShift) -> tuple[float, float]:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != shift.n:
         raise DimensionMismatch(f"expected ({shift.n}, L) matrix, got {X.shape}")
-    u, s, _ = deterministic_svd(X)
+    u, s, _ = np.linalg.svd(X, full_matrices=False)
     lhs = matrix_variation(X, shift)
     if s.size == 0 or s[0] <= 0.0:
         return lhs, 0.0

@@ -30,10 +30,6 @@ class NonFiniteObjective(GsrecError):
     """An iterative solver produced a NaN or infinite objective value."""
 
 
-class SingularMatrix(GsrecError):
-    """Exact linear solve requested on a (numerically) singular matrix."""
-
-
 class EmptyAccessibleSet(GsrecError):
     """The mask marks no entry as accessible."""
 

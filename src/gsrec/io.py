@@ -2,10 +2,10 @@
 
 Graphs travel as an edge-list CSV (``src,dst,weight`` per line, meaning an
 edge from src into dst, stored at ``weights[dst, src]``) or as a dense N x N
-CSV; either carries a JSON sidecar ``{"n": ..., "normalized": ..., "format":
-...}`` next to it. Signals are plain numeric CSVs with one row per node;
-masks list accessible entries as ``row,col`` pairs. All parsers reject NaN
-and infinity.
+CSV; either carries a JSON sidecar ``{"n": ..., "normalized": ...,
+"spectral_radius": ..., "format": ...}`` next to it. Signals are plain
+numeric CSVs with one row per node; masks list accessible entries as
+``row,col`` pairs. All parsers reject NaN and infinity.
 """
 
 from __future__ import annotations
@@ -119,6 +119,7 @@ def save_graph_edges(path, shift: GraphShift) -> None:
     _sidecar_path(path).write_text(json.dumps({
         "n": shift.n,
         "normalized": shift.normalized,
+        "spectral_radius": shift.spectral_radius,
         "format": "edges",
     }, indent=2) + "\n")
 
@@ -129,6 +130,7 @@ def save_graph_dense(path, shift: GraphShift) -> None:
     _sidecar_path(path).write_text(json.dumps({
         "n": shift.n,
         "normalized": shift.normalized,
+        "spectral_radius": shift.spectral_radius,
         "format": "dense",
     }, indent=2) + "\n")
 

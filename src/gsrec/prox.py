@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeThreshold, SingularMatrix
+from .errors import DimensionMismatch, NegativeThreshold
 
 # Singular values below this fraction of the largest are treated as zero.
 PINV_CUTOFF = 1e-10
@@ -43,52 +43,34 @@ def shrink(x: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
-def deterministic_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD with a fixed sign convention.
-
-    The first nonzero component of each left singular vector is made
-    nonnegative (the matching right vector is flipped along with it), so
-    repeated calls on equal inputs produce bit-identical factors.
-    """
-    u, s, vt = np.linalg.svd(np.asarray(X, dtype=float), full_matrices=False)
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.flatnonzero(col)
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            vt[j, :] = -vt[j, :]
-    return u, s, vt
-
-
 def svt(X: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Singular value thresholding: soft threshold the spectrum of X.
 
-    The proximal operator of ``tau * || . ||_*`` (nuclear norm). Returns the
-    thresholded matrix together with its singular values ``max(s - tau, 0)``
-    (s the singular values of X, in descending order), whose sum is the
-    nuclear norm of that matrix.
+    The proximal operator of ``tau * || . ||_*`` (nuclear norm), from one thin
+    ``np.linalg.svd``. Returns the thresholded matrix together with its
+    singular values ``max(s - tau, 0)`` (s the singular values of X, in
+    descending order), whose sum is the nuclear norm of that matrix. The
+    result does not depend on the signs LAPACK picks for the singular
+    vectors: they cancel in ``u diag(s) v^T``.
     """
     if tau < 0:
         raise NegativeThreshold(f"threshold must be nonnegative, got {tau}")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch(f"svt expects a matrix, got {X.ndim}-d input")
-    u, s, vt = deterministic_svd(X)
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
     return (u * s) @ vt, s
 
 
-def regularized_solve(
-    H: np.ndarray,
-    b: np.ndarray,
-    mode: str = "pseudo",
-    cutoff: float = PINV_CUTOFF,
-) -> np.ndarray:
-    """Solve ``H y = b`` through the SVD.
+def regularized_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of ``H y = b``.
 
-    mode "pseudo" inverts only singular values above ``cutoff`` times the
-    largest (minimum-norm least-squares solution); mode "exact" demands a
-    numerically invertible H and raises :class:`SingularMatrix` otherwise.
+    Applies the pseudo-inverse of H: singular values at or below
+    ``PINV_CUTOFF`` times the largest are treated as zero, so a singular
+    system gets the minimum-norm solution instead of an error. One
+    ``np.linalg.lstsq`` call (LAPACK gelsd); b may be a vector or a matrix of
+    right-hand sides.
     """
     H = np.asarray(H, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -98,18 +80,4 @@ def regularized_solve(
         raise DimensionMismatch(
             f"right-hand side has {b.shape[0]} rows, system has {H.shape[0]}"
         )
-    if mode not in ("pseudo", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
-    u, s, vt = np.linalg.svd(H)
-    top = s[0] if s.size else 0.0
-    keep = s > cutoff * top
-    if mode == "exact" and not np.all(keep):
-        raise SingularMatrix(
-            "matrix is singular to working precision "
-            f"(smallest/largest singular value = {s[-1]:.3e}/{top:.3e})"
-        )
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    ub = u.T @ b
-    scaled = inv * ub if ub.ndim == 1 else inv[:, None] * ub
-    return vt.T @ scaled
+    return np.linalg.lstsq(H, b, rcond=PINV_CUTOFF)[0]

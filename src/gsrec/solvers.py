@@ -50,7 +50,7 @@ from .errors import (
     NonFiniteObjective,
 )
 from .graph import GraphShift, _require_normalized, tilde_shift
-from .prox import StepSearchConfig, shrink, svt
+from .prox import StepSearchConfig, regularized_solve, shrink, svt
 
 # Relative feasibility tolerance for the ADMM coupling constraints.
 FEAS_RTOL = 1e-6
@@ -194,8 +194,6 @@ def gtvm(t: np.ndarray, mask: np.ndarray, shift: GraphShift) -> RecoveryResult:
     minimum-variation extension: minimize ``||x - A x||_2^2`` subject to
     ``x_M = t_M``.
     """
-    from .prox import regularized_solve
-
     t, m = _vector_inputs(t, mask, shift)
     at = tilde_shift(shift)
     x = np.where(m, t, 0.0)
@@ -204,7 +202,7 @@ def gtvm(t: np.ndarray, mask: np.ndarray, shift: GraphShift) -> RecoveryResult:
         acc = np.flatnonzero(m)
         at_uu = at[np.ix_(hidden, hidden)]
         at_um = at[np.ix_(hidden, acc)]
-        x[hidden] = -regularized_solve(at_uu, at_um @ t[acc], mode="pseudo")
+        x[hidden] = -regularized_solve(at_uu, at_um @ t[acc])
     obj = _variation(x[:, None], shift.weights)
     return RecoveryResult(
         x=x,
@@ -221,14 +219,12 @@ def gtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift, alpha: float) -> Re
     Minimizes ``||(x - t)_M||_2^2 + alpha * ||x - A x||_2^2`` in closed form
     through a pseudo-inverse solve.
     """
-    from .prox import regularized_solve
-
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     t, m = _vector_inputs(t, mask, shift)
     at = tilde_shift(shift)
     h = np.diag(m.astype(float)) + alpha * at
-    x = regularized_solve(h, np.where(m, t, 0.0), mode="pseudo")
+    x = regularized_solve(h, np.where(m, t, 0.0))
     r = (x - t)[m]
     obj = float(r @ r) + alpha * _variation(x[:, None], shift.weights)
     return RecoveryResult(
@@ -670,10 +666,10 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
              config: SolverConfig | None = None) -> RecoveryResult:
     """General recovery: smooth + low-rank signal, sparse outliers, noise.
 
-    Minimizes ``alpha ||X - A X||_F^2 + beta ||X||_* + gamma ||E||_1`` plus a
-    quadratic noise term, subject to the measurements splitting as
-    ``T = X + noise + E + slack`` with the slack supported off the accessible
-    set. Solved by ADMM with a duplicate smoothness variable; with gamma = 0
+    Minimizes ``alpha ||X - A X||_F^2 + beta ||X||_* + gamma ||E||_1 +
+    ||W||_F^2`` subject to the measurements splitting as
+    ``T = X + W + E + slack`` (W the noise) with the slack supported off the
+    accessible set; the objective trace records that whole sum. Solved by ADMM with a duplicate smoothness variable; with gamma = 0
     the outlier variable is dropped from the model (held at zero).
 
     Specializations: one column with beta = gamma = 0 reproduces :func:`gtvr`;
@@ -699,15 +695,15 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     Y1 = np.zeros_like(T2)
     Y2 = np.zeros_like(T2)
 
-    def objective(Xc, Ec, nuclear):
-        val = alpha * _variation(Xc, A)
+    def objective(Xc, Wc, Ec, nuclear):
+        val = alpha * _variation(Xc, A) + float(np.sum(Wc * Wc))
         if beta > 0:
             val += beta * nuclear
         if gamma > 0:
             val += gamma * float(np.sum(np.abs(Ec)))
         return val
 
-    F = objective(X, E, _nuclear_norm(X) if beta > 0 else 0.0)
+    F = objective(X, W, E, _nuclear_norm(X) if beta > 0 else 0.0)
     t_norm = float(np.linalg.norm(T2))
     trace = []
     converged = False
@@ -724,7 +720,7 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
         C = np.where(m, 0.0, T2 - X - W - E - Y1 / eta)
         Y1 = Y1 - eta * (T2 - X - W - E - C)
         Y2 = Y2 - eta * (X - Z)
-        F_new = objective(X, E, float(np.sum(s)))
+        F_new = objective(X, W, E, float(np.sum(s)))
         if not np.isfinite(F_new):
             raise NonFiniteObjective(f"objective became {F_new} at iteration {it}")
         trace.append(F_new)

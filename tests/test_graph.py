@@ -3,9 +3,11 @@ import pytest
 
 from gsrec import (
     DimensionMismatch,
+    GraphBuildSpec,
     GraphShift,
     NotDiagonalizable,
     ZeroSpectralRadius,
+    build_knn_graph,
     cycle_shift,
     gft,
     igft,
@@ -13,6 +15,7 @@ from gsrec import (
     normalize_shift,
     partition_blocks,
     quadratic_variation,
+    random_features,
     spectral_decomposition,
     spectral_radius,
     tilde_shift,
@@ -77,14 +80,30 @@ class TestNormalize:
 
 
 class TestSpectralRadius:
-    def test_power_iteration_matches_dense(self):
-        # exercise the same matrix through both code paths
-        from gsrec.graph import _power_iteration_radius
+    @pytest.mark.parametrize("weights, radius", [
+        # equal row sums but negative entries: Perron-Frobenius does not
+        # apply, the eigenvalues are 1 and 3
+        (np.array([[2.0, -1.0], [-1.0, 2.0]]), 3.0),
+        # 2002 nodes, unequal row and column sums, eigenvalues +-1
+        (np.kron(np.eye(1001), np.array([[0.0, 10.0], [0.1, 0.0]])), 1.0),
+        # nonnegative with equal column sums only
+        (np.array([[0.0, 0.5], [3.0, 2.5]]), 3.0),
+        (np.zeros((3, 3)), 0.0),
+    ], ids=["negative-entries", "kron-2002", "column-sums", "zero"])
+    def test_matches_eigenvalues(self, weights, radius):
+        assert spectral_radius(weights) == pytest.approx(radius, abs=1e-8)
 
-        rng = np.random.default_rng(3)
-        w = np.abs(rng.normal(size=(40, 40)))
-        assert _power_iteration_radius(w) == pytest.approx(
-            spectral_radius(w), rel=1e-8)
+    def test_large_knn_graph_is_row_stochastic_without_eigensolve(
+            self, monkeypatch):
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        shift = build_knn_graph(random_features(2500, 2, 1),
+                                GraphBuildSpec(k=8))
+        assert shift.normalized
+        np.testing.assert_allclose(shift.weights.sum(axis=1), 1.0,
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestVariation:

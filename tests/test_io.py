@@ -132,6 +132,7 @@ class TestGraphFormats:
         back = load_graph(p)
         np.testing.assert_array_equal(back.weights, shift.weights)
         assert back.normalized == shift.normalized
+        assert back.spectral_radius == shift.spectral_radius
 
     def test_dense_round_trip(self, tmp_path):
         shift = small_shift(6, 2)
@@ -140,6 +141,7 @@ class TestGraphFormats:
         back = load_graph(p)
         np.testing.assert_array_equal(back.weights, shift.weights)
         assert back.normalized
+        assert back.spectral_radius == shift.spectral_radius
 
     def test_edge_direction_convention(self, tmp_path):
         p = tmp_path / "g.csv"

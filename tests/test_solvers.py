@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 import oracles
 from gsrec import (
     ConfigError,
     DimensionMismatch,
     EmptyAccessibleSet,
+    GraphBuildSpec,
     GraphShift,
     SolverConfig,
     StepSearchConfig,
+    SyntheticSpec,
     anomaly_detect,
     anomaly_detect_constrained,
+    build_knn_graph,
     cycle_shift,
     gmcm,
     gmcr,
@@ -19,8 +23,11 @@ from gsrec import (
     gtvr,
     normalize_shift,
     quadratic_variation,
+    random_features,
     rgtvr,
+    sample_mask,
     shrink,
+    synth_instance,
     tilde_shift,
 )
 from gsrec.io import solver_config_from_dict
@@ -556,3 +563,88 @@ class TestGsrAdmm:
         shift = cycle_shift(4)
         with pytest.raises(DimensionMismatch):
             gsr_admm(np.zeros((5, 2)), np.ones((5, 2), dtype=bool), shift)
+
+
+# ---------------------------------------------------------------------------
+# every trace ends at the model objective of the returned parts
+# ---------------------------------------------------------------------------
+
+TRACE_CONFIG = SolverConfig(alpha=1.0, beta=0.2, gamma=0.1)
+
+
+def _variation(X, shift):
+    d = X - shift.weights @ X
+    return float(np.sum(d * d))
+
+
+def _misfit(R, mask):
+    return float(np.sum(R[mask] ** 2))
+
+
+def _nuclear(X):
+    return float(np.sum(svdvals(X)))
+
+
+def _trace_gtvm(shift, T, mask):
+    res = gtvm(T[:, 0], mask[:, 0], shift)
+    return res, _variation(res.x, shift)
+
+
+def _trace_gtvr(shift, T, mask):
+    res = gtvr(T[:, 0], mask[:, 0], shift, TRACE_CONFIG.alpha)
+    return res, (_misfit(res.x - T[:, 0], mask[:, 0])
+                 + TRACE_CONFIG.alpha * _variation(res.x, shift))
+
+
+def _trace_rgtvr(shift, T, mask):
+    c = TRACE_CONFIG
+    res = rgtvr(T[:, 0], mask[:, 0], shift, c)
+    return res, (_misfit(T[:, 0] - res.x - res.outliers, mask[:, 0])
+                 + c.alpha * _variation(res.x, shift)
+                 + c.gamma * np.abs(res.outliers).sum())
+
+
+def _trace_gmcm(shift, T, mask):
+    res = gmcm(T, mask, shift, TRACE_CONFIG)
+    return res, _variation(res.x, shift) + TRACE_CONFIG.beta * _nuclear(res.x)
+
+
+def _trace_gmcr(shift, T, mask):
+    c = TRACE_CONFIG
+    res = gmcr(T, mask, shift, c)
+    return res, (_misfit(res.x - T, mask) + c.alpha * _variation(res.x, shift)
+                 + c.beta * _nuclear(res.x))
+
+
+def _trace_gsr_admm(shift, T, mask):
+    c = TRACE_CONFIG
+    res = gsr_admm(T, mask, shift, c)
+    return res, (c.alpha * _variation(res.x, shift) + c.beta * _nuclear(res.x)
+                 + c.gamma * np.abs(res.outliers).sum()
+                 + float(np.sum(res.noise ** 2)))
+
+
+def _trace_anomaly_detect(shift, T, mask):
+    beta_reg = TRACE_CONFIG.gamma
+    res = anomaly_detect(T[:, 0], shift, beta_reg, TRACE_CONFIG)
+    return res, (_variation(T[:, 0] - res.outliers, shift)
+                 + beta_reg * np.abs(res.outliers).sum())
+
+
+@pytest.fixture(scope="module")
+def trace_instance():
+    """n=40 kNN graph, six noisy columns with one outlier each, 60 % observed."""
+    shift = build_knn_graph(random_features(40, 2, 3), GraphBuildSpec(k=6))
+    inst = synth_instance(shift, SyntheticSpec(n=40, l=6, rank=3,
+                                               noise_sigma=0.05,
+                                               outliers_per_column=1), 4)
+    return shift, inst.observed, sample_mask(inst.observed.shape, 0.6, 5)
+
+
+@pytest.mark.parametrize("case", [
+    _trace_gtvm, _trace_gtvr, _trace_rgtvr, _trace_gmcm, _trace_gmcr,
+    _trace_gsr_admm, _trace_anomaly_detect,
+], ids=lambda case: case.__name__.removeprefix("_trace_"))
+def test_last_trace_entry_is_model_objective(case, trace_instance):
+    res, objective = case(*trace_instance)
+    assert res.objective_trace[-1] == pytest.approx(objective, rel=1e-9)
