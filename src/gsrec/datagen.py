@@ -216,6 +216,12 @@ def build_knn_graph(data: FeatureTable | np.ndarray,
     smaller index), weighted by :func:`kernel_weights` evaluated on the full
     distance matrix. Weights are then normalized per row (default) or per
     column and finally scaled to unit spectral radius.
+
+    Raises :class:`DegenerateDistances`, naming the node, when a node has
+    fewer than k other nodes at finite distance (possible with
+    ``missing="exclude"``), or when the kernel weights of its k nearest
+    neighbors all underflow to zero. A node that is nobody's neighbor keeps
+    a zero column; that is legal.
     """
     if spec.metric == "precomputed":
         d = np.asarray(data.values if isinstance(data, FeatureTable) else data,
@@ -235,10 +241,19 @@ def build_knn_graph(data: FeatureTable | np.ndarray,
 
     ranked = d.copy()
     np.fill_diagonal(ranked, np.inf)
+    short = np.flatnonzero(np.isfinite(ranked).sum(axis=1) < spec.k)
+    if short.size:
+        raise DegenerateDistances(
+            f"node {short[0]} has fewer than k={spec.k} other nodes at finite distance")
     order = np.argsort(ranked, axis=1, kind="stable")[:, : spec.k]
     weights = np.zeros_like(kernel)
     rows = np.repeat(np.arange(n), spec.k)
     weights[rows, order.ravel()] = kernel[rows, order.ravel()]
+    empty = np.flatnonzero(weights.sum(axis=1) == 0.0)
+    if empty.size:
+        raise DegenerateDistances(
+            f"node {empty[0]}: the kernel weights to its {spec.k} nearest "
+            f"neighbors all underflow to zero")
 
     if spec.symmetrize:
         weights = np.maximum(weights, weights.T)

@@ -47,7 +47,7 @@ class KTooLarge(GsrecError):
 
 
 class DegenerateDistances(GsrecError):
-    """All pairwise distances vanish; no meaningful graph can be built."""
+    """Distances admit no meaningful graph: all vanish, or a node has no usable neighbors."""
 
 
 class NonOrthonormalBasis(GsrecError):

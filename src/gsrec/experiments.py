@@ -17,15 +17,17 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .datagen import (
+    STREAM_GRAPH,
     STREAM_SPLIT,
     GraphBuildSpec,
+    SyntheticInstance,
     SyntheticSpec,
     build_knn_graph,
     corrupt_labels,
@@ -103,18 +105,16 @@ def evaluate(truth: np.ndarray, estimate: np.ndarray,
         raise ConfigError(f"unknown score mode {score!r}")
     err = estimate - truth
     mse = float(np.mean(err * err))
-    report = MetricReport(
+    acc = None
+    if score == "classification":
+        acc = float(np.mean(threshold_labels(estimate) == truth))
+    return MetricReport(
         mse=mse,
         rmse=float(np.sqrt(mse)),
         mae=float(np.mean(np.abs(err))),
         count=int(truth.size),
+        acc=acc,
     )
-    if score == "classification":
-        labels = threshold_labels(estimate)
-        acc = float(np.mean(labels == truth))
-        report = MetricReport(mse=report.mse, rmse=report.rmse, mae=report.mae,
-                              count=report.count, acc=acc)
-    return report
 
 
 def laplacian_baseline(t: np.ndarray, mask: np.ndarray, laplacian: np.ndarray,
@@ -307,26 +307,33 @@ def solve_recovery(method: str, observed: np.ndarray, mask: np.ndarray | None,
 
 @dataclass(frozen=True)
 class SolverEntry:
-    """One method to run inside an experiment, with its parameter policy."""
+    """One method to run inside an experiment, with its parameter policy.
+
+    ``selection_mode`` is ``fixed`` (run ``config``), ``holdout`` (tune
+    ``grid`` on held-out observed entries) or ``oracle`` (tune ``grid``
+    against ground truth).
+    """
 
     name: str
     method: str
     config: SolverConfig
     grid: tuple[SolverConfig, ...] = ()
     eta_smooth: float | None = None
-
-    @property
-    def selection_mode(self) -> str:
-        return "grid" if self.grid else "fixed"
+    selection_mode: str = "fixed"
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Validated experiment description.
 
-    ``raw`` keeps the original dict for echoing into the report; everything
-    else is normalized.  ``ratios`` are accessible-entry fractions and
-    collapse to a single dummy value for the detect and combine tasks.
+    ``from_dict`` checks every block before any graph is built, and rejects
+    any key the task does not read.  ``raw`` keeps the original dict for
+    echoing into the report.  ``graph`` is None or a typed block (a knn
+    block carries its ``GraphBuildSpec`` under ``build``).  ``signal`` holds
+    one block: ``synthetic`` as a ``SyntheticSpec``, ``bundle`` as a
+    directory path, or ``opinions`` as a dict of typed values.  ``ratios``
+    are accessible-entry fractions and collapse to a single dummy value for
+    the detect and combine tasks.
     """
 
     task: str
@@ -344,10 +351,82 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentSpec":
-        return _spec_from_dict(data)
+        if not isinstance(data, dict):
+            raise ConfigError("experiment description must be an object")
+        unknown = set(data) - _SPEC_KEYS
+        if unknown:
+            raise ConfigError(f"unknown experiment keys {sorted(unknown)}")
+        task = data.get("task")
+        if task == "combine-opinions":
+            task = "combine"
+        if task not in _TASKS:
+            raise ConfigError(f"task must be one of {list(_TASKS)}, got {task!r}")
+        recovery = task in _RECOVERY_TASKS
+        try:
+            seed = int(data.get("seed", 0))
+            trials = int(data.get("trials", 1))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"seed and trials must be integers: {exc}") from None
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
+        if trials < 1:
+            raise ConfigError(f"trials must be positive, got {trials}")
+        ratios_raw = data.get("ratios")
+        if not recovery:
+            if ratios_raw not in (None, [1.0]):
+                raise ConfigError(f"task {task!r} does not sweep accessibility ratios")
+            ratios = (1.0,)
+        else:
+            if ratios_raw is None:
+                ratios_raw = [0.5]
+            if not isinstance(ratios_raw, list) or not ratios_raw:
+                raise ConfigError("ratios must be a nonempty list of fractions")
+            ratios = tuple(float(r) for r in ratios_raw)
+            for r in ratios:
+                if not 0.0 < r <= 1.0:
+                    raise ConfigError(f"ratios must lie in (0, 1], got {r}")
+        oracle_select = bool(data.get("oracle_select", False))
+        solvers_raw = data.get("solvers")
+        if not isinstance(solvers_raw, list) or not solvers_raw:
+            raise ConfigError("solvers must be a nonempty list")
+        solvers = tuple(_solver_entry(s, i, task, oracle_select)
+                        for i, s in enumerate(solvers_raw))
+        names = [s.name for s in solvers]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"solver names must be unique, got {names}")
+        graph, signal = _graph_and_signal(task, data.get("graph"), data.get("signal"))
+        corrupt = data.get("corrupt")
+        if corrupt is not None:
+            if not recovery:
+                raise ConfigError(f"task {task!r} does not take a corrupt block")
+            if not isinstance(corrupt, dict):
+                raise ConfigError("corrupt must be an object")
+            unknown = set(corrupt) - {"fraction", "mode"}
+            if unknown:
+                raise ConfigError(f"corrupt: unknown keys {sorted(unknown)}")
+            fraction = float(corrupt.get("fraction", 0.0))
+            mode = corrupt.get("mode", "regression")
+            if not 0.0 <= fraction <= 1.0:
+                raise ConfigError(f"corrupt.fraction must lie in [0, 1], got {fraction}")
+            if mode not in ("classification", "regression"):
+                raise ConfigError("corrupt.mode must be classification or regression")
+            corrupt = {"fraction": fraction, "mode": mode}
+        scores = _TASK_SCORES.get(task, ("regression", "classification"))
+        score = data.get("score", scores[0] if scores else "regression")
+        if "score" in data and score not in scores:
+            raise ConfigError(f"task {task!r} takes score in {list(scores)}, got {score!r}")
+        eval_on = data.get("eval_on", "hidden" if recovery else "all")
+        if eval_on not in (("hidden", "all") if recovery else ("all",)):
+            raise ConfigError(f"eval_on {eval_on!r} is not valid for task {task!r}")
+        return ExperimentSpec(
+            task=task, seed=seed, trials=trials, ratios=ratios, solvers=solvers,
+            graph=graph, signal=signal, corrupt=corrupt, score=score,
+            eval_on=eval_on, oracle_select=oracle_select, raw=dict(data),
+        )
 
 
-_TASKS = ("inpaint", "robust-inpaint", "complete", "detect", "combine")
+_RECOVERY_TASKS = ("inpaint", "robust-inpaint", "complete")
+_TASKS = _RECOVERY_TASKS + ("detect", "combine")
 _TASK_METHODS = {
     "inpaint": VECTOR_METHODS + MATRIX_METHODS,
     "robust-inpaint": VECTOR_METHODS + MATRIX_METHODS,
@@ -355,8 +434,15 @@ _TASK_METHODS = {
     "detect": DETECT_METHODS,
     "combine": COMBINE_METHODS,
 }
+_TASK_SIGNALS = {"detect": ("synthetic",), "combine": ("opinions",)}
+_TASK_SCORES = {"detect": (), "combine": ("classification",)}
 _SPEC_KEYS = {"task", "seed", "trials", "ratios", "solvers", "graph", "signal",
               "corrupt", "score", "eval_on", "oracle_select"}
+_GRAPH_KEYS = {"cycle": {"kind", "n"},
+               "knn": {"kind", "n", "dim", "k", "symmetrize", "normalization"},
+               "file": {"kind", "path"}}
+_OPINION_DEFAULTS = {"n": 200, "experts": 20, "easy_acc": 0.9, "hard_acc": 0.3,
+                     "hard_fraction": 0.25, "k": 8}
 
 
 def _config_from(data: dict | None, where: str) -> SolverConfig:
@@ -367,7 +453,8 @@ def _config_from(data: dict | None, where: str) -> SolverConfig:
     return solver_config_from_dict(data)
 
 
-def _solver_entry(data: dict, index: int, task: str) -> SolverEntry:
+def _solver_entry(data: dict, index: int, task: str,
+                  oracle_select: bool) -> SolverEntry:
     if not isinstance(data, dict):
         raise ConfigError(f"solvers[{index}]: expected an object")
     allowed = {"name", "method", "config", "grid", "eta_smooth"}
@@ -387,6 +474,11 @@ def _solver_entry(data: dict, index: int, task: str) -> SolverEntry:
         raise ConfigError(f"solvers[{index}]: grid must be a list of config objects")
     grid = tuple(_config_from(g, f"solvers[{index}].grid[{j}]")
                  for j, g in enumerate(grid_raw))
+    mode = "fixed" if not grid else "oracle" if oracle_select else "holdout"
+    if mode == "holdout" and task not in _RECOVERY_TASKS:
+        raise ConfigError(
+            f"task {task!r} has no holdout to tune on; "
+            f"set oracle_select to search a grid")
     eta_smooth = data.get("eta_smooth")
     if eta_smooth is not None:
         eta_smooth = float(eta_smooth)
@@ -400,181 +492,237 @@ def _solver_entry(data: dict, index: int, task: str) -> SolverEntry:
         config=_config_from(data.get("config"), f"solvers[{index}].config"),
         grid=grid,
         eta_smooth=eta_smooth,
+        selection_mode=mode,
     )
 
 
-def _spec_from_dict(data: dict) -> ExperimentSpec:
-    if not isinstance(data, dict):
-        raise ConfigError("experiment description must be an object")
-    unknown = set(data) - _SPEC_KEYS
-    if unknown:
-        raise ConfigError(f"unknown experiment keys {sorted(unknown)}")
-    task = data.get("task")
-    if task == "combine-opinions":
-        task = "combine"
-    if task not in _TASKS:
-        raise ConfigError(f"task must be one of {list(_TASKS)}, got {task!r}")
-    try:
-        seed = int(data.get("seed", 0))
-        trials = int(data.get("trials", 1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed and trials must be integers: {exc}") from None
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    if trials < 1:
-        raise ConfigError(f"trials must be positive, got {trials}")
-    ratios_raw = data.get("ratios")
-    if task in ("detect", "combine"):
-        if ratios_raw not in (None, [1.0]):
-            raise ConfigError(f"task {task!r} does not sweep accessibility ratios")
-        ratios = (1.0,)
+def _graph_and_signal(task: str, graph, signal) -> tuple[dict | None, dict]:
+    """Typed graph and signal blocks; the graph is read only by a synthetic signal."""
+    kinds = _TASK_SIGNALS.get(task, ("synthetic", "bundle"))
+    if not isinstance(signal, dict) or len(signal) != 1 or next(iter(signal)) not in kinds:
+        raise ConfigError(f"task {task!r} needs a signal object holding exactly one "
+                          f"of {list(kinds)}, got {signal!r}")
+    (kind, block), = signal.items()
+    if kind != "synthetic":
+        if graph is not None:
+            raise ConfigError(f"signal.{kind} brings its own graph; drop the graph block")
+    elif graph is None:
+        raise ConfigError(f"task {task!r} needs a graph block")
     else:
-        if ratios_raw is None:
-            ratios_raw = [0.5]
-        if not isinstance(ratios_raw, list) or not ratios_raw:
-            raise ConfigError("ratios must be a nonempty list of fractions")
-        ratios = tuple(float(r) for r in ratios_raw)
-        for r in ratios:
-            if not 0.0 < r <= 1.0:
-                raise ConfigError(f"ratios must lie in (0, 1], got {r}")
-    solvers_raw = data.get("solvers")
-    if not isinstance(solvers_raw, list) or not solvers_raw:
-        raise ConfigError("solvers must be a nonempty list")
-    solvers = tuple(_solver_entry(s, i, task) for i, s in enumerate(solvers_raw))
-    names = [s.name for s in solvers]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"solver names must be unique, got {names}")
-    graph = data.get("graph")
-    if graph is not None and not isinstance(graph, dict):
+        graph = _graph_block(graph)
+    if kind == "bundle":
+        if not isinstance(block, str) or not block:
+            raise ConfigError("signal.bundle must be a directory path")
+        return None, signal
+    if not isinstance(block, dict):
+        raise ConfigError(f"signal.{kind} must be an object")
+    if kind == "opinions":
+        unknown = set(block) - set(_OPINION_DEFAULTS)
+        if unknown:
+            raise ConfigError(f"signal.opinions: unknown keys {sorted(unknown)}")
+        try:
+            opinions = {key: type(default)(block.get(key, default))
+                        for key, default in _OPINION_DEFAULTS.items()}
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"signal.opinions: {exc}") from None
+        return None, {"opinions": opinions}
+    # a file graph's size is known once the file is read; until then n puts
+    # no bound on rank or outliers_per_column, and _sized checks them later
+    synthetic = _sized(SyntheticSpec(n=1), graph.get("n", sys.maxsize), block)
+    if task != "complete" and synthetic.l != 1:
+        raise ConfigError(f"task {task!r} needs a single-column signal, "
+                          f"got signal.synthetic.l = {synthetic.l}")
+    if task == "detect" and synthetic.outliers_per_column < 1:
+        raise ConfigError("detect needs signal.synthetic.outliers_per_column >= 1")
+    return graph, {"synthetic": synthetic}
+
+
+def _graph_block(graph) -> dict:
+    if not isinstance(graph, dict):
         raise ConfigError("graph must be an object")
-    signal = data.get("signal")
-    if not isinstance(signal, dict):
-        raise ConfigError("signal must be an object")
-    corrupt = data.get("corrupt")
-    if corrupt is not None:
-        if task in ("detect", "combine"):
-            raise ConfigError(f"task {task!r} does not take a corrupt block")
-        if not isinstance(corrupt, dict):
-            raise ConfigError("corrupt must be an object")
-        unknown = set(corrupt) - {"fraction", "mode"}
-        if unknown:
-            raise ConfigError(f"corrupt: unknown keys {sorted(unknown)}")
-        fraction = float(corrupt.get("fraction", 0.0))
-        mode = corrupt.get("mode", "regression")
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigError(f"corrupt.fraction must lie in [0, 1], got {fraction}")
-        if mode not in ("classification", "regression"):
-            raise ConfigError("corrupt.mode must be classification or regression")
-        corrupt = {"fraction": fraction, "mode": mode}
-    score = data.get("score", "regression")
-    if score not in ("regression", "classification"):
-        raise ConfigError(f"score must be regression or classification, got {score!r}")
-    eval_on = data.get("eval_on", "hidden" if task in ("inpaint", "robust-inpaint", "complete") else "all")
-    if eval_on not in ("hidden", "all"):
-        raise ConfigError(f"eval_on must be hidden or all, got {eval_on!r}")
-    oracle_select = bool(data.get("oracle_select", False))
-    if task in ("detect", "combine"):
-        for entry in solvers:
-            if entry.grid and not oracle_select:
-                raise ConfigError(
-                    f"task {task!r} has no holdout to tune on; "
-                    f"set oracle_select to search a grid")
-    return ExperimentSpec(
-        task=task, seed=seed, trials=trials, ratios=ratios, solvers=solvers,
-        graph=graph, signal=signal, corrupt=corrupt, score=score,
-        eval_on=eval_on, oracle_select=oracle_select, raw=dict(data),
-    )
-
-
-def _resolve_graph(spec: ExperimentSpec) -> GraphShift:
-    graph = spec.graph
-    if graph is None:
-        raise ConfigError(f"task {spec.task!r} needs a graph block")
     kind = graph.get("kind")
-    if kind == "cycle":
-        n = int(graph.get("n", 0))
-        if n < 2:
-            raise ConfigError(f"cycle graph needs n >= 2, got {n}")
-        return normalize_shift(cycle_shift(n))
-    if kind == "knn":
-        allowed = {"kind", "n", "dim", "k", "symmetrize", "normalization"}
-        unknown = set(graph) - allowed
-        if unknown:
-            raise ConfigError(f"graph: unknown keys {sorted(unknown)}")
-        n = int(graph.get("n", 0))
-        dim = int(graph.get("dim", 2))
-        if n < 2 or dim < 1:
-            raise ConfigError("knn graph needs n >= 2 and dim >= 1")
-        build = GraphBuildSpec(
-            k=int(graph.get("k", 8)),
-            symmetrize=bool(graph.get("symmetrize", False)),
-            normalization=graph.get("normalization", "row"),
-        )
-        features = random_features(n, dim, stream_rng(spec.seed, 5).integers(2**31))
-        return build_knn_graph(features, build)
+    if kind not in _GRAPH_KEYS:
+        raise ConfigError(f"graph.kind must be cycle, knn, or file, got {kind!r}")
+    unknown = set(graph) - _GRAPH_KEYS[kind]
+    if unknown:
+        raise ConfigError(f"graph: unknown keys {sorted(unknown)} for a {kind} graph")
     if kind == "file":
         path = graph.get("path")
-        if not path:
+        if not isinstance(path, str) or not path:
             raise ConfigError("graph kind 'file' needs a path")
-        shift = load_graph(path)
-        return shift if shift.normalized else normalize_shift(shift)
-    raise ConfigError(f"graph.kind must be cycle, knn, or file, got {kind!r}")
-
-
-def _synth_spec(spec: ExperimentSpec, n: int) -> SyntheticSpec:
-    block = spec.signal.get("synthetic")
-    if not isinstance(block, dict):
-        raise ConfigError(f"task {spec.task!r} needs signal.synthetic")
-    allowed = {"l", "recipe", "rank", "diffusion_steps", "noise_sigma",
-               "outliers_per_column", "outlier_lo", "outlier_hi"}
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"signal.synthetic: unknown keys {sorted(unknown)}")
+        return {"kind": kind, "path": path}
     try:
-        return SyntheticSpec(n=n, **block)
+        n = int(graph.get("n", 0))
+        if kind == "cycle":
+            if n < 2:
+                raise ConfigError(f"cycle graph needs n >= 2, got {n}")
+            return {"kind": kind, "n": n}
+        dim = int(graph.get("dim", 2))
+        k = int(graph.get("k", 8))
+        if n < 2 or dim < 1 or not 1 <= k < n:
+            raise ConfigError(f"knn graph needs n >= 2, dim >= 1 and 1 <= k < n, "
+                              f"got n={n}, dim={dim}, k={k}")
+        build = GraphBuildSpec(k=k, symmetrize=bool(graph.get("symmetrize", False)),
+                               normalization=graph.get("normalization", "row"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"graph: {exc}") from None
+    return {"kind": kind, "n": n, "dim": dim, "build": build}
+
+
+def _sized(synthetic: SyntheticSpec, n: int, block: dict | None = None) -> SyntheticSpec:
+    """``synthetic`` at ``n`` nodes with the ``block`` values; rechecks every range."""
+    try:
+        return replace(synthetic, n=n, **(block or {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"signal.synthetic: {exc}") from None
 
 
-def _oracle_pick(entry: SolverEntry, solve: Callable[[SolverConfig], RecoveryResult],
-                 score_of: Callable[[RecoveryResult], MetricReport],
-                 classification: bool) -> tuple[SolverConfig, RecoveryResult, MetricReport]:
-    """Search the grid with access to ground truth; used for ceiling studies."""
+def _resolve_graph(graph: dict, seed: int) -> GraphShift:
+    if graph["kind"] == "cycle":
+        return normalize_shift(cycle_shift(graph["n"]))
+    if graph["kind"] == "knn":
+        features = random_features(graph["n"], graph["dim"],
+                                   stream_rng(seed, STREAM_GRAPH).integers(2**31))
+        return build_knn_graph(features, graph["build"])
+    shift = load_graph(graph["path"])
+    return shift if shift.normalized else normalize_shift(shift)
+
+
+class _Cell(NamedTuple):
+    """One (ratio, trial) draw: how to solve, score and tune on it.
+
+    ``holdout(entry)`` returns the config a holdout search picks; it is None
+    for tasks without a holdout.
+    """
+
+    ratio: float
+    trial: int
+    solve: Callable[[SolverEntry, SolverConfig], RecoveryResult]
+    score: Callable[[RecoveryResult], MetricReport]
+    holdout: Callable[[SolverEntry], SolverConfig] | None
+
+
+def _recovery_cells(spec: ExperimentSpec) -> Iterator[_Cell]:
+    fixed = None
+    if "bundle" in spec.signal:
+        shift, fixed, _ = load_bundle(spec.signal["bundle"])
+        if spec.task != "complete" and fixed.x0.shape[1] != 1:
+            raise ConfigError(f"task {spec.task!r} needs a single-column signal, "
+                              f"got a bundle with {fixed.x0.shape[1]} columns")
+    else:
+        shift = _resolve_graph(spec.graph, spec.seed)
+        synthetic = _sized(spec.signal["synthetic"], shift.n)
+    for ratio_index, ratio in enumerate(spec.ratios):
+        for trial in range(spec.trials):
+            instance = fixed if fixed is not None else synth_instance(
+                shift, synthetic, spec.seed, ratio_index, trial)
+            yield _recovery_cell(spec, shift, instance, ratio, ratio_index, trial)
+
+
+def _recovery_cell(spec: ExperimentSpec, shift: GraphShift,
+                   instance: SyntheticInstance, ratio: float, ratio_index: int,
+                   trial: int) -> _Cell:
+    truth, observed = instance.x0, instance.observed
+    if spec.task != "complete":
+        truth, observed = truth[:, 0], observed[:, 0]
+    mask = sample_mask(observed.shape, ratio, spec.seed, ratio_index, trial)
+    if spec.corrupt is not None and spec.corrupt["fraction"] > 0:
+        observed, _ = corrupt_labels(observed, mask, spec.corrupt["fraction"],
+                                     spec.corrupt["mode"], spec.seed,
+                                     ratio_index, trial)
+    eval_mask = ~mask if spec.eval_on == "hidden" else np.ones_like(mask)
+    if not np.any(eval_mask):
+        raise EmptyMask("nothing to evaluate: mask covers every entry and "
+                        "eval_on is 'hidden'")
+
+    def solve(entry: SolverEntry, config: SolverConfig) -> RecoveryResult:
+        return solve_recovery(entry.method, observed, mask, shift, config,
+                              entry.eta_smooth)
+
+    def score(result: RecoveryResult) -> MetricReport:
+        est = np.asarray(result.x, dtype=float)
+        return evaluate(truth[eval_mask], est[eval_mask], spec.score)
+
+    def holdout(entry: SolverEntry) -> SolverConfig:
+        return cross_validate(entry.method, observed, mask, shift, entry.grid,
+                              spec.seed, ratio_index, trial).config
+
+    return _Cell(ratio, trial, solve, score, holdout)
+
+
+def _detect_cells(spec: ExperimentSpec) -> Iterator[_Cell]:
+    shift = _resolve_graph(spec.graph, spec.seed)
+    synthetic = _sized(spec.signal["synthetic"], shift.n)
+    for trial in range(spec.trials):
+        instance = synth_instance(shift, synthetic, spec.seed, trial)
+        yield _detect_cell(shift, instance, trial)
+
+
+def _detect_cell(shift: GraphShift, instance: SyntheticInstance, trial: int) -> _Cell:
+    t = instance.observed[:, 0]
+    clean = instance.x0[:, 0] + instance.noise[:, 0]
+    true_support = instance.outliers[:, 0] != 0.0
+
+    def solve(entry: SolverEntry, config: SolverConfig) -> RecoveryResult:
+        return solve_recovery(entry.method, t, None, shift, config, entry.eta_smooth)
+
+    def score(result: RecoveryResult) -> MetricReport:
+        found = np.asarray(result.outliers, dtype=float) != 0.0
+        return replace(evaluate(clean, result.x),
+                       acc=float(np.mean(found == true_support)))
+
+    return _Cell(1.0, trial, solve, score, None)
+
+
+def _combine_cells(spec: ExperimentSpec) -> Iterator[_Cell]:
+    o = spec.signal["opinions"]
+    for trial in range(spec.trials):
+        shift, truth, opinions, _ = synth_opinion_instance(
+            o["n"], o["experts"], o["easy_acc"], o["hard_acc"],
+            o["hard_fraction"], o["k"], spec.seed, trial)
+        yield _combine_cell(shift, truth, opinions, trial)
+
+
+def _combine_cell(shift: GraphShift, truth: np.ndarray, opinions: np.ndarray,
+                  trial: int) -> _Cell:
+    def solve(entry: SolverEntry, config: SolverConfig) -> RecoveryResult:
+        labels = combine_opinions(opinions, entry.method, shift, config)
+        return RecoveryResult(x=labels, objective_trace=np.asarray([0.0]),
+                              iterations=1, converged=True,
+                              meta={"solver": entry.method})
+
+    def score(result: RecoveryResult) -> MetricReport:
+        return evaluate(truth, result.x, "classification")
+
+    return _Cell(1.0, trial, solve, score, None)
+
+
+def _oracle_pick(entry: SolverEntry, cell: _Cell) -> tuple[RecoveryResult, MetricReport]:
+    """Search the grid with access to ground truth; used for ceiling studies.
+
+    Ranks by accuracy when the score has one, by mean squared error otherwise;
+    ties and non-finite scores go to the earliest grid entry.
+    """
     best = None
     for config in entry.grid:
-        result = solve(config)
-        report = score_of(result)
-        key = -report.acc if classification and report.acc is not None else report.mse
+        result = cell.solve(entry, config)
+        report = cell.score(result)
+        key = -report.acc if report.acc is not None else report.mse
         if not np.isfinite(key):
             key = np.inf
         if best is None or key < best[0]:
-            best = (key, config, result, report)
-    assert best is not None
-    return best[1], best[2], best[3]
+            best = (key, result, report)
+    return best[1], best[2]
 
 
-def _format_value(value: float | None) -> str:
+def _csv_field(value) -> str:
     if value is None:
         return ""
-    return "%.17g" % float(value)
-
-
-def _trial_row(task: str, method: str, ratio: float, trial: int, seed: int,
-               report: MetricReport, result: RecoveryResult) -> str:
-    fields = [
-        task,
-        method,
-        "%.17g" % ratio,
-        str(trial),
-        str(seed),
-        _format_value(report.acc),
-        _format_value(report.mse),
-        _format_value(report.rmse),
-        _format_value(report.mae),
-        str(result.iterations),
-        "true" if result.converged else "false",
-    ]
-    return ",".join(fields)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(value)
 
 
 def _aggregate(rows: list[dict]) -> list[dict]:
@@ -627,30 +775,39 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     started = time.perf_counter()
     per_method_ms = {entry.name: 0.0 for entry in spec.solvers}
     rows: list[dict] = []
-    lines = [TRIALS_HEADER]
-
-    if spec.task == "combine":
-        _run_combine(spec, rows, lines, per_method_ms)
-    elif spec.task == "detect":
-        _run_detect(spec, rows, lines, per_method_ms)
-    else:
-        _run_recovery(spec, rows, lines, per_method_ms)
+    cells = {"detect": _detect_cells, "combine": _combine_cells}.get(
+        spec.task, _recovery_cells)
+    for cell in cells(spec):
+        for entry in spec.solvers:
+            tick = time.perf_counter()
+            if entry.selection_mode == "oracle":
+                result, report = _oracle_pick(entry, cell)
+            else:
+                config = (cell.holdout(entry) if entry.selection_mode == "holdout"
+                          else entry.config)
+                result = cell.solve(entry, config)
+                report = cell.score(result)
+            per_method_ms[entry.name] += (time.perf_counter() - tick) * 1000.0
+            rows.append({
+                "task": spec.task, "method": entry.name, "ratio": cell.ratio,
+                "trial": cell.trial, "seed": spec.seed, "acc": report.acc,
+                "mse": report.mse, "rmse": report.rmse, "mae": report.mae,
+                "iterations": int(result.iterations),
+                "converged": bool(result.converged),
+            })
 
     total_ms = (time.perf_counter() - started) * 1000.0
+    columns = TRIALS_HEADER.split(",")
+    lines = [TRIALS_HEADER] + [",".join(_csv_field(row[c]) for c in columns)
+                               for row in rows]
     trials_path = out_dir / "trials.csv"
     trials_path.write_text("\n".join(lines) + "\n", newline="\n")
-    selection = {}
-    for entry in spec.solvers:
-        if entry.grid:
-            selection[entry.name] = "oracle" if spec.oracle_select else "holdout"
-        else:
-            selection[entry.name] = "fixed"
     report = {
         "spec": spec.raw,
         "task": spec.task,
         "seed": spec.seed,
         "versions": _versions(),
-        "selection": selection,
+        "selection": {entry.name: entry.selection_mode for entry in spec.solvers},
         "aggregates": _aggregate(rows),
         "all_converged": all(row["converged"] for row in rows),
         "rows": len(rows),
@@ -661,188 +818,3 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                            newline="\n")
     return report
-
-
-def _record(rows: list[dict], lines: list[str], spec: ExperimentSpec,
-            entry: SolverEntry, ratio: float, trial: int,
-            report: MetricReport, result: RecoveryResult) -> None:
-    rows.append({
-        "method": entry.name,
-        "ratio": ratio,
-        "trial": trial,
-        "acc": report.acc,
-        "mse": report.mse,
-        "rmse": report.rmse,
-        "mae": report.mae,
-        "iterations": result.iterations,
-        "converged": result.converged,
-    })
-    lines.append(_trial_row(spec.task, entry.name, ratio, trial, spec.seed,
-                            report, result))
-
-
-def _load_fixed_signal(spec: ExperimentSpec):
-    """Bundle-backed signal: one fixed instance shared by every trial."""
-    bundle_dir = spec.signal.get("bundle")
-    if not isinstance(bundle_dir, str) or not bundle_dir:
-        raise ConfigError("signal.bundle must be a directory path")
-    shift, instance, _ = load_bundle(bundle_dir)
-    return shift, instance
-
-
-def _run_recovery(spec: ExperimentSpec, rows: list[dict], lines: list[str],
-                  per_method_ms: dict) -> None:
-    fixed_instance = None
-    if "bundle" in spec.signal:
-        shift, fixed_instance = _load_fixed_signal(spec)
-    else:
-        shift = _resolve_graph(spec)
-    vector_task = spec.task in ("inpaint", "robust-inpaint")
-    for ratio_index, ratio in enumerate(spec.ratios):
-        for trial in range(spec.trials):
-            if fixed_instance is not None:
-                instance = fixed_instance
-            else:
-                sspec = _synth_spec(spec, shift.n)
-                instance = synth_instance(shift, sspec, spec.seed,
-                                          ratio_index, trial)
-            truth = instance.x0
-            observed = instance.observed
-            if vector_task:
-                if truth.shape[1] != 1:
-                    raise ConfigError(
-                        f"task {spec.task!r} needs a single-column signal, "
-                        f"got {truth.shape[1]} columns")
-                truth = truth[:, 0]
-                observed = observed[:, 0]
-            mask = sample_mask(observed.shape, ratio, spec.seed,
-                               ratio_index, trial)
-            if spec.corrupt is not None and spec.corrupt["fraction"] > 0:
-                observed, _ = corrupt_labels(observed, mask,
-                                             spec.corrupt["fraction"],
-                                             spec.corrupt["mode"], spec.seed,
-                                             ratio_index, trial)
-            eval_mask = ~mask if spec.eval_on == "hidden" else np.ones_like(mask)
-            if not np.any(eval_mask):
-                raise EmptyMask(
-                    "nothing to evaluate: mask covers every entry and "
-                    "eval_on is 'hidden'")
-            for entry in spec.solvers:
-                tick = time.perf_counter()
-                if entry.grid:
-                    if spec.oracle_select:
-                        def solve(config: SolverConfig, _e=entry) -> RecoveryResult:
-                            return solve_recovery(_e.method, observed, mask,
-                                                  shift, config, _e.eta_smooth)
-
-                        def score_of(result: RecoveryResult) -> MetricReport:
-                            est = np.asarray(result.x, dtype=float)
-                            return evaluate(truth[eval_mask], est[eval_mask],
-                                            spec.score)
-
-                        _, result, report = _oracle_pick(
-                            entry, solve, score_of,
-                            spec.score == "classification")
-                    else:
-                        choice = cross_validate(entry.method, observed, mask,
-                                                shift, entry.grid, spec.seed,
-                                                ratio_index, trial)
-                        result = solve_recovery(entry.method, observed, mask,
-                                                shift, choice.config,
-                                                entry.eta_smooth)
-                        est = np.asarray(result.x, dtype=float)
-                        report = evaluate(truth[eval_mask], est[eval_mask],
-                                          spec.score)
-                else:
-                    result = solve_recovery(entry.method, observed, mask,
-                                            shift, entry.config,
-                                            entry.eta_smooth)
-                    est = np.asarray(result.x, dtype=float)
-                    report = evaluate(truth[eval_mask], est[eval_mask],
-                                      spec.score)
-                per_method_ms[entry.name] += (time.perf_counter() - tick) * 1000.0
-                _record(rows, lines, spec, entry, ratio, trial, report, result)
-
-
-def _run_detect(spec: ExperimentSpec, rows: list[dict], lines: list[str],
-                per_method_ms: dict) -> None:
-    shift = _resolve_graph(spec)
-    for trial in range(spec.trials):
-        sspec = _synth_spec(spec, shift.n)
-        if sspec.l != 1:
-            raise ConfigError("detect runs on single-column signals")
-        if sspec.outliers_per_column < 1:
-            raise ConfigError(
-                "detect needs signal.synthetic.outliers_per_column >= 1")
-        instance = synth_instance(shift, sspec, spec.seed, trial)
-        t = instance.observed[:, 0]
-        clean = instance.x0[:, 0] + instance.noise[:, 0]
-        true_support = instance.outliers[:, 0] != 0.0
-        for entry in spec.solvers:
-            tick = time.perf_counter()
-
-            def solve(config: SolverConfig, _e=entry) -> RecoveryResult:
-                return solve_recovery(_e.method, t, None, shift, config,
-                                      _e.eta_smooth)
-
-            def score_of(result: RecoveryResult) -> MetricReport:
-                est = np.asarray(result.x, dtype=float)
-                found = np.asarray(result.outliers, dtype=float) != 0.0
-                base = evaluate(clean, est, "regression")
-                support_acc = float(np.mean(found == true_support))
-                return MetricReport(mse=base.mse, rmse=base.rmse,
-                                    mae=base.mae, count=base.count,
-                                    acc=support_acc)
-
-            if entry.grid:
-                _, result, report = _oracle_pick(entry, solve, score_of,
-                                                 classification=True)
-            else:
-                result = solve(entry.config)
-                report = score_of(result)
-            per_method_ms[entry.name] += (time.perf_counter() - tick) * 1000.0
-            _record(rows, lines, spec, entry, 1.0, trial, report, result)
-
-
-def _run_combine(spec: ExperimentSpec, rows: list[dict], lines: list[str],
-                 per_method_ms: dict) -> None:
-    block = spec.signal.get("opinions")
-    if not isinstance(block, dict):
-        raise ConfigError("task 'combine' needs signal.opinions")
-    allowed = {"n", "experts", "easy_acc", "hard_acc", "hard_fraction", "k"}
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"signal.opinions: unknown keys {sorted(unknown)}")
-    try:
-        n = int(block.get("n", 200))
-        experts = int(block.get("experts", 20))
-        easy_acc = float(block.get("easy_acc", 0.9))
-        hard_acc = float(block.get("hard_acc", 0.3))
-        hard_fraction = float(block.get("hard_fraction", 0.25))
-        k = int(block.get("k", 8))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"signal.opinions: {exc}") from None
-    for trial in range(spec.trials):
-        shift, truth, opinions, _hard = synth_opinion_instance(
-            n, experts, easy_acc, hard_acc, hard_fraction, k, spec.seed, trial)
-        for entry in spec.solvers:
-            tick = time.perf_counter()
-
-            def solve(config: SolverConfig, _e=entry) -> RecoveryResult:
-                labels = combine_opinions(opinions, _e.method, shift, config)
-                return RecoveryResult(x=labels,
-                                      objective_trace=np.asarray([0.0]),
-                                      iterations=1, converged=True,
-                                      meta={"solver": _e.method})
-
-            def score_of(result: RecoveryResult) -> MetricReport:
-                return evaluate(truth, np.asarray(result.x), "classification")
-
-            if entry.grid:
-                _, result, report = _oracle_pick(entry, solve, score_of,
-                                                 classification=True)
-            else:
-                result = solve(entry.config)
-                report = score_of(result)
-            per_method_ms[entry.name] += (time.perf_counter() - tick) * 1000.0
-            _record(rows, lines, spec, entry, 1.0, trial, report, result)

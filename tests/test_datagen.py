@@ -174,6 +174,23 @@ class TestBuildKnnGraph:
         radius = np.max(np.abs(np.linalg.eigvals(shift.weights)))
         assert abs(radius - 1.0) <= 1e-8
 
+    def test_node_without_k_finite_neighbors_rejected(self):
+        # node 0 shares no observed coordinate with any other node, so all its
+        # distances are infinite; argsort would otherwise pick node 0 itself
+        feats = random_features(12, 2, 3)
+        feats[0, 1] = np.nan
+        feats[1:, 0] = np.nan
+        with pytest.raises(DegenerateDistances, match="node 0 "):
+            build_knn_graph(feats, GraphBuildSpec(k=3, missing="exclude"))
+
+    def test_node_with_vanishing_kernel_weights_rejected(self):
+        # the far node dominates the distance mass, so its own kernel weights
+        # exp(-n^2 d / sum(d)) underflow to exactly zero
+        feats = random_features(1600, 2, 1)
+        feats[0] = [1e6, 1e6]
+        with pytest.raises(DegenerateDistances, match="node 0:"):
+            build_knn_graph(feats, GraphBuildSpec())
+
 
 class TestSynthInstance:
     def test_clean_spec_returns_smooth_part_only(self):

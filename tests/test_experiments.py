@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gsrec.experiments
 from gsrec import (
     ConfigError,
     DimensionMismatch,
@@ -412,6 +413,55 @@ class TestExperimentSpec:
 
     def test_hidden_eval_is_the_recovery_default(self):
         assert ExperimentSpec.from_dict(self.base()).eval_on == "hidden"
+
+    @pytest.mark.parametrize("task, key, value", [
+        ("inpaint", "graph", {"kind": "cycle", "n": 30, "k": 4}),
+        ("inpaint", "graph", {"kind": "file", "path": "graph.csv", "k": 4}),
+        ("inpaint", "signal", {"synthetic": {"rank": 3}, "typo": 1}),
+        ("inpaint", "signal", {"synthetic": {"rank": 3},
+                               "opinions": {"n": 20}}),
+        # a bundle brings its own graph, so the base's graph block is unread
+        ("complete", "signal", {"bundle": "bundle-dir"}),
+        ("detect", "signal", {"bundle": "bundle-dir"}),
+        ("detect", "score", "regression"),
+        ("detect", "eval_on", "hidden"),
+        ("combine", "graph", {"kind": "cycle", "n": 20}),
+        ("combine", "signal", {"synthetic": {"rank": 3}}),
+        ("combine", "score", "regression"),
+        ("combine", "eval_on", "hidden"),
+    ])
+    def test_keys_the_task_never_reads_rejected(self, task, key, value):
+        raw = {
+            "inpaint": self.base(),
+            "complete": dict(self.base(), task="complete"),
+            "detect": {
+                "task": "detect",
+                "graph": {"kind": "knn", "n": 20, "dim": 2, "k": 4},
+                "signal": {"synthetic": {"l": 1, "outliers_per_column": 1,
+                                         "outlier_lo": 5.0, "outlier_hi": 6.0}},
+                "solvers": [{"method": "anomaly"}],
+            },
+            "combine": {
+                "task": "combine",
+                "signal": {"opinions": {"n": 20, "experts": 3}},
+                "solvers": [{"method": "avg"}],
+            },
+        }[task]
+        ExperimentSpec.from_dict(raw)
+        raw[key] = value
+        with pytest.raises(ConfigError):
+            ExperimentSpec.from_dict(raw)
+
+    def test_description_errors_come_before_the_graph_build(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("graph built before the description was checked")
+
+        monkeypatch.setattr(gsrec.experiments, "build_knn_graph", no_build)
+        raw = self.base()
+        raw["graph"] = {"kind": "knn", "n": 2000, "k": 8}
+        raw["signal"] = {"synthetic": {"rank": 3, "noise": 0.1}}
+        with pytest.raises(ConfigError, match="noise"):
+            ExperimentSpec.from_dict(raw)
 
 
 class TestRunExperiment:
