@@ -26,6 +26,7 @@ from .datagen import (
     SyntheticSpec,
     build_knn_graph,
     corrupt_labels,
+    eigen_basis,
     kernel_weights,
     laplacian_from_shift,
     pairwise_distances,
@@ -99,6 +100,7 @@ from .io import (
 )
 from .prox import (
     StepSearchConfig,
+    factorized,
     regularized_solve,
     shrink,
     svt,

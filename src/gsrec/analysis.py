@@ -113,7 +113,7 @@ def inpainting_bound(shift: GraphShift, node_mask: np.ndarray,
     """
     _require_normalized(shift)
     mask = check_node_mask(node_mask, shift.n)
-    blocks = partition_blocks(shift.weights, mask)
+    blocks = partition_blocks(shift.matrix.toarray(), mask)
     n_acc = blocks.accessible.size
     n_in = blocks.inaccessible.size
     p = _spectral_norm(
@@ -182,7 +182,7 @@ def tv_svd_terms(X: np.ndarray, shift: GraphShift) -> np.ndarray:
     if X.ndim != 2 or X.shape[0] != shift.n:
         raise DimensionMismatch(f"expected ({shift.n}, L) matrix, got {X.shape}")
     u, s, _ = np.linalg.svd(X, full_matrices=False)
-    d = u - shift.weights @ u
+    d = u - shift.matrix @ u
     return s ** 2 * np.sum(d * d, axis=0)
 
 

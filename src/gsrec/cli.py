@@ -9,6 +9,7 @@ the outputs are still written so the run can be inspected.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -150,21 +151,70 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _limit_threads(threads: int | None):
-    """Best-effort BLAS thread cap; a no-op context when unavailable."""
-    import contextlib
+# The OpenBLAS builds numpy and scipy wheels vendor, one per package, and the
+# symbol suffixes of their (getter, setter) pair: 64-bit-integer or plain.
+_OPENBLAS_GLOB = "libscipy_openblas*"
+_OPENBLAS_SUFFIXES = ("64_", "")
 
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of each loaded numpy/scipy OpenBLAS.
+
+    A library counts only when already loaded (``RTLD_NOLOAD``), so this
+    never pulls a new copy of OpenBLAS into the process.
+    """
+    import ctypes
+    import os
+
+    import scipy
+
+    controls = []
+    if not hasattr(os, "RTLD_NOLOAD"):  # no dlopen (Windows)
+        return controls
+    for package in (np, scipy):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob(_OPENBLAS_GLOB)):
+            try:
+                library = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            except OSError:
+                continue
+            for suffix in _OPENBLAS_SUFFIXES:
+                get = getattr(library, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(library, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    put.restype, put.argtypes = None, [ctypes.c_int]
+                    controls.append((get, put))
+                    break
+    return controls
+
+
+@contextlib.contextmanager
+def _limit_threads(threads: int | None):
+    """Cap the BLAS thread count of numpy's and scipy's OpenBLAS.
+
+    Sets the count through each loaded library's
+    ``scipy_openblas_set_num_threads[64_]`` and restores the previous counts
+    on exit. ``None`` leaves the counts alone; with no known library loaded
+    the cap is ignored with a warning.
+    """
     if threads is None:
-        return contextlib.nullcontext()
+        yield
+        return
     if threads < 1:
         raise ConfigError(f"--threads must be positive, got {threads}")
+    controls = _openblas_thread_controls()
+    if not controls:
+        warnings.warn("no scipy-openblas library is loaded; --threads ignored",
+                      stacklevel=3)
+    previous = [get() for get, _ in controls]
+    for _, put in controls:
+        put(threads)
     try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        warnings.warn("threadpoolctl is not installed; --threads ignored",
-                      stacklevel=2)
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=threads)
+        yield
+    finally:
+        for (_, put), count in zip(controls, previous):
+            put(count)
 
 
 def _load_config(path: str | None) -> SolverConfig:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     InconsistentInputs,
     KTooLarge,
 )
-from .graph import GraphShift, normalize_shift
+from .graph import GraphShift, normalize_shift, tilde_shift
 
 # Stream tags for seed derivation; never reuse across operations.
 STREAM_MASK = 1
@@ -186,11 +187,15 @@ def pairwise_distances(features: FeatureTable | np.ndarray,
     return 0.5 * (scaled + scaled.T)
 
 
-def kernel_weights(distances: np.ndarray) -> np.ndarray:
+def kernel_weights(distances: np.ndarray,
+                   pairs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Gaussian-style similarity kernel scaled by the total distance mass.
 
-    ``P[i, j] = exp(-n^2 * d[i, j] / sum(d))`` computed over all pairwise
-    distances before any pruning, so the scale reflects the whole point set.
+    ``P[i, j] = exp(-n^2 * d[i, j] / sum(d))``, the sum running over all
+    finite pairwise distances before any pruning, so the scale reflects the
+    whole point set. Returns the full (n, n) kernel, or with
+    ``pairs=(rows, cols)`` only its values at those entries, as a vector.
+    Infinite distances get weight zero.
     """
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -202,10 +207,28 @@ def kernel_weights(distances: np.ndarray) -> np.ndarray:
     total = float(d[finite].sum())
     if total <= 0.0:
         raise DegenerateDistances("all pairwise distances vanish")
+    picked = d if pairs is None else d[pairs]
     with np.errstate(over="ignore"):
-        p = np.exp(-(n ** 2) * d / total)
-    p[~finite] = 0.0
+        p = np.exp(-(n ** 2) * picked / total)
+    p[~np.isfinite(picked)] = 0.0
     return p
+
+
+def _nearest(ranked: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row, sorted.
+
+    Ties go to the smaller index. ``np.argpartition`` places the k-th and
+    (k+1)-th smallest values; where they differ the first k positions hold
+    the unique answer, and only rows where they are equal (an exact tie
+    across the cut) fall back to a stable sort.
+    """
+    part = np.argpartition(ranked, (k - 1, k), axis=1)
+    rows = np.arange(ranked.shape[0])
+    tied = np.flatnonzero(ranked[rows, part[:, k - 1]] == ranked[rows, part[:, k]])
+    nearest = part[:, :k]
+    if tied.size:
+        nearest[tied] = np.argsort(ranked[tied], axis=1, kind="stable")[:, :k]
+    return np.sort(nearest, axis=1)
 
 
 def build_knn_graph(data: FeatureTable | np.ndarray,
@@ -213,9 +236,11 @@ def build_knn_graph(data: FeatureTable | np.ndarray,
     """Directed k-nearest-neighbor graph with kernel weights, as a shift.
 
     Each node keeps edges from its k nearest others (ties broken toward the
-    smaller index), weighted by :func:`kernel_weights` evaluated on the full
-    distance matrix. Weights are then normalized per row (default) or per
-    column and finally scaled to unit spectral radius.
+    smaller index), weighted by :func:`kernel_weights` evaluated on those n k
+    pairs only, and the weights go straight into a CSR matrix. They are then
+    normalized per row (default) or per column and finally scaled to unit
+    spectral radius. The dense (n, n) distance matrix, its total mass and
+    the neighbor selection are the O(n^2) steps; everything after is O(n k).
 
     Raises :class:`DegenerateDistances`, naming the node, when a node has
     fewer than k other nodes at finite distance (possible with
@@ -234,37 +259,36 @@ def build_knn_graph(data: FeatureTable | np.ndarray,
             raise InconsistentInputs("distance matrix must be symmetric")
     else:
         d = pairwise_distances(data, metric=spec.metric, missing=spec.missing)
-    n = d.shape[0]
-    if spec.k >= n:
-        raise KTooLarge(f"k={spec.k} needs at least k+1={spec.k + 1} nodes, have {n}")
-    kernel = kernel_weights(d)
+    n, k = d.shape[0], spec.k
+    if k >= n:
+        raise KTooLarge(f"k={k} needs at least k+1={k + 1} nodes, have {n}")
 
     ranked = d.copy()
     np.fill_diagonal(ranked, np.inf)
-    short = np.flatnonzero(np.isfinite(ranked).sum(axis=1) < spec.k)
+    short = np.flatnonzero(np.isfinite(ranked).sum(axis=1) < k)
     if short.size:
         raise DegenerateDistances(
-            f"node {short[0]} has fewer than k={spec.k} other nodes at finite distance")
-    order = np.argsort(ranked, axis=1, kind="stable")[:, : spec.k]
-    weights = np.zeros_like(kernel)
-    rows = np.repeat(np.arange(n), spec.k)
-    weights[rows, order.ravel()] = kernel[rows, order.ravel()]
-    empty = np.flatnonzero(weights.sum(axis=1) == 0.0)
+            f"node {short[0]} has fewer than k={k} other nodes at finite distance")
+    cols = _nearest(ranked, k)
+    values = kernel_weights(d, (np.repeat(np.arange(n), k), cols.ravel()))
+    empty = np.flatnonzero(values.reshape(n, k).sum(axis=1) == 0.0)
     if empty.size:
         raise DegenerateDistances(
-            f"node {empty[0]}: the kernel weights to its {spec.k} nearest "
+            f"node {empty[0]}: the kernel weights to its {k} nearest "
             f"neighbors all underflow to zero")
+    weights = sp.csr_array((values, cols.ravel(), np.arange(0, n * k + 1, k)),
+                           shape=(n, n))
+    weights.eliminate_zeros()  # an underflowed weight is no edge, nor a 0/0 below
 
     if spec.symmetrize:
-        weights = np.maximum(weights, weights.T)
+        weights = weights.maximum(weights.T).tocsr()
+    # divide each weight by its row (or column) sum; empty lines stay empty
     if spec.normalization == "row":
-        sums = weights.sum(axis=1, keepdims=True)
-        weights = np.divide(weights, sums, out=np.zeros_like(weights),
-                            where=sums > 0)
+        lines = np.repeat(np.arange(n), np.diff(weights.indptr))
+        sums = weights.sum(axis=1)
     else:
-        sums = weights.sum(axis=0, keepdims=True)
-        weights = np.divide(weights, sums, out=np.zeros_like(weights),
-                            where=sums > 0)
+        lines, sums = weights.indices, weights.sum(axis=0)
+    weights.data /= sums[lines]
     return normalize_shift(GraphShift(weights))
 
 
@@ -273,32 +297,42 @@ def random_features(n: int, dim: int, seed: int) -> np.ndarray:
     return stream_rng(seed, STREAM_GRAPH).standard_normal((n, dim))
 
 
+def eigen_basis(shift: GraphShift) -> np.ndarray:
+    """Eigenvectors of ``(I - A)^T (I - A)``, by ascending variation.
+
+    The basis of the "eigen" synthetic recipe: one dense ``eigh``, O(N^2)
+    memory and O(N^3) time, so a run computes it once for all its draws.
+    """
+    return np.linalg.eigh(tilde_shift(shift).toarray())[1]
+
+
 def synth_instance(shift: GraphShift, spec: SyntheticSpec, seed: int,
-                   *subkeys: int) -> SyntheticInstance:
+                   *subkeys: int, basis: np.ndarray | None = None,
+                   ) -> SyntheticInstance:
     """Draw a smooth signal matrix with additive noise and sparse outliers.
 
     The smooth part combines the lowest-variation eigenvectors of
-    ``(I - A)^T (I - A)`` (recipe "eigen", rank columns) or repeatedly applies
-    the shift to white noise (recipe "diffusion"); either way it is rescaled
-    to unit standard deviation. Noise is white Gaussian. Outliers place
-    exactly ``outliers_per_column`` entries per column, uniform positions,
-    magnitudes uniform in the given range with random sign. The observation
-    is the exact sum of the three parts.
+    ``(I - A)^T (I - A)`` (recipe "eigen", rank columns; ``basis`` passes in
+    :func:`eigen_basis` of the shift when the caller already has it) or
+    repeatedly applies the shift to white noise (recipe "diffusion"); either
+    way it is rescaled to unit standard deviation. Noise is white Gaussian.
+    Outliers place exactly ``outliers_per_column`` entries per column, uniform
+    positions, magnitudes uniform in the given range with random sign. The
+    observation is the exact sum of the three parts.
     """
-    from .graph import tilde_shift
-
     if shift.n != spec.n:
         raise DimensionMismatch(f"shift has {shift.n} nodes, spec wants {spec.n}")
     rng = stream_rng(seed, STREAM_SYNTH, *subkeys)
     n, l = spec.n, spec.l
     if spec.recipe == "eigen":
-        _, vecs = np.linalg.eigh(tilde_shift(shift))
-        basis = vecs[:, : spec.effective_rank]
-        x0 = basis @ rng.standard_normal((spec.effective_rank, l))
+        if basis is None:
+            basis = eigen_basis(shift)
+        x0 = basis[:, : spec.effective_rank] @ rng.standard_normal(
+            (spec.effective_rank, l))
     else:
         x0 = rng.standard_normal((n, l))
         for _ in range(spec.diffusion_steps):
-            x0 = shift.weights @ x0
+            x0 = shift.matrix @ x0
     scale = x0.std()
     if scale > 1e-12:
         x0 = x0 / scale
@@ -401,8 +435,7 @@ def synth_opinion_instance(n: int, experts: int, easy_acc: float, hard_acc: floa
     return shift, truth, opinions, hard
 
 
-def laplacian_from_shift(shift: GraphShift) -> np.ndarray:
-    """Combinatorial Laplacian of the symmetrized nonnegative weights."""
-    w = np.maximum(shift.weights, shift.weights.T)
-    w = np.maximum(w, 0.0)
-    return np.diag(w.sum(axis=1)) - w
+def laplacian_from_shift(shift: GraphShift) -> sp.csr_array:
+    """Combinatorial Laplacian of the symmetrized nonnegative weights, as CSR."""
+    w = shift.matrix.maximum(shift.matrix.T).maximum(0.0)
+    return (sp.diags_array(w.sum(axis=1)) - w).tocsr()

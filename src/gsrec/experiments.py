@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .datagen import (
     STREAM_GRAPH,
@@ -31,6 +32,7 @@ from .datagen import (
     SyntheticSpec,
     build_knn_graph,
     corrupt_labels,
+    eigen_basis,
     laplacian_from_shift,
     random_features,
     round_half_up,
@@ -49,7 +51,7 @@ from .errors import (
 )
 from .graph import GraphShift, cycle_shift, normalize_shift
 from .io import load_bundle, load_graph, solver_config_from_dict
-from .prox import regularized_solve
+from .prox import factorized
 from .solvers import (
     RecoveryResult,
     SolverConfig,
@@ -117,17 +119,19 @@ def evaluate(truth: np.ndarray, estimate: np.ndarray,
     )
 
 
-def laplacian_baseline(t: np.ndarray, mask: np.ndarray, laplacian: np.ndarray,
+def laplacian_baseline(t: np.ndarray, mask: np.ndarray, laplacian,
                        alpha: float) -> RecoveryResult:
     """Classic Laplacian-regularized inpainting, solved in closed form.
 
-    Minimizes the squared misfit on accessible nodes plus ``alpha * x' L x``.
-    The Laplacian must be symmetric; this is the reference point the
-    shift-based solvers are compared against.
+    Minimizes the squared misfit on accessible nodes plus ``alpha * x' L x``
+    with one sparse factorization of ``diag(M) + alpha L`` (L dense or
+    sparse); a singular system gets the minimum-norm solution, as in
+    :func:`~gsrec.prox.factorized`. The Laplacian must be symmetric; this is
+    the reference point the shift-based solvers are compared against.
     """
     t = np.asarray(t, dtype=float)
     mask = np.asarray(mask, dtype=bool)
-    laplacian = np.asarray(laplacian, dtype=float)
+    laplacian = sp.csr_array(laplacian, dtype=float)
     n = t.shape[0]
     if t.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got shape {t.shape}")
@@ -138,15 +142,15 @@ def laplacian_baseline(t: np.ndarray, mask: np.ndarray, laplacian: np.ndarray,
             f"laplacian shape {laplacian.shape} vs signal length {n}")
     if alpha < 0:
         raise ConfigError(f"alpha must be nonnegative, got {alpha}")
-    asym = float(np.linalg.norm(laplacian - laplacian.T))
-    if asym > 1e-10 * (1.0 + float(np.linalg.norm(laplacian))):
+    # Frobenius norms, from the stored entries
+    asym = float(np.linalg.norm((laplacian - laplacian.T).data))
+    if asym > 1e-10 * (1.0 + float(np.linalg.norm(laplacian.data))):
         raise NonSymmetricLaplacian(
             f"laplacian asymmetry {asym:.3e} exceeds tolerance")
     if not np.any(mask):
         raise EmptyMask("no accessible nodes")
-    selector = np.diag(mask.astype(float))
-    system = selector + alpha * laplacian
-    x = regularized_solve(system, np.where(mask, t, 0.0))
+    system = sp.diags_array(mask.astype(float)) + alpha * laplacian
+    x = factorized(system)(np.where(mask, t, 0.0))
     misfit = float(np.sum((x[mask] - t[mask]) ** 2))
     smooth = float(x @ (laplacian @ x))
     objective = misfit + alpha * smooth
@@ -381,7 +385,7 @@ class ExperimentSpec:
                 ratios_raw = [0.5]
             if not isinstance(ratios_raw, list) or not ratios_raw:
                 raise ConfigError("ratios must be a nonempty list of fractions")
-            ratios = tuple(float(r) for r in ratios_raw)
+            ratios = tuple(_number(r, "ratios") for r in ratios_raw)
             for r in ratios:
                 if not 0.0 < r <= 1.0:
                     raise ConfigError(f"ratios must lie in (0, 1], got {r}")
@@ -404,7 +408,7 @@ class ExperimentSpec:
             unknown = set(corrupt) - {"fraction", "mode"}
             if unknown:
                 raise ConfigError(f"corrupt: unknown keys {sorted(unknown)}")
-            fraction = float(corrupt.get("fraction", 0.0))
+            fraction = _number(corrupt.get("fraction", 0.0), "corrupt.fraction")
             mode = corrupt.get("mode", "regression")
             if not 0.0 <= fraction <= 1.0:
                 raise ConfigError(f"corrupt.fraction must lie in [0, 1], got {fraction}")
@@ -415,6 +419,9 @@ class ExperimentSpec:
         score = data.get("score", scores[0] if scores else "regression")
         if "score" in data and score not in scores:
             raise ConfigError(f"task {task!r} takes score in {list(scores)}, got {score!r}")
+        if score == "classification" and "synthetic" in signal:
+            raise ConfigError("score 'classification' compares +/-1 labels with the "
+                              "truth, and a synthetic signal is real-valued")
         eval_on = data.get("eval_on", "hidden" if recovery else "all")
         if eval_on not in (("hidden", "all") if recovery else ("all",)):
             raise ConfigError(f"eval_on {eval_on!r} is not valid for task {task!r}")
@@ -443,6 +450,13 @@ _GRAPH_KEYS = {"cycle": {"kind", "n"},
                "file": {"kind", "path"}}
 _OPINION_DEFAULTS = {"n": 200, "experts": 20, "easy_acc": 0.9, "hard_acc": 0.3,
                      "hard_fraction": 0.25, "k": 8}
+
+
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
 
 
 def _config_from(data: dict | None, where: str) -> SolverConfig:
@@ -481,7 +495,7 @@ def _solver_entry(data: dict, index: int, task: str,
             f"set oracle_select to search a grid")
     eta_smooth = data.get("eta_smooth")
     if eta_smooth is not None:
-        eta_smooth = float(eta_smooth)
+        eta_smooth = _number(eta_smooth, f"solvers[{index}].eta_smooth")
         if eta_smooth < 0:
             raise ConfigError(f"solvers[{index}]: eta_smooth must be nonnegative")
     if method == "anomaly-constrained" and eta_smooth is None:
@@ -602,6 +616,17 @@ class _Cell(NamedTuple):
     holdout: Callable[[SolverEntry], SolverConfig] | None
 
 
+def _synthetic_draws(spec: ExperimentSpec, shift: GraphShift):
+    """``draw(*subkeys)``: one synthetic instance on ``shift``.
+
+    The eigen recipe's basis is computed once here, for every draw of the run.
+    """
+    synthetic = _sized(spec.signal["synthetic"], shift.n)
+    basis = eigen_basis(shift) if synthetic.recipe == "eigen" else None
+    return lambda *subkeys: synth_instance(shift, synthetic, spec.seed, *subkeys,
+                                           basis=basis)
+
+
 def _recovery_cells(spec: ExperimentSpec) -> Iterator[_Cell]:
     fixed = None
     if "bundle" in spec.signal:
@@ -609,13 +634,15 @@ def _recovery_cells(spec: ExperimentSpec) -> Iterator[_Cell]:
         if spec.task != "complete" and fixed.x0.shape[1] != 1:
             raise ConfigError(f"task {spec.task!r} needs a single-column signal, "
                               f"got a bundle with {fixed.x0.shape[1]} columns")
+        if spec.score == "classification" and not np.all(np.isin(fixed.x0, (-1.0, 1.0))):
+            raise ConfigError("score 'classification' needs a +/-1 truth; the "
+                              f"bundle {spec.signal['bundle']} holds other values")
     else:
         shift = _resolve_graph(spec.graph, spec.seed)
-        synthetic = _sized(spec.signal["synthetic"], shift.n)
+        draw = _synthetic_draws(spec, shift)
     for ratio_index, ratio in enumerate(spec.ratios):
         for trial in range(spec.trials):
-            instance = fixed if fixed is not None else synth_instance(
-                shift, synthetic, spec.seed, ratio_index, trial)
+            instance = fixed if fixed is not None else draw(ratio_index, trial)
             yield _recovery_cell(spec, shift, instance, ratio, ratio_index, trial)
 
 
@@ -652,10 +679,9 @@ def _recovery_cell(spec: ExperimentSpec, shift: GraphShift,
 
 def _detect_cells(spec: ExperimentSpec) -> Iterator[_Cell]:
     shift = _resolve_graph(spec.graph, spec.seed)
-    synthetic = _sized(spec.signal["synthetic"], shift.n)
+    draw = _synthetic_draws(spec, shift)
     for trial in range(spec.trials):
-        instance = synth_instance(shift, synthetic, spec.seed, trial)
-        yield _detect_cell(shift, instance, trial)
+        yield _detect_cell(shift, draw(trial), trial)
 
 
 def _detect_cell(shift: GraphShift, instance: SyntheticInstance, trial: int) -> _Cell:

@@ -6,6 +6,11 @@ shift operator. The orientation convention used throughout the package:
 ``weights @ x`` replaces the value at each node by a weighted aggregate over its
 in-neighbors. Directed graphs and non-symmetric weights are fully supported.
 
+The weights are stored once, as a ``scipy.sparse.csr_array``; every operator
+derived from them (``tilde_shift``, the Laplacian) is sparse too, so a kNN
+graph costs O(N k) memory. Dense copies are made only where the theory needs a
+full eigendecomposition, and each such place calls ``.toarray()`` itself.
+
 Signals are plain numpy arrays: a vector signal has shape ``(N,)`` and a signal
 matrix (one signal per column) has shape ``(N, L)``. Masks of accessible entries
 are boolean arrays of the same shape.
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatch,
@@ -32,39 +38,63 @@ _DIAG_COND_LIMIT = 1e10
 _DIAG_RECON_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+def _csr(weights) -> sp.csr_array:
+    """Canonical float CSR copy of a dense or sparse square matrix."""
+    if sp.issparse(weights):
+        w = sp.csr_array(weights, dtype=float, copy=True)
+    else:
+        dense = np.asarray(weights, dtype=float)
+        if dense.ndim != 2:
+            raise DimensionMismatch(
+                f"shift weights must be square, got shape {dense.shape}")
+        w = sp.csr_array(dense)
+    w.sum_duplicates()
+    w.eliminate_zeros()
+    return w
+
+
+@dataclass(frozen=True, eq=False)
 class GraphShift:
     """Weighted adjacency matrix acting as the shift operator of a graph.
 
     Parameters
     ----------
-    weights : ndarray, shape (N, N)
-        Edge weights; ``weights[n, m]`` is the weight from node m into node n.
+    matrix : csr_array or array_like, shape (N, N)
+        Edge weights, dense or sparse; ``matrix[n, m]`` is the weight from
+        node m into node n. Stored as a canonical ``csr_array``.
     normalized : bool
         True once the matrix has been scaled to unit spectral radius.
     spectral_radius : float or None
         The pre-scaling spectral radius, recorded by :func:`normalize_shift`.
     """
 
-    weights: np.ndarray
+    matrix: sp.csr_array
     normalized: bool = False
     spectral_radius: float | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _csr(self.matrix)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DimensionMismatch(
                 f"shift weights must be square, got shape {w.shape}"
             )
         if w.shape[0] < 1:
             raise DimensionMismatch("shift needs at least one node")
-        if not np.all(np.isfinite(w)):
+        if not np.all(np.isfinite(w.data)):
             raise ValueError("shift weights must be finite")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "matrix", w)
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.matrix.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """A new dense ``(N, N)`` copy of the weights: O(N^2) time and memory.
+
+        For inspection and tests; no solver or experiment reads it.
+        """
+        return self.matrix.toarray()
 
 
 @dataclass(frozen=True)
@@ -99,26 +129,27 @@ def cycle_shift(n: int) -> GraphShift:
     """
     if n < 1:
         raise DimensionMismatch("cycle needs at least one node")
-    w = np.zeros((n, n))
-    w[np.arange(n), np.arange(-1, n - 1)] = 1.0
+    w = sp.csr_array((np.ones(n), (np.arange(n), np.arange(-1, n - 1) % n)),
+                     shape=(n, n))
     return GraphShift(w, normalized=True, spectral_radius=1.0)
 
 
-def spectral_radius(weights: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a square matrix.
+def spectral_radius(weights) -> float:
+    """Largest eigenvalue magnitude of a square matrix, dense or sparse.
 
     A nonnegative matrix whose row sums (or column sums) all equal r to 1e-12
     relative has radius r (Perron-Frobenius); that covers row- or
     column-normalized kNN graphs, cycles and opinion graphs at any size
-    without an eigensolve. Every other matrix gets one dense eigensolve.
+    without an eigensolve, in O(nnz). Every other matrix is densified for one
+    dense eigensolve.
     """
-    w = np.asarray(weights, dtype=float)
-    if np.all(w >= 0):
+    w = _csr(weights)
+    if np.all(w.data >= 0):
         for sums in (w.sum(axis=1), w.sum(axis=0)):
             r = float(sums.max())
             if r - float(sums.min()) <= _SUM_RTOL * r:
                 return r
-    return float(np.max(np.abs(np.linalg.eigvals(w))))
+    return float(np.max(np.abs(np.linalg.eigvals(w.toarray()))))
 
 
 def normalize_shift(shift: GraphShift) -> GraphShift:
@@ -131,12 +162,13 @@ def normalize_shift(shift: GraphShift) -> GraphShift:
     """
     if shift.normalized:
         return shift
-    radius = spectral_radius(shift.weights)
-    if radius <= 1e-12 * (1.0 + np.max(np.abs(shift.weights))):
+    w = shift.matrix
+    radius = spectral_radius(w)
+    if radius <= 1e-12 * (1.0 + np.max(np.abs(w.data), initial=0.0)):
         raise ZeroSpectralRadius(
             f"spectral radius {radius:.3e} is numerically zero"
         )
-    return GraphShift(shift.weights / radius, normalized=True, spectral_radius=radius)
+    return GraphShift(w / radius, normalized=True, spectral_radius=radius)
 
 
 def _require_normalized(shift: GraphShift) -> None:
@@ -165,7 +197,7 @@ def quadratic_variation(x: np.ndarray, shift: GraphShift) -> float:
     """
     _require_normalized(shift)
     x = _check_signal(x, shift.n, ndim=1)
-    d = x - shift.weights @ x
+    d = x - shift.matrix @ x
     return float(d @ d)
 
 
@@ -176,19 +208,20 @@ def matrix_variation(X: np.ndarray, shift: GraphShift) -> float:
     """
     _require_normalized(shift)
     X = _check_signal(X, shift.n, ndim=2)
-    d = X - shift.weights @ X
+    d = X - shift.matrix @ X
     return float(np.sum(d * d))
 
 
-def tilde_shift(shift: GraphShift) -> np.ndarray:
-    """The symmetric PSD matrix ``(I - A)^T (I - A)``.
+def tilde_shift(shift: GraphShift) -> sp.csr_array:
+    """The symmetric PSD matrix ``D^T D``, ``D = I - A``, as a ``csr_array``.
 
     Quadratic variation is the quadratic form of this matrix:
-    ``x^T tilde_shift x = ||x - A x||_2^2``.
+    ``x^T tilde_shift x = ||x - A x||_2^2``. A kNN shift with k in-neighbors
+    per node gives O(N k^2) nonzeros.
     """
     _require_normalized(shift)
-    d = np.eye(shift.n) - shift.weights
-    return d.T @ d
+    d = sp.eye_array(shift.n, format="csr") - shift.matrix
+    return (d.T @ d).tocsr()
 
 
 def spectral_decomposition(shift: GraphShift) -> SpectralBasis:
@@ -198,9 +231,10 @@ def spectral_decomposition(shift: GraphShift) -> SpectralBasis:
     general shifts use the dense nonsymmetric solver and may return a complex
     basis. Raises :class:`NotDiagonalizable` when the eigenvector matrix is
     ill-conditioned (relative condition number above 1e10) or does not
-    reconstruct the shift to within 1e-8 relative Frobenius error.
+    reconstruct the shift to within 1e-8 relative Frobenius error. Works on
+    a dense copy of the weights: O(N^2) memory, O(N^3) time.
     """
-    w = shift.weights
+    w = shift.matrix.toarray()
     if np.allclose(w, w.T, rtol=0.0, atol=1e-12):
         values, vectors = np.linalg.eigh(w)
         inverse = vectors.T.copy()

@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, DataError
 from .graph import GraphShift
@@ -108,12 +109,15 @@ def _sidecar_path(csv_path: Path) -> Path:
 
 
 def save_graph_edges(path, shift: GraphShift) -> None:
-    """Edge-list CSV plus sidecar; src,dst,weight means weights[dst, src]."""
+    """Edge-list CSV plus sidecar; src,dst,weight means weights[dst, src].
+
+    One line per stored nonzero of the CSR matrix, by destination then source.
+    """
     path = Path(path)
-    dst, src = np.nonzero(shift.weights)
+    edges = shift.matrix.tocoo()
     lines = [
-        f"{s},{d},{FLOAT_FMT % shift.weights[d, s]}"
-        for d, s in zip(dst, src)
+        f"{s},{d},{FLOAT_FMT % w}"
+        for d, s, w in zip(edges.row, edges.col, edges.data)
     ]
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
     _sidecar_path(path).write_text(json.dumps({
@@ -126,7 +130,7 @@ def save_graph_edges(path, shift: GraphShift) -> None:
 
 def save_graph_dense(path, shift: GraphShift) -> None:
     path = Path(path)
-    np.savetxt(path, shift.weights, fmt=FLOAT_FMT, delimiter=",")
+    np.savetxt(path, shift.matrix.toarray(), fmt=FLOAT_FMT, delimiter=",")
     _sidecar_path(path).write_text(json.dumps({
         "n": shift.n,
         "normalized": shift.normalized,
@@ -159,7 +163,7 @@ def load_graph(path) -> GraphShift:
         if "n" not in meta:
             raise DataError(f"{sidecar}: edge-list graphs need 'n' in the sidecar")
         n = int(meta["n"])
-        weights = np.zeros((n, n))
+        edges = {}  # (dst, src) -> weight; a repeated edge keeps its last weight
         for i, row in enumerate(_read_rows(path)):
             if len(row) != 3:
                 raise DataError(f"{path} line {i + 1}: expected src,dst,weight")
@@ -171,7 +175,10 @@ def load_graph(path) -> GraphShift:
                 raise DataError(f"{path} line {i + 1}: non-finite weight")
             if not (0 <= s < n and 0 <= d < n):
                 raise DataError(f"{path} line {i + 1}: node index outside [0, {n})")
-            weights[d, s] = w
+            edges[d, s] = w
+        ends = np.array(list(edges), dtype=int).reshape(-1, 2)
+        weights = sp.csr_array((np.fromiter(edges.values(), float, len(edges)),
+                                (ends[:, 0], ends[:, 1])), shape=(n, n))
     else:
         raise DataError(f"{sidecar}: unknown graph format {fmt!r}")
     try:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NegativeThreshold
 
@@ -81,3 +83,32 @@ def regularized_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"right-hand side has {b.shape[0]} rows, system has {H.shape[0]}"
         )
     return np.linalg.lstsq(H, b, rcond=PINV_CUTOFF)[0]
+
+
+def factorized(H) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver for ``H y = b`` from one sparse LU factorization of square H.
+
+    H (sparse or dense) is factored once by ``scipy.sparse.linalg.splu``; the
+    returned function solves for a vector or a matrix of right-hand sides.
+    H counts as singular when ``splu`` raises (an exactly zero pivot) or when
+    some pivot ``|U_ii|`` is at most ``PINV_CUTOFF`` times the largest. For
+    a singular H the function applies :func:`regularized_solve` to the dense
+    form of H instead, so the system keeps its minimum-norm least-squares
+    solution.
+    """
+    # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
+    from scipy.sparse.linalg import splu
+
+    H = sp.csc_array(H, dtype=float)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise DimensionMismatch(f"expected square system, got {H.shape}")
+    try:
+        lu = splu(H)
+    except RuntimeError:  # exactly singular
+        lu = None
+    if lu is not None:
+        pivots = np.abs(lu.U.diagonal())
+        if pivots.min() > PINV_CUTOFF * pivots.max():
+            return lu.solve
+    dense = H.toarray()
+    return lambda b: regularized_solve(dense, b)

@@ -27,7 +27,13 @@ smooth part lies below its quadratic model at the candidate (Beck & Teboulle
 2009). ``gmcm`` instead accepts a candidate when the full objective does not
 increase, because re-pinning the measured entries after the thresholding makes
 its step something other than a proximal map. In the ADMM solvers every block
-update is one closed form: a Cholesky solve, an ``svt`` or a ``shrink``.
+update is one closed form: a solve with a sparse LU factorization made once
+per call, an ``svt`` or a ``shrink``.
+
+The shift enters only through its CSR matrix A: the closed forms factor
+sparse systems built from ``(I - A)^T (I - A)`` with
+:func:`~gsrec.prox.factorized`, and the iterative solvers apply A and A^T as
+sparse products, O(nnz) each.
 
 Iterative solvers stop when the objective changes by less than
 ``config.tol_outer`` between consecutive iterations (ADMM solvers additionally
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field, fields, asdict
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatch,
@@ -50,7 +56,7 @@ from .errors import (
     NonFiniteObjective,
 )
 from .graph import GraphShift, _require_normalized, tilde_shift
-from .prox import StepSearchConfig, regularized_solve, shrink, svt
+from .prox import StepSearchConfig, factorized, shrink, svt
 
 # Relative feasibility tolerance for the ADMM coupling constraints.
 FEAS_RTOL = 1e-6
@@ -172,12 +178,12 @@ def _nuclear_norm(X: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(X, compute_uv=False)))
 
 
-def _variation(X: np.ndarray, A: np.ndarray) -> float:
+def _variation(X: np.ndarray, A: sp.csr_array) -> float:
     d = X - A @ X
     return float(np.sum(d * d))
 
 
-def _variation_grad(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _variation_grad(X: np.ndarray, A: sp.csr_array) -> np.ndarray:
     # gradient of ||X - A X||_F^2: 2 (I - A)^T (I - A) X
     d = X - A @ X
     return 2.0 * (d - A.T @ d)
@@ -192,18 +198,19 @@ def gtvm(t: np.ndarray, mask: np.ndarray, shift: GraphShift) -> RecoveryResult:
 
     Keeps the measured values and fills the hidden nodes with the unique
     minimum-variation extension: minimize ``||x - A x||_2^2`` subject to
-    ``x_M = t_M``.
+    ``x_M = t_M``. The hidden block of ``(I - A)^T (I - A)`` is factored
+    once by :func:`~gsrec.prox.factorized`; it is singular when a closed
+    class of the graph holds no measured node, and the hidden values are
+    then the minimum-norm solution.
     """
     t, m = _vector_inputs(t, mask, shift)
     at = tilde_shift(shift)
     x = np.where(m, t, 0.0)
     hidden = np.flatnonzero(~m)
     if hidden.size:
-        acc = np.flatnonzero(m)
-        at_uu = at[np.ix_(hidden, hidden)]
-        at_um = at[np.ix_(hidden, acc)]
-        x[hidden] = -regularized_solve(at_uu, at_um @ t[acc])
-    obj = _variation(x[:, None], shift.weights)
+        rows = at[hidden]
+        x[hidden] = -factorized(rows[:, hidden])(rows[:, np.flatnonzero(m)] @ t[m])
+    obj = _variation(x[:, None], shift.matrix)
     return RecoveryResult(
         x=x,
         objective_trace=np.array([obj]),
@@ -216,17 +223,19 @@ def gtvm(t: np.ndarray, mask: np.ndarray, shift: GraphShift) -> RecoveryResult:
 def gtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift, alpha: float) -> RecoveryResult:
     """Noisy graph signal inpainting.
 
-    Minimizes ``||(x - t)_M||_2^2 + alpha * ||x - A x||_2^2`` in closed form
-    through a pseudo-inverse solve.
+    Minimizes ``||(x - t)_M||_2^2 + alpha * ||x - A x||_2^2`` in closed form:
+    one sparse factorization of ``diag(M) + alpha (I - A)^T (I - A)`` by
+    :func:`~gsrec.prox.factorized`. A singular system (alpha = 0 with hidden
+    nodes, or a closed class of the graph without a measured node) gets the
+    minimum-norm solution.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     t, m = _vector_inputs(t, mask, shift)
-    at = tilde_shift(shift)
-    h = np.diag(m.astype(float)) + alpha * at
-    x = regularized_solve(h, np.where(m, t, 0.0))
+    h = sp.diags_array(m.astype(float)) + alpha * tilde_shift(shift)
+    x = factorized(h)(np.where(m, t, 0.0))
     r = (x - t)[m]
-    obj = float(r @ r) + alpha * _variation(x[:, None], shift.weights)
+    obj = float(r @ r) + alpha * _variation(x[:, None], shift.matrix)
     return RecoveryResult(
         x=x,
         objective_trace=np.array([obj]),
@@ -338,7 +347,7 @@ def gmcm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     if T2.shape[0] != shift.n:
         raise DimensionMismatch(f"signal rows {T2.shape[0]} != nodes {shift.n}")
     m = _matrix_mask(mask, T2.shape, was_vec)
-    A = shift.weights
+    A = shift.matrix
     beta = config.beta
 
     def pinned_svt(V, t):
@@ -376,7 +385,7 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     if T2.shape[0] != shift.n:
         raise DimensionMismatch(f"signal rows {T2.shape[0]} != nodes {shift.n}")
     m = _matrix_mask(mask, T2.shape, was_vec)
-    A = shift.weights
+    A = shift.matrix
     alpha, beta = config.alpha, config.beta
 
     def smooth(Xc):
@@ -433,7 +442,7 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
         raise DimensionMismatch(
             f"expected vector of length {shift.n}, got shape {t.shape}"
         )
-    A = shift.weights
+    A = shift.matrix
 
     def smooth(ec):
         d = (t - ec)[:, None]
@@ -532,7 +541,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
             f"expected vector of length {shift.n}, got shape {t.shape}"
         )
     target = eta_smooth ** 2
-    base_variation = _variation(t[:, None], shift.weights)
+    base_variation = _variation(t[:, None], shift.matrix)
     slack = target * 1e-6 + 1e-9 * (1.0 + base_variation)
 
     def feasible(value: float) -> bool:
@@ -554,8 +563,9 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
             },
         )
 
+    # dense eigensolve: the variation-free subspace and the Lipschitz constant
     at = tilde_shift(shift)
-    eigvals, eigvecs = np.linalg.eigh(at)
+    eigvals, eigvecs = np.linalg.eigh(at.toarray())
     null_basis = eigvecs[:, eigvals <= 1e-12 * max(eigvals[-1], 1.0)]
     lipschitz = 2.0 * max(float(eigvals[-1]), 0.0)
 
@@ -575,7 +585,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
             if np.array_equal(polished, sol.outliers):
                 break
             x = t - polished
-            objective = (_variation(x[:, None], shift.weights)
+            objective = (_variation(x[:, None], shift.matrix)
                          + beta * float(np.abs(polished).sum()))
             traces.append(np.array([objective]))
             iterations += 1
@@ -607,7 +617,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
         beta_lo *= 0.5
         sol = solve_at(beta_lo)
         iterations += sol.iterations
-        if feasible(_variation(sol.x[:, None], shift.weights)):
+        if feasible(_variation(sol.x[:, None], shift.matrix)):
             best = (beta_lo, sol)
             break
     if best is None:
@@ -622,7 +632,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
         sol = solve_at(mid)
         iterations += sol.iterations
         steps += 1
-        if feasible(_variation(sol.x[:, None], shift.weights)):
+        if feasible(_variation(sol.x[:, None], shift.matrix)):
             lo = mid
             best = (mid, sol)
         else:
@@ -649,7 +659,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
             sol.meta,
             solver="anomaly_detect_constrained",
             beta_reg=beta_star,
-            smoothness=_variation(sol.x[:, None], shift.weights),
+            smoothness=_variation(sol.x[:, None], shift.matrix),
             target=target,
             bisections=steps,
             stationarity=stationarity,
@@ -682,10 +692,9 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     if T2.shape[0] != shift.n:
         raise DimensionMismatch(f"signal rows {T2.shape[0]} != nodes {shift.n}")
     m = _matrix_mask(mask, T2.shape, was_vec)
-    A = shift.weights
+    A = shift.matrix
     alpha, beta, gamma, eta = config.alpha, config.beta, config.gamma, config.penalty
-    at = tilde_shift(shift)
-    factor = cho_factor(np.eye(shift.n) + (2.0 * alpha / eta) * at)
+    solve = factorized(sp.eye_array(shift.n) + (2.0 * alpha / eta) * tilde_shift(shift))
 
     X = np.where(m, T2, 0.0)
     W = np.zeros_like(T2)
@@ -716,7 +725,7 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
         W = (eta / (eta + 2.0)) * (T2 - X - E - C - Y1 / eta)
         if gamma > 0:
             E = shrink(T2 - X - W - C - Y1 / eta, gamma / eta)
-        Z = cho_solve(factor, X - Y2 / eta)
+        Z = solve(X - Y2 / eta)
         C = np.where(m, 0.0, T2 - X - W - E - Y1 / eta)
         Y1 = Y1 - eta * (T2 - X - W - E - C)
         Y2 = Y2 - eta * (X - Z)
@@ -761,10 +770,9 @@ def rgtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift,
     """
     config = config or SolverConfig()
     t, m = _vector_inputs(t, mask, shift)
-    A = shift.weights
+    A = shift.matrix
     alpha, gamma, eta = config.alpha, config.gamma, config.penalty
-    at = tilde_shift(shift)
-    factor = cho_factor(np.eye(shift.n) + (2.0 * alpha / eta) * at)
+    solve = factorized(sp.eye_array(shift.n) + (2.0 * alpha / eta) * tilde_shift(shift))
 
     x = np.where(m, t, 0.0)
     w = np.zeros_like(t)
@@ -785,7 +793,7 @@ def rgtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift,
     converged = False
     it = 0
     for it in range(1, config.max_outer + 1):
-        x = cho_solve(factor, t - e - w - c - lam / eta)
+        x = solve(t - e - w - c - lam / eta)
         w = (eta / (eta + 2.0)) * (t - x - e - c - lam / eta)
         if gamma > 0:
             e = shrink(t - x - w - c - lam / eta, gamma / eta)

@@ -68,7 +68,7 @@ def random_shift(n, seed):
 
 
 def smooth_vector(shift, seed, modes=2):
-    vals, vecs = np.linalg.eigh(tilde_shift(shift))
+    vals, vecs = np.linalg.eigh(tilde_shift(shift).toarray())
     rng = np.random.default_rng(seed)
     x = vecs[:, :modes] @ rng.normal(size=modes)
     return x / np.linalg.norm(x)

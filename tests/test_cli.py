@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from gsrec import (
     save_mask_csv,
     save_signal_csv,
 )
+import gsrec.cli
 from gsrec.cli import main
 
 
@@ -30,6 +32,27 @@ def graph_file(tmp_path):
     path = tmp_path / "graph.csv"
     save_graph_dense(path, shift)
     return path
+
+
+def openblas_thread_counts() -> dict[str, int]:
+    """Thread count of each scipy-openblas library mapped into this process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "libscipy_openblas" in line}
+    except OSError:
+        return {}
+    counts = {}
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads"):
+            getter = getattr(library, symbol, None)
+            if getter is not None:
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                counts[Path(path).name] = getter()
+                break
+    return counts
 
 
 def write_signal(tmp_path, name, values):
@@ -276,6 +299,30 @@ class TestThreadsFlag:
         truth = write_signal(tmp_path, "truth.csv", np.ones(3))
         assert main(["eval", "--truth", str(truth), "--estimate", str(truth),
                      "--threads", "1"]) == 0
+
+    def test_thread_cap_is_set_and_restored(self, tmp_path, monkeypatch):
+        counts = openblas_thread_counts()
+        if not counts:
+            pytest.skip("no scipy-openblas library loaded")
+        inside = []
+
+        def run_experiment(spec, out):
+            inside.append(openblas_thread_counts())
+            return {"rows": 0, "all_converged": True}
+
+        monkeypatch.setattr(gsrec.cli, "run_experiment", run_experiment)
+        cfg = TestRun().experiment(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--threads", "1"]) == 0
+        assert inside == [{name: 1 for name in counts}]
+        assert openblas_thread_counts() == counts
+
+    def test_warns_without_a_known_library(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gsrec.cli, "_openblas_thread_controls", lambda: [])
+        truth = write_signal(tmp_path, "truth.csv", np.ones(3))
+        with pytest.warns(UserWarning, match="--threads ignored"):
+            assert main(["eval", "--truth", str(truth), "--estimate", str(truth),
+                         "--threads", "1"]) == 0
 
 
 class TestParser:

@@ -13,6 +13,7 @@ from gsrec import (
     SyntheticSpec,
     build_knn_graph,
     corrupt_labels,
+    eigen_basis,
     kernel_weights,
     laplacian_from_shift,
     normalize_shift,
@@ -183,6 +184,22 @@ class TestBuildKnnGraph:
         with pytest.raises(DegenerateDistances, match="node 0 "):
             build_knn_graph(feats, GraphBuildSpec(k=3, missing="exclude"))
 
+    def test_exact_ties_keep_the_smaller_index(self):
+        # on a line of unit-spaced points node 2 sees nodes 1 and 3 at the
+        # same distance; with k=1 the edge comes from node 1
+        shift = build_knn_graph(np.arange(5.0)[:, None], GraphBuildSpec(k=1))
+        assert shift.matrix[[2]].indices.tolist() == [1]
+        # a 5 x 5 integer grid ties distances in every row; each row keeps
+        # the first k of a stable sort of its distances
+        grid = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
+        d = pairwise_distances(grid)
+        np.fill_diagonal(d, np.inf)
+        for k in (1, 2, 3, 4, 5, 6):
+            shift = build_knn_graph(grid, GraphBuildSpec(k=k))
+            expected = np.sort(np.argsort(d, axis=1, kind="stable")[:, :k], axis=1)
+            got = np.array([shift.matrix[[i]].indices for i in range(25)])
+            np.testing.assert_array_equal(got, expected)
+
     def test_node_with_vanishing_kernel_weights_rejected(self):
         # the far node dominates the distance mass, so its own kernel weights
         # exp(-n^2 d / sum(d)) underflow to exactly zero
@@ -241,7 +258,7 @@ class TestSynthInstance:
         shift = dense_stochastic_shift(20, 18)
         spec = SyntheticSpec(n=20, l=3, rank=4)
         inst = synth_instance(shift, spec, 19)
-        vals = np.linalg.eigvalsh(tilde_shift(shift))
+        vals = np.linalg.eigvalsh(tilde_shift(shift).toarray())
         cap = vals[3]
         for c in range(3):
             col = np.ascontiguousarray(inst.x0[:, c])
@@ -260,6 +277,15 @@ class TestSynthInstance:
             smooth = quadratic_variation(col, shift) / float(col @ col)
             rough = quadratic_variation(raw, shift) / float(raw @ raw)
             assert smooth <= 0.01 * rough
+
+    def test_given_basis_reproduces_the_draw(self):
+        shift = dense_stochastic_shift(15, 3)
+        spec = SyntheticSpec(n=15, l=2, rank=3, noise_sigma=0.1,
+                             outliers_per_column=1, outlier_lo=1.0, outlier_hi=2.0)
+        own = synth_instance(shift, spec, 4, 1, 2)
+        given = synth_instance(shift, spec, 4, 1, 2, basis=eigen_basis(shift))
+        np.testing.assert_array_equal(own.observed, given.observed)
+        np.testing.assert_array_equal(own.x0, given.x0)
 
     def test_shift_spec_size_mismatch(self):
         shift = dense_stochastic_shift(6, 20)
@@ -382,11 +408,11 @@ class TestSynthOpinionInstance:
 class TestLaplacianFromShift:
     def test_symmetric_zero_row_sums(self):
         shift = build_knn_graph(random_features(10, 2, 21), GraphBuildSpec(k=3))
-        lap = laplacian_from_shift(shift)
+        lap = laplacian_from_shift(shift).toarray()
         np.testing.assert_allclose(lap, lap.T, atol=1e-12)
         np.testing.assert_allclose(lap.sum(axis=1), np.zeros(10), atol=1e-12)
 
     def test_positive_semidefinite(self):
         shift = build_knn_graph(random_features(12, 3, 22), GraphBuildSpec(k=4))
-        vals = np.linalg.eigvalsh(laplacian_from_shift(shift))
+        vals = np.linalg.eigvalsh(laplacian_from_shift(shift).toarray())
         assert vals.min() >= -1e-12

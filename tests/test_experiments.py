@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from gsrec import (
     NonBinaryInput,
     NonSymmetricLaplacian,
     SolverConfig,
+    SyntheticInstance,
+    SyntheticSpec,
     anomaly_detect,
     combine_opinions,
     cross_validate,
@@ -20,10 +24,12 @@ from gsrec import (
     normalize_shift,
     run_experiment,
     sample_mask,
+    save_bundle,
     solve_recovery,
     synth_opinion_instance,
     threshold_labels,
 )
+from gsrec.cli import main
 from oracles import quadratic_inpaint_oracle
 
 
@@ -463,8 +469,81 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError, match="noise"):
             ExperimentSpec.from_dict(raw)
 
+    @pytest.mark.parametrize("where, value", [
+        ("ratios", ["a"]),
+        ("corrupt.fraction", "a lot"),
+        ("eta_smooth", "smooth"),
+    ])
+    def test_non_numeric_values_are_config_errors(self, tmp_path, where, value):
+        raw = self.base()
+        if where == "ratios":
+            raw["ratios"] = value
+        elif where == "corrupt.fraction":
+            raw["task"] = "robust-inpaint"
+            raw["corrupt"] = {"fraction": value}
+        else:
+            raw["task"] = "detect"
+            del raw["ratios"]
+            raw["signal"] = {"synthetic": {"rank": 3, "outliers_per_column": 1,
+                                           "outlier_lo": 5.0, "outlier_hi": 6.0}}
+            raw["solvers"] = [{"method": "anomaly-constrained", "eta_smooth": value}]
+        with pytest.raises(ConfigError, match=where):
+            ExperimentSpec.from_dict(raw)
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_classification_score_on_a_synthetic_signal_rejected(self):
+        raw = self.base()
+        raw["task"] = "robust-inpaint"
+        raw["graph"] = {"kind": "cycle", "n": 30}
+        raw["score"] = "classification"
+        with pytest.raises(ConfigError, match="classification"):
+            ExperimentSpec.from_dict(raw)
+
+    def test_classification_score_needs_a_signed_bundle(self, tmp_path):
+        shift = stochastic_shift(12, 3)
+        truth = np.where(np.arange(12) % 3 == 0, 1.0, -1.0)[:, None]
+        mask = sample_mask((12, 1), 0.5, 3)
+
+        def run(x0, name):
+            instance = SyntheticInstance(x0=x0, noise=np.zeros_like(x0),
+                                         outliers=np.zeros_like(x0), observed=x0,
+                                         spec=SyntheticSpec(n=12), seed=3)
+            save_bundle(tmp_path / name, shift, instance, mask)
+            raw = {"task": "inpaint", "ratios": [0.5], "score": "classification",
+                   "signal": {"bundle": str(tmp_path / name)},
+                   "solvers": [{"method": "gtvr"}]}
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(raw))
+            return main(["run", "--config", str(path),
+                         "--out", str(tmp_path / f"{name}-out")])
+
+        assert run(truth, "signed") == 0
+        assert run(0.5 * truth, "real") == 2
+
 
 class TestRunExperiment:
+    def test_eigen_basis_computed_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        raw = {
+            "task": "inpaint",
+            "seed": 4,
+            "trials": 2,
+            "ratios": [0.4, 0.7],
+            "graph": {"kind": "knn", "n": 25, "dim": 2, "k": 4},
+            "signal": {"synthetic": {"rank": 3}},
+            "solvers": [{"method": "gtvm"}],
+        }
+        run_experiment(ExperimentSpec.from_dict(raw), tmp_path)
+        assert len(calls) == 1
     def test_full_information_recovers_perfectly(self, tmp_path):
         raw = {
             "task": "inpaint",

@@ -303,7 +303,7 @@ class TestAnomalyDetect:
         shift = cycle_shift(4)
         t = np.ones(4)
         t[2] += 5.0
-        at = tilde_shift(shift)
+        at = tilde_shift(shift).toarray()
         for beta in (0.5, 1.0, 2.0):
             res = anomaly_detect(t, shift, beta)
             support = np.flatnonzero(np.abs(res.outliers) > 1e-6)

@@ -1,0 +1,272 @@
+"""The sparse operator path against dense references built here.
+
+Every closed form factors a sparse system once; these tests rebuild each
+system densely from ``GraphShift.weights`` and solve it with
+``np.linalg.lstsq`` (or ``np.linalg.pinv`` where it is singular), and they
+run every ``gsrec run`` task with the dense view switched off.
+"""
+
+import json
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import gsrec.prox
+from gsrec import (
+    DimensionMismatch,
+    GraphBuildSpec,
+    GraphShift,
+    SyntheticSpec,
+    build_knn_graph,
+    cycle_shift,
+    gtvm,
+    gtvr,
+    laplacian_baseline,
+    laplacian_from_shift,
+    normalize_shift,
+    random_features,
+    sample_mask,
+    save_bundle,
+    save_graph_edges,
+    synth_instance,
+    tilde_shift,
+)
+from gsrec.cli import main
+from gsrec.prox import factorized
+
+
+def knn(n, seed, **build):
+    return build_knn_graph(random_features(n, 2, seed), GraphBuildSpec(k=4, **build))
+
+
+GRAPHS = {
+    "knn-row": lambda seed: knn(40, seed),
+    "knn-column": lambda seed: knn(40, seed, normalization="column"),
+    "knn-symmetrized": lambda seed: knn(40, seed, symmetrize=True),
+    "cycle": lambda seed: cycle_shift(17 + seed),
+}
+
+
+def dense_tilde(shift):
+    d = np.eye(shift.n) - shift.weights
+    return d.T @ d
+
+
+def dense_laplacian(shift):
+    w = np.maximum(np.maximum(shift.weights, shift.weights.T), 0.0)
+    return np.diag(w.sum(axis=1)) - w
+
+
+def lstsq(h, b):
+    return np.linalg.lstsq(h, b, rcond=None)[0]
+
+
+def assert_close(x, ref, tol):
+    np.testing.assert_allclose(x, ref, rtol=0.0, atol=tol * (1.0 + np.abs(ref).max()))
+
+
+def signal_and_mask(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n), sample_mask((n,), 0.5, seed)
+
+
+@pytest.fixture
+def pinv_calls(monkeypatch):
+    """Counts the dense minimum-norm fallbacks ``factorized`` takes."""
+    calls = []
+    original = gsrec.prox.regularized_solve
+
+    def counted(H, b):
+        calls.append(H.shape)
+        return original(H, b)
+
+    monkeypatch.setattr(gsrec.prox, "regularized_solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(GRAPHS))
+class TestClosedFormsMatchDenseLstsq:
+    def test_gtvm(self, kind, seed, pinv_calls):
+        shift = GRAPHS[kind](seed)
+        t, m = signal_and_mask(shift.n, seed)
+        at = dense_tilde(shift)
+        ref = np.where(m, t, 0.0)
+        ref[~m] = -lstsq(at[np.ix_(~m, ~m)], at[np.ix_(~m, m)] @ t[m])
+        assert_close(gtvm(t, m, shift).x, ref, 1e-10)
+        assert pinv_calls == []
+
+    def test_gtvr(self, kind, seed, pinv_calls):
+        shift = GRAPHS[kind](seed)
+        t, m = signal_and_mask(shift.n, seed)
+        ref = lstsq(np.diag(m.astype(float)) + 0.7 * dense_tilde(shift), m * t)
+        assert_close(gtvr(t, m, shift, 0.7).x, ref, 1e-10)
+        assert pinv_calls == []
+
+    def test_laplacian_baseline(self, kind, seed, pinv_calls):
+        shift = GRAPHS[kind](seed)
+        t, m = signal_and_mask(shift.n, seed)
+        lap = dense_laplacian(shift)
+        np.testing.assert_allclose(laplacian_from_shift(shift).toarray(), lap,
+                                   rtol=0.0, atol=1e-14)
+        ref = lstsq(np.diag(m.astype(float)) + 0.7 * lap, m * t)
+        assert_close(laplacian_baseline(t, m, laplacian_from_shift(shift), 0.7).x,
+                     ref, 1e-10)
+        assert pinv_calls == []
+
+    def test_admm_factor_solve(self, kind, seed, pinv_calls):
+        # rgtvr and gsr_admm factor I + (2 alpha / eta) (I - A)^T (I - A)
+        shift = GRAPHS[kind](seed)
+        scale = 2.0 * 1.3 / 0.8
+        solve = factorized(sp.eye_array(shift.n) + scale * tilde_shift(shift))
+        dense = np.eye(shift.n) + scale * dense_tilde(shift)
+        b = np.random.default_rng(seed).normal(size=(shift.n, 3))
+        assert_close(solve(b), lstsq(dense, b), 1e-10)
+        assert_close(solve(b[:, 0]), lstsq(dense, b[:, 0]), 1e-10)
+        assert pinv_calls == []
+
+
+def two_clusters(seed):
+    """kNN graph of two far-apart clusters: no edge joins them.
+
+    Each cluster is a closed class of the row-stochastic shift, so the
+    constant vector on either one is variation-free; the zero pivot this
+    leaves in a factorization is a rounding residue, not an exact zero.
+    """
+    rng = np.random.default_rng(seed)
+    features = np.vstack([rng.normal(size=(12, 2)), 100.0 + rng.normal(size=(9, 2))])
+    return build_knn_graph(features, GraphBuildSpec(k=3))
+
+
+def two_cycles():
+    """Two disjoint directed cycles; exact zero pivots."""
+    w = sp.block_diag([cycle_shift(7).matrix, cycle_shift(5).matrix])
+    return normalize_shift(GraphShift(w))
+
+
+SINGULAR = {"two-clusters": lambda: two_clusters(4), "two-cycles": two_cycles}
+
+
+def first_block_mask(n):
+    """Measures half of the first block only; the last block has no measured node."""
+    m = np.zeros(n, dtype=bool)
+    m[[0, 2, 3, 5]] = True
+    return m
+
+
+@pytest.mark.parametrize("kind", sorted(SINGULAR))
+class TestSingularSystemsMatchPinv:
+    def test_gtvm_unmeasured_closed_class(self, kind, pinv_calls):
+        shift = SINGULAR[kind]()
+        m = first_block_mask(shift.n)
+        t = np.random.default_rng(5).normal(size=shift.n)
+        at = dense_tilde(shift)
+        ref = np.where(m, t, 0.0)
+        ref[~m] = -np.linalg.pinv(at[np.ix_(~m, ~m)]) @ (at[np.ix_(~m, m)] @ t[m])
+        assert_close(gtvm(t, m, shift).x, ref, 1e-8)
+        assert len(pinv_calls) == 1
+
+    def test_gtvr_unmeasured_closed_class(self, kind, pinv_calls):
+        shift = SINGULAR[kind]()
+        m = first_block_mask(shift.n)
+        t = np.random.default_rng(6).normal(size=shift.n)
+        ref = np.linalg.pinv(np.diag(m.astype(float)) + dense_tilde(shift)) @ (m * t)
+        assert_close(gtvr(t, m, shift, 1.0).x, ref, 1e-8)
+        assert len(pinv_calls) == 1
+
+    def test_laplacian_unmeasured_component(self, kind, pinv_calls):
+        shift = SINGULAR[kind]()
+        m = first_block_mask(shift.n)
+        t = np.random.default_rng(7).normal(size=shift.n)
+        lap = dense_laplacian(shift)
+        ref = np.linalg.pinv(np.diag(m.astype(float)) + 2.0 * lap) @ (m * t)
+        got = laplacian_baseline(t, m, laplacian_from_shift(shift), 2.0).x
+        assert_close(got, ref, 1e-8)
+        assert len(pinv_calls) == 1
+
+    def test_gtvr_alpha_zero(self, kind, pinv_calls):
+        shift = SINGULAR[kind]()
+        t, m = signal_and_mask(shift.n, 8)
+        ref = np.linalg.pinv(np.diag(m.astype(float))) @ (m * t)
+        assert_close(gtvr(t, m, shift, 0.0).x, ref, 1e-8)
+        assert len(pinv_calls) == 1
+
+
+class TestFactorized:
+    def test_nonsquare_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            factorized(sp.csr_array(np.ones((2, 3))))
+
+    def test_tiny_pivot_takes_minimum_norm(self, pinv_calls):
+        h = np.diag([1.0, 1e-13])
+        np.testing.assert_allclose(factorized(h)(np.array([2.0, 1.0])), [2.0, 0.0])
+        assert len(pinv_calls) == 1
+
+
+def _no_dense_view(self):
+    raise AssertionError("GraphShift.weights read on the gsrec run path")
+
+
+def _run(tmp_path, description) -> int:
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(description))
+    return main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def _inpaint(tmp_path):
+    edges = tmp_path / "graph.csv"
+    save_graph_edges(edges, knn(50, 3))
+    return {"task": "inpaint", "seed": 2, "ratios": [0.6],
+            "graph": {"kind": "file", "path": str(edges)},
+            "signal": {"synthetic": {"rank": 3, "noise_sigma": 0.05}},
+            "solvers": [{"method": "gtvm"},
+                        {"method": "gtvr", "grid": [{"alpha": 0.5}, {"alpha": 2.0}]},
+                        {"method": "laplacian", "config": {"alpha": 1.0}}]}
+
+
+def _robust_inpaint(tmp_path):
+    return {"task": "robust-inpaint", "seed": 3, "ratios": [0.7],
+            "graph": {"kind": "cycle", "n": 30},
+            "signal": {"synthetic": {"recipe": "diffusion", "noise_sigma": 0.05}},
+            "corrupt": {"fraction": 0.1},
+            "solvers": [{"method": "rgtvr", "config": {"gamma": 0.5}},
+                        {"method": "gtvr", "config": {"alpha": 0.0}}]}
+
+
+def _complete(tmp_path):
+    shift = knn(40, 4, symmetrize=True)
+    instance = synth_instance(shift, SyntheticSpec(n=40, l=6, rank=2), 4)
+    save_bundle(tmp_path / "bundle", shift, instance,
+                sample_mask(instance.observed.shape, 0.6, 4))
+    return {"task": "complete", "seed": 4, "ratios": [0.6],
+            "signal": {"bundle": str(tmp_path / "bundle")},
+            "solvers": [{"method": "gmcm", "config": {"beta": 0.5}},
+                        {"method": "gmcr", "config": {"beta": 0.5}},
+                        {"method": "admm", "config": {"beta": 0.5}}]}
+
+
+def _detect(tmp_path):
+    return {"task": "detect", "seed": 5,
+            "graph": {"kind": "knn", "n": 40, "k": 4},
+            "signal": {"synthetic": {"rank": 3, "outliers_per_column": 2,
+                                     "outlier_lo": 5.0, "outlier_hi": 8.0}},
+            "solvers": [{"method": "anomaly", "config": {"gamma": 1.0}},
+                        {"method": "anomaly-constrained", "eta_smooth": 1.0}]}
+
+
+def _combine(tmp_path):
+    return {"task": "combine", "seed": 6,
+            "signal": {"opinions": {"n": 40, "experts": 5, "k": 4}},
+            "solvers": [{"method": "avg"}, {"method": "gtvr-denoise"},
+                        {"method": "gmcr-denoise", "config": {"beta": 0.5}}]}
+
+
+@pytest.mark.parametrize("make", [_inpaint, _robust_inpaint, _complete, _detect,
+                                  _combine], ids=lambda f: f.__name__[1:])
+def test_run_never_reads_the_dense_view(tmp_path, monkeypatch, make):
+    description = make(tmp_path)
+    monkeypatch.setattr(GraphShift, "weights", property(_no_dense_view))
+    assert _run(tmp_path, description) == 0
+    rows = (tmp_path / "out" / "trials.csv").read_text().strip().split("\n")
+    assert len(rows) == 1 + len(description["solvers"])
