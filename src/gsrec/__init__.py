@@ -42,6 +42,7 @@ from .errors import (
     DataError,
     DegenerateDistances,
     DimensionMismatch,
+    EigensolveFailed,
     EmptyAccessibleSet,
     EmptyGrid,
     EmptyMask,

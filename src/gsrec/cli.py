@@ -51,6 +51,13 @@ from .io import (
 from .solvers import SolverConfig
 
 
+# BLAS threads of every command unless --threads says otherwise. The solvers
+# work on small dense blocks and sparse products, where a second thread costs
+# more than it gains: on a 2-vCPU machine the completion solvers ran about
+# 3x slower with two threads (BENCH_7.json).
+DEFAULT_THREADS = 1
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed for every random draw (default 0; "
@@ -60,7 +67,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None,
                         help="output file or directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS thread count for reproducible timing")
+                        help=f"BLAS thread count while the command runs "
+                             f"(default {DEFAULT_THREADS})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,16 +203,15 @@ def _limit_threads(threads: int | None):
 
     Sets the count through each loaded library's
     ``scipy_openblas_set_num_threads[64_]`` and restores the previous counts
-    on exit. ``None`` leaves the counts alone; with no known library loaded
-    the cap is ignored with a warning.
+    on exit. ``None`` means :data:`DEFAULT_THREADS`. With no known library
+    loaded the cap is ignored, with a warning when it was asked for.
     """
-    if threads is None:
-        yield
-        return
+    asked = threads is not None
+    threads = threads if asked else DEFAULT_THREADS
     if threads < 1:
         raise ConfigError(f"--threads must be positive, got {threads}")
     controls = _openblas_thread_controls()
-    if not controls:
+    if not controls and asked:
         warnings.warn("no scipy-openblas library is loaded; --threads ignored",
                       stacklevel=3)
     previous = [get() for get, _ in controls]

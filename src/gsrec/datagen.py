@@ -21,7 +21,7 @@ from .errors import (
     InconsistentInputs,
     KTooLarge,
 )
-from .graph import GraphShift, normalize_shift, tilde_shift
+from .graph import GraphShift, _extreme_eigenpairs, normalize_shift, tilde_shift
 
 # Stream tags for seed derivation; never reuse across operations.
 STREAM_MASK = 1
@@ -297,13 +297,22 @@ def random_features(n: int, dim: int, seed: int) -> np.ndarray:
     return stream_rng(seed, STREAM_GRAPH).standard_normal((n, dim))
 
 
-def eigen_basis(shift: GraphShift) -> np.ndarray:
-    """Eigenvectors of ``(I - A)^T (I - A)``, by ascending variation.
+def eigen_basis(shift: GraphShift, rank: int) -> np.ndarray:
+    """The ``rank`` lowest-variation eigenvectors of ``(I - A)^T (I - A)``.
 
-    The basis of the "eigen" synthetic recipe: one dense ``eigh``, O(N^2)
-    memory and O(N^3) time, so a run computes it once for all its draws.
+    The basis of the "eigen" synthetic recipe, as an (N, rank) array with
+    columns by ascending eigenvalue. It comes from a sparse shift-invert
+    Lanczos solve (ARPACK), O(N rank) memory; only ``rank >= N - 1`` makes a
+    dense ``eigh``. Each column's sign is fixed: its largest-magnitude entry
+    is positive, ties going to the first index, so a draw does not depend on
+    which routine produced the vectors (except inside a cluster of equal
+    eigenvalues, where any orthonormal basis of the cluster is valid). Draws
+    made with this basis differ from those of the earlier full dense
+    ``eigh`` basis, whose signs LAPACK chose.
     """
-    return np.linalg.eigh(tilde_shift(shift).toarray())[1]
+    vectors = _extreme_eigenpairs(tilde_shift(shift), rank)[1]
+    peak = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(rank)]
+    return vectors * np.where(peak < 0.0, -1.0, 1.0)
 
 
 def synth_instance(shift: GraphShift, spec: SyntheticSpec, seed: int,
@@ -311,11 +320,12 @@ def synth_instance(shift: GraphShift, spec: SyntheticSpec, seed: int,
                    ) -> SyntheticInstance:
     """Draw a smooth signal matrix with additive noise and sparse outliers.
 
-    The smooth part combines the lowest-variation eigenvectors of
-    ``(I - A)^T (I - A)`` (recipe "eigen", rank columns; ``basis`` passes in
-    :func:`eigen_basis` of the shift when the caller already has it) or
-    repeatedly applies the shift to white noise (recipe "diffusion"); either
-    way it is rescaled to unit standard deviation. Noise is white Gaussian.
+    The smooth part combines the ``rank`` lowest-variation eigenvectors of
+    ``(I - A)^T (I - A)`` (recipe "eigen": :func:`eigen_basis`, a sparse
+    solve with fixed signs; ``basis`` passes in ``eigen_basis(shift, rank)``
+    when the caller already has it) or repeatedly applies the shift to white
+    noise (recipe "diffusion"); either way it is rescaled to unit standard
+    deviation. Noise is white Gaussian.
     Outliers place exactly ``outliers_per_column`` entries per column, uniform
     positions, magnitudes uniform in the given range with random sign. The
     observation is the exact sum of the three parts.
@@ -326,7 +336,7 @@ def synth_instance(shift: GraphShift, spec: SyntheticSpec, seed: int,
     n, l = spec.n, spec.l
     if spec.recipe == "eigen":
         if basis is None:
-            basis = eigen_basis(shift)
+            basis = eigen_basis(shift, spec.effective_rank)
         x0 = basis[:, : spec.effective_rank] @ rng.standard_normal(
             (spec.effective_rank, l))
     else:

@@ -22,6 +22,10 @@ class NotDiagonalizable(GsrecError):
     """Eigenvector matrix is too ill-conditioned to trust the eigendecomposition."""
 
 
+class EigensolveFailed(GsrecError):
+    """The sparse (ARPACK) eigensolver did not converge; no dense retry is made."""
+
+
 class NegativeThreshold(GsrecError):
     """Soft-threshold level must be nonnegative."""
 

@@ -264,8 +264,9 @@ def solve_recovery(method: str, observed: np.ndarray, mask: np.ndarray | None,
     """Dispatch one recovery method by name against uniform array handling.
 
     Vector-only methods accept an (n, 1) matrix and squeeze it; matrix
-    methods lift a vector to a single column.  The anomaly methods ignore the
-    mask.  ``config.gamma`` doubles as the sparsity weight for ``anomaly``.
+    methods take a vector as it is and return a vector.  The anomaly methods
+    ignore the mask.  ``config.gamma`` doubles as the sparsity weight for
+    ``anomaly``.
     """
     config = config if config is not None else SolverConfig()
     observed = np.asarray(observed, dtype=float)
@@ -298,9 +299,6 @@ def solve_recovery(method: str, observed: np.ndarray, mask: np.ndarray | None,
         return laplacian_baseline(observed, mask, laplacian_from_shift(shift),
                                   config.alpha)
     if method in MATRIX_METHODS:
-        if observed.ndim == 1:
-            observed = observed[:, None]
-            mask = mask[:, None]
         if method == "gmcm":
             return gmcm(observed, mask, shift, config)
         if method == "gmcr":
@@ -622,7 +620,8 @@ def _synthetic_draws(spec: ExperimentSpec, shift: GraphShift):
     The eigen recipe's basis is computed once here, for every draw of the run.
     """
     synthetic = _sized(spec.signal["synthetic"], shift.n)
-    basis = eigen_basis(shift) if synthetic.recipe == "eigen" else None
+    basis = (eigen_basis(shift, synthetic.effective_rank)
+             if synthetic.recipe == "eigen" else None)
     return lambda *subkeys: synth_instance(shift, synthetic, spec.seed, *subkeys,
                                            basis=basis)
 

@@ -32,8 +32,9 @@ per call, an ``svt`` or a ``shrink``.
 
 The shift enters only through its CSR matrix A: the closed forms factor
 sparse systems built from ``(I - A)^T (I - A)`` with
-:func:`~gsrec.prox.factorized`, and the iterative solvers apply A and A^T as
-sparse products, O(nnz) each.
+:func:`~gsrec.prox.factorized`, the iterative solvers apply A and A^T as
+sparse products, O(nnz) each, and ``anomaly_detect_constrained`` takes the
+few extreme eigenpairs it needs from sparse Lanczos solves.
 
 Iterative solvers stop when the objective changes by less than
 ``config.tol_outer`` between consecutive iterations (ADMM solvers additionally
@@ -55,7 +56,12 @@ from .errors import (
     Infeasible,
     NonFiniteObjective,
 )
-from .graph import GraphShift, _require_normalized, tilde_shift
+from .graph import (
+    GraphShift,
+    _extreme_eigenpairs,
+    _require_normalized,
+    tilde_shift,
+)
 from .prox import StepSearchConfig, factorized, shrink, svt
 
 # Relative feasibility tolerance for the ADMM coupling constraints.
@@ -512,6 +518,26 @@ def _l1_polish_along(e: np.ndarray, basis: np.ndarray, passes: int = 4) -> np.nd
     return e
 
 
+def _variation_free(at) -> tuple[np.ndarray, float]:
+    """Orthonormal basis of the null space of ``at`` and its largest eigenvalue.
+
+    ``at`` is ``tilde_shift``: its null space holds the signals with zero
+    variation (one vector per closed class of a row-stochastic shift). An
+    eigenvalue counts as zero at or below ``1e-12 * max(lambda_max, 1)``.
+    Both ends come from sparse Lanczos solves: ``lambda_max`` from one, the
+    null space from the lowest k = 1, 2, 4, ... eigenpairs until the largest
+    of them is nonzero.
+    """
+    lambda_max = float(_extreme_eigenpairs(at, 1, lowest=False)[0][-1])
+    cutoff = 1e-12 * max(lambda_max, 1.0)
+    n, k = at.shape[0], 1
+    while True:
+        values, vectors = _extreme_eigenpairs(at, k)
+        if values[-1] > cutoff or k == n:
+            return vectors[:, values <= cutoff], lambda_max
+        k = min(2 * k, n)
+
+
 def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: float,
                                config: SolverConfig | None = None,
                                max_bisect: int = 40) -> RecoveryResult:
@@ -563,11 +589,11 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
             },
         )
 
-    # dense eigensolve: the variation-free subspace and the Lipschitz constant
+    # sparse Lanczos solves: the variation-free subspace and the Lipschitz
+    # constant, without a dense copy of the operator
     at = tilde_shift(shift)
-    eigvals, eigvecs = np.linalg.eigh(at.toarray())
-    null_basis = eigvecs[:, eigvals <= 1e-12 * max(eigvals[-1], 1.0)]
-    lipschitz = 2.0 * max(float(eigvals[-1]), 0.0)
+    null_basis, lambda_max = _variation_free(at)
+    lipschitz = 2.0 * max(lambda_max, 0.0)
 
     def solve_at(beta: float) -> RecoveryResult:
         # alternate the penalized solve with the exact subspace polish; the

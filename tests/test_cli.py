@@ -317,6 +317,38 @@ class TestThreadsFlag:
         assert inside == [{name: 1 for name in counts}]
         assert openblas_thread_counts() == counts
 
+    def test_default_is_one_thread_and_restored(self, tmp_path, monkeypatch):
+        controls = gsrec.cli._openblas_thread_controls()
+        previous = [get() for get, _ in controls]
+        for _, put in controls:
+            put(2)
+        try:
+            counts = openblas_thread_counts()
+            if not counts or 2 not in counts.values():
+                pytest.skip("no scipy-openblas library takes two threads here")
+            inside = []
+
+            def run_experiment(spec, out):
+                inside.append(openblas_thread_counts())
+                return {"rows": 0, "all_converged": True}
+
+            monkeypatch.setattr(gsrec.cli, "run_experiment", run_experiment)
+            cfg = TestRun().experiment(tmp_path)
+            assert main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+            assert inside == [{name: 1 for name in counts}]
+            assert openblas_thread_counts() == counts
+        finally:
+            for (_, put), count in zip(controls, previous):
+                put(count)
+
+    def test_default_is_silent_without_a_known_library(self, tmp_path, monkeypatch,
+                                                       recwarn):
+        monkeypatch.setattr(gsrec.cli, "_openblas_thread_controls", lambda: [])
+        truth = write_signal(tmp_path, "truth.csv", np.ones(3))
+        assert main(["eval", "--truth", str(truth), "--estimate", str(truth)]) == 0
+        assert not [w for w in recwarn if "--threads" in str(w.message)]
+
     def test_warns_without_a_known_library(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gsrec.cli, "_openblas_thread_controls", lambda: [])
         truth = write_signal(tmp_path, "truth.csv", np.ones(3))

@@ -283,7 +283,7 @@ class TestSynthInstance:
         spec = SyntheticSpec(n=15, l=2, rank=3, noise_sigma=0.1,
                              outliers_per_column=1, outlier_lo=1.0, outlier_hi=2.0)
         own = synth_instance(shift, spec, 4, 1, 2)
-        given = synth_instance(shift, spec, 4, 1, 2, basis=eigen_basis(shift))
+        given = synth_instance(shift, spec, 4, 1, 2, basis=eigen_basis(shift, 3))
         np.testing.assert_array_equal(own.observed, given.observed)
         np.testing.assert_array_equal(own.x0, given.x0)
 

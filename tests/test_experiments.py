@@ -274,14 +274,16 @@ class TestSolveRecovery:
             solve_recovery("gtvr", np.ones((8, 2)), np.ones((8, 2), dtype=bool),
                            shift)
 
-    def test_matrix_method_lifts_vector(self):
+    def test_matrix_method_keeps_vector_shape(self):
         rng = np.random.default_rng(25)
         shift = blob_shift(10, 26)
         t = rng.normal(size=10)
         mask = sample_mask((10,), 0.8, 27)
-        res = solve_recovery("admm", t, mask, shift,
-                             SolverConfig(alpha=1.0, max_outer=200))
-        assert res.x.shape == (10, 1)
+        cfg = SolverConfig(alpha=1.0, max_outer=200)
+        res = solve_recovery("admm", t, mask, shift, cfg)
+        assert res.x.shape == (10,)
+        column = solve_recovery("admm", t[:, None], mask[:, None], shift, cfg)
+        np.testing.assert_array_equal(res.x, column.x[:, 0])
 
     def test_anomaly_dispatch_matches_direct_call(self):
         shift = blob_shift(12, 28)
@@ -526,13 +528,13 @@ class TestExperimentSpec:
 class TestRunExperiment:
     def test_eigen_basis_computed_once_per_run(self, tmp_path, monkeypatch):
         calls = []
-        eigh = np.linalg.eigh
+        eigen_basis = gsrec.experiments.eigen_basis
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return eigh(*args, **kwargs)
+            return eigen_basis(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(gsrec.experiments, "eigen_basis", counted)
         raw = {
             "task": "inpaint",
             "seed": 4,
@@ -544,6 +546,30 @@ class TestRunExperiment:
         }
         run_experiment(ExperimentSpec.from_dict(raw), tmp_path)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("method", ["gmcm", "gmcr", "admm"])
+    @pytest.mark.parametrize("task", ["inpaint", "robust-inpaint"])
+    def test_matrix_methods_on_vector_tasks(self, tmp_path, monkeypatch, task, method):
+        shapes = []
+        solve = gsrec.experiments.solve_recovery
+
+        def recorded(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            shapes.append(result.x.shape)
+            return result
+
+        monkeypatch.setattr(gsrec.experiments, "solve_recovery", recorded)
+        raw = {"task": task, "seed": 1, "ratios": [0.5],
+               "graph": {"kind": "cycle", "n": 30},
+               "signal": {"synthetic": {"recipe": "diffusion", "noise_sigma": 0.05}},
+               "solvers": [{"method": method, "config": {"beta": 0.5}}]}
+        if task == "robust-inpaint":
+            raw["corrupt"] = {"fraction": 0.1}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert shapes == [(30,)]
+
     def test_full_information_recovers_perfectly(self, tmp_path):
         raw = {
             "task": "inpaint",

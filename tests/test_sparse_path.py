@@ -3,7 +3,9 @@
 Every closed form factors a sparse system once; these tests rebuild each
 system densely from ``GraphShift.weights`` and solve it with
 ``np.linalg.lstsq`` (or ``np.linalg.pinv`` where it is singular), and they
-run every ``gsrec run`` task with the dense view switched off.
+run every ``gsrec run`` task with the dense view switched off. The Lanczos
+eigenpairs of ``tilde_shift`` are checked against a dense ``np.linalg.eigh``
+made here, and the run path is run with that ``eigh`` switched off.
 """
 
 import json
@@ -12,14 +14,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import scipy.sparse.linalg
+
 import gsrec.prox
 from gsrec import (
     DimensionMismatch,
+    EigensolveFailed,
     GraphBuildSpec,
     GraphShift,
     SyntheticSpec,
     build_knn_graph,
     cycle_shift,
+    eigen_basis,
     gtvm,
     gtvr,
     laplacian_baseline,
@@ -33,7 +39,9 @@ from gsrec import (
     tilde_shift,
 )
 from gsrec.cli import main
+from gsrec.graph import _extreme_eigenpairs
 from gsrec.prox import factorized
+from gsrec.solvers import _variation_free
 
 
 def knn(n, seed, **build):
@@ -267,6 +275,106 @@ def _combine(tmp_path):
 def test_run_never_reads_the_dense_view(tmp_path, monkeypatch, make):
     description = make(tmp_path)
     monkeypatch.setattr(GraphShift, "weights", property(_no_dense_view))
+    assert _run(tmp_path, description) == 0
+    rows = (tmp_path / "out" / "trials.csv").read_text().strip().split("\n")
+    assert len(rows) == 1 + len(description["solvers"])
+
+
+# ---------------------------------------------------------------------------
+# Lowest eigenpairs of tilde_shift by shift-invert Lanczos
+# ---------------------------------------------------------------------------
+
+def knn8(n, seed, **build):
+    return build_knn_graph(random_features(n, 2, seed), GraphBuildSpec(k=8, **build))
+
+
+EIGEN_GRAPHS = {
+    "knn-row": lambda: knn8(300, 1),
+    "knn-column": lambda: knn8(400, 2, normalization="column"),
+    "knn-symmetrized": lambda: knn8(250, 3, symmetrize=True),
+}
+
+
+def projector(vectors):
+    return vectors @ vectors.T
+
+
+def rank_before_gap(values, lo=3, hi=12):
+    """The r in [lo, hi] with the widest relative gap after the r lowest values."""
+    gaps = [(values[r] - values[r - 1]) / values[r] for r in range(lo, hi + 1)]
+    r = lo + int(np.argmax(gaps))
+    assert max(gaps) > 0.05  # a gap worth the name, or the test shows nothing
+    return r
+
+
+@pytest.mark.parametrize("kind", sorted(EIGEN_GRAPHS))
+class TestEigenBasis:
+    def test_matches_dense_eigh(self, kind):
+        shift = EIGEN_GRAPHS[kind]()
+        values, vectors = np.linalg.eigh(dense_tilde(shift))
+        r = rank_before_gap(values)
+        basis = eigen_basis(shift, r)
+        assert basis.shape == (shift.n, r)
+        distance = np.abs(projector(basis) - projector(vectors[:, :r])).max()
+        assert distance <= 1e-8
+        np.testing.assert_allclose(basis.T @ basis, np.eye(r), rtol=0.0, atol=1e-10)
+        low, _ = _extreme_eigenpairs(tilde_shift(shift), r)
+        np.testing.assert_allclose(low, values[:r], rtol=0.0, atol=1e-12 * values[-1])
+
+    def test_sign_convention(self, kind):
+        shift = EIGEN_GRAPHS[kind]()
+        basis = eigen_basis(shift, 6)
+        peak = np.argmax(np.abs(basis), axis=0)
+        assert np.all(basis[peak, np.arange(6)] > 0.0)
+
+    def test_repeated_calls_are_bitwise_equal(self, kind):
+        shift = EIGEN_GRAPHS[kind]()
+        np.testing.assert_array_equal(eigen_basis(shift, 5), eigen_basis(shift, 5))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_eigen_basis_of_nearly_full_rank_is_the_dense_one(extra):
+    shift = knn(12, 5)
+    r = shift.n - 1 + extra
+    vectors = np.linalg.eigh(dense_tilde(shift))[1][:, :r]
+    peak = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(r)]
+    np.testing.assert_allclose(eigen_basis(shift, r), vectors * np.sign(peak),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_variation_free_subspace_of_two_closed_classes():
+    """Block-diagonal union of two kNN graphs: one null vector per block."""
+    blocks = [knn8(200, 1), knn8(300, 2)]
+    shift = normalize_shift(GraphShift(sp.block_diag([b.matrix for b in blocks])))
+    values, vectors = np.linalg.eigh(dense_tilde(shift))
+    dense_null = vectors[:, values <= 1e-12 * max(values[-1], 1.0)]
+    assert dense_null.shape[1] == 2
+    null_basis, lambda_max = _variation_free(tilde_shift(shift))
+    assert null_basis.shape == (shift.n, 2)
+    distance = np.abs(projector(null_basis) - projector(dense_null)).max()
+    assert distance <= 1e-10
+    assert abs(lambda_max - values[-1]) <= 1e-10 * values[-1]
+
+
+def _no_dense_eigh(*args, **kwargs):
+    raise AssertionError("dense np.linalg.eigh on the gsrec run path")
+
+
+def test_non_convergence_is_an_error_without_a_dense_retry(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(np.linalg, "eigh", _no_dense_eigh)
+    with pytest.raises(EigensolveFailed):
+        eigen_basis(knn(30, 1), 3)
+
+
+@pytest.mark.parametrize("make", [_inpaint, _detect], ids=lambda f: f.__name__[1:])
+def test_run_makes_no_dense_eigh(tmp_path, monkeypatch, make):
+    """Eigen-recipe draws and the variation-free subspace of anomaly-constrained."""
+    description = make(tmp_path)
+    monkeypatch.setattr(np.linalg, "eigh", _no_dense_eigh)
     assert _run(tmp_path, description) == 0
     rows = (tmp_path / "out" / "trials.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + len(description["solvers"])
