@@ -239,19 +239,36 @@ def tilde_shift(shift: GraphShift) -> sp.csr_array:
     return (d.T @ d).tocsr()
 
 
-def _extreme_eigenpairs(matrix, k: int, lowest: bool = True,
+def _shift_inverse(matrix):
+    """``(T - sigma I)^{-1}`` as a linear operator, from one sparse LU.
+
+    ``sigma`` is ``_EIGSH_SIGMA``. Built the way ``eigsh`` builds its own
+    shift-invert operator, so passing it to :func:`_extreme_eigenpairs`
+    gives bitwise the same eigenpairs while several calls share the one
+    factorization.
+    """
+    from scipy.sparse.linalg import LinearOperator, splu
+
+    n = matrix.shape[0]
+    lu = splu(sp.csc_array(matrix, dtype=float) - _EIGSH_SIGMA * sp.eye(n))
+    return LinearOperator((n, n), matvec=lu.solve, dtype=float)
+
+
+def _extreme_eigenpairs(matrix, k: int, lowest: bool = True, inverse=None,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest (``lowest=False``: highest) eigenpairs of a sparse PSD matrix.
 
     Meant for ``tilde_shift``: returns ``(values, vectors)`` sorted by
     ascending eigenvalue. The lowest end uses ARPACK's shift-invert Lanczos
     (``eigsh`` with ``sigma=_EIGSH_SIGMA``), one sparse LU of
-    ``T - sigma I`` and O(n k) memory; the highest end plain Lanczos. Both
-    start from one fixed vector, so repeated calls are bitwise equal and no
-    random stream is drawn from. ARPACK needs ``k < n - 1``; for
-    ``k >= n - 1`` this makes one dense ``np.linalg.eigh``, the only dense
-    eigensolve on the ``gsrec run`` path. Raises :class:`EigensolveFailed`
-    when ARPACK does not converge, without a dense retry.
+    ``T - sigma I`` and O(n k) memory; a caller that asks for the lowest end
+    several times passes ``inverse=_shift_inverse(T)`` to factor only once.
+    The highest end uses plain Lanczos. Both start from one fixed vector, so
+    repeated calls are bitwise equal and no random stream is drawn from.
+    ARPACK needs ``k < n - 1``; for ``k >= n - 1`` this makes one dense
+    ``np.linalg.eigh``, the only dense eigensolve on the ``gsrec run`` path.
+    Raises :class:`EigensolveFailed` when ARPACK does not converge, without a
+    dense retry.
     """
     n = matrix.shape[0]
     if k >= n - 1:
@@ -264,7 +281,8 @@ def _extreme_eigenpairs(matrix, k: int, lowest: bool = True,
     # never the constant vector: for a row-stochastic A that is an exact null
     # vector of T, and a Lanczos basis started there finds nothing else
     start = 1.0 + 0.5 * np.cos(0.618 * np.arange(n))
-    where = {"sigma": _EIGSH_SIGMA, "which": "LM"} if lowest else {"which": "LA"}
+    where = ({"sigma": _EIGSH_SIGMA, "which": "LM", "OPinv": inverse} if lowest
+             else {"which": "LA"})
     try:
         values, vectors = eigsh(sp.csc_array(matrix, dtype=float), k, v0=start,
                                 **where)

@@ -165,6 +165,37 @@ def anomaly_support_oracle(t, tilde, beta, max_support=2):
     return best_support, best_e, best_obj
 
 
+def l1_polish_oracle(e, basis, passes=4):
+    """Cyclic l1 line search along the columns of basis, by enumeration.
+
+    Along each column v, evaluates ``sum |e + c v|`` directly at every
+    breakpoint ``c = -e_i / v_i`` (|v_i| > 1e-14), one row of an (n, n) cost
+    matrix each, takes the first cheapest one and moves there when that
+    lowers the norm by more than 1e-15 relative. Passes repeat until one
+    makes no move. O(n^2) time and memory per column.
+    """
+    if basis.size == 0:
+        return e
+    e = e.copy()
+    for _ in range(passes):
+        improved = False
+        for j in range(basis.shape[1]):
+            v = basis[:, j]
+            nz = np.abs(v) > 1e-14
+            if not np.any(nz):
+                continue
+            candidates = -e[nz] / v[nz]
+            costs = np.abs(e[None, :] + candidates[:, None] * v[None, :]).sum(axis=1)
+            k = int(np.argmin(costs))
+            current = float(np.abs(e).sum())
+            if costs[k] < current - 1e-15 * (1.0 + current):
+                e = e + candidates[k] * v
+                improved = True
+        if not improved:
+            break
+    return e
+
+
 def median_shift_oracle(t, resolution=1e-4):
     """Best constant c minimizing ||t - c 1||_1 by a dense 1-d scan."""
     t = np.asarray(t, dtype=float)
