@@ -16,8 +16,9 @@ Proximal gradient
     anomaly_detect_constrained  bisection wrapper enforcing a smoothness cap
 
 ADMM
-    rgtvr     inpainting robust to sparse corruption of the measurements
     gsr_admm  the full model: smoothness + low rank + sparse outliers + noise
+    rgtvr     gsr_admm on one column at beta = 0: inpainting robust to
+              sparse corruption of the measurements
 
 The three proximal-gradient solvers run one shared driver,
 :func:`_prox_gradient`; each supplies only its smooth part, that part's
@@ -26,9 +27,11 @@ nonsmooth value of its result. The driver backtracks the step until the
 smooth part lies below its quadratic model at the candidate (Beck & Teboulle
 2009). ``gmcm`` instead accepts a candidate when the full objective does not
 increase, because re-pinning the measured entries after the thresholding makes
-its step something other than a proximal map. In the ADMM solvers every block
-update is one closed form: a solve with a sparse LU factorization made once
-per call, an ``svt`` or a ``shrink``.
+its step something other than a proximal map. ``gsr_admm`` is the one ADMM
+loop, and every block update in it is one closed form: a solve with a sparse
+LU factorization made once per call, an ``svt`` or a ``shrink``. With a
+nuclear-norm weight the svt acts on X and the solve on a duplicate of X; at
+beta = 0 there is no duplicate and the solve is the X-step itself.
 
 The shift enters only through its CSR matrix A: the closed forms factor
 sparse systems built from ``(I - A)^T (I - A)`` with
@@ -44,14 +47,16 @@ search: the weighted median of the breakpoints, found from one sort and
 prefix sums, O(n log n) time and O(n) memory per direction.
 
 Iterative solvers stop when the objective changes by less than
-``config.tol_outer`` between consecutive iterations (ADMM solvers additionally
-require the coupling constraints to hold to 1e-6 relative); hitting
+``config.tol_outer`` between consecutive iterations; ``gsr_admm`` (so also
+``rgtvr``) additionally requires the split ``T = X + W + E + slack`` and, with
+beta > 0, the duplicate ``X = Z`` to hold to 1e-6 relative. Hitting
 ``config.max_outer`` first returns the last iterate with ``converged=False``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, field, fields
+from dataclasses import replace as dataclass_replace
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -106,15 +111,10 @@ class SolverConfig:
             raise ValueError("max_outer must be at least 1")
 
     def replace(self, **changes) -> "SolverConfig":
-        data = asdict(self)
-        step = data.pop("step")
-        data["step"] = StepSearchConfig(**step)
-        data.update(changes)
-        return SolverConfig(**data)
+        return dataclass_replace(self, **changes)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
@@ -137,8 +137,10 @@ class RecoveryResult:
 
     x is the recovered signal (vector or matrix matching the input),
     outliers/noise the sparse and dense error estimates where the solver
-    separates them, aux holds ADMM internals (duplicate variable, residual
-    slack, multipliers). The objective trace has one entry per iteration.
+    separates them, aux holds the ADMM internals: ``slack`` (the split's
+    part off the accessible set) and ``multiplier_split``, plus
+    ``duplicate`` and ``multiplier_duplicate`` when beta > 0. The objective
+    trace has one entry per iteration.
     """
 
     x: np.ndarray
@@ -173,13 +175,27 @@ def _matrix_mask(mask, shape: tuple[int, int], was_vector: bool) -> np.ndarray:
     return m
 
 
-def _vector_inputs(t, mask, shift: GraphShift) -> tuple[np.ndarray, np.ndarray]:
+def _matrix_inputs(T, mask, shift: GraphShift) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The signal as an (n, L) matrix, its mask, and whether it was a vector."""
+    _require_normalized(shift)
+    T2, was_vec = _as_matrix(T)
+    if T2.shape[0] != shift.n:
+        raise DimensionMismatch(f"signal rows {T2.shape[0]} != nodes {shift.n}")
+    return T2, _matrix_mask(mask, T2.shape, was_vec), was_vec
+
+
+def _vector_signal(t, shift: GraphShift) -> np.ndarray:
     _require_normalized(shift)
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or t.shape[0] != shift.n:
         raise DimensionMismatch(
             f"expected vector of length {shift.n}, got shape {t.shape}"
         )
+    return t
+
+
+def _vector_inputs(t, mask, shift: GraphShift) -> tuple[np.ndarray, np.ndarray]:
+    t = _vector_signal(t, shift)
     m = np.asarray(mask)
     if m.dtype != np.bool_ or m.shape != t.shape:
         raise DimensionMismatch("mask must be a boolean array matching the signal")
@@ -358,11 +374,7 @@ def gmcm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     until the objective does not increase.
     """
     config = config or SolverConfig()
-    _require_normalized(shift)
-    T2, was_vec = _as_matrix(T)
-    if T2.shape[0] != shift.n:
-        raise DimensionMismatch(f"signal rows {T2.shape[0]} != nodes {shift.n}")
-    m = _matrix_mask(mask, T2.shape, was_vec)
+    T2, m, was_vec = _matrix_inputs(T, mask, shift)
     A = shift.matrix
     At = A.T.tocsr()
     beta = config.beta
@@ -397,11 +409,7 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     composite objective never increases).
     """
     config = config or SolverConfig()
-    _require_normalized(shift)
-    T2, was_vec = _as_matrix(T)
-    if T2.shape[0] != shift.n:
-        raise DimensionMismatch(f"signal rows {T2.shape[0]} != nodes {shift.n}")
-    m = _matrix_mask(mask, T2.shape, was_vec)
+    T2, m, was_vec = _matrix_inputs(T, mask, shift)
     A = shift.matrix
     At = A.T.tocsr()
     alpha, beta = config.alpha, config.beta
@@ -454,12 +462,7 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
     if beta_reg < 0:
         raise ValueError("beta_reg must be nonnegative")
     config = config or SolverConfig()
-    _require_normalized(shift)
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.shape[0] != shift.n:
-        raise DimensionMismatch(
-            f"expected vector of length {shift.n}, got shape {t.shape}"
-        )
+    t = _vector_signal(t, shift)
     A = shift.matrix
     At = A.T.tocsr()
 
@@ -617,12 +620,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     if eta_smooth < 0:
         raise ValueError("eta_smooth must be nonnegative")
     config = config or SolverConfig()
-    _require_normalized(shift)
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.shape[0] != shift.n:
-        raise DimensionMismatch(
-            f"expected vector of length {shift.n}, got shape {t.shape}"
-        )
+    t = _vector_signal(t, shift)
     target = eta_smooth ** 2
     base_variation = _variation(t[:, None], shift.matrix)
     slack = target * 1e-6 + 1e-9 * (1.0 + base_variation)
@@ -767,19 +765,20 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     Minimizes ``alpha ||X - A X||_F^2 + beta ||X||_* + gamma ||E||_1 +
     ||W||_F^2`` subject to the measurements splitting as
     ``T = X + W + E + slack`` (W the noise) with the slack supported off the
-    accessible set; the objective trace records that whole sum. Solved by ADMM with a duplicate smoothness variable; with gamma = 0
-    the outlier variable is dropped from the model (held at zero).
+    accessible set; the objective trace records that whole sum. Solved by
+    ADMM. With beta > 0 a duplicate Z of X carries the smoothness term, so
+    the X-step is one svt and the Z-step one solve with
+    ``I + (2 alpha / eta) (I - A)^T (I - A)``; with beta = 0 there is no
+    duplicate and the X-step is that solve itself. With gamma = 0 the
+    outlier variable is dropped from the model (held at zero).
 
-    Specializations: one column with beta = gamma = 0 reproduces :func:`gtvr`;
-    alpha = 0 with gamma = 0 is nuclear-norm completion; one column with
-    beta = 0 and a full mask is robust denoising.
+    Specializations: :func:`rgtvr` is one column with beta = 0; one column
+    with beta = gamma = 0 reproduces :func:`gtvr`; alpha = 0 with gamma = 0
+    is nuclear-norm completion; one column with beta = 0 and a full mask is
+    robust denoising.
     """
     config = config or SolverConfig()
-    _require_normalized(shift)
-    T2, was_vec = _as_matrix(T)
-    if T2.shape[0] != shift.n:
-        raise DimensionMismatch(f"signal rows {T2.shape[0]} != nodes {shift.n}")
-    m = _matrix_mask(mask, T2.shape, was_vec)
+    T2, m, was_vec = _matrix_inputs(T, mask, shift)
     A = shift.matrix
     alpha, beta, gamma, eta = config.alpha, config.beta, config.gamma, config.penalty
     solve = factorized(sp.eye_array(shift.n) + (2.0 * alpha / eta) * tilde_shift(shift))
@@ -803,43 +802,52 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     F = objective(X, W, E, _nuclear_norm(X) if beta > 0 else 0.0)
     t_norm = float(np.linalg.norm(T2))
     trace = []
+    nuclear = 0.0
     converged = False
     it = 0
     for it in range(1, config.max_outer + 1):
-        # X minimizes beta ||X||_* + eta/2 (||X - P||^2 + ||X - Q||^2) for
-        # P = T - W - E - C - Y1/eta and Q = Z + Y2/eta: one svt of their mean
-        R = 0.5 * ((T2 - W - E - C - Y1 / eta) + (Z + Y2 / eta))
-        X, s = svt(R, beta / (2.0 * eta)) if beta > 0 else (R, np.zeros(0))
+        if beta > 0:
+            # X minimizes beta ||X||_* + eta/2 (||X - P||^2 + ||X - Q||^2) for
+            # P = T - W - E - C - Y1/eta and Q = Z + Y2/eta: one svt of their mean
+            R = 0.5 * ((T2 - W - E - C - Y1 / eta) + (Z + Y2 / eta))
+            X, s = svt(R, beta / (2.0 * eta))
+            nuclear = float(np.sum(s))
+        else:
+            # X minimizes alpha ||X - A X||^2 + eta/2 ||X - P||^2 directly
+            X = solve(T2 - W - E - C - Y1 / eta)
         W = (eta / (eta + 2.0)) * (T2 - X - E - C - Y1 / eta)
         if gamma > 0:
             E = shrink(T2 - X - W - C - Y1 / eta, gamma / eta)
-        Z = solve(X - Y2 / eta)
         C = np.where(m, 0.0, T2 - X - W - E - Y1 / eta)
         Y1 = Y1 - eta * (T2 - X - W - E - C)
-        Y2 = Y2 - eta * (X - Z)
-        F_new = objective(X, W, E, float(np.sum(s)))
+        if beta > 0:
+            Z = solve(X - Y2 / eta)
+            Y2 = Y2 - eta * (X - Z)
+        F_new = objective(X, W, E, nuclear)
         if not np.isfinite(F_new):
             raise NonFiniteObjective(f"objective became {F_new} at iteration {it}")
         trace.append(F_new)
         feasible = (
             np.linalg.norm(T2 - X - W - E - C) <= FEAS_RTOL * (1.0 + t_norm)
-            and np.linalg.norm(X - Z) <= FEAS_RTOL * (1.0 + np.linalg.norm(X))
+            and (beta == 0
+                 or np.linalg.norm(X - Z) <= FEAS_RTOL * (1.0 + np.linalg.norm(X)))
         )
         if abs(F_new - F) < config.tol_outer and feasible:
             converged = True
-            F = F_new
             break
         F = F_new
 
     def out(arr):
         return arr[:, 0] if was_vec else arr
 
+    aux = {"slack": out(C), "multiplier_split": out(Y1)}
+    if beta > 0:
+        aux.update(duplicate=out(Z), multiplier_duplicate=out(Y2))
     return RecoveryResult(
         x=out(X),
         outliers=out(E),
         noise=out(W),
-        aux={"duplicate": out(Z), "slack": out(C),
-             "multiplier_split": out(Y1), "multiplier_duplicate": out(Y2)},
+        aux=aux,
         objective_trace=np.array(trace),
         iterations=it,
         converged=converged,
@@ -851,59 +859,14 @@ def rgtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift,
           config: SolverConfig | None = None) -> RecoveryResult:
     """Inpainting robust to sparse corruption of the measured values.
 
-    Minimizes ``||(t - x - e)_M||_2^2 + alpha ||x - A x||_2^2 + gamma ||e||_1``
-    by ADMM, separating the signal x from a sparse measurement-error vector e.
-    With gamma = 0 the outlier variable is dropped and the solution matches
-    :func:`gtvr`.
+    Minimizes ``||(t - x - e)_M||_2^2 + alpha ||x - A x||_2^2 + gamma ||e||_1``,
+    separating the signal x from a sparse measurement-error vector e. This is
+    :func:`gsr_admm` on one column at beta = 0 (``config.beta`` is ignored).
+    The misfit is the least noise ``||w||^2`` over the split, and the
+    objective trace records that noise term in its place. With gamma = 0 the
+    outlier variable is dropped and the solution matches :func:`gtvr`.
     """
-    config = config or SolverConfig()
     t, m = _vector_inputs(t, mask, shift)
-    A = shift.matrix
-    alpha, gamma, eta = config.alpha, config.gamma, config.penalty
-    solve = factorized(sp.eye_array(shift.n) + (2.0 * alpha / eta) * tilde_shift(shift))
-
-    x = np.where(m, t, 0.0)
-    w = np.zeros_like(t)
-    e = np.zeros_like(t)
-    c = np.zeros_like(t)
-    lam = np.zeros_like(t)
-
-    def objective(xc, ec):
-        r = (t - xc - ec)[m]
-        val = float(r @ r) + alpha * _variation(xc[:, None], A)
-        if gamma > 0:
-            val += gamma * float(np.sum(np.abs(ec)))
-        return val
-
-    F = objective(x, e)
-    t_norm = float(np.linalg.norm(t))
-    trace = []
-    converged = False
-    it = 0
-    for it in range(1, config.max_outer + 1):
-        x = solve(t - e - w - c - lam / eta)
-        w = (eta / (eta + 2.0)) * (t - x - e - c - lam / eta)
-        if gamma > 0:
-            e = shrink(t - x - w - c - lam / eta, gamma / eta)
-        lam = lam - eta * (t - x - e - w - c)
-        c = np.where(m, 0.0, t - x - w - e - lam / eta)
-        F_new = objective(x, e)
-        if not np.isfinite(F_new):
-            raise NonFiniteObjective(f"objective became {F_new} at iteration {it}")
-        trace.append(F_new)
-        feasible = np.linalg.norm(t - x - w - e - c) <= FEAS_RTOL * (1.0 + t_norm)
-        if abs(F_new - F) < config.tol_outer and feasible:
-            converged = True
-            F = F_new
-            break
-        F = F_new
-    return RecoveryResult(
-        x=x,
-        outliers=e,
-        noise=w,
-        aux={"slack": c, "multiplier": lam},
-        objective_trace=np.array(trace),
-        iterations=it,
-        converged=converged,
-        meta={"solver": "rgtvr", "penalty": eta},
-    )
+    result = gsr_admm(t, m, shift, (config or SolverConfig()).replace(beta=0.0))
+    result.meta["solver"] = "rgtvr"
+    return result

@@ -173,6 +173,26 @@ class TestDetect:
         assert code == 2
 
 
+class TestRobust:
+    @pytest.mark.parametrize("method", ["rgtvr", "admm"])
+    def test_writes_estimate_and_outliers(self, tmp_path, graph_file, method):
+        t = np.random.default_rng(7).normal(size=12)
+        t[2] += 6.0
+        signal = write_signal(tmp_path, "t.csv", t)
+        mask_path = tmp_path / "mask.csv"
+        save_mask_csv(mask_path, sample_mask((12, 1), 0.75, 8))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1.0, "gamma": 0.5}))
+        out = tmp_path / "run"
+        code = main(["robust", "--graph", str(graph_file),
+                     "--signal", str(signal), "--mask", str(mask_path),
+                     "--method", method, "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 0
+        for name in ("estimate.csv", "outliers.csv", "result.json"):
+            assert (out / name).exists()
+
+
 class TestCombine:
     def test_average_vote(self, tmp_path):
         opinions = np.array([[1.0, 1.0, -1.0],

@@ -566,6 +566,18 @@ class TestRgtvr:
         assert res.converged
         assert res.objective_trace.shape[0] == res.iterations
 
+    def test_is_gsr_admm_at_zero_beta(self):
+        shift = symmetric_shift(12, 47)
+        t, m = random_masked_vector(12, 48, keep=0.7)
+        t[np.flatnonzero(m)[0]] += 5.0
+        cfg = SolverConfig(alpha=1.0, beta=0.3, gamma=0.4)
+        res = rgtvr(t, m, shift, cfg)
+        ref = gsr_admm(t, m, shift, cfg.replace(beta=0.0))
+        for name in ("x", "outliers", "noise", "objective_trace"):
+            assert_bitwise(getattr(res, name), getattr(ref, name))
+        assert res.iterations == ref.iterations
+        assert res.meta["solver"] == "rgtvr"
+
     def test_stop_rule_at_convergence(self):
         shift = symmetric_shift(10, 35)
         t, m = random_masked_vector(10, 36, keep=0.7)
@@ -675,6 +687,24 @@ class TestGsrAdmm:
         if tr.size >= 2:
             assert abs(tr[-1] - tr[-2]) < 1e-8
 
+    def test_zero_beta_has_no_duplicate(self, monkeypatch):
+        from gsrec import solvers
+
+        def no_svt(*args, **kwargs):
+            raise AssertionError("svt called at beta = 0")
+
+        monkeypatch.setattr(solvers, "svt", no_svt)
+        shift = symmetric_shift(10, 49)
+        rng = np.random.default_rng(50)
+        T = rng.normal(size=(10, 3))
+        mask = rng.uniform(size=T.shape) < 0.6
+        mask[0, 0] = True
+        res = gsr_admm(T, mask, shift,
+                       SolverConfig(alpha=1.0, beta=0.0, gamma=0.3))
+        assert res.converged
+        assert "duplicate" not in res.aux
+        assert "multiplier_duplicate" not in res.aux
+
     def test_dimension_mismatch_rejected(self):
         shift = cycle_shift(4)
         with pytest.raises(DimensionMismatch):
@@ -715,9 +745,9 @@ def _trace_gtvr(shift, T, mask):
 def _trace_rgtvr(shift, T, mask):
     c = TRACE_CONFIG
     res = rgtvr(T[:, 0], mask[:, 0], shift, c)
-    return res, (_misfit(T[:, 0] - res.x - res.outliers, mask[:, 0])
-                 + c.alpha * _variation(res.x, shift)
-                 + c.gamma * np.abs(res.outliers).sum())
+    return res, (c.alpha * _variation(res.x, shift)
+                 + c.gamma * np.abs(res.outliers).sum()
+                 + float(np.sum(res.noise ** 2)))
 
 
 def _trace_gmcm(shift, T, mask):
