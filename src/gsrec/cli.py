@@ -42,10 +42,10 @@ from .io import (
     load_mask_csv,
     load_signal_csv,
     load_solver_config,
-    result_to_dict,
     save_bundle,
     save_graph_dense,
     save_graph_edges,
+    save_result_json,
     save_signal_csv,
 )
 from .solvers import SolverConfig
@@ -238,17 +238,11 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _load_normalized_graph(path: str):
-    shift = load_graph(path)
-    return shift if shift.normalized else normalize_shift(shift)
-
-
 def _write_result(out: Path, result) -> None:
     save_signal_csv(out / "estimate.csv", result.x)
     if result.outliers is not None:
         save_signal_csv(out / "outliers.csv", result.outliers)
-    (out / "result.json").write_text(
-        json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n")
+    save_result_json(out / "result.json", result)
 
 
 def _finish(result) -> int:
@@ -278,7 +272,7 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    shift = _load_normalized_graph(args.graph)
+    shift = normalize_shift(load_graph(args.graph))
     spec = SyntheticSpec(
         n=shift.n, l=args.l, recipe=args.recipe, rank=args.rank,
         noise_sigma=args.noise_sigma,
@@ -293,7 +287,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_recovery(args, methods_with_mask: bool = True) -> int:
-    shift = _load_normalized_graph(args.graph)
+    shift = normalize_shift(load_graph(args.graph))
     observed = load_signal_csv(args.signal)
     mask = None
     if methods_with_mask:
@@ -320,7 +314,7 @@ def _cmd_combine(args) -> int:
     if args.method != "avg":
         if not args.graph:
             raise ConfigError(f"method {args.method!r} needs --graph")
-        shift = _load_normalized_graph(args.graph)
+        shift = normalize_shift(load_graph(args.graph))
     labels = combine_opinions(opinions, args.method, shift,
                               _load_config(args.config))
     out = _out_dir(args)

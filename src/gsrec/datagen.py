@@ -21,7 +21,7 @@ from .errors import (
     InconsistentInputs,
     KTooLarge,
 )
-from .graph import GraphShift, _extreme_eigenpairs, normalize_shift, tilde_shift
+from .graph import GraphShift, _extreme_eigenpairs, normalize_shift
 
 # Stream tags for seed derivation; never reuse across operations.
 STREAM_MASK = 1
@@ -300,32 +300,32 @@ def random_features(n: int, dim: int, seed: int) -> np.ndarray:
 def eigen_basis(shift: GraphShift, rank: int) -> np.ndarray:
     """The ``rank`` lowest-variation eigenvectors of ``(I - A)^T (I - A)``.
 
-    The basis of the "eigen" synthetic recipe, as an (N, rank) array with
+    The basis of the "eigen" synthetic recipe, as a new (N, rank) array with
     columns by ascending eigenvalue. It comes from a sparse shift-invert
     Lanczos solve (ARPACK), O(N rank) memory; only ``rank >= N - 1`` makes a
-    dense ``eigh``. Each column's sign is fixed: its largest-magnitude entry
-    is positive, ties going to the first index, so a draw does not depend on
-    which routine produced the vectors (except inside a cluster of equal
-    eigenvalues, where any orthonormal basis of the cluster is valid). Draws
-    made with this basis differ from those of the earlier full dense
+    dense ``eigh``. The shift keeps the eigenpairs, so repeated calls on one
+    shift make one solve. Each column's sign is fixed: its largest-magnitude
+    entry is positive, ties going to the first index, so a draw does not
+    depend on which routine produced the vectors (except inside a cluster of
+    equal eigenvalues, where any orthonormal basis of the cluster is valid).
+    Draws made with this basis differ from those of the earlier full dense
     ``eigh`` basis, whose signs LAPACK chose.
     """
-    vectors = _extreme_eigenpairs(tilde_shift(shift), rank)[1]
+    vectors = _extreme_eigenpairs(shift, rank)[1]
     peak = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(rank)]
     return vectors * np.where(peak < 0.0, -1.0, 1.0)
 
 
 def synth_instance(shift: GraphShift, spec: SyntheticSpec, seed: int,
-                   *subkeys: int, basis: np.ndarray | None = None,
-                   ) -> SyntheticInstance:
+                   *subkeys: int) -> SyntheticInstance:
     """Draw a smooth signal matrix with additive noise and sparse outliers.
 
     The smooth part combines the ``rank`` lowest-variation eigenvectors of
     ``(I - A)^T (I - A)`` (recipe "eigen": :func:`eigen_basis`, a sparse
-    solve with fixed signs; ``basis`` passes in ``eigen_basis(shift, rank)``
-    when the caller already has it) or repeatedly applies the shift to white
-    noise (recipe "diffusion"); either way it is rescaled to unit standard
-    deviation. Noise is white Gaussian.
+    solve with fixed signs, made once per shift however many draws use it)
+    or repeatedly applies the shift to white noise (recipe "diffusion");
+    either way it is rescaled to unit standard deviation. Noise is white
+    Gaussian.
     Outliers place exactly ``outliers_per_column`` entries per column, uniform
     positions, magnitudes uniform in the given range with random sign. The
     observation is the exact sum of the three parts.
@@ -335,9 +335,7 @@ def synth_instance(shift: GraphShift, spec: SyntheticSpec, seed: int,
     rng = stream_rng(seed, STREAM_SYNTH, *subkeys)
     n, l = spec.n, spec.l
     if spec.recipe == "eigen":
-        if basis is None:
-            basis = eigen_basis(shift, spec.effective_rank)
-        x0 = basis[:, : spec.effective_rank] @ rng.standard_normal(
+        x0 = eigen_basis(shift, spec.effective_rank) @ rng.standard_normal(
             (spec.effective_rank, l))
     else:
         x0 = rng.standard_normal((n, l))

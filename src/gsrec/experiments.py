@@ -32,7 +32,6 @@ from .datagen import (
     SyntheticSpec,
     build_knn_graph,
     corrupt_labels,
-    eigen_basis,
     laplacian_from_shift,
     random_features,
     round_half_up,
@@ -596,8 +595,7 @@ def _resolve_graph(graph: dict, seed: int) -> GraphShift:
         features = random_features(graph["n"], graph["dim"],
                                    stream_rng(seed, STREAM_GRAPH).integers(2**31))
         return build_knn_graph(features, graph["build"])
-    shift = load_graph(graph["path"])
-    return shift if shift.normalized else normalize_shift(shift)
+    return normalize_shift(load_graph(graph["path"]))
 
 
 class _Cell(NamedTuple):
@@ -615,15 +613,9 @@ class _Cell(NamedTuple):
 
 
 def _synthetic_draws(spec: ExperimentSpec, shift: GraphShift):
-    """``draw(*subkeys)``: one synthetic instance on ``shift``.
-
-    The eigen recipe's basis is computed once here, for every draw of the run.
-    """
+    """``draw(*subkeys)``: one synthetic instance on ``shift``."""
     synthetic = _sized(spec.signal["synthetic"], shift.n)
-    basis = (eigen_basis(shift, synthetic.effective_rank)
-             if synthetic.recipe == "eigen" else None)
-    return lambda *subkeys: synth_instance(shift, synthetic, spec.seed, *subkeys,
-                                           basis=basis)
+    return lambda *subkeys: synth_instance(shift, synthetic, spec.seed, *subkeys)
 
 
 def _recovery_cells(spec: ExperimentSpec) -> Iterator[_Cell]:

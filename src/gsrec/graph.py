@@ -8,10 +8,12 @@ in-neighbors. Directed graphs and non-symmetric weights are fully supported.
 
 The weights are stored once, as a ``scipy.sparse.csr_array``; every operator
 derived from them (``tilde_shift``, the Laplacian) is sparse too, so a kNN
-graph costs O(N k) memory. The few extreme eigenpairs of ``tilde_shift`` that
-the run path needs come from a sparse Lanczos solve. Dense copies are made
-only where the theory needs a full eigendecomposition, and each such place
-calls ``.toarray()`` itself.
+graph costs O(N k) memory. A :class:`GraphShift` builds each operator derived
+from its weights (``tilde_shift``, the CSR transpose, the sparse LU of the
+shift-invert eigensolve, the extreme eigenpairs of ``tilde_shift``) on first
+use and keeps it, so every solver and draw on one shift shares it. Dense
+copies are made only where the theory needs a full eigendecomposition, and
+each such place calls ``.toarray()`` itself.
 
 Signals are plain numpy arrays: a vector signal has shape ``(N,)`` and a signal
 matrix (one signal per column) has shape ``(N, L)``. Masks of accessible entries
@@ -21,6 +23,7 @@ are boolean arrays of the same shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,6 +113,32 @@ class GraphShift:
         For inspection and tests; no solver or experiment reads it.
         """
         return self.matrix.toarray()
+
+    # Derived operators, built on first use and kept for the life of the
+    # shift; ``cached_property`` writes ``__dict__``, as a frozen dataclass allows.
+
+    @cached_property
+    def _tilde(self) -> sp.csr_array:
+        d = sp.eye_array(self.n, format="csr") - self.matrix
+        return (d.T @ d).tocsr()
+
+    @cached_property
+    def _transpose(self) -> sp.csr_array:
+        return self.matrix.T.tocsr()
+
+    @cached_property
+    def _tilde_inverse(self):
+        # ``(T - sigma I)^{-1}`` from one sparse LU, sigma = _EIGSH_SIGMA;
+        # built the way ``eigsh`` builds its own shift-invert operator, so
+        # passing it gives bitwise the same eigenpairs
+        from scipy.sparse.linalg import LinearOperator, splu
+
+        lu = splu(sp.csc_array(self._tilde) - _EIGSH_SIGMA * sp.eye(self.n))
+        return LinearOperator((self.n, self.n), matvec=lu.solve, dtype=float)
+
+    @cached_property
+    def _eigenpairs(self) -> dict:  # (k, lowest) -> (values, vectors)
+        return {}
 
 
 @dataclass(frozen=True)
@@ -232,66 +261,56 @@ def tilde_shift(shift: GraphShift) -> sp.csr_array:
 
     Quadratic variation is the quadratic form of this matrix:
     ``x^T tilde_shift x = ||x - A x||_2^2``. A kNN shift with k in-neighbors
-    per node gives O(N k^2) nonzeros.
+    per node gives O(N k^2) nonzeros. Formed once per shift and kept on it:
+    every call returns the same matrix, which callers must not modify.
     """
     _require_normalized(shift)
-    d = sp.eye_array(shift.n, format="csr") - shift.matrix
-    return (d.T @ d).tocsr()
+    return shift._tilde
 
 
-def _shift_inverse(matrix):
-    """``(T - sigma I)^{-1}`` as a linear operator, from one sparse LU.
+def _extreme_eigenpairs(shift: GraphShift, k: int, lowest: bool = True,
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest (``lowest=False``: highest) eigenpairs of ``tilde_shift``.
 
-    ``sigma`` is ``_EIGSH_SIGMA``. Built the way ``eigsh`` builds its own
-    shift-invert operator, so passing it to :func:`_extreme_eigenpairs`
-    gives bitwise the same eigenpairs while several calls share the one
-    factorization.
-    """
-    from scipy.sparse.linalg import LinearOperator, splu
-
-    n = matrix.shape[0]
-    lu = splu(sp.csc_array(matrix, dtype=float) - _EIGSH_SIGMA * sp.eye(n))
-    return LinearOperator((n, n), matvec=lu.solve, dtype=float)
-
-
-def _extreme_eigenpairs(matrix, k: int, lowest: bool = True, inverse=None,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest (``lowest=False``: highest) eigenpairs of a sparse PSD matrix.
-
-    Meant for ``tilde_shift``: returns ``(values, vectors)`` sorted by
-    ascending eigenvalue. The lowest end uses ARPACK's shift-invert Lanczos
-    (``eigsh`` with ``sigma=_EIGSH_SIGMA``), one sparse LU of
-    ``T - sigma I`` and O(n k) memory; a caller that asks for the lowest end
-    several times passes ``inverse=_shift_inverse(T)`` to factor only once.
-    The highest end uses plain Lanczos. Both start from one fixed vector, so
-    repeated calls are bitwise equal and no random stream is drawn from.
+    Returns read-only ``(values, vectors)`` sorted by ascending eigenvalue,
+    computed once per ``(k, lowest)`` and kept on the shift. The lowest end
+    uses ARPACK's shift-invert Lanczos (``eigsh`` with
+    ``sigma=_EIGSH_SIGMA``) on the shift's one sparse LU of
+    ``T - sigma I``, O(n k) memory; the highest end uses plain Lanczos. Both
+    start from one fixed vector, so no random stream is drawn from.
     ARPACK needs ``k < n - 1``; for ``k >= n - 1`` this makes one dense
     ``np.linalg.eigh``, the only dense eigensolve on the ``gsrec run`` path.
     Raises :class:`EigensolveFailed` when ARPACK does not converge, without a
     dense retry.
     """
-    n = matrix.shape[0]
+    if (k, lowest) in shift._eigenpairs:
+        return shift._eigenpairs[k, lowest]
+    matrix, n = tilde_shift(shift), shift.n
     if k >= n - 1:
         values, vectors = np.linalg.eigh(matrix.toarray())
         keep = slice(0, k) if lowest else slice(n - k, n)
-        return values[keep], vectors[:, keep]
-    # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
-    from scipy.sparse.linalg import ArpackError, eigsh
+        values, vectors = values[keep], vectors[:, keep]
+    else:
+        # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
+        from scipy.sparse.linalg import ArpackError, eigsh
 
-    # never the constant vector: for a row-stochastic A that is an exact null
-    # vector of T, and a Lanczos basis started there finds nothing else
-    start = 1.0 + 0.5 * np.cos(0.618 * np.arange(n))
-    where = ({"sigma": _EIGSH_SIGMA, "which": "LM", "OPinv": inverse} if lowest
-             else {"which": "LA"})
-    try:
-        values, vectors = eigsh(sp.csc_array(matrix, dtype=float), k, v0=start,
-                                **where)
-    except ArpackError as exc:
-        raise EigensolveFailed(
-            f"ARPACK found no {k} {'lowest' if lowest else 'highest'} "
-            f"eigenpairs of an {n}-node operator: {exc}") from exc
-    order = np.argsort(values, kind="stable")
-    return values[order], vectors[:, order]
+        # never the constant vector: for a row-stochastic A that is an exact
+        # null vector of T, and a Lanczos basis started there finds nothing else
+        start = 1.0 + 0.5 * np.cos(0.618 * np.arange(n))
+        where = ({"sigma": _EIGSH_SIGMA, "which": "LM",
+                  "OPinv": shift._tilde_inverse} if lowest else {"which": "LA"})
+        try:
+            values, vectors = eigsh(sp.csc_array(matrix, dtype=float), k,
+                                    v0=start, **where)
+        except ArpackError as exc:
+            raise EigensolveFailed(
+                f"ARPACK found no {k} {'lowest' if lowest else 'highest'} "
+                f"eigenpairs of an {n}-node operator: {exc}") from exc
+        order = np.argsort(values, kind="stable")
+        values, vectors = values[order], vectors[:, order]
+    values.flags.writeable = vectors.flags.writeable = False
+    shift._eigenpairs[k, lowest] = values, vectors
+    return values, vectors
 
 
 def spectral_decomposition(shift: GraphShift) -> SpectralBasis:

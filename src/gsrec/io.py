@@ -108,6 +108,15 @@ def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
 
+def _write_sidecar(csv_path: Path, shift: GraphShift, fmt: str) -> None:
+    _sidecar_path(csv_path).write_text(json.dumps({
+        "n": shift.n,
+        "normalized": shift.normalized,
+        "spectral_radius": shift.spectral_radius,
+        "format": fmt,
+    }, indent=2) + "\n")
+
+
 def save_graph_edges(path, shift: GraphShift) -> None:
     """Edge-list CSV plus sidecar; src,dst,weight means weights[dst, src].
 
@@ -120,23 +129,13 @@ def save_graph_edges(path, shift: GraphShift) -> None:
         for d, s, w in zip(edges.row, edges.col, edges.data)
     ]
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
-    _sidecar_path(path).write_text(json.dumps({
-        "n": shift.n,
-        "normalized": shift.normalized,
-        "spectral_radius": shift.spectral_radius,
-        "format": "edges",
-    }, indent=2) + "\n")
+    _write_sidecar(path, shift, "edges")
 
 
 def save_graph_dense(path, shift: GraphShift) -> None:
     path = Path(path)
     np.savetxt(path, shift.matrix.toarray(), fmt=FLOAT_FMT, delimiter=",")
-    _sidecar_path(path).write_text(json.dumps({
-        "n": shift.n,
-        "normalized": shift.normalized,
-        "spectral_radius": shift.spectral_radius,
-        "format": "dense",
-    }, indent=2) + "\n")
+    _write_sidecar(path, shift, "dense")
 
 
 def load_graph(path) -> GraphShift:
@@ -241,7 +240,8 @@ def result_to_dict(result: RecoveryResult) -> dict:
 
 
 def save_result_json(path, result: RecoveryResult) -> None:
-    Path(path).write_text(json.dumps(result_to_dict(result), indent=2) + "\n")
+    Path(path).write_text(
+        json.dumps(result_to_dict(result), indent=2, sort_keys=True) + "\n")
 
 
 def save_bundle(directory, shift: GraphShift, instance, mask: np.ndarray) -> None:

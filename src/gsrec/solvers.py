@@ -33,12 +33,12 @@ LU factorization made once per call, an ``svt`` or a ``shrink``. With a
 nuclear-norm weight the svt acts on X and the solve on a duplicate of X; at
 beta = 0 there is no duplicate and the solve is the X-step itself.
 
-The shift enters only through its CSR matrix A: the closed forms factor
-sparse systems built from ``(I - A)^T (I - A)`` with
-:func:`~gsrec.prox.factorized`, the iterative solvers apply A and A^T as
-sparse products, O(nnz) each, with A^T formed in CSR once per solver call,
-and ``anomaly_detect_constrained`` takes the few extreme eigenpairs it needs
-from sparse Lanczos solves that share one factorization.
+The shift enters through its CSR matrix A and the operators the
+:class:`~gsrec.graph.GraphShift` derives from A once and keeps: the closed
+forms factor sparse systems built from ``(I - A)^T (I - A)`` with
+:func:`~gsrec.prox.factorized`, the iterative solvers apply A and the
+shift's CSR A^T as sparse products, O(nnz) each, and
+``anomaly_detect_constrained`` reads the few extreme eigenpairs it needs.
 
 ``anomaly_detect_constrained`` bisects over the l1 weight, each weight's
 solve warm-started from the outliers at the weight solved before it, and
@@ -72,13 +72,16 @@ from .graph import (
     GraphShift,
     _extreme_eigenpairs,
     _require_normalized,
-    _shift_inverse,
     tilde_shift,
 )
 from .prox import StepSearchConfig, factorized, shrink, svt
 
 # Relative feasibility tolerance for the ADMM coupling constraints.
 FEAS_RTOL = 1e-6
+
+# Bisection steps of anomaly_detect_constrained after its halving search:
+# each halves the bracket of the critical l1 weight.
+MAX_BISECT = 40
 
 
 @dataclass(frozen=True)
@@ -208,17 +211,17 @@ def _nuclear_norm(X: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(X, compute_uv=False)))
 
 
-def _variation(X: np.ndarray, A: sp.csr_array) -> float:
-    d = X - A @ X
+def _variation(X: np.ndarray, shift: GraphShift) -> float:
+    d = X - shift.matrix @ X
     return float(np.sum(d * d))
 
 
-def _variation_grad(X: np.ndarray, A: sp.csr_array, At: sp.csr_array) -> np.ndarray:
-    # gradient of ||X - A X||_F^2: 2 (I - A)^T (I - A) X, with At = A^T in
-    # CSR, formed once per solver call: ``A.T @ d`` would build a CSC
-    # transpose on every gradient
-    d = X - A @ X
-    return 2.0 * (d - At @ d)
+def _variation_grad(X: np.ndarray, shift: GraphShift) -> np.ndarray:
+    # gradient of ||X - A X||_F^2: 2 (I - A)^T (I - A) X, with the shift's
+    # own CSR transpose: ``A.T @ d`` would build a CSC transpose on every
+    # gradient
+    d = X - shift.matrix @ X
+    return 2.0 * (d - shift._transpose @ d)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +245,7 @@ def gtvm(t: np.ndarray, mask: np.ndarray, shift: GraphShift) -> RecoveryResult:
     if hidden.size:
         rows = at[hidden]
         x[hidden] = -factorized(rows[:, hidden])(rows[:, np.flatnonzero(m)] @ t[m])
-    obj = _variation(x[:, None], shift.matrix)
+    obj = _variation(x[:, None], shift)
     return RecoveryResult(
         x=x,
         objective_trace=np.array([obj]),
@@ -267,7 +270,7 @@ def gtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift, alpha: float) -> Re
     h = sp.diags_array(m.astype(float)) + alpha * tilde_shift(shift)
     x = factorized(h)(np.where(m, t, 0.0))
     r = (x - t)[m]
-    obj = float(r @ r) + alpha * _variation(x[:, None], shift.matrix)
+    obj = float(r @ r) + alpha * _variation(x[:, None], shift)
     return RecoveryResult(
         x=x,
         objective_trace=np.array([obj]),
@@ -375,8 +378,6 @@ def gmcm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     """
     config = config or SolverConfig()
     T2, m, was_vec = _matrix_inputs(T, mask, shift)
-    A = shift.matrix
-    At = A.T.tocsr()
     beta = config.beta
 
     def pinned_svt(V, t):
@@ -386,8 +387,8 @@ def gmcm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
         return V, (beta * _nuclear_norm(V) if beta > 0 else 0.0)
 
     X = np.where(m, T2, 0.0)
-    run = _prox_gradient(X, lambda Xc: _variation(Xc, A),
-                         lambda Xc: _variation_grad(Xc, A, At), pinned_svt,
+    run = _prox_gradient(X, lambda Xc: _variation(Xc, shift),
+                         lambda Xc: _variation_grad(Xc, shift), pinned_svt,
                          beta * _nuclear_norm(X) if beta > 0 else 0.0,
                          config, descent=True)
     return RecoveryResult(
@@ -410,18 +411,16 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     """
     config = config or SolverConfig()
     T2, m, was_vec = _matrix_inputs(T, mask, shift)
-    A = shift.matrix
-    At = A.T.tocsr()
     alpha, beta = config.alpha, config.beta
 
     def smooth(Xc):
         r = Xc[m] - T2[m]
-        return float(r @ r) + alpha * _variation(Xc, A)
+        return float(r @ r) + alpha * _variation(Xc, shift)
 
     def smooth_grad(Xc):
         g = np.zeros_like(Xc)
         g[m] = 2.0 * (Xc[m] - T2[m])
-        return g + alpha * _variation_grad(Xc, A, At)
+        return g + alpha * _variation_grad(Xc, shift)
 
     def nuclear_prox(V, t):
         if beta > 0:
@@ -463,16 +462,14 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
         raise ValueError("beta_reg must be nonnegative")
     config = config or SolverConfig()
     t = _vector_signal(t, shift)
-    A = shift.matrix
-    At = A.T.tocsr()
 
     def smooth(ec):
         d = (t - ec)[:, None]
-        return _variation(d, A)
+        return _variation(d, shift)
 
     def smooth_grad(ec):
         d = (t - ec)[:, None]
-        return -_variation_grad(d, A, At)[:, 0]
+        return -_variation_grad(d, shift)[:, 0]
 
     def l1_prox(v, step):
         ec = shrink(v, step * beta_reg)
@@ -572,23 +569,22 @@ def _l1_polish_along(e: np.ndarray, basis: np.ndarray, passes: int = 4) -> np.nd
     return e
 
 
-def _variation_free(at) -> tuple[np.ndarray, float]:
-    """Orthonormal basis of the null space of ``at`` and its largest eigenvalue.
+def _variation_free(shift: GraphShift) -> tuple[np.ndarray, float]:
+    """Null space basis of ``tilde_shift(shift)`` and its largest eigenvalue.
 
-    ``at`` is ``tilde_shift``: its null space holds the signals with zero
-    variation (one vector per closed class of a row-stochastic shift). An
-    eigenvalue counts as zero at or below ``1e-12 * max(lambda_max, 1)``.
-    Both ends come from sparse Lanczos solves: ``lambda_max`` from one, the
-    null space from the lowest k = 1, 2, 4, ... eigenpairs until the largest
-    of them is nonzero. Those lowest-end solves share one sparse LU of the
-    shift-invert operator.
+    The null space holds the signals with zero variation (one vector per
+    closed class of a row-stochastic shift). An eigenvalue counts as zero at
+    or below ``1e-12 * max(lambda_max, 1)``. Both ends come from the shift's
+    sparse Lanczos solves: ``lambda_max`` from one, the null space from the
+    lowest k = 2, 4, 8, ... eigenpairs (sharing one sparse LU) until the
+    largest of them is nonzero; k starts at 2, the least that shows a
+    connected graph's one null vector is the only one.
     """
-    lambda_max = float(_extreme_eigenpairs(at, 1, lowest=False)[0][-1])
+    lambda_max = float(_extreme_eigenpairs(shift, 1, lowest=False)[0][-1])
     cutoff = 1e-12 * max(lambda_max, 1.0)
-    n, k = at.shape[0], 1
-    inverse = _shift_inverse(at)
+    n, k = shift.n, min(2, shift.n)
     while True:
-        values, vectors = _extreme_eigenpairs(at, k, inverse=inverse)
+        values, vectors = _extreme_eigenpairs(shift, k)
         if values[-1] > cutoff or k == n:
             return vectors[:, values <= cutoff], lambda_max
         k = min(2 * k, n)
@@ -596,7 +592,7 @@ def _variation_free(at) -> tuple[np.ndarray, float]:
 
 def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: float,
                                config: SolverConfig | None = None,
-                               max_bisect: int = 40) -> RecoveryResult:
+                               ) -> RecoveryResult:
     """Outlier detection under an explicit smoothness cap.
 
     Finds the critical l1 weight by bisection so the cleaned signal satisfies
@@ -622,7 +618,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     config = config or SolverConfig()
     t = _vector_signal(t, shift)
     target = eta_smooth ** 2
-    base_variation = _variation(t[:, None], shift.matrix)
+    base_variation = _variation(t[:, None], shift)
     slack = target * 1e-6 + 1e-9 * (1.0 + base_variation)
 
     def feasible(value: float) -> bool:
@@ -647,7 +643,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     # sparse Lanczos solves: the variation-free subspace and the Lipschitz
     # constant, without a dense copy of the operator
     at = tilde_shift(shift)
-    null_basis, lambda_max = _variation_free(at)
+    null_basis, lambda_max = _variation_free(shift)
     lipschitz = 2.0 * max(lambda_max, 0.0)
 
     last = None  # outliers at the weight solved last
@@ -670,7 +666,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
             if np.array_equal(polished, sol.outliers):
                 break
             x = t - polished
-            objective = (_variation(x[:, None], shift.matrix)
+            objective = (_variation(x[:, None], shift)
                          + beta * float(np.abs(polished).sum()))
             traces.append(np.array([objective]))
             iterations += 1
@@ -703,7 +699,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
         beta_lo *= 0.5
         sol = solve_at(beta_lo)
         iterations += sol.iterations
-        if feasible(_variation(sol.x[:, None], shift.matrix)):
+        if feasible(_variation(sol.x[:, None], shift)):
             best = (beta_lo, sol)
             break
     if best is None:
@@ -713,12 +709,12 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
         )
     lo, hi = best[0], beta_hi
     steps = 0
-    for _ in range(max_bisect):
+    for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         sol = solve_at(mid)
         iterations += sol.iterations
         steps += 1
-        if feasible(_variation(sol.x[:, None], shift.matrix)):
+        if feasible(_variation(sol.x[:, None], shift)):
             lo = mid
             best = (mid, sol)
         else:
@@ -745,7 +741,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
             sol.meta,
             solver="anomaly_detect_constrained",
             beta_reg=beta_star,
-            smoothness=_variation(sol.x[:, None], shift.matrix),
+            smoothness=_variation(sol.x[:, None], shift),
             target=target,
             bisections=steps,
             stationarity=stationarity,
@@ -779,7 +775,6 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     """
     config = config or SolverConfig()
     T2, m, was_vec = _matrix_inputs(T, mask, shift)
-    A = shift.matrix
     alpha, beta, gamma, eta = config.alpha, config.beta, config.gamma, config.penalty
     solve = factorized(sp.eye_array(shift.n) + (2.0 * alpha / eta) * tilde_shift(shift))
 
@@ -792,7 +787,7 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     Y2 = np.zeros_like(T2)
 
     def objective(Xc, Wc, Ec, nuclear):
-        val = alpha * _variation(Xc, A) + float(np.sum(Wc * Wc))
+        val = alpha * _variation(Xc, shift) + float(np.sum(Wc * Wc))
         if beta > 0:
             val += beta * nuclear
         if gamma > 0:

@@ -13,7 +13,6 @@ from gsrec import (
     SyntheticSpec,
     build_knn_graph,
     corrupt_labels,
-    eigen_basis,
     kernel_weights,
     laplacian_from_shift,
     normalize_shift,
@@ -277,15 +276,6 @@ class TestSynthInstance:
             smooth = quadratic_variation(col, shift) / float(col @ col)
             rough = quadratic_variation(raw, shift) / float(raw @ raw)
             assert smooth <= 0.01 * rough
-
-    def test_given_basis_reproduces_the_draw(self):
-        shift = dense_stochastic_shift(15, 3)
-        spec = SyntheticSpec(n=15, l=2, rank=3, noise_sigma=0.1,
-                             outliers_per_column=1, outlier_lo=1.0, outlier_hi=2.0)
-        own = synth_instance(shift, spec, 4, 1, 2)
-        given = synth_instance(shift, spec, 4, 1, 2, basis=eigen_basis(shift, 3))
-        np.testing.assert_array_equal(own.observed, given.observed)
-        np.testing.assert_array_equal(own.x0, given.x0)
 
     def test_shift_spec_size_mismatch(self):
         shift = dense_stochastic_shift(6, 20)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import gsrec.experiments
 from gsrec import (
@@ -528,13 +529,13 @@ class TestExperimentSpec:
 class TestRunExperiment:
     def test_eigen_basis_computed_once_per_run(self, tmp_path, monkeypatch):
         calls = []
-        eigen_basis = gsrec.experiments.eigen_basis
+        eigsh = scipy.sparse.linalg.eigsh
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return eigen_basis(*args, **kwargs)
+            return eigsh(*args, **kwargs)
 
-        monkeypatch.setattr(gsrec.experiments, "eigen_basis", counted)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
         raw = {
             "task": "inpaint",
             "seed": 4,

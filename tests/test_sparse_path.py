@@ -22,10 +22,13 @@ from gsrec import (
     EigensolveFailed,
     GraphBuildSpec,
     GraphShift,
+    SolverConfig,
     SyntheticSpec,
+    anomaly_detect_constrained,
     build_knn_graph,
     cycle_shift,
     eigen_basis,
+    gsr_admm,
     gtvm,
     gtvr,
     laplacian_baseline,
@@ -318,7 +321,7 @@ class TestEigenBasis:
         distance = np.abs(projector(basis) - projector(vectors[:, :r])).max()
         assert distance <= 1e-8
         np.testing.assert_allclose(basis.T @ basis, np.eye(r), rtol=0.0, atol=1e-10)
-        low, _ = _extreme_eigenpairs(tilde_shift(shift), r)
+        low, _ = _extreme_eigenpairs(shift, r)
         np.testing.assert_allclose(low, values[:r], rtol=0.0, atol=1e-12 * values[-1])
 
     def test_sign_convention(self, kind):
@@ -349,7 +352,7 @@ def test_variation_free_subspace_of_two_closed_classes():
     values, vectors = np.linalg.eigh(dense_tilde(shift))
     dense_null = vectors[:, values <= 1e-12 * max(values[-1], 1.0)]
     assert dense_null.shape[1] == 2
-    null_basis, lambda_max = _variation_free(tilde_shift(shift))
+    null_basis, lambda_max = _variation_free(shift)
     assert null_basis.shape == (shift.n, 2)
     distance = np.abs(projector(null_basis) - projector(dense_null)).max()
     assert distance <= 1e-10
@@ -378,3 +381,86 @@ def test_run_makes_no_dense_eigh(tmp_path, monkeypatch, make):
     assert _run(tmp_path, description) == 0
     rows = (tmp_path / "out" / "trials.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + len(description["solvers"])
+
+
+# ---------------------------------------------------------------------------
+# Operators a shift derives once and keeps
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Records the keyword arguments of every ``eigsh`` call."""
+    calls = []
+    original = scipy.sparse.linalg.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    return calls
+
+
+def spiky_signal(shift, seed, spikes=4):
+    rng = np.random.default_rng(seed)
+    t = eigen_basis(shift, 10) @ rng.normal(size=10)
+    t[rng.choice(shift.n, spikes, replace=False)] += rng.uniform(5.0, 8.0, spikes)
+    return t
+
+
+def test_eigen_basis_and_anomaly_constrained_share_one_factorization(monkeypatch):
+    superlu = scipy.sparse.linalg._dsolve.linsolve._superlu
+    factorizations = []
+    original = superlu.gstrf
+
+    def counted(*args, **kwargs):
+        factorizations.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(superlu, "gstrf", counted)
+    shift = knn8(300, 1)
+    result = anomaly_detect_constrained(spiky_signal(shift, 2), shift, 1.0)
+    assert result.meta["bisections"] > 0  # the variation-free subspace was needed
+    assert factorizations == [shift.n]
+
+
+def test_draws_on_one_shift_share_one_eigensolve(eigsh_calls):
+    shift = knn(40, 4)
+    spec = SyntheticSpec(n=40, l=2, rank=3, noise_sigma=0.1,
+                         outliers_per_column=1, outlier_lo=1.0, outlier_hi=2.0)
+    draws = [synth_instance(shift, spec, 4, 0, trial) for trial in range(2)]
+    assert len(eigsh_calls) == 1
+    for trial, draw in enumerate(draws):
+        fresh = GraphShift(shift.matrix, normalized=True,
+                           spectral_radius=shift.spectral_radius)
+        again = synth_instance(fresh, spec, 4, 0, trial)
+        np.testing.assert_array_equal(draw.observed, again.observed)
+        np.testing.assert_array_equal(draw.x0, again.x0)
+    assert len(eigsh_calls) == 3
+
+
+def test_variation_free_makes_one_lowest_end_solve(eigsh_calls):
+    shift = knn8(300, 1)
+    null_basis, _ = _variation_free(shift)
+    assert null_basis.shape == (shift.n, 1)  # connected: one closed class
+    assert sum("sigma" in call for call in eigsh_calls) == 1
+
+
+def test_solvers_leave_the_kept_operators_intact():
+    shift = knn8(300, 3)
+    at = tilde_shift(shift)
+    t = spiky_signal(shift, 5)
+    mask = sample_mask((shift.n,), 0.6, 5)
+    gtvr(t, mask, shift, 0.7)
+    gsr_admm(t, mask, shift, SolverConfig(gamma=0.5))
+    anomaly_detect_constrained(t, shift, 1.0)
+    assert tilde_shift(shift) is at
+    d = sp.eye_array(shift.n, format="csr") - shift.matrix
+    fresh = (d.T @ d).tocsr()
+    np.testing.assert_array_equal(at.indptr, fresh.indptr)
+    np.testing.assert_array_equal(at.indices, fresh.indices)
+    np.testing.assert_array_equal(at.data, fresh.data)
+    values, vectors = _extreme_eigenpairs(shift, 10)
+    assert not values.flags.writeable and not vectors.flags.writeable
+    with pytest.raises(ValueError):
+        vectors[0, 0] = 1.0
