@@ -71,7 +71,6 @@ from .experiments import (
     threshold_labels,
 )
 from .graph import (
-    BlockPartition,
     GraphShift,
     SpectralBasis,
     cycle_shift,
@@ -79,7 +78,6 @@ from .graph import (
     igft,
     matrix_variation,
     normalize_shift,
-    partition_blocks,
     quadratic_variation,
     spectral_decomposition,
     spectral_radius,
@@ -100,9 +98,7 @@ from .io import (
     save_solver_config,
 )
 from .prox import (
-    StepSearchConfig,
     factorized,
-    regularized_solve,
     shrink,
     svt,
 )

@@ -27,7 +27,6 @@ from .graph import (
     gft,
     igft,
     matrix_variation,
-    partition_blocks,
     quadratic_variation,
 )
 
@@ -110,19 +109,19 @@ def inpainting_bound(shift: GraphShift, node_mask: np.ndarray,
     q the same for hidden nodes. When q < 2 the hidden-node error is bounded
     by ``(2 p |epsilon| + 2 |eta_smooth|) / (2 - q)`` and the full error by
     ``q/2`` times that plus ``p |epsilon| + |eta_smooth|``.
+
+    p is the 2-norm of ``[I + A_MM; A_UM]``, which is the columns of
+    ``I + A`` at the accessible nodes with their rows reordered, and q that
+    of ``[A_MU; I + A_UU]``, the columns at the hidden nodes. Reordering rows
+    leaves a 2-norm unchanged, so both come from column slices of one dense
+    copy of ``I + A``: O(N^2) memory, O(N^3) time.
     """
     _require_normalized(shift)
     mask = check_node_mask(node_mask, shift.n)
-    blocks = partition_blocks(shift.matrix.toarray(), mask)
-    n_acc = blocks.accessible.size
-    n_in = blocks.inaccessible.size
-    p = _spectral_norm(
-        np.vstack([np.eye(n_acc) + blocks.mm, blocks.um])
-    ) if n_acc else 0.0
-    q = _spectral_norm(
-        np.vstack([blocks.mu, np.eye(n_in) + blocks.uu])
-    ) if n_in else 0.0
-    degenerate = n_in == 0
+    b = shift.matrix.toarray() + np.eye(shift.n)
+    p = _spectral_norm(b[:, mask])
+    q = _spectral_norm(b[:, ~mask])
+    degenerate = bool(mask.all())
     if q < 2.0:
         inaccessible = (2.0 * p * abs(epsilon) + 2.0 * abs(eta_smooth)) / (2.0 - q)
         full = 0.5 * q * inaccessible + p * abs(epsilon) + abs(eta_smooth)

@@ -50,10 +50,10 @@ from .errors import (
 )
 from .graph import GraphShift, cycle_shift, normalize_shift
 from .io import load_bundle, load_graph, solver_config_from_dict
-from .prox import factorized
 from .solvers import (
     RecoveryResult,
     SolverConfig,
+    _regularized_fit,
     anomaly_detect,
     anomaly_detect_constrained,
     gmcm,
@@ -124,8 +124,9 @@ def laplacian_baseline(t: np.ndarray, mask: np.ndarray, laplacian,
 
     Minimizes the squared misfit on accessible nodes plus ``alpha * x' L x``
     with one sparse factorization of ``diag(M) + alpha L`` (L dense or
-    sparse); a singular system gets the minimum-norm solution, as in
-    :func:`~gsrec.prox.factorized`. The Laplacian must be symmetric; this is
+    sparse), the closed form :func:`~gsrec.solvers.gtvr` solves with
+    ``(I - A)^T (I - A)`` in place of L; a singular system gets the
+    minimum-norm solution. The Laplacian must be symmetric; this is
     the reference point the shift-based solvers are compared against.
     """
     t = np.asarray(t, dtype=float)
@@ -148,11 +149,7 @@ def laplacian_baseline(t: np.ndarray, mask: np.ndarray, laplacian,
             f"laplacian asymmetry {asym:.3e} exceeds tolerance")
     if not np.any(mask):
         raise EmptyMask("no accessible nodes")
-    system = sp.diags_array(mask.astype(float)) + alpha * laplacian
-    x = factorized(system)(np.where(mask, t, 0.0))
-    misfit = float(np.sum((x[mask] - t[mask]) ** 2))
-    smooth = float(x @ (laplacian @ x))
-    objective = misfit + alpha * smooth
+    x, objective = _regularized_fit(t, mask, laplacian, alpha)
     return RecoveryResult(
         x=x,
         objective_trace=np.asarray([objective]),

@@ -12,17 +12,20 @@ graph costs O(N k) memory. A :class:`GraphShift` builds each operator derived
 from its weights (``tilde_shift``, the CSR transpose, the sparse LU of the
 shift-invert eigensolve, the extreme eigenpairs of ``tilde_shift``) on first
 use and keeps it, so every solver and draw on one shift shares it. Dense
-copies are made only where the theory needs a full eigendecomposition, and
-each such place calls ``.toarray()`` itself.
+copies are made only where the theory needs a full eigendecomposition or
+SVD (:func:`spectral_decomposition`, the block norms of
+:func:`~gsrec.analysis.inpainting_bound`), and each such place calls
+``.toarray()`` itself.
 
 Signals are plain numpy arrays: a vector signal has shape ``(N,)`` and a signal
 matrix (one signal per column) has shape ``(N, L)``. Masks of accessible entries
-are boolean arrays of the same shape.
+are boolean arrays of the same shape; :func:`check_node_mask` validates a
+node mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -152,18 +155,6 @@ class SpectralBasis:
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """The four blocks of a matrix under an accessible/inaccessible node split."""
-
-    mm: np.ndarray
-    mu: np.ndarray
-    um: np.ndarray
-    uu: np.ndarray
-    accessible: np.ndarray = field(repr=False)
-    inaccessible: np.ndarray = field(repr=False)
 
 
 def cycle_shift(n: int) -> GraphShift:
@@ -372,34 +363,3 @@ def check_node_mask(mask: np.ndarray, n: int) -> np.ndarray:
     if m.shape != (n,):
         raise DimensionMismatch(f"node mask shape {m.shape} != ({n},)")
     return m
-
-
-def partition_blocks(matrix: np.ndarray, node_mask: np.ndarray) -> BlockPartition:
-    """Split a square matrix into accessible/inaccessible blocks.
-
-    Parameters
-    ----------
-    matrix : ndarray, shape (N, N)
-    node_mask : bool ndarray, shape (N,)
-        True marks accessible nodes.
-
-    Returns
-    -------
-    BlockPartition
-        Blocks ``mm`` (accessible rows and columns), ``mu``, ``um``, ``uu``,
-        plus the index arrays that generated them.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got {matrix.shape}")
-    mask = check_node_mask(node_mask, matrix.shape[0])
-    acc = np.flatnonzero(mask)
-    inacc = np.flatnonzero(~mask)
-    return BlockPartition(
-        mm=matrix[np.ix_(acc, acc)],
-        mu=matrix[np.ix_(acc, inacc)],
-        um=matrix[np.ix_(inacc, acc)],
-        uu=matrix[np.ix_(inacc, inacc)],
-        accessible=acc,
-        inaccessible=inacc,
-    )

@@ -3,9 +3,10 @@
 Graphs travel as an edge-list CSV (``src,dst,weight`` per line, meaning an
 edge from src into dst, stored at ``weights[dst, src]``) or as a dense N x N
 CSV; either carries a JSON sidecar ``{"n": ..., "normalized": ...,
-"spectral_radius": ..., "format": ...}`` next to it. Signals are plain
-numeric CSVs with one row per node; masks list accessible entries as
-``row,col`` pairs. All parsers reject NaN and infinity.
+"spectral_radius": ..., "format": ...}`` next to it; bundles use the edge
+list. Signals are plain numeric CSVs with one row per node; masks list
+accessible entries as ``row,col`` pairs. All parsers reject NaN and
+infinity, and name a bad row by its line number in the file.
 """
 
 from __future__ import annotations
@@ -23,35 +24,32 @@ from .solvers import RecoveryResult, SolverConfig
 FLOAT_FMT = "%.17g"
 
 
-def _read_rows(path: Path) -> list[list[str]]:
+def _read_rows(path: Path) -> list[tuple[int, list[str]]]:
+    """(file line number, cells) of each line that is not blank or a ``#``."""
     try:
-        text = Path(path).read_text()
+        lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append([cell.strip() for cell in line.split(",")])
-    return rows
+    return [(number, [cell.strip() for cell in line.split(",")])
+            for number, line in enumerate(lines, 1)
+            if line.strip() and not line.strip().startswith("#")]
 
 
-def _parse_float_rows(rows: list[list[str]], path: Path,
+def _parse_float_rows(rows: list[tuple[int, list[str]]], path: Path,
                       allow_nan: bool = False) -> np.ndarray:
     if not rows:
         raise DataError(f"{path} is empty")
-    width = len(rows[0])
+    width = len(rows[0][1])
     data = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
+    for i, (line, row) in enumerate(rows):
         if len(row) != width:
             raise DataError(
-                f"{path} line {i + 1}: expected {width} columns, got {len(row)}"
+                f"{path} line {line}: expected {width} columns, got {len(row)}"
             )
         try:
             data[i] = [float(cell) for cell in row]
         except ValueError as exc:
-            raise DataError(f"{path} line {i + 1}: {exc}") from exc
+            raise DataError(f"{path} line {line}: {exc}") from exc
     if allow_nan:
         if np.any(np.isinf(data)):
             raise DataError(f"{path} contains infinite values")
@@ -87,18 +85,15 @@ def save_mask_csv(path, mask: np.ndarray) -> None:
 
 def load_mask_csv(path, shape: tuple[int, ...]) -> np.ndarray:
     """Boolean accessible-entry mask from row,col pairs."""
-    rows = _read_rows(Path(path))
     mask2 = np.zeros(shape if len(shape) == 2 else (shape[0], 1), dtype=bool)
-    for i, row in enumerate(rows):
-        if len(row) != 2:
-            raise DataError(f"{path} line {i + 1}: expected row,col")
+    for line, row in _read_rows(Path(path)):
         try:
-            r, c = int(row[0]), int(row[1])
-        except ValueError as exc:
-            raise DataError(f"{path} line {i + 1}: {exc}") from exc
+            r, c = map(int, row)
+        except ValueError as exc:  # a bad cell or a count other than two
+            raise DataError(f"{path} line {line}: expected row,col: {exc}") from exc
         if not (0 <= r < mask2.shape[0] and 0 <= c < mask2.shape[1]):
             raise DataError(
-                f"{path} line {i + 1}: index ({r}, {c}) outside shape {mask2.shape}"
+                f"{path} line {line}: index ({r}, {c}) outside shape {mask2.shape}"
             )
         mask2[r, c] = True
     return mask2[:, 0] if len(shape) == 1 else mask2
@@ -148,8 +143,12 @@ def load_graph(path) -> GraphShift:
             meta = json.loads(sidecar.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read sidecar {sidecar}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise DataError(f"{sidecar}: the sidecar must be a JSON object")
     fmt = meta.get("format", "dense")
-    normalized = bool(meta.get("normalized", False))
+    normalized = meta.get("normalized", False)
+    if not isinstance(normalized, bool):  # bool("false") would be True
+        raise DataError(f"{sidecar}: 'normalized' must be true or false")
     if fmt == "dense":
         weights = _parse_float_rows(_read_rows(path), path)
         if weights.shape[0] != weights.shape[1]:
@@ -159,21 +158,23 @@ def load_graph(path) -> GraphShift:
                 f"{path}: sidecar says n={meta['n']} but file has {weights.shape[0]} rows"
             )
     elif fmt == "edges":
-        if "n" not in meta:
-            raise DataError(f"{sidecar}: edge-list graphs need 'n' in the sidecar")
-        n = int(meta["n"])
+        try:
+            n = int(meta["n"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{sidecar}: edge-list graphs need an integer 'n' "
+                            f"in the sidecar: {exc!r}") from exc
         edges = {}  # (dst, src) -> weight; a repeated edge keeps its last weight
-        for i, row in enumerate(_read_rows(path)):
+        for line, row in _read_rows(path):
             if len(row) != 3:
-                raise DataError(f"{path} line {i + 1}: expected src,dst,weight")
+                raise DataError(f"{path} line {line}: expected src,dst,weight")
             try:
                 s, d, w = int(row[0]), int(row[1]), float(row[2])
             except ValueError as exc:
-                raise DataError(f"{path} line {i + 1}: {exc}") from exc
+                raise DataError(f"{path} line {line}: {exc}") from exc
             if not np.isfinite(w):
-                raise DataError(f"{path} line {i + 1}: non-finite weight")
+                raise DataError(f"{path} line {line}: non-finite weight")
             if not (0 <= s < n and 0 <= d < n):
-                raise DataError(f"{path} line {i + 1}: node index outside [0, {n})")
+                raise DataError(f"{path} line {line}: node index outside [0, {n})")
             edges[d, s] = w
         ends = np.array(list(edges), dtype=int).reshape(-1, 2)
         weights = sp.csr_array((np.fromiter(edges.values(), float, len(edges)),
@@ -245,12 +246,15 @@ def save_result_json(path, result: RecoveryResult) -> None:
 
 
 def save_bundle(directory, shift: GraphShift, instance, mask: np.ndarray) -> None:
-    """Write a synthetic instance as a directory of CSVs plus spec.json."""
+    """Write a synthetic instance as a directory of CSVs plus spec.json.
+
+    The graph goes out as an edge list, ``graph.csv`` plus its sidecar.
+    """
     from dataclasses import asdict
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_graph_dense(directory / "graph.csv", shift)
+    save_graph_edges(directory / "graph.csv", shift)
     save_signal_csv(directory / "X0.csv", instance.x0)
     save_signal_csv(directory / "W.csv", instance.noise)
     save_signal_csv(directory / "E.csv", instance.outliers)
@@ -276,13 +280,15 @@ def load_bundle(directory):
         meta = json.loads((directory / "spec.json").read_text())
         spec = SyntheticSpec(**meta["synthetic"])
         seed = int(meta["seed"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
         raise DataError(f"cannot read {directory / 'spec.json'}: {exc}") from exc
-    if x0.shape != (spec.n, spec.l):
-        raise DataError(
-            f"{directory}: X0.csv shape {x0.shape} does not match spec "
-            f"({spec.n}, {spec.l})"
-        )
+    if x0.shape != (spec.n, spec.l) or shift.n != spec.n:
+        raise DataError(f"{directory}: X0.csv shape {x0.shape} and the {shift.n}-node "
+                        f"graph must match spec ({spec.n}, {spec.l})")
+    for name, part in (("W", noise), ("E", outliers), ("T", observed)):
+        if part.shape != x0.shape:
+            raise DataError(f"{directory}: {name}.csv shape {part.shape} != "
+                            f"X0.csv shape {x0.shape}")
     mask = load_mask_csv(directory / "mask.csv", observed.shape)
     instance = SyntheticInstance(x0=x0, noise=noise, outliers=outliers,
                                  observed=observed, spec=spec, seed=seed)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -12,25 +11,6 @@ from .errors import DimensionMismatch, NegativeThreshold
 
 # Singular values below this fraction of the largest are treated as zero.
 PINV_CUTOFF = 1e-10
-
-
-@dataclass(frozen=True)
-class StepSearchConfig:
-    """Step-size backtracking parameters of the proximal-gradient solvers.
-
-    t0 is the initial (and largest) step, rho the shrink factor per halving,
-    max_halvings the cap on shrink steps per iteration.
-    """
-
-    t0: float = 1.0
-    rho: float = 0.5
-    max_halvings: int = 50
-
-    def __post_init__(self):
-        if self.t0 <= 0 or not (0 < self.rho < 1):
-            raise ValueError("step search needs t0 > 0 and 0 < rho < 1")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be nonnegative")
 
 
 def shrink(x: np.ndarray, tau: float) -> np.ndarray:
@@ -65,23 +45,7 @@ def svt(X: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return (u * s) @ vt, s
 
 
-def regularized_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``H y = b``.
-
-    Applies the pseudo-inverse of H: singular values at or below
-    ``PINV_CUTOFF`` times the largest are treated as zero, so a singular
-    system gets the minimum-norm solution instead of an error. One
-    ``np.linalg.lstsq`` call (LAPACK gelsd); b may be a vector or a matrix of
-    right-hand sides.
-    """
-    H = np.asarray(H, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise DimensionMismatch(f"expected square system, got {H.shape}")
-    if b.shape[0] != H.shape[0]:
-        raise DimensionMismatch(
-            f"right-hand side has {b.shape[0]} rows, system has {H.shape[0]}"
-        )
+def _min_norm_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(H, b, rcond=PINV_CUTOFF)[0]
 
 
@@ -92,9 +56,10 @@ def factorized(H) -> Callable[[np.ndarray], np.ndarray]:
     returned function solves for a vector or a matrix of right-hand sides.
     H counts as singular when ``splu`` raises (an exactly zero pivot) or when
     some pivot ``|U_ii|`` is at most ``PINV_CUTOFF`` times the largest. For
-    a singular H the function applies :func:`regularized_solve` to the dense
-    form of H instead, so the system keeps its minimum-norm least-squares
-    solution.
+    a singular H the function instead applies the pseudo-inverse of the dense
+    form of H, by one ``np.linalg.lstsq`` (LAPACK gelsd) with singular values
+    at or below ``PINV_CUTOFF`` times the largest counted as zero, so the
+    system keeps its minimum-norm least-squares solution.
     """
     # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
     from scipy.sparse.linalg import splu
@@ -111,4 +76,4 @@ def factorized(H) -> Callable[[np.ndarray], np.ndarray]:
         if pivots.min() > PINV_CUTOFF * pivots.max():
             return lu.solve
     dense = H.toarray()
-    return lambda b: regularized_solve(dense, b)
+    return lambda b: _min_norm_solve(dense, b)

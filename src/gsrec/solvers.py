@@ -74,7 +74,7 @@ from .graph import (
     _require_normalized,
     tilde_shift,
 )
-from .prox import StepSearchConfig, factorized, shrink, svt
+from .prox import factorized, shrink, svt
 
 # Relative feasibility tolerance for the ADMM coupling constraints.
 FEAS_RTOL = 1e-6
@@ -83,6 +83,12 @@ FEAS_RTOL = 1e-6
 # each halves the bracket of the critical l1 weight.
 MAX_BISECT = 40
 
+# Step search of the proximal-gradient driver: each iteration starts at most
+# at STEP_T0 and shrinks the step by STEP_RHO, at most STEP_HALVINGS times.
+STEP_T0 = 1.0
+STEP_RHO = 0.5
+STEP_HALVINGS = 50
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -90,8 +96,9 @@ class SolverConfig:
 
     alpha weights quadratic variation, beta the nuclear norm, gamma the
     outlier l1 norm, penalty is the ADMM penalty parameter. tol_outer and
-    max_outer control the stop of every iterative solver, step the
-    backtracking of the proximal-gradient ones.
+    max_outer control the stop of every iterative solver. The step search of
+    the proximal-gradient solvers is fixed by the module constants
+    ``STEP_T0``, ``STEP_RHO`` and ``STEP_HALVINGS``.
     """
 
     alpha: float = 1.0
@@ -100,7 +107,6 @@ class SolverConfig:
     penalty: float = 1.0
     tol_outer: float = 1e-8
     max_outer: int = 2000
-    step: StepSearchConfig = field(default_factory=StepSearchConfig)
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
@@ -121,16 +127,9 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
-        data = dict(data)
-        step = data.pop("step", None)
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
-        if step is not None:
-            step_unknown = set(step) - {f.name for f in fields(StepSearchConfig)}
-            if step_unknown:
-                raise ValueError(f"unknown step config keys: {sorted(step_unknown)}")
-            data["step"] = StepSearchConfig(**step)
         return cls(**data)
 
 
@@ -156,35 +155,24 @@ class RecoveryResult:
     meta: dict[str, Any] = field(default_factory=dict)
 
 
-def _as_matrix(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return arr[:, None], True
-    if arr.ndim == 2:
-        return arr, False
-    raise DimensionMismatch(f"signal must be 1-d or 2-d, got {arr.ndim}-d")
-
-
-def _matrix_mask(mask, shape: tuple[int, int], was_vector: bool) -> np.ndarray:
-    m = np.asarray(mask)
-    if m.dtype != np.bool_:
-        raise DimensionMismatch("mask must be a boolean array")
-    if was_vector and m.ndim == 1:
-        m = m[:, None]
-    if m.shape != shape:
-        raise DimensionMismatch(f"mask shape {m.shape} != signal shape {shape}")
-    if not m.any():
-        raise EmptyAccessibleSet("mask marks no entry as accessible")
-    return m
-
-
 def _matrix_inputs(T, mask, shift: GraphShift) -> tuple[np.ndarray, np.ndarray, bool]:
     """The signal as an (n, L) matrix, its mask, and whether it was a vector."""
     _require_normalized(shift)
-    T2, was_vec = _as_matrix(T)
+    T2, m = np.asarray(T, dtype=float), np.asarray(mask)
+    was_vec = T2.ndim == 1
+    if was_vec:
+        T2, m = T2[:, None], (m[:, None] if m.ndim == 1 else m)
+    if T2.ndim != 2:
+        raise DimensionMismatch(f"signal must be 1-d or 2-d, got {T2.ndim}-d")
     if T2.shape[0] != shift.n:
         raise DimensionMismatch(f"signal rows {T2.shape[0]} != nodes {shift.n}")
-    return T2, _matrix_mask(mask, T2.shape, was_vec), was_vec
+    if m.dtype != np.bool_:
+        raise DimensionMismatch("mask must be a boolean array")
+    if m.shape != T2.shape:
+        raise DimensionMismatch(f"mask shape {m.shape} != signal shape {T2.shape}")
+    if not m.any():
+        raise EmptyAccessibleSet("mask marks no entry as accessible")
+    return T2, m, was_vec
 
 
 def _vector_signal(t, shift: GraphShift) -> np.ndarray:
@@ -228,6 +216,20 @@ def _variation_grad(X: np.ndarray, shift: GraphShift) -> np.ndarray:
 # closed-form inpainting
 # ---------------------------------------------------------------------------
 
+def _regularized_fit(t: np.ndarray, m: np.ndarray, quadratic,
+                     alpha: float) -> tuple[np.ndarray, float]:
+    """Minimizer of ``||(x - t)_M||_2^2 + alpha x^T Q x`` and its objective.
+
+    One sparse factorization of ``diag(M) + alpha Q`` (Q sparse, symmetric
+    PSD) by :func:`~gsrec.prox.factorized`, so a singular system gets the
+    minimum-norm solution. The callers check their own inputs.
+    """
+    x = factorized(sp.diags_array(m.astype(float)) + alpha * quadratic)(
+        np.where(m, t, 0.0))
+    r = (x - t)[m]
+    return x, float(r @ r) + alpha * float(x @ (quadratic @ x))
+
+
 def gtvm(t: np.ndarray, mask: np.ndarray, shift: GraphShift) -> RecoveryResult:
     """Noiseless graph signal inpainting.
 
@@ -267,10 +269,7 @@ def gtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift, alpha: float) -> Re
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     t, m = _vector_inputs(t, mask, shift)
-    h = sp.diags_array(m.astype(float)) + alpha * tilde_shift(shift)
-    x = factorized(h)(np.where(m, t, 0.0))
-    r = (x - t)[m]
-    obj = float(r @ r) + alpha * _variation(x[:, None], shift)
+    x, obj = _regularized_fit(t, m, tilde_shift(shift), alpha)
     return RecoveryResult(
         x=x,
         objective_trace=np.array([obj]),
@@ -305,9 +304,10 @@ def _prox_gradient(x: np.ndarray,
 
     ``smooth`` and ``grad`` evaluate f and its gradient; g is reached only
     through ``prox(v, t)``, which returns ``prox_{t g}(v)`` together with g
-    at that point, and ``nonsmooth`` is g at the start point x. Each
-    iteration first lets the step grow back to ``min(t / rho, t0)``, then
-    shrinks it by rho (at most ``max_halvings`` times) until the candidate is
+    at that point, and ``nonsmooth`` is g at the start point x. The step
+    search reads the module constants: each iteration first lets the step t
+    grow back to ``min(t / STEP_RHO, STEP_T0)``, then shrinks it by
+    ``STEP_RHO`` (at most ``STEP_HALVINGS`` times) until the candidate is
     accepted: when f lies below its quadratic model at the candidate, which
     keeps the objective from increasing, or, with ``descent=True``, when the
     objective ``f + g`` itself does not increase. Without an accepted
@@ -318,7 +318,6 @@ def _prox_gradient(x: np.ndarray,
     fixed-point residual ``max |x - prox(x - t grad(x), t)|`` to be at most
     that tolerance, and the residual at the returned point is reported.
     """
-    t0, rho = config.step.t0, config.step.rho
 
     def residual(xc, t):
         d = xc - prox(xc - t * grad(xc), t)[0]
@@ -327,14 +326,14 @@ def _prox_gradient(x: np.ndarray,
     f_val = smooth(x)
     F = f_val + nonsmooth
     trace = []
-    t = t0
+    t = STEP_T0
     converged = False
     it = 0
     for it in range(1, config.max_outer + 1):
         g = grad(x)
-        t = min(t / rho, t0)
+        t = min(t / STEP_RHO, STEP_T0)
         moved = False
-        for _ in range(config.step.max_halvings + 1):
+        for _ in range(STEP_HALVINGS + 1):
             cand, g_cand = prox(x - t * g, t)
             f_cand = smooth(cand)
             if descent:
@@ -345,7 +344,7 @@ def _prox_gradient(x: np.ndarray,
                                    + float(np.vdot(diff, diff)) / (2.0 * t))
             if moved:
                 break
-            t *= rho
+            t *= STEP_RHO
         if moved:
             x, f_val = cand, f_cand
             F_new = f_val + g_cand
@@ -670,24 +669,12 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
                          + beta * float(np.abs(polished).sum()))
             traces.append(np.array([objective]))
             iterations += 1
-            sol = RecoveryResult(
-                x=x,
-                outliers=polished,
-                objective_trace=sol.objective_trace,
-                iterations=sol.iterations,
-                converged=sol.converged,
-                meta=dict(sol.meta, polished=True),
-            )
+            sol = dataclass_replace(sol, x=x, outliers=polished,
+                                    meta=dict(sol.meta, polished=True))
             warm = polished
         last = sol.outliers
-        return RecoveryResult(
-            x=sol.x,
-            outliers=sol.outliers,
-            objective_trace=np.concatenate(traces),
-            iterations=iterations,
-            converged=sol.converged,
-            meta=sol.meta,
-        )
+        return dataclass_replace(sol, objective_trace=np.concatenate(traces),
+                                 iterations=iterations)
 
     beta_hi = 1.001 * 2.0 * float(np.max(np.abs(at @ t)))
     if beta_hi <= 0:
@@ -731,23 +718,11 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
         disp = disp - null_basis @ (null_basis.T @ disp)
     stationarity = float(np.max(np.abs(disp))) if disp.size else 0.0
     stationary = stationarity <= 1e-6 * (1.0 + float(np.max(np.abs(e))))
-    result = RecoveryResult(
-        x=sol.x,
-        outliers=sol.outliers,
-        objective_trace=sol.objective_trace,
-        iterations=iterations,
-        converged=sol.converged or stationary,
-        meta=dict(
-            sol.meta,
-            solver="anomaly_detect_constrained",
-            beta_reg=beta_star,
-            smoothness=_variation(sol.x[:, None], shift),
-            target=target,
-            bisections=steps,
-            stationarity=stationarity,
-        ),
-    )
-    return result
+    return dataclass_replace(
+        sol, iterations=iterations, converged=sol.converged or stationary,
+        meta=dict(sol.meta, solver="anomaly_detect_constrained",
+                  beta_reg=beta_star, smoothness=_variation(sol.x[:, None], shift),
+                  target=target, bisections=steps, stationarity=stationarity))
 
 
 # ---------------------------------------------------------------------------

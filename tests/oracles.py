@@ -220,3 +220,22 @@ def nuclear_completion_fixed_point(T, mask, beta, tol=1e-12, maxit=50000):
             return nxt
         X = nxt
     return X
+
+
+def block_stacked_norms(weights, mask):
+    """p and q of the inpainting bound from the four blocks of a dense A.
+
+    With M the accessible and U the hidden nodes, p is the 2-norm of
+    ``[I + A_MM; A_UM]`` and q that of ``[A_MU; I + A_UU]``, each stacked
+    from its blocks as the bound's derivation writes it; an empty block
+    column has norm 0.
+    """
+    A = np.asarray(weights, dtype=float)
+    m, u = np.flatnonzero(mask), np.flatnonzero(~np.asarray(mask))
+
+    def norm(top, bottom):
+        stacked = np.vstack([top, bottom])
+        return float(np.linalg.norm(stacked, 2)) if stacked.size else 0.0
+
+    return (norm(np.eye(m.size) + A[np.ix_(m, m)], A[np.ix_(u, m)]),
+            norm(A[np.ix_(m, u)], np.eye(u.size) + A[np.ix_(u, u)]))

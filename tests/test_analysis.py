@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+import oracles
 from gsrec import (
     BoundNotApplicable,
     DimensionMismatch,
+    GraphBuildSpec,
     GraphShift,
     InconsistentInputs,
     KNormOperator,
     NonOrthonormalBasis,
     OutlierModel,
     anomaly_detect,
+    build_knn_graph,
     cycle_shift,
     gtvm,
     gtvr,
@@ -18,7 +21,9 @@ from gsrec import (
     normalize_shift,
     nuclear_tv_bound,
     quadratic_variation,
+    random_features,
     residual_decomposition,
+    sample_mask,
     spectral_decomposition,
     subspace_smoothness_bound,
     tv_svd_terms,
@@ -98,6 +103,35 @@ class TestInpaintingBound:
         assert rep.q >= 2.0
         assert rep.inaccessible_bound is None
         assert rep.full_bound is None
+
+
+class TestBoundMatchesBlockOracle:
+    """p and q from column slices of I + A against the stacked blocks."""
+
+    @staticmethod
+    def assert_matches(shift, mask):
+        rep = inpainting_bound(shift, mask, 0.1, 0.1)
+        p, q = oracles.block_stacked_norms(shift.weights, mask)
+        assert abs(rep.p - p) <= 1e-12 * p
+        assert abs(rep.q - q) <= 1e-12 * q
+
+    def test_acceptance_criterion_three_instances(self):
+        # the 100 shift/mask pairs of the acceptance suite's criterion 3
+        for seed in range(100):
+            shift = symmetric_shift(30, 1000 + seed)
+            mask = np.random.default_rng(3000 + seed).uniform(size=30) < 0.5
+            if not mask.any():
+                mask[0] = True
+            self.assert_matches(shift, mask)
+
+    @pytest.mark.parametrize("build", [{}, {"normalization": "column"},
+                                       {"symmetrize": True}])
+    def test_knn_graphs(self, build):
+        for seed in (1, 2, 3):
+            shift = build_knn_graph(random_features(300, 2, seed),
+                                    GraphBuildSpec(k=8, **build))
+            for ratio in (0.3, 0.6):
+                self.assert_matches(shift, sample_mask((300,), ratio, seed))
 
 
 class TestVerifyInpaintingBound:

@@ -13,7 +13,6 @@ from gsrec import (
     igft,
     matrix_variation,
     normalize_shift,
-    partition_blocks,
     quadratic_variation,
     random_features,
     spectral_decomposition,
@@ -233,32 +232,7 @@ class TestFourier:
 
 
 class TestPartition:
-    def test_three_node_shapes(self):
-        mat = np.arange(9.0).reshape(3, 3)
-        part = partition_blocks(mat, np.array([True, False, False]))
-        assert part.mm.shape == (1, 1)
-        assert part.mu.shape == (1, 2)
-        assert part.um.shape == (2, 1)
-        assert part.uu.shape == (2, 2)
-        assert part.mm[0, 0] == mat[0, 0]
-
-    def test_full_mask_puts_everything_in_mm(self):
-        mat = np.arange(9.0).reshape(3, 3)
-        part = partition_blocks(mat, np.ones(3, dtype=bool))
-        np.testing.assert_array_equal(part.mm, mat)
-        assert part.uu.size == 0
-
-    def test_reassembly_is_exact(self):
-        rng = np.random.default_rng(8)
-        mat = rng.normal(size=(6, 6))
-        mask = np.array([True, False, True, True, False, False])
-        part = partition_blocks(mat, mask)
-        rebuilt = np.empty_like(mat)
-        rebuilt[np.ix_(part.accessible, part.accessible)] = part.mm
-        rebuilt[np.ix_(part.accessible, part.inaccessible)] = part.mu
-        rebuilt[np.ix_(part.inaccessible, part.accessible)] = part.um
-        rebuilt[np.ix_(part.inaccessible, part.inaccessible)] = part.uu
-        np.testing.assert_array_equal(rebuilt, mat)
+    """The accessible/hidden node split of the inpainting bound."""
 
     def test_mask_validation(self):
         with pytest.raises(DimensionMismatch):

@@ -26,6 +26,7 @@ from gsrec import (
     save_solver_config,
     synth_instance,
 )
+from gsrec.cli import main
 from gsrec.io import result_to_dict, solver_config_from_dict
 
 
@@ -88,6 +89,22 @@ class TestSignalCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_signal_csv(tmp_path / "nope.csv")
+
+
+class TestLineNumbers:
+    """A reader's error names the file line, counting comments and blanks."""
+
+    @pytest.mark.parametrize("kind", ["signal", "ragged", "mask", "edges"])
+    def test_error_names_the_file_line(self, tmp_path, kind):
+        p = tmp_path / "g.csv"
+        body = {"signal": "1,2\nx,3\n", "ragged": "1,2\n3\n",
+                "mask": "0,0\n0,x\n", "edges": "0,1,0.5\n0,x,1\n"}[kind]
+        p.write_text("# header\n\n" + body)
+        (tmp_path / "g.json").write_text(json.dumps({"n": 2, "format": "edges"}))
+        read = {"mask": lambda: load_mask_csv(p, (3, 1)),
+                "edges": lambda: load_graph(p)}.get(kind, lambda: load_signal_csv(p))
+        with pytest.raises(DataError, match="line 4:"):
+            read()
 
 
 class TestMaskCsv:
@@ -265,6 +282,17 @@ class TestBundle:
         with pytest.raises(DataError):
             load_bundle(d)
 
+    def test_graph_saved_as_edge_list(self, tmp_path):
+        shift = small_shift(6, 12)
+        inst = synth_instance(shift, SyntheticSpec(n=6), 13)
+        save_bundle(tmp_path, shift, inst, sample_mask((6, 1), 0.5, 0))
+        assert json.loads((tmp_path / "graph.json").read_text())["format"] == "edges"
+        assert len((tmp_path / "graph.csv").read_text().splitlines()) == 30
+        back = load_graph(tmp_path / "graph.csv").matrix
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(shift.matrix, name))
+
     def test_shape_mismatch_detected(self, tmp_path):
         shift = small_shift(5, 10)
         inst = synth_instance(shift, SyntheticSpec(n=5), 11)
@@ -274,3 +302,48 @@ class TestBundle:
         save_signal_csv(d / "X0.csv", np.zeros((4, 1)))
         with pytest.raises(DataError):
             load_bundle(d)
+
+
+
+def corrupt_bundle(d, case):
+    """Spoil one file of a 30-node, one-column bundle the way ``case`` says."""
+    spec = json.loads((d / "spec.json").read_text())
+    if case == "unknown-recipe":
+        spec["synthetic"]["recipe"] = "foo"
+    elif case == "seed-not-a-number":
+        spec["seed"] = "abc"
+    elif case.endswith("-short"):  # 29 rows on the 30-node graph
+        name = case.split("-")[0]
+        save_signal_csv(d / f"{name}.csv", load_signal_csv(d / f"{name}.csv")[:29])
+        if name == "X0":
+            spec["synthetic"]["n"] = 29
+    elif case == "sidecar-n-not-a-number":
+        (d / "graph.json").write_text(json.dumps({"n": "x", "format": "edges"}))
+    elif case == "sidecar-normalized-a-string":
+        meta = json.loads((d / "graph.json").read_text())
+        (d / "graph.json").write_text(json.dumps(dict(meta, normalized="false")))
+    elif case == "sidecar-not-an-object":
+        (d / "graph.json").write_text("[1, 2]")
+    (d / "spec.json").write_text(json.dumps(spec))
+
+
+class TestMalformedBundle:
+    """Each malformed bundle is a DataError, and ``gsrec run`` exits 3."""
+
+    @pytest.mark.parametrize("case", [
+        "unknown-recipe", "seed-not-a-number", "X0-and-spec-short", "W-short",
+        "E-short", "T-short", "sidecar-n-not-a-number", "sidecar-normalized-a-string",
+        "sidecar-not-an-object"])
+    def test_rejected(self, tmp_path, case):
+        shift = small_shift(30, 14)
+        inst = synth_instance(shift, SyntheticSpec(n=30), 15)
+        d = tmp_path / "bundle"
+        save_bundle(d, shift, inst, sample_mask((30, 1), 0.5, 16))
+        corrupt_bundle(d, case)
+        with pytest.raises(DataError):
+            load_bundle(d)
+        cfg = tmp_path / "experiment.json"
+        cfg.write_text(json.dumps({"task": "inpaint", "ratios": [0.5],
+                                   "signal": {"bundle": str(d)},
+                                   "solvers": [{"method": "gtvr"}]}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3

@@ -4,8 +4,7 @@ import pytest
 import oracles
 from gsrec import (
     NegativeThreshold,
-    StepSearchConfig,
-    regularized_solve,
+    factorized,
     shrink,
     svt,
 )
@@ -100,31 +99,22 @@ class TestSvt:
                 rtol=1e-12)
 
 
-class TestBacktrack:
-    """The backtracking parameters the proximal-gradient solvers read."""
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            StepSearchConfig(rho=1.0)
-        with pytest.raises(ValueError):
-            StepSearchConfig(t0=0.0)
-        with pytest.raises(ValueError):
-            StepSearchConfig(max_halvings=-1)
-
-
 class TestRegularizedSolve:
+    """``factorized`` solves regular systems and, by its pseudo-inverse
+    fallback, gives singular ones their minimum-norm least-squares solution."""
+
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(regularized_solve(np.eye(3), b), b)
+        np.testing.assert_allclose(factorized(np.eye(3))(b), b)
 
     def test_singular_diagonal_minimum_norm(self):
         H = np.diag([1.0, 0.0])
         np.testing.assert_allclose(
-            regularized_solve(H, np.array([2.0, 0.0])), [2.0, 0.0])
+            factorized(H)(np.array([2.0, 0.0])), [2.0, 0.0])
         # 1e-12 lies below PINV_CUTOFF times the largest singular value, so
         # that direction counts as null instead of being inverted
         np.testing.assert_allclose(
-            regularized_solve(np.diag([1.0, 1e-12]), np.array([2.0, 1.0])),
+            factorized(np.diag([1.0, 1e-12]))(np.array([2.0, 1.0])),
             [2.0, 0.0])
 
     def test_matrix_right_hand_side(self):
@@ -132,7 +122,7 @@ class TestRegularizedSolve:
         H = rng.normal(size=(4, 4))
         H = H @ H.T + np.eye(4)
         B = rng.normal(size=(4, 3))
-        X = regularized_solve(H, B)
+        X = factorized(H)(B)
         np.testing.assert_allclose(H @ X, B, atol=1e-9)
 
     def test_pseudo_matches_numpy_pinv(self):
@@ -141,5 +131,5 @@ class TestRegularizedSolve:
             H = rng.normal(size=(5, 5))
             H[:, -1] = H[:, 0]  # force rank deficiency
             b = rng.normal(size=5)
-            np.testing.assert_allclose(regularized_solve(H, b),
+            np.testing.assert_allclose(factorized(H)(b),
                                        np.linalg.pinv(H) @ b, atol=1e-8)

@@ -10,7 +10,6 @@ from gsrec import (
     GraphBuildSpec,
     GraphShift,
     SolverConfig,
-    StepSearchConfig,
     SyntheticSpec,
     anomaly_detect,
     anomaly_detect_constrained,
@@ -85,22 +84,19 @@ class TestSolverConfig:
             SolverConfig(max_outer=0)
 
     def test_dict_round_trip(self):
-        cfg = SolverConfig(alpha=2.0, beta=0.5, gamma=0.1,
-                           step=StepSearchConfig(t0=0.25))
+        cfg = SolverConfig(alpha=2.0, beta=0.5, gamma=0.1, max_outer=30)
         again = SolverConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig.from_dict({"alpha": 1.0, "bogus": 2})
-        with pytest.raises(ValueError):
-            SolverConfig.from_dict({"step": {"t0": 1.0, "nope": 2}})
-        # keys of settings no solver read any more
-        for key in ("epsilon", "tol_inner", "max_inner"):
+        # keys of settings no solver reads any more; the step search is fixed
+        for key in ("epsilon", "tol_inner", "max_inner", "step"):
             with pytest.raises(ValueError):
                 SolverConfig.from_dict({"alpha": 1.0, key: 1.0})
         with pytest.raises(ValueError):
-            SolverConfig.from_dict({"step": {"t0": 1.0, "c": 1e-4}})
+            SolverConfig.from_dict({"step": {"t0": 1.0}})
         with pytest.raises(ConfigError):
             solver_config_from_dict({"alpha": 1.0, "max_inner": 100})
 

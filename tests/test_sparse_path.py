@@ -86,13 +86,13 @@ def signal_and_mask(n, seed):
 def pinv_calls(monkeypatch):
     """Counts the dense minimum-norm fallbacks ``factorized`` takes."""
     calls = []
-    original = gsrec.prox.regularized_solve
+    original = gsrec.prox._min_norm_solve
 
     def counted(H, b):
         calls.append(H.shape)
         return original(H, b)
 
-    monkeypatch.setattr(gsrec.prox, "regularized_solve", counted)
+    monkeypatch.setattr(gsrec.prox, "_min_norm_solve", counted)
     return calls
 
 
