@@ -56,6 +56,7 @@ from .errors import (
     NonOrthonormalBasis,
     NonSymmetricLaplacian,
     NotDiagonalizable,
+    TooManyNodes,
     ZeroSpectralRadius,
 )
 from .experiments import (

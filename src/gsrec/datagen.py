@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import (
@@ -20,6 +21,7 @@ from .errors import (
     EmptyMask,
     InconsistentInputs,
     KTooLarge,
+    TooManyNodes,
 )
 from .graph import GraphShift, _extreme_eigenpairs, normalize_shift
 
@@ -30,6 +32,16 @@ STREAM_SYNTH = 3
 STREAM_SPLIT = 4
 STREAM_GRAPH = 5
 STREAM_OPINION = 6
+
+# Most feature rows with missing values that build_knn_graph accepts: their
+# distance matrix is compared over co-observed coordinates in a dense pass
+# whose peak holds about 5.3 (n, n) float arrays, 1.1 GB at this n.
+DENSE_MAX_NODES = 5000
+
+# cdist's name for each feature metric
+_CDIST_METRIC = {"euclidean": "euclidean", "manhattan": "cityblock"}
+# entries of one block of distance rows (16 MiB of float64) in the k-d tree path
+_BLOCK_ENTRIES = 2 ** 21
 
 
 def stream_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -53,6 +65,8 @@ class FeatureTable:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise DimensionMismatch(f"features must be 2-d, got {v.ndim}-d")
+        if v.shape[1] == 0:
+            raise DimensionMismatch("features need at least one column")
         if np.any(np.isinf(v)):
             raise ValueError("features must not contain infinities")
         if not self.allow_missing and np.any(np.isnan(v)):
@@ -140,6 +154,13 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
+def _feature_values(features: FeatureTable | np.ndarray) -> np.ndarray:
+    if isinstance(features, FeatureTable):
+        return features.values
+    return FeatureTable(np.asarray(features, dtype=float),
+                        allow_missing=bool(np.any(np.isnan(features)))).values
+
+
 def pairwise_distances(features: FeatureTable | np.ndarray,
                        metric: str = "euclidean",
                        missing: str = "mean") -> np.ndarray:
@@ -148,21 +169,23 @@ def pairwise_distances(features: FeatureTable | np.ndarray,
     Rows with missing values (NaN) are compared over co-observed coordinates
     and the sum is rescaled to the full dimension; pairs with no co-observed
     coordinate get the mean finite distance ("mean") or infinity ("exclude").
+    That comparison holds several (n, n) arrays at once, so with missing
+    values more than :data:`DENSE_MAX_NODES` rows raise
+    :class:`TooManyNodes` before anything is allocated.
     """
-    if isinstance(features, FeatureTable):
-        values = features.values
-    else:
-        values = FeatureTable(np.asarray(features, dtype=float),
-                              allow_missing=bool(np.any(np.isnan(features)))).values
+    values = _feature_values(features)
     if metric not in ("euclidean", "manhattan"):
         raise ValueError(f"unknown metric {metric!r}")
     observed = np.isfinite(values)
     if observed.all():
-        kind = "euclidean" if metric == "euclidean" else "cityblock"
-        d = cdist(values, values, kind)
+        d = cdist(values, values, _CDIST_METRIC[metric])
         return 0.5 * (d + d.T)
 
     n, dim = values.shape
+    if n > DENSE_MAX_NODES:
+        raise TooManyNodes(
+            f"{n} feature rows with missing values; their dense distance "
+            f"matrix allows at most {DENSE_MAX_NODES}")
     filled = np.where(observed, values, 0.0)
     obs = observed.astype(float)
     counts = obs @ obs.T
@@ -187,41 +210,48 @@ def pairwise_distances(features: FeatureTable | np.ndarray,
     return 0.5 * (scaled + scaled.T)
 
 
-def kernel_weights(distances: np.ndarray,
-                   pairs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def _kernel(distances: np.ndarray, n: int, total: float) -> np.ndarray:
+    """``exp(-n^2 d / total)`` elementwise; infinite distances get weight zero."""
+    if not 0.0 < total < np.inf:
+        raise DegenerateDistances(
+            f"the total pairwise distance is {total}, not a positive finite scale")
+    with np.errstate(over="ignore"):
+        p = np.exp(-(n ** 2) * distances / total)
+    p[~np.isfinite(distances)] = 0.0
+    return p
+
+
+def kernel_weights(distances: np.ndarray) -> np.ndarray:
     """Gaussian-style similarity kernel scaled by the total distance mass.
 
     ``P[i, j] = exp(-n^2 * d[i, j] / sum(d))``, the sum running over all
     finite pairwise distances before any pruning, so the scale reflects the
-    whole point set. Returns the full (n, n) kernel, or with
-    ``pairs=(rows, cols)`` only its values at those entries, as a vector.
-    Infinite distances get weight zero.
+    whole point set. Returns the full (n, n) kernel. Infinite distances get
+    weight zero.
     """
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DimensionMismatch(f"distances must be square, got {d.shape}")
     if np.any(np.isnan(d)):
         raise ValueError("distances must not contain NaN")
-    n = d.shape[0]
-    finite = np.isfinite(d)
-    total = float(d[finite].sum())
-    if total <= 0.0:
-        raise DegenerateDistances("all pairwise distances vanish")
-    picked = d if pairs is None else d[pairs]
-    with np.errstate(over="ignore"):
-        p = np.exp(-(n ** 2) * picked / total)
-    p[~np.isfinite(picked)] = 0.0
-    return p
+    return _kernel(d, d.shape[0], float(d[np.isfinite(d)].sum()))
 
 
-def _nearest(ranked: np.ndarray, k: int) -> np.ndarray:
+def _nearest(ranked: np.ndarray, nodes: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries of each row, sorted.
 
-    Ties go to the smaller index. ``np.argpartition`` places the k-th and
-    (k+1)-th smallest values; where they differ the first k positions hold
-    the unique answer, and only rows where they are equal (an exact tie
-    across the cut) fall back to a stable sort.
+    ``ranked`` holds the distances of ``nodes`` to every node, each node's
+    own entry set to infinity. Ties go to the smaller index.
+    ``np.argpartition`` places the k-th and (k+1)-th smallest values; where
+    they differ the first k positions hold the unique answer, and only rows
+    where they are equal (an exact tie across the cut) fall back to a stable
+    sort. Raises :class:`DegenerateDistances`, naming the node, for a row
+    with fewer than k finite entries.
     """
+    short = np.flatnonzero(np.isfinite(ranked).sum(axis=1) < k)
+    if short.size:
+        raise DegenerateDistances(
+            f"node {nodes[short[0]]} has fewer than k={k} other nodes at finite distance")
     part = np.argpartition(ranked, (k - 1, k), axis=1)
     rows = np.arange(ranked.shape[0])
     tied = np.flatnonzero(ranked[rows, part[:, k - 1]] == ranked[rows, part[:, k]])
@@ -231,23 +261,94 @@ def _nearest(ranked: np.ndarray, k: int) -> np.ndarray:
     return np.sort(nearest, axis=1)
 
 
+def _dense_neighbors(d: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(columns, distances, distance mass) of each node's k nearest, from (n, n) d."""
+    ranked = d.copy()
+    np.fill_diagonal(ranked, np.inf)
+    cols = _nearest(ranked, np.arange(d.shape[0]), k)
+    return cols, np.take_along_axis(d, cols, axis=1), float(d[np.isfinite(d)].sum())
+
+
+def _tree_neighbors(x: np.ndarray, k: int,
+                    metric: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """(columns, distances, distance mass) of each row's k nearest, in O(n k) memory.
+
+    A k-d tree returns k + 2 candidates per row: the row itself, k
+    neighbors and one past the cut. Their distances are recomputed with
+    cdist's arithmetic (coordinate by coordinate, in order), so they equal
+    the dense matrix's bit for bit. A row goes through :func:`_nearest` on
+    its full cdist row instead when the tree did not return the row itself
+    (more than k + 1 points at distance zero) or when its k-th and (k+1)-th
+    distances lie within 1e-12 relative, where the tree's own rounding could
+    have swapped them. Rows pass through cdist in blocks of about 16 MB
+    anyway, to sum the distance mass.
+    """
+    n = x.shape[0]
+    m = min(k + 2, n)  # with k = n - 1 there is nothing past the cut
+    found = cKDTree(x).query(x, k=m, p=2 if metric == "euclidean" else 1)[1]
+    rows = np.arange(n)
+    own = found == rows[:, None]
+    clear = own.any(axis=1)
+    # drop each row's own point, or its farthest candidate where the tree
+    # did not return the row (such a row is decided in full below)
+    keep = np.ones_like(own)
+    keep[rows, np.where(clear, own.argmax(axis=1), m - 1)] = False
+    cols = found[keep].reshape(n, m - 1)
+    acc = np.zeros(cols.shape)
+    for j in range(x.shape[1]):
+        diff = x[:, j, None] - x[cols, j]
+        acc += diff * diff if metric == "euclidean" else np.abs(diff)
+    dists = np.sqrt(acc) if metric == "euclidean" else acc
+    order = np.lexsort((cols, dists))
+    cols = np.take_along_axis(cols, order, axis=1)
+    dists = np.take_along_axis(dists, order, axis=1)
+    if m - 1 > k:
+        cut = dists[:, k]
+        clear &= cut - dists[:, k - 1] > 1e-12 * cut
+    cols, dists = cols[:, :k].copy(), dists[:, :k].copy()
+
+    unclear = np.flatnonzero(~clear)
+    total = 0.0
+    step = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        block = cdist(x[lo:lo + step], x, _CDIST_METRIC[metric])
+        total += float(block.sum())
+        nodes = unclear[(unclear >= lo) & (unclear < lo + step)]
+        if nodes.size:
+            ranked = block[nodes - lo]
+            ranked[np.arange(nodes.size), nodes] = np.inf
+            cols[nodes] = _nearest(ranked, nodes, k)
+            dists[nodes] = np.take_along_axis(ranked, cols[nodes], axis=1)
+    order = np.argsort(cols, axis=1)
+    return (np.take_along_axis(cols, order, axis=1),
+            np.take_along_axis(dists, order, axis=1), total)
+
+
 def build_knn_graph(data: FeatureTable | np.ndarray,
                     spec: GraphBuildSpec = GraphBuildSpec()) -> GraphShift:
     """Directed k-nearest-neighbor graph with kernel weights, as a shift.
 
     Each node keeps edges from its k nearest others (ties broken toward the
-    smaller index), weighted by :func:`kernel_weights` evaluated on those n k
-    pairs only, and the weights go straight into a CSR matrix. They are then
-    normalized per row (default) or per column and finally scaled to unit
-    spectral radius. The dense (n, n) distance matrix, its total mass and
-    the neighbor selection are the O(n^2) steps; everything after is O(n k).
+    smaller index), weighted by the kernel of :func:`kernel_weights`
+    evaluated on those n k pairs only, and the weights go straight into a
+    CSR matrix. They are then normalized per row (default) or per column and
+    finally scaled to unit spectral radius.
+
+    Complete feature rows (metric ``euclidean`` or ``manhattan``) take their
+    neighbors from a k-d tree and sum the kernel's distance mass over blocks
+    of rows, O(n k) memory in all (see :func:`_tree_neighbors`). Precomputed
+    distances and features with missing values go through the dense (n, n)
+    distance matrix, which with missing values allows at most
+    :data:`DENSE_MAX_NODES` nodes.
 
     Raises :class:`DegenerateDistances`, naming the node, when a node has
     fewer than k other nodes at finite distance (possible with
     ``missing="exclude"``), or when the kernel weights of its k nearest
-    neighbors all underflow to zero. A node that is nobody's neighbor keeps
-    a zero column; that is legal.
+    neighbors all underflow to zero; and when the total distance mass is
+    zero or overflows. A node that is nobody's neighbor keeps a zero column;
+    that is legal.
     """
+    k = spec.k
     if spec.metric == "precomputed":
         d = np.asarray(data.values if isinstance(data, FeatureTable) else data,
                        dtype=float)
@@ -257,20 +358,19 @@ def build_knn_graph(data: FeatureTable | np.ndarray,
             raise ValueError("distances must not contain NaN")
         if not np.allclose(d, d.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(d).max())):
             raise InconsistentInputs("distance matrix must be symmetric")
+        x = None
     else:
-        d = pairwise_distances(data, metric=spec.metric, missing=spec.missing)
-    n, k = d.shape[0], spec.k
+        x = _feature_values(data)
+        d = None if np.isfinite(x).all() else pairwise_distances(
+            FeatureTable(x, allow_missing=True), metric=spec.metric,
+            missing=spec.missing)
+    n = (x if d is None else d).shape[0]
     if k >= n:
         raise KTooLarge(f"k={k} needs at least k+1={k + 1} nodes, have {n}")
 
-    ranked = d.copy()
-    np.fill_diagonal(ranked, np.inf)
-    short = np.flatnonzero(np.isfinite(ranked).sum(axis=1) < k)
-    if short.size:
-        raise DegenerateDistances(
-            f"node {short[0]} has fewer than k={k} other nodes at finite distance")
-    cols = _nearest(ranked, k)
-    values = kernel_weights(d, (np.repeat(np.arange(n), k), cols.ravel()))
+    cols, dists, total = _tree_neighbors(x, k, spec.metric) if d is None \
+        else _dense_neighbors(d, k)
+    values = _kernel(dists.ravel(), n, total)
     empty = np.flatnonzero(values.reshape(n, k).sum(axis=1) == 0.0)
     if empty.size:
         raise DegenerateDistances(

@@ -54,6 +54,10 @@ class DegenerateDistances(GsrecError):
     """Distances admit no meaningful graph: all vanish, or a node has no usable neighbors."""
 
 
+class TooManyNodes(GsrecError):
+    """Input too large for a dense (n, n) path that caps its node count."""
+
+
 class NonOrthonormalBasis(GsrecError):
     """Columns of the supplied basis are not orthonormal within tolerance."""
 

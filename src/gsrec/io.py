@@ -12,6 +12,7 @@ infinity, and name a bad row by its line number in the file.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,12 @@ def load_graph(path) -> GraphShift:
     normalized = meta.get("normalized", False)
     if not isinstance(normalized, bool):  # bool("false") would be True
         raise DataError(f"{sidecar}: 'normalized' must be true or false")
+    radius = meta.get("spectral_radius")
+    if radius is not None and not (
+            isinstance(radius, (int, float)) and not isinstance(radius, bool)
+            and 0.0 < radius <= sys.float_info.max):
+        raise DataError(f"{sidecar}: 'spectral_radius' must be null or a "
+                        f"positive finite number, got {radius!r}")
     if fmt == "dense":
         weights = _parse_float_rows(_read_rows(path), path)
         if weights.shape[0] != weights.shape[1]:
@@ -183,7 +190,7 @@ def load_graph(path) -> GraphShift:
         raise DataError(f"{sidecar}: unknown graph format {fmt!r}")
     try:
         return GraphShift(weights, normalized=normalized,
-                          spectral_radius=meta.get("spectral_radius"))
+                          spectral_radius=None if radius is None else float(radius))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 

@@ -9,7 +9,9 @@ not tautology.
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 
 
 def shrink_grid_oracle(x, tau, half_width=3.0, step=1e-4):
@@ -239,3 +241,31 @@ def block_stacked_norms(weights, mask):
 
     return (norm(np.eye(m.size) + A[np.ix_(m, m)], A[np.ix_(u, m)]),
             norm(A[np.ix_(m, u)], np.eye(u.size) + A[np.ix_(u, u)]))
+
+
+def dense_knn_weights(features, k, metric="euclidean", normalization="row",
+                      symmetrize=False):
+    """Normalized kNN kernel weights from the full (n, n) distance matrix.
+
+    Ranks each row of ``cdist`` by a stable sort with the row's own entry
+    set to infinity, so ties go to the smaller index; weights the k nearest
+    by ``exp(-n^2 d / sum(d))`` with the sum over the whole matrix; then
+    optionally keeps the larger of each weight pair, divides by row or
+    column sums and scales to unit spectral radius (a dense eigensolve).
+    Returns the weights as CSR. O(n^2) memory.
+    """
+    x = np.asarray(features, dtype=float)
+    n = x.shape[0]
+    d = cdist(x, x, "euclidean" if metric == "euclidean" else "cityblock")
+    ranked = d.copy()
+    np.fill_diagonal(ranked, np.inf)
+    cols = np.argsort(ranked, axis=1, kind="stable")[:, :k]
+    rows = np.repeat(np.arange(n), k)
+    w = np.zeros((n, n))
+    w[rows, cols.ravel()] = np.exp(-(n ** 2) * d[rows, cols.ravel()] / d.sum())
+    if symmetrize:
+        w = np.maximum(w, w.T)
+    sums = w.sum(axis=1, keepdims=True) if normalization == "row" \
+        else w.sum(axis=0, keepdims=True)
+    w = w / np.where(sums > 0, sums, 1.0)
+    return sp.csr_array(w / np.max(np.abs(np.linalg.eigvals(w))))

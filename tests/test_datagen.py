@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from gsrec import (
     DegenerateDistances,
     DimensionMismatch,
@@ -11,6 +14,7 @@ from gsrec import (
     InconsistentInputs,
     KTooLarge,
     SyntheticSpec,
+    TooManyNodes,
     build_knn_graph,
     corrupt_labels,
     kernel_weights,
@@ -25,7 +29,7 @@ from gsrec import (
     synth_opinion_instance,
     tilde_shift,
 )
-from gsrec.datagen import STREAM_SYNTH, round_half_up
+from gsrec.datagen import DENSE_MAX_NODES, STREAM_SYNTH, round_half_up
 
 
 def dense_stochastic_shift(n, seed):
@@ -199,6 +203,10 @@ class TestBuildKnnGraph:
             got = np.array([shift.matrix[[i]].indices for i in range(25)])
             np.testing.assert_array_equal(got, expected)
 
+    def test_features_without_columns_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            build_knn_graph(np.zeros((5, 0)), GraphBuildSpec(k=2))
+
     def test_node_with_vanishing_kernel_weights_rejected(self):
         # the far node dominates the distance mass, so its own kernel weights
         # exp(-n^2 d / sum(d)) underflow to exactly zero
@@ -206,6 +214,75 @@ class TestBuildKnnGraph:
         feats[0] = [1e6, 1e6]
         with pytest.raises(DegenerateDistances, match="node 0:"):
             build_knn_graph(feats, GraphBuildSpec())
+
+
+def knn_case(name):
+    """Feature rows for one oracle comparison."""
+    if name.startswith("random-dim"):
+        return random_features(300, int(name[len("random-dim"):]), 31)
+    if name == "grid":  # integer grid: exact distance ties in every row
+        return np.array([[i, j] for i in range(15) for j in range(15)], dtype=float)
+    # each of 20 points 12 times: a row's own point can fall outside the
+    # k + 2 points the tree returns
+    return np.repeat(random_features(20, 2, 32), 12, axis=0)
+
+
+class TestKnnMatchesDenseOracle:
+    """The k-d tree build equals the dense cdist + stable-sort build."""
+
+    @pytest.mark.parametrize("case", ["random-dim1", "random-dim2", "random-dim3",
+                                      "random-dim10", "grid", "repeated"])
+    @pytest.mark.parametrize("build", [
+        {"k": 1}, {"k": 8}, {"k": 8, "metric": "manhattan"},
+        {"k": 8, "symmetrize": True}, {"k": 8, "normalization": "column"}])
+    def test_same_edges_and_weights(self, case, build):
+        feats = knn_case(case)
+        got = build_knn_graph(feats, GraphBuildSpec(**build)).matrix
+        want = oracles.dense_knn_weights(feats, **build)
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case", ["random-dim2", "grid", "repeated"])
+    def test_k_is_n_minus_one(self, case):
+        # nothing lies past the cut, so no row has a (k+1)-th candidate
+        feats = knn_case(case)[:40]
+        k = feats.shape[0] - 1
+        got = build_knn_graph(feats, GraphBuildSpec(k=k)).matrix
+        want = oracles.dense_knn_weights(feats, k)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=0.0)
+
+    def test_memory_is_linear(self):
+        # the dense path's distance matrix and ranked copy: 6.4 GB at this n
+        feats = random_features(20_000, 2, 33)
+        tracemalloc.start()
+        try:
+            shift = build_knn_graph(feats, GraphBuildSpec(k=8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert shift.matrix.nnz == 20_000 * 8
+
+
+class TestDenseSizeLimit:
+    def test_missing_features_above_the_limit_raise_before_allocating(self):
+        # one column, one NaN: the check must fire before any (n, n) array
+        feats = np.ones((DENSE_MAX_NODES + 1, 1))
+        feats[0, 0] = np.nan
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyNodes, match=str(DENSE_MAX_NODES)):
+                build_knn_graph(feats, GraphBuildSpec(k=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_complete_features_have_no_limit(self):
+        feats = random_features(DENSE_MAX_NODES + 1, 2, 34)
+        assert build_knn_graph(feats, GraphBuildSpec(k=3)).n == DENSE_MAX_NODES + 1
 
 
 class TestSynthInstance:

@@ -30,6 +30,11 @@ from gsrec.cli import main
 from gsrec.io import result_to_dict, solver_config_from_dict
 
 
+# sidecar spectral_radius values load_graph must reject
+BAD_RADII = {"a-string": "x", "zero": 0.0, "negative": -1.0, "nan": float("nan"),
+             "infinite": float("inf"), "too-large": 10 ** 400, "a-boolean": True}
+
+
 def small_shift(n, seed):
     rng = np.random.default_rng(seed)
     w = np.abs(rng.normal(size=(n, n)))
@@ -150,6 +155,24 @@ class TestGraphFormats:
         np.testing.assert_array_equal(back.weights, shift.weights)
         assert back.normalized == shift.normalized
         assert back.spectral_radius == shift.spectral_radius
+
+    @pytest.mark.parametrize("radius", list(BAD_RADII.values()), ids=list(BAD_RADII))
+    def test_bad_sidecar_radius_rejected(self, tmp_path, radius):
+        p = tmp_path / "g.csv"
+        save_graph_edges(p, small_shift(4, 1))
+        meta = json.loads(p.with_suffix(".json").read_text())
+        p.with_suffix(".json").write_text(json.dumps(dict(meta, spectral_radius=radius)))
+        with pytest.raises(DataError, match="spectral_radius"):
+            load_graph(p)
+
+    @pytest.mark.parametrize("radius, loaded", [(None, None), (2, 2.0), (0.5, 0.5)])
+    def test_sidecar_radius_accepted(self, tmp_path, radius, loaded):
+        p = tmp_path / "g.csv"
+        save_graph_edges(p, small_shift(4, 1))
+        meta = json.loads(p.with_suffix(".json").read_text())
+        p.with_suffix(".json").write_text(json.dumps(dict(meta, spectral_radius=radius)))
+        back = load_graph(p).spectral_radius
+        assert back == loaded and type(back) is type(loaded)
 
     def test_dense_round_trip(self, tmp_path):
         shift = small_shift(6, 2)
@@ -324,6 +347,10 @@ def corrupt_bundle(d, case):
         (d / "graph.json").write_text(json.dumps(dict(meta, normalized="false")))
     elif case == "sidecar-not-an-object":
         (d / "graph.json").write_text("[1, 2]")
+    elif case.startswith("sidecar-radius-"):
+        meta = json.loads((d / "graph.json").read_text())
+        (d / "graph.json").write_text(json.dumps(
+            dict(meta, spectral_radius=BAD_RADII[case[len("sidecar-radius-"):]])))
     (d / "spec.json").write_text(json.dumps(spec))
 
 
@@ -333,7 +360,7 @@ class TestMalformedBundle:
     @pytest.mark.parametrize("case", [
         "unknown-recipe", "seed-not-a-number", "X0-and-spec-short", "W-short",
         "E-short", "T-short", "sidecar-n-not-a-number", "sidecar-normalized-a-string",
-        "sidecar-not-an-object"])
+        "sidecar-not-an-object", *(f"sidecar-radius-{r}" for r in BAD_RADII)])
     def test_rejected(self, tmp_path, case):
         shift = small_shift(30, 14)
         inst = synth_instance(shift, SyntheticSpec(n=30), 15)
