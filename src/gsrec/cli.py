@@ -294,9 +294,14 @@ def _cmd_recovery(args, methods_with_mask: bool = True) -> int:
         mask = load_mask_csv(args.mask, observed.shape)
     config = _load_config(args.config)
     eta_smooth = getattr(args, "eta_smooth", None)
+    if eta_smooth is not None and not eta_smooth >= 0:
+        raise ConfigError(f"--eta-smooth must be nonnegative, got {eta_smooth}")
     if args.command == "detect" and args.method == "anomaly":
         if args.beta is not None:
-            config = config.replace(gamma=args.beta)
+            try:
+                config = config.replace(gamma=args.beta)
+            except ValueError as exc:
+                raise ConfigError(f"--beta {args.beta}: {exc}") from None
         if config.gamma <= 0:
             raise ConfigError("method 'anomaly' needs --beta > 0")
     result = solve_recovery(args.method, observed, mask, shift, config,
@@ -356,7 +361,7 @@ def _cmd_run(args) -> int:
         raise DataError(f"cannot read {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc
-    if args.seed is not None:
+    if args.seed is not None and isinstance(data, dict):
         data["seed"] = args.seed
     spec = ExperimentSpec.from_dict(data)
     report = run_experiment(spec, _out_dir(args))

@@ -23,7 +23,7 @@ from .errors import (
     KTooLarge,
     TooManyNodes,
 )
-from .graph import GraphShift, _extreme_eigenpairs, normalize_shift
+from .graph import GraphShift, _lowest_eigenpairs, normalize_shift
 
 # Stream tags for seed derivation; never reuse across operations.
 STREAM_MASK = 1
@@ -411,7 +411,7 @@ def eigen_basis(shift: GraphShift, rank: int) -> np.ndarray:
     Draws made with this basis differ from those of the earlier full dense
     ``eigh`` basis, whose signs LAPACK chose.
     """
-    vectors = _extreme_eigenpairs(shift, rank)[1]
+    vectors = _lowest_eigenpairs(shift, rank)[1]
     peak = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(rank)]
     return vectors * np.where(peak < 0.0, -1.0, 1.0)
 

@@ -490,8 +490,9 @@ def _solver_entry(data: dict, index: int, task: str,
     eta_smooth = data.get("eta_smooth")
     if eta_smooth is not None:
         eta_smooth = _number(eta_smooth, f"solvers[{index}].eta_smooth")
-        if eta_smooth < 0:
-            raise ConfigError(f"solvers[{index}]: eta_smooth must be nonnegative")
+        if not eta_smooth >= 0:
+            raise ConfigError(f"solvers[{index}]: eta_smooth must be nonnegative, "
+                              f"got {eta_smooth}")
     if method == "anomaly-constrained" and eta_smooth is None:
         raise ConfigError(f"solvers[{index}]: anomaly-constrained needs eta_smooth")
     return SolverEntry(

@@ -140,7 +140,7 @@ class GraphShift:
         return LinearOperator((self.n, self.n), matvec=lu.solve, dtype=float)
 
     @cached_property
-    def _eigenpairs(self) -> dict:  # (k, lowest) -> (values, vectors)
+    def _eigenpairs(self) -> dict:  # k -> (values, vectors)
         return {}
 
 
@@ -259,28 +259,24 @@ def tilde_shift(shift: GraphShift) -> sp.csr_array:
     return shift._tilde
 
 
-def _extreme_eigenpairs(shift: GraphShift, k: int, lowest: bool = True,
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest (``lowest=False``: highest) eigenpairs of ``tilde_shift``.
+def _lowest_eigenpairs(shift: GraphShift, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs of ``tilde_shift``.
 
     Returns read-only ``(values, vectors)`` sorted by ascending eigenvalue,
-    computed once per ``(k, lowest)`` and kept on the shift. The lowest end
-    uses ARPACK's shift-invert Lanczos (``eigsh`` with
-    ``sigma=_EIGSH_SIGMA``) on the shift's one sparse LU of
-    ``T - sigma I``, O(n k) memory; the highest end uses plain Lanczos. Both
-    start from one fixed vector, so no random stream is drawn from.
-    ARPACK needs ``k < n - 1``; for ``k >= n - 1`` this makes one dense
-    ``np.linalg.eigh``, the only dense eigensolve on the ``gsrec run`` path.
-    Raises :class:`EigensolveFailed` when ARPACK does not converge, without a
-    dense retry.
+    computed once per k and kept on the shift. Uses ARPACK's shift-invert
+    Lanczos (``eigsh`` with ``sigma=_EIGSH_SIGMA``) on the shift's one sparse
+    LU of ``T - sigma I``, O(n k) memory, started from one fixed vector, so
+    no random stream is drawn from. ARPACK needs ``k < n - 1``; for
+    ``k >= n - 1`` this makes one dense ``np.linalg.eigh``, the only dense
+    eigensolve on the ``gsrec run`` path. Raises :class:`EigensolveFailed`
+    when ARPACK does not converge, without a dense retry.
     """
-    if (k, lowest) in shift._eigenpairs:
-        return shift._eigenpairs[k, lowest]
+    if k in shift._eigenpairs:
+        return shift._eigenpairs[k]
     matrix, n = tilde_shift(shift), shift.n
     if k >= n - 1:
         values, vectors = np.linalg.eigh(matrix.toarray())
-        keep = slice(0, k) if lowest else slice(n - k, n)
-        values, vectors = values[keep], vectors[:, keep]
+        values, vectors = values[:k], vectors[:, :k]
     else:
         # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
         from scipy.sparse.linalg import ArpackError, eigsh
@@ -288,19 +284,18 @@ def _extreme_eigenpairs(shift: GraphShift, k: int, lowest: bool = True,
         # never the constant vector: for a row-stochastic A that is an exact
         # null vector of T, and a Lanczos basis started there finds nothing else
         start = 1.0 + 0.5 * np.cos(0.618 * np.arange(n))
-        where = ({"sigma": _EIGSH_SIGMA, "which": "LM",
-                  "OPinv": shift._tilde_inverse} if lowest else {"which": "LA"})
         try:
             values, vectors = eigsh(sp.csc_array(matrix, dtype=float), k,
-                                    v0=start, **where)
+                                    sigma=_EIGSH_SIGMA, which="LM",
+                                    OPinv=shift._tilde_inverse, v0=start)
         except ArpackError as exc:
             raise EigensolveFailed(
-                f"ARPACK found no {k} {'lowest' if lowest else 'highest'} "
-                f"eigenpairs of an {n}-node operator: {exc}") from exc
+                f"ARPACK found no {k} lowest eigenpairs of an {n}-node "
+                f"operator: {exc}") from exc
         order = np.argsort(values, kind="stable")
         values, vectors = values[order], vectors[:, order]
     values.flags.writeable = vectors.flags.writeable = False
-    shift._eigenpairs[k, lowest] = values, vectors
+    shift._eigenpairs[k] = values, vectors
     return values, vectors
 
 

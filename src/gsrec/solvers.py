@@ -38,13 +38,14 @@ The shift enters through its CSR matrix A and the operators the
 forms factor sparse systems built from ``(I - A)^T (I - A)`` with
 :func:`~gsrec.prox.factorized`, the iterative solvers apply A and the
 shift's CSR A^T as sparse products, O(nnz) each, and
-``anomaly_detect_constrained`` reads the few extreme eigenpairs it needs.
+``anomaly_detect_constrained`` reads the few lowest eigenpairs it needs.
 
-``anomaly_detect_constrained`` bisects over the l1 weight, each weight's
-solve warm-started from the outliers at the weight solved before it, and
-polishes each solve along the variation-free subspace by an exact l1 line
-search: the weighted median of the breakpoints, found from one sort and
-prefix sums, O(n log n) time and O(n) memory per direction.
+``anomaly_detect_constrained`` bisects over the l1 weight in one loop of
+``MAX_BISECT`` weights, each weight's solve warm-started from the outliers
+at the weight solved before it, and polishes each solve along the
+variation-free subspace by an exact l1 line search: the weighted median of
+the breakpoints, found from one sort and prefix sums, O(n log n) time and
+O(n) memory per direction.
 
 Iterative solvers stop when the objective changes by less than
 ``config.tol_outer`` between consecutive iterations; ``gsr_admm`` (so also
@@ -70,7 +71,7 @@ from .errors import (
 )
 from .graph import (
     GraphShift,
-    _extreme_eigenpairs,
+    _lowest_eigenpairs,
     _require_normalized,
     tilde_shift,
 )
@@ -79,8 +80,8 @@ from .prox import factorized, shrink, svt
 # Relative feasibility tolerance for the ADMM coupling constraints.
 FEAS_RTOL = 1e-6
 
-# Bisection steps of anomaly_detect_constrained after its halving search:
-# each halves the bracket of the critical l1 weight.
+# Weights anomaly_detect_constrained tries: each halves the bracket of the
+# critical l1 weight, which starts as [0, beta_hi].
 MAX_BISECT = 40
 
 # Step search of the proximal-gradient driver: each iteration starts at most
@@ -110,12 +111,11 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.penalty <= 0:
-            raise ValueError("penalty must be positive")
-        if self.tol_outer <= 0:
-            raise ValueError("tol_outer must be positive")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
+        for name in ("penalty", "tol_outer"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 
@@ -568,24 +568,23 @@ def _l1_polish_along(e: np.ndarray, basis: np.ndarray, passes: int = 4) -> np.nd
     return e
 
 
-def _variation_free(shift: GraphShift) -> tuple[np.ndarray, float]:
-    """Null space basis of ``tilde_shift(shift)`` and its largest eigenvalue.
+def _variation_free(shift: GraphShift) -> np.ndarray:
+    """Null space basis of ``tilde_shift(shift)``.
 
     The null space holds the signals with zero variation (one vector per
     closed class of a row-stochastic shift). An eigenvalue counts as zero at
-    or below ``1e-12 * max(lambda_max, 1)``. Both ends come from the shift's
-    sparse Lanczos solves: ``lambda_max`` from one, the null space from the
-    lowest k = 2, 4, 8, ... eigenpairs (sharing one sparse LU) until the
+    or below ``1e-12 * max(||T||_inf, 1)``: the largest absolute row sum of
+    T bounds its largest eigenvalue and costs O(nnz). The basis comes from
+    the lowest k = 2, 4, 8, ... eigenpairs (sharing one sparse LU) until the
     largest of them is nonzero; k starts at 2, the least that shows a
     connected graph's one null vector is the only one.
     """
-    lambda_max = float(_extreme_eigenpairs(shift, 1, lowest=False)[0][-1])
-    cutoff = 1e-12 * max(lambda_max, 1.0)
+    cutoff = 1e-12 * max(float(abs(tilde_shift(shift)).sum(axis=1).max()), 1.0)
     n, k = shift.n, min(2, shift.n)
     while True:
-        values, vectors = _extreme_eigenpairs(shift, k)
+        values, vectors = _lowest_eigenpairs(shift, k)
         if values[-1] > cutoff or k == n:
-            return vectors[:, values <= cutoff], lambda_max
+            return vectors[:, values <= cutoff]
         k = min(2 * k, n)
 
 
@@ -597,23 +596,27 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     Finds the critical l1 weight by bisection so the cleaned signal satisfies
     ``||x - A x||_2^2 <= eta_smooth^2`` (with 1e-6 relative slack) while the
     outlier estimate stays as small as possible, then returns the solution at
-    that weight. The bisection is warm-started: the first penalized solve at
-    each weight, those of the initial halving search included, starts from
-    the outliers at the weight solved just before it. Each penalized solve is
-    polished by an exact l1 line search over the variation-free subspace
-    (directions the cap cannot see), a weighted median of O(n log n) time
-    and O(n) memory per direction, which removes the slow drift the plain
-    proximal iteration suffers there. Raises :class:`Infeasible` when no
-    weight in the search range satisfies the cap.
+    that weight. One bisection of ``[0, beta_hi]`` tries ``MAX_BISECT``
+    weights, ``beta_hi`` lying above the weight at which the outliers
+    vanish: until a weight is feasible each midpoint halves the weight, and
+    the first feasible weight ``lo`` leaves the bracket ``[lo, 2 lo]``. The
+    first penalized solve at each weight starts from the outliers at the
+    weight solved just before it. Each penalized solve is polished by an
+    exact l1 line search over the variation-free subspace (directions the
+    cap cannot see), a weighted median of O(n log n) time and O(n) memory
+    per direction, which removes the slow drift the plain proximal iteration
+    suffers there. Raises :class:`Infeasible` when none of the weights, down
+    to ``beta_hi * 2^-MAX_BISECT``, satisfies the cap.
 
     ``converged`` certifies the constrained problem: the returned point meets
-    the cap and is stationary for the final weight (up to variation-free
-    directions, which the polish handles exactly). ``iterations`` sums the
-    iterations (and polish steps) of every weight the bisection tried; the
-    objective trace is that of the returned weight alone.
+    the cap and is stationary for the final weight at the step of the final
+    solve (up to variation-free directions, which the polish handles
+    exactly). ``iterations`` sums the iterations (and polish steps) of every
+    weight the bisection tried; the objective trace is that of the returned
+    weight alone.
     """
-    if eta_smooth < 0:
-        raise ValueError("eta_smooth must be nonnegative")
+    if not eta_smooth >= 0:
+        raise ValueError(f"eta_smooth must be nonnegative, got {eta_smooth}")
     config = config or SolverConfig()
     t = _vector_signal(t, shift)
     target = eta_smooth ** 2
@@ -639,11 +642,8 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
             },
         )
 
-    # sparse Lanczos solves: the variation-free subspace and the Lipschitz
-    # constant, without a dense copy of the operator
     at = tilde_shift(shift)
-    null_basis, lambda_max = _variation_free(shift)
-    lipschitz = 2.0 * max(lambda_max, 0.0)
+    null_basis = _variation_free(shift)
 
     last = None  # outliers at the weight solved last
 
@@ -680,38 +680,26 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     if beta_hi <= 0:
         beta_hi = 1.0
     best = None
-    beta_lo = beta_hi
+    lo, hi = 0.0, beta_hi
     iterations = 0
-    for _ in range(80):
-        beta_lo *= 0.5
-        sol = solve_at(beta_lo)
-        iterations += sol.iterations
-        if feasible(_variation(sol.x[:, None], shift)):
-            best = (beta_lo, sol)
-            break
-    if best is None:
-        raise Infeasible(
-            f"no l1 weight down to {beta_lo:.3e} meets the smoothness cap "
-            f"{target:.3e}"
-        )
-    lo, hi = best[0], beta_hi
-    steps = 0
     for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         sol = solve_at(mid)
         iterations += sol.iterations
-        steps += 1
         if feasible(_variation(sol.x[:, None], shift)):
-            lo = mid
-            best = (mid, sol)
+            lo, best = mid, (mid, sol)
         else:
             hi = mid
+    if best is None:
+        raise Infeasible(
+            f"no l1 weight down to {hi:.3e} meets the smoothness cap "
+            f"{target:.3e}"
+        )
     beta_star, sol = best
 
     # stationarity certificate at the returned point, ignoring displacement
     # along the variation-free subspace the polish already optimized
-    e = sol.outliers
-    step_fp = 1.0 / max(lipschitz, 1e-12)
+    e, step_fp = sol.outliers, sol.meta["step"]
     grad = -2.0 * (at @ (t - e))
     disp = e - shrink(e - step_fp * grad, step_fp * beta_star)
     if null_basis.size:
@@ -722,7 +710,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
         sol, iterations=iterations, converged=sol.converged or stationary,
         meta=dict(sol.meta, solver="anomaly_detect_constrained",
                   beta_reg=beta_star, smoothness=_variation(sol.x[:, None], shift),
-                  target=target, bisections=steps, stationarity=stationarity))
+                  target=target, bisections=MAX_BISECT, stationarity=stationarity))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,20 @@ class TestDetect:
                      "--signal", str(signal), "--out", str(tmp_path / "run")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--beta", "-1"],
+        ["--beta", "nan"],
+        ["--method", "anomaly-constrained", "--eta-smooth", "-1"],
+        ["--method", "anomaly-constrained", "--eta-smooth", "nan"],
+    ], ids=lambda flags: " ".join(flags[-2:]))
+    def test_negative_or_nan_weight_is_config_error(self, tmp_path, graph_file,
+                                                    capsys, flags):
+        signal = write_signal(tmp_path, "t.csv", np.zeros(12))
+        code = main(["detect", "--graph", str(graph_file), "--signal", str(signal),
+                     "--out", str(tmp_path / "run"), *flags])
+        assert code == 2
+        assert flags[-2] in capsys.readouterr().err
+
     def test_constrained_needs_eta(self, tmp_path, graph_file):
         signal = write_signal(tmp_path, "t.csv", np.zeros(12))
         code = main(["detect", "--graph", str(graph_file),
@@ -300,6 +314,23 @@ class TestRun:
         cfg.write_text("{nope")
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "2"]], ids=["", "seed"])
+    def test_description_not_an_object(self, tmp_path, seed):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text("[1, 2]")
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "r"), *seed]) == 2
+
+    def test_nan_solver_weight(self, tmp_path, capsys):
+        desc = json.loads(self.experiment(tmp_path).read_text())
+        desc["solvers"] = [{"method": "gtvr", "config": {"alpha": float("nan")}}]
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps(desc))
+        assert "NaN" in cfg.read_text()  # JSON's NaN literal
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert "alpha" in capsys.readouterr().err
 
     def test_invalid_description(self, tmp_path):
         cfg = tmp_path / "exp.json"

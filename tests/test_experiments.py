@@ -476,6 +476,7 @@ class TestExperimentSpec:
         ("ratios", ["a"]),
         ("corrupt.fraction", "a lot"),
         ("eta_smooth", "smooth"),
+        ("eta_smooth", float("nan")),
     ])
     def test_non_numeric_values_are_config_errors(self, tmp_path, where, value):
         raw = self.base()

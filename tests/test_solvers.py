@@ -9,6 +9,8 @@ from gsrec import (
     EmptyAccessibleSet,
     GraphBuildSpec,
     GraphShift,
+    Infeasible,
+    RecoveryResult,
     SolverConfig,
     SyntheticSpec,
     anomaly_detect,
@@ -82,6 +84,12 @@ class TestSolverConfig:
             SolverConfig(tol_outer=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_outer=0)
+
+    @pytest.mark.parametrize("key", ["alpha", "beta", "gamma", "penalty", "tol_outer"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**{key: value})
 
     def test_dict_round_trip(self):
         cfg = SolverConfig(alpha=2.0, beta=0.5, gamma=0.1, max_outer=30)
@@ -379,6 +387,16 @@ class TestAnomalyDetectConstrained:
         with pytest.raises(ValueError):
             anomaly_detect_constrained(np.zeros(3), cycle_shift(3), -1.0)
 
+    def test_nan_cap_rejected(self):
+        with pytest.raises(ValueError):
+            anomaly_detect_constrained(np.zeros(3), cycle_shift(3), np.nan)
+
+    def test_infinite_cap_returns_the_signal(self):
+        t = np.arange(3.0)
+        res = anomaly_detect_constrained(t, cycle_shift(3), np.inf)
+        np.testing.assert_array_equal(res.x, t)
+        assert res.meta["bisections"] == 0 and res.converged
+
     def test_iterations_count_every_bisection_solve(self, monkeypatch):
         import gsrec.solvers as solvers
 
@@ -397,6 +415,25 @@ class TestAnomalyDetectConstrained:
         res = anomaly_detect_constrained(t, shift, 0.1)
         assert len(counts) > 1
         assert res.iterations >= sum(counts)
+
+    def test_infeasible_after_max_bisect_weights(self, monkeypatch):
+        """A solve that never removes anything meets no cap: MAX_BISECT halvings."""
+        import gsrec.solvers as solvers
+
+        weights = []
+
+        def stuck(t, shift, beta_reg, config=None, e0=None):
+            weights.append(beta_reg)
+            return RecoveryResult(x=t.copy(), outliers=np.zeros_like(t),
+                                  meta={"step": 1.0})
+
+        monkeypatch.setattr(solvers, "anomaly_detect", stuck)
+        shift = symmetric_shift(10, 28)
+        t = np.random.default_rng(29).normal(size=10)
+        with pytest.raises(Infeasible, match="down to"):
+            anomaly_detect_constrained(t, shift, 0.0)
+        beta_hi = 1.001 * 2.0 * float(np.max(np.abs(tilde_shift(shift) @ t)))
+        assert weights == [beta_hi / 2 ** (i + 1) for i in range(solvers.MAX_BISECT)]
 
 
     def test_bisection_warm_starts_each_weight(self, monkeypatch):

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import gsrec.prox
+import gsrec.solvers
 from gsrec import (
     DimensionMismatch,
     EigensolveFailed,
@@ -42,9 +43,9 @@ from gsrec import (
     tilde_shift,
 )
 from gsrec.cli import main
-from gsrec.graph import _extreme_eigenpairs
+from gsrec.graph import _lowest_eigenpairs
 from gsrec.prox import factorized
-from gsrec.solvers import _variation_free
+from gsrec.solvers import MAX_BISECT, _variation_free
 
 
 def knn(n, seed, **build):
@@ -321,7 +322,7 @@ class TestEigenBasis:
         distance = np.abs(projector(basis) - projector(vectors[:, :r])).max()
         assert distance <= 1e-8
         np.testing.assert_allclose(basis.T @ basis, np.eye(r), rtol=0.0, atol=1e-10)
-        low, _ = _extreme_eigenpairs(shift, r)
+        low, _ = _lowest_eigenpairs(shift, r)
         np.testing.assert_allclose(low, values[:r], rtol=0.0, atol=1e-12 * values[-1])
 
     def test_sign_convention(self, kind):
@@ -352,11 +353,10 @@ def test_variation_free_subspace_of_two_closed_classes():
     values, vectors = np.linalg.eigh(dense_tilde(shift))
     dense_null = vectors[:, values <= 1e-12 * max(values[-1], 1.0)]
     assert dense_null.shape[1] == 2
-    null_basis, lambda_max = _variation_free(shift)
+    null_basis = _variation_free(shift)
     assert null_basis.shape == (shift.n, 2)
     distance = np.abs(projector(null_basis) - projector(dense_null)).max()
     assert distance <= 1e-10
-    assert abs(lambda_max - values[-1]) <= 1e-10 * values[-1]
 
 
 def _no_dense_eigh(*args, **kwargs):
@@ -441,9 +441,51 @@ def test_draws_on_one_shift_share_one_eigensolve(eigsh_calls):
 
 def test_variation_free_makes_one_lowest_end_solve(eigsh_calls):
     shift = knn8(300, 1)
-    null_basis, _ = _variation_free(shift)
+    null_basis = _variation_free(shift)
     assert null_basis.shape == (shift.n, 1)  # connected: one closed class
-    assert sum("sigma" in call for call in eigsh_calls) == 1
+    assert len(eigsh_calls) == 1 and "sigma" in eigsh_calls[0]
+
+
+def test_anomaly_constrained_solves_only_at_the_lowest_end(eigsh_calls):
+    """The signal's eigen basis and the variation-free subspace: no other solve."""
+    shift = knn8(300, 1)
+    anomaly_detect_constrained(spiky_signal(shift, 2), shift, 1.0)
+    assert len(eigsh_calls) == 2
+    assert all("sigma" in call for call in eigsh_calls)
+
+
+def test_anomaly_constrained_bisects_one_bracket(monkeypatch):
+    """MAX_BISECT weights, each strictly inside the bracket the earlier ones left.
+
+    A weight counts as feasible when it is at most the returned weight, the
+    largest one that met the cap.
+    """
+    shift = knn8(300, 1)
+    t = spiky_signal(shift, 2)
+    weights = []
+    original = gsrec.solvers.anomaly_detect
+
+    def recorded(t, shift, beta_reg, *args, **kwargs):
+        if not weights or weights[-1] != beta_reg:  # polish re-solves repeat it
+            weights.append(beta_reg)
+        return original(t, shift, beta_reg, *args, **kwargs)
+
+    monkeypatch.setattr(gsrec.solvers, "anomaly_detect", recorded)
+    beta_star = anomaly_detect_constrained(t, shift, 1.0).meta["beta_reg"]
+    assert len(weights) == len(set(weights)) == MAX_BISECT
+    beta_hi = 1.001 * 2.0 * float(np.max(np.abs(tilde_shift(shift) @ t)))
+    first = next(i for i, beta in enumerate(weights) if beta <= beta_star)
+    assert first >= 2  # the halving part is not empty
+    assert weights[:first + 1] == [beta_hi / 2 ** (i + 1) for i in range(first + 1)]
+    lo, hi = 0.0, beta_hi
+    for beta in weights:
+        assert lo < beta < hi
+        if beta <= beta_star:
+            lo = beta
+        else:
+            hi = beta
+    assert lo == beta_star
+    assert hi - lo == pytest.approx(beta_hi / 2 ** MAX_BISECT, rel=1e-3)
 
 
 def test_solvers_leave_the_kept_operators_intact():
@@ -460,7 +502,7 @@ def test_solvers_leave_the_kept_operators_intact():
     np.testing.assert_array_equal(at.indptr, fresh.indptr)
     np.testing.assert_array_equal(at.indices, fresh.indices)
     np.testing.assert_array_equal(at.data, fresh.data)
-    values, vectors = _extreme_eigenpairs(shift, 10)
+    values, vectors = _lowest_eigenpairs(shift, 10)
     assert not values.flags.writeable and not vectors.flags.writeable
     with pytest.raises(ValueError):
         vectors[0, 0] = 1.0
