@@ -33,6 +33,13 @@ LU factorization made once per call, an ``svt`` or a ``shrink``. With a
 nuclear-norm weight the svt acts on X and the solve on a duplicate of X; at
 beta = 0 there is no duplicate and the solve is the X-step itself.
 
+Every nuclear-norm step (``svt``) and nuclear-norm value (``gmcm``'s
+re-pinned candidates and the start values of ``gmcm``, ``gmcr`` and
+``gsr_admm``) comes from :mod:`gsrec.prox`. For a tall n x L iterate
+(n >= 4 L) both read the spectrum off the L x L Gram matrix ``X^T X`` by one
+``eigh`` or ``eigvalsh``, O(n L^2), and use the SVD only where squaring the
+matrix would cost accuracy (see :func:`~gsrec.prox.svt`).
+
 The shift enters through its CSR matrix A and the operators the
 :class:`~gsrec.graph.GraphShift` derives from A once and keeps: the closed
 forms factor sparse systems built from ``(I - A)^T (I - A)`` with
@@ -75,7 +82,7 @@ from .graph import (
     _require_normalized,
     tilde_shift,
 )
-from .prox import factorized, shrink, svt
+from .prox import _nuclear_norm, factorized, shrink, svt
 
 # Relative feasibility tolerance for the ADMM coupling constraints.
 FEAS_RTOL = 1e-6
@@ -116,8 +123,12 @@ class SolverConfig:
         for name in ("penalty", "tol_outer"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+        # bool is an int subclass, and a float would end in range()
+        if (isinstance(self.max_outer, bool)
+                or not isinstance(self.max_outer, (int, np.integer))
+                or self.max_outer < 1):
+            raise ValueError("max_outer must be an integer of at least 1, "
+                             f"got {self.max_outer!r}")
 
     def replace(self, **changes) -> "SolverConfig":
         return dataclass_replace(self, **changes)
@@ -193,10 +204,6 @@ def _vector_inputs(t, mask, shift: GraphShift) -> tuple[np.ndarray, np.ndarray]:
     if not m.any():
         raise EmptyAccessibleSet("mask marks no entry as accessible")
     return t, m
-
-
-def _nuclear_norm(X: np.ndarray) -> float:
-    return float(np.sum(np.linalg.svd(X, compute_uv=False)))
 
 
 def _variation(X: np.ndarray, shift: GraphShift) -> float:

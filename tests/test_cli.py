@@ -179,6 +179,17 @@ class TestDetect:
         assert code == 2
         assert flags[-2] in capsys.readouterr().err
 
+    def test_non_integer_max_outer_is_config_error(self, tmp_path, graph_file,
+                                                   capsys):
+        signal = write_signal(tmp_path, "t.csv", np.zeros(12))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"max_outer": 2.5}))
+        code = main(["detect", "--graph", str(graph_file), "--signal", str(signal),
+                     "--beta", "0.5", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "max_outer" in capsys.readouterr().err
+
     def test_constrained_needs_eta(self, tmp_path, graph_file):
         signal = write_signal(tmp_path, "t.csv", np.zeros(12))
         code = main(["detect", "--graph", str(graph_file),

@@ -85,6 +85,16 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(max_outer=0)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_non_integer_max_outer_rejected(self, value):
+        with pytest.raises(ValueError, match="max_outer"):
+            SolverConfig(max_outer=value)
+        with pytest.raises(ConfigError):
+            solver_config_from_dict({"max_outer": value})
+
+    def test_numpy_integer_max_outer_accepted(self):
+        assert SolverConfig(max_outer=np.int64(3)).max_outer == 3
+
     @pytest.mark.parametrize("key", ["alpha", "beta", "gamma", "penalty", "tol_outer"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_values_rejected(self, key, value):
@@ -112,6 +122,38 @@ class TestSolverConfig:
         cfg = SolverConfig()
         other = cfg.replace(gamma=0.7)
         assert other.gamma == 0.7 and cfg.gamma == 0.0
+
+
+class TestCompletionWork:
+    """On a tall instance (n >= 4 L) the nuclear-norm solvers threshold and
+    measure every iterate through its L x L Gram matrix: no SVD at all."""
+
+    @pytest.fixture
+    def tall_instance(self):
+        n, l = 60, 10
+        shift = build_knn_graph(random_features(n, 2, 21), GraphBuildSpec(k=6))
+        inst = synth_instance(shift, SyntheticSpec(n=n, l=l, rank=3,
+                                                   noise_sigma=0.05), 22)
+        return inst.observed, sample_mask(inst.observed.shape, 0.5, 23), shift
+
+    @pytest.mark.parametrize("solver", [gmcm, gmcr, gsr_admm],
+                             ids=["gmcm", "gmcr", "gsr_admm"])
+    def test_no_svd_at_positive_beta(self, monkeypatch, tall_instance, solver):
+        calls = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        T, mask, shift = tall_instance
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        # beta as in the completion benchmark; at a small beta gmcm's halved
+        # steps can take t * beta below the Gram floor, where the SVD is due
+        res = solver(T, mask, shift, SolverConfig(alpha=1.0, beta=2.0,
+                                                  gamma=0.1, max_outer=300))
+        assert res.iterations > 5 and np.all(np.isfinite(res.x))
+        assert calls == []
 
 
 class TestGtvm:
