@@ -170,17 +170,31 @@ def verify_inpainting_bound(shift: GraphShift, node_mask: np.ndarray,
     return BoundCheck(holds=holds, lhs=lhs, rhs=rhs, report=report)
 
 
-def tv_svd_terms(X: np.ndarray, shift: GraphShift) -> np.ndarray:
-    """Per-singular-triplet variation terms ``sigma_i^2 ||u_i - A u_i||^2``.
+def _thin_svd(X: np.ndarray, shift: GraphShift
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X as a float matrix with its left singular vectors and values.
 
-    Their sum equals the matrix variation of X exactly, which ties the
-    spectrum of X to the smoothness of its column space.
+    Raises ``np.linalg.LinAlgError`` for a non-finite X before the SVD, as
+    :func:`~gsrec.prox.svt` does: an inf makes LAPACK's SVD loop without end.
     """
     _require_normalized(shift)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != shift.n:
         raise DimensionMismatch(f"expected ({shift.n}, L) matrix, got {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise np.linalg.LinAlgError("singular values of a non-finite matrix")
     u, s, _ = np.linalg.svd(X, full_matrices=False)
+    return X, u, s
+
+
+def tv_svd_terms(X: np.ndarray, shift: GraphShift) -> np.ndarray:
+    """Per-singular-triplet variation terms ``sigma_i^2 ||u_i - A u_i||^2``.
+
+    Their sum equals the matrix variation of X exactly, which ties the
+    spectrum of X to the smoothness of its column space. A non-finite X
+    raises ``np.linalg.LinAlgError``.
+    """
+    _, u, s = _thin_svd(X, shift)
     d = u - shift.matrix @ u
     return s ** 2 * np.sum(d * d, axis=0)
 
@@ -190,13 +204,10 @@ def nuclear_tv_bound(X: np.ndarray, shift: GraphShift) -> tuple[float, float]:
 
     Returns ``(lhs, rhs)`` with ``lhs = ||X - A X||_F^2`` and
     ``rhs = ||U - A U||_F^2 * ||X||_*^2`` over the rank-revealing left
-    singular vectors U. Always ``lhs <= rhs``.
+    singular vectors U. Always ``lhs <= rhs``. A non-finite X raises
+    ``np.linalg.LinAlgError``.
     """
-    _require_normalized(shift)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != shift.n:
-        raise DimensionMismatch(f"expected ({shift.n}, L) matrix, got {X.shape}")
-    u, s, _ = np.linalg.svd(X, full_matrices=False)
+    X, u, s = _thin_svd(X, shift)
     lhs = matrix_variation(X, shift)
     if s.size == 0 or s[0] <= 0.0:
         return lhs, 0.0

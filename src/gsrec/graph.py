@@ -37,6 +37,7 @@ from .errors import (
     NotDiagonalizable,
     ZeroSpectralRadius,
 )
+from .prox import factorized
 
 # Relative spread of row (or column) sums below which a nonnegative matrix's
 # spectral radius is read off its sums instead of an eigensolve.
@@ -50,9 +51,10 @@ _DIAG_RECON_TOL = 1e-8
 # ``tilde_shift``. Negative, so ``T - sigma I`` is positive definite and its
 # LU never meets a singular pivot, even on an exact null space; small, so the
 # wanted eigenvalues (0 and just above) still map to the largest, best
-# separated ones of ``(T - sigma I)^{-1}``. For the 10 lowest pairs of an
-# n = 2000, k = 8 kNN graph (2-vCPU machine, one BLAS thread) sigma = -1e-5
-# took 0.08 s, -1e-4 0.09-0.10 s, -1e-3 0.18-0.20 s and -1e-2 0.42-0.71 s.
+# separated ones of ``(T - sigma I)^{-1}``. For the 10 lowest pairs of the
+# n = 2000, k = 8 kNN graphs of seeds 1-3 (2-vCPU Xeon guest, one BLAS
+# thread), factorization included, sigma = -1e-5 took 0.037-0.041 s, -1e-4
+# 0.041-0.052 s, -1e-3 0.095-0.112 s and -1e-2 0.21-0.35 s.
 # The condition number it allows, ``lambda_max / 1e-5`` (at most 4e5), costs
 # no visible accuracy: the null vector of a row-stochastic shift came out
 # closer to the constant vector than a dense ``eigh`` puts it.
@@ -131,13 +133,12 @@ class GraphShift:
 
     @cached_property
     def _tilde_inverse(self):
-        # ``(T - sigma I)^{-1}`` from one sparse LU, sigma = _EIGSH_SIGMA;
-        # built the way ``eigsh`` builds its own shift-invert operator, so
-        # passing it gives bitwise the same eigenpairs
-        from scipy.sparse.linalg import LinearOperator, splu
+        # ``(T - sigma I)^{-1}``, sigma = _EIGSH_SIGMA, from the one sparse LU
+        # path, ``prox.factorized``
+        from scipy.sparse.linalg import LinearOperator
 
-        lu = splu(sp.csc_array(self._tilde) - _EIGSH_SIGMA * sp.eye(self.n))
-        return LinearOperator((self.n, self.n), matvec=lu.solve, dtype=float)
+        solve = factorized(self._tilde - _EIGSH_SIGMA * sp.eye_array(self.n))
+        return LinearOperator((self.n, self.n), matvec=solve, dtype=float)
 
     @cached_property
     def _eigenpairs(self) -> dict:  # k -> (values, vectors)

@@ -247,6 +247,21 @@ class TestNuclearTvBound:
             assert lhs <= rhs + 1e-10
 
 
+def _svd_not_reached(*args, **kwargs):
+    raise AssertionError("np.linalg.svd reached with a non-finite matrix")
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("check", [tv_svd_terms, nuclear_tv_bound])
+def test_non_finite_matrix_raises_before_the_svd(monkeypatch, check, bad):
+    """An inf entry makes LAPACK's SVD loop without end, so none is tried."""
+    X = np.random.default_rng(20).normal(size=(20, 4))
+    X[3, 1] = bad
+    monkeypatch.setattr(np.linalg, "svd", _svd_not_reached)
+    with pytest.raises(np.linalg.LinAlgError):
+        check(X, cycle_shift(20))
+
+
 class TestSubspaceSmoothnessBound:
     def test_zero_coefficients(self):
         shift = symmetric_shift(6, 16)

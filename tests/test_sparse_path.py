@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 import scipy.sparse.linalg
 
+import gsrec.graph
 import gsrec.prox
 import gsrec.solvers
 from gsrec import (
@@ -46,6 +47,8 @@ from gsrec.cli import main
 from gsrec.graph import _lowest_eigenpairs
 from gsrec.prox import factorized
 from gsrec.solvers import MAX_BISECT, _variation_free
+
+SCIPY_SPLU = scipy.sparse.linalg.splu  # scipy's own, before any test wraps it
 
 
 def knn(n, seed, **build):
@@ -506,3 +509,98 @@ def test_solvers_leave_the_kept_operators_intact():
     assert not values.flags.writeable and not vectors.flags.writeable
     with pytest.raises(ValueError):
         vectors[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# One factorization path, in SuperLU's symmetric mode
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def kept_lus(monkeypatch):
+    """The SuperLU object of every ``splu`` call, in call order."""
+    lus = []
+
+    def recorded(*args, **kwargs):
+        lus.append(SCIPY_SPLU(*args, **kwargs))
+        return lus[-1]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
+    return lus
+
+
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def test_fill_is_at_most_0_6_of_scipy_default(kept_lus):
+    """``I + 2 T`` on n = 1000 kNN graphs, against COLAMD with partial pivoting.
+
+    Per graph the ratio lies between 0.54 and 0.65 over seeds 1-10; summed
+    over seeds 1-3 it is 0.59.
+    """
+    ours = default = 0
+    for seed in (1, 2, 3):
+        shift = knn8(1000, seed)
+        h = sp.eye_array(shift.n) + 2.0 * tilde_shift(shift)
+        factorized(h)
+        ours += fill(kept_lus[-1])
+        default += fill(SCIPY_SPLU(sp.csc_array(h)))
+    assert len(kept_lus) == 3
+    assert ours <= 0.6 * default
+
+
+@pytest.mark.parametrize("make", [lambda: knn8(300, 3), lambda: GRAPHS["knn-column"](1),
+                                  lambda: GRAPHS["cycle"](1)],
+                         ids=["knn8-300", "knn-column", "cycle"])
+def test_every_graph_system_pivots_on_its_diagonal(kept_lus, pinv_calls, make):
+    shift = make()
+    t, m = signal_and_mask(shift.n, 3)
+    gtvm(t, m, shift)
+    gtvr(t, m, shift, 0.7)
+    laplacian_baseline(t, m, laplacian_from_shift(shift), 0.7)
+    gsr_admm(t, m, shift, SolverConfig(gamma=0.5))
+    shift._tilde_inverse  # built on first use, from one factorization
+    assert len(kept_lus) == 5 and pinv_calls == []
+    for lu in kept_lus:
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+
+
+def test_unsymmetric_system_with_a_tiny_diagonal_is_solved_stably():
+    """Diagonal pivots are taken only above 0.1 of their column's largest.
+
+    With a threshold of 0 the 1e-5 diagonal entries become the pivots, and
+    their backward errors reach 3e-11, with a median near 5e-12.
+    """
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        h = rng.normal(size=(30, 30))
+        np.fill_diagonal(h, 1e-5)
+        b = rng.normal(size=30)
+        y = factorized(h)(b)
+        error = np.linalg.norm(h @ y - b) / (
+            np.linalg.norm(h, 2) * np.linalg.norm(y) + np.linalg.norm(b))
+        assert error <= 1e-12
+
+
+def test_zero_diagonal_is_pivoted_off_the_diagonal(pinv_calls):
+    h = np.array([[0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(factorized(h)(np.array([2.0, 3.0])), [3.0, 2.0])
+    assert pinv_calls == []
+
+
+@pytest.mark.parametrize("make", [_inpaint, _robust_inpaint, _complete, _detect,
+                                  _combine], ids=lambda f: f.__name__[1:])
+def test_run_factors_only_exactly_symmetric_systems(tmp_path, monkeypatch, make):
+    """The minimum degree ordering of ``H + H^T`` assumes a symmetric H."""
+    systems = []
+
+    def recorded(h):
+        systems.append(sp.csr_array(h))
+        return factorized(h)
+
+    monkeypatch.setattr(gsrec.solvers, "factorized", recorded)
+    monkeypatch.setattr(gsrec.graph, "factorized", recorded)
+    assert _run(tmp_path, make(tmp_path)) == 0
+    assert systems
+    for h in systems:
+        assert (h - h.T).count_nonzero() == 0
