@@ -43,6 +43,10 @@ from .prox import factorized
 # spectral radius is read off its sums instead of an eigensolve.
 _SUM_RTOL = 1e-12
 
+# Largest residual ``||W v - lambda v|| / ||v||`` accepted from the ARPACK
+# eigenpair of :func:`spectral_radius`, relative to ``||W||_F >= |lambda|``.
+_RADIUS_RESIDUAL = 1e-8
+
 # Relative conditioning limit beyond which an eigenvector matrix is rejected.
 _DIAG_COND_LIMIT = 1e10
 _DIAG_RECON_TOL = 1e-8
@@ -158,6 +162,16 @@ class SpectralBasis:
         return self.vectors.shape[0]
 
 
+def _start_vector(n: int) -> np.ndarray:
+    """Fixed ARPACK start vector, so no eigensolve draws from a random stream.
+
+    Never the constant vector: for a row-stochastic A that is an exact null
+    vector of ``tilde_shift``, and a Lanczos basis started there finds
+    nothing else.
+    """
+    return 1.0 + 0.5 * np.cos(0.618 * np.arange(n))
+
+
 def cycle_shift(n: int) -> GraphShift:
     """Directed cycle on n nodes: the classical time-shift operator.
 
@@ -176,16 +190,41 @@ def spectral_radius(weights) -> float:
     A nonnegative matrix whose row sums (or column sums) all equal r to 1e-12
     relative has radius r (Perron-Frobenius); that covers row- or
     column-normalized kNN graphs, cycles and opinion graphs at any size
-    without an eigensolve, in O(nnz). Every other matrix is densified for one
-    dense eigensolve.
+    without an eigensolve, in O(nnz). Any other nonnegative matrix of three
+    or more nodes gets one sparse ARPACK solve (``eigs``, k = 1, largest
+    magnitude) from a fixed start vector, in O(nnz) memory, and its eigenpair
+    must pass a residual check: the Perron root is an eigenvalue that no
+    other outgrows. A matrix with a negative entry is densified for one dense
+    ``eigvals``, since ARPACK can settle on a smaller eigenvalue where many
+    crowd the spectral circle, as in a random signed matrix. Raises
+    :class:`EigensolveFailed` when ARPACK does not converge or its eigenpair
+    fails the check; a nilpotent matrix, or a weighted directed cycle whose
+    eigenvalues all share one magnitude, does not converge.
     """
     w = _csr(weights)
-    if np.all(w.data >= 0):
+    nonnegative = bool(np.all(w.data >= 0))
+    if nonnegative:
         for sums in (w.sum(axis=1), w.sum(axis=0)):
             r = float(sums.max())
             if r - float(sums.min()) <= _SUM_RTOL * r:
                 return r
-    return float(np.max(np.abs(np.linalg.eigvals(w.toarray()))))
+    n = w.shape[0]
+    if not nonnegative or n <= 2:  # ARPACK needs k < n - 1
+        return float(np.max(np.abs(np.linalg.eigvals(w.toarray()))))
+    # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
+    from scipy.sparse.linalg import ArpackError, eigs
+
+    try:
+        values, vectors = eigs(w, 1, which="LM", v0=_start_vector(n))
+    except ArpackError as exc:
+        raise EigensolveFailed(f"ARPACK found no largest-magnitude eigenvalue "
+                               f"of an {n}-node operator: {exc}") from exc
+    value, vector = values[0], vectors[:, 0]
+    residual = np.linalg.norm(w @ vector - value * vector) / np.linalg.norm(vector)
+    if not residual <= _RADIUS_RESIDUAL * np.linalg.norm(w.data):
+        raise EigensolveFailed(f"ARPACK's largest-magnitude eigenpair of an "
+                               f"{n}-node operator has residual {residual:.3e}")
+    return float(abs(value))
 
 
 def normalize_shift(shift: GraphShift) -> GraphShift:
@@ -282,13 +321,10 @@ def _lowest_eigenpairs(shift: GraphShift, k: int) -> tuple[np.ndarray, np.ndarra
         # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
         from scipy.sparse.linalg import ArpackError, eigsh
 
-        # never the constant vector: for a row-stochastic A that is an exact
-        # null vector of T, and a Lanczos basis started there finds nothing else
-        start = 1.0 + 0.5 * np.cos(0.618 * np.arange(n))
         try:
             values, vectors = eigsh(sp.csc_array(matrix, dtype=float), k,
                                     sigma=_EIGSH_SIGMA, which="LM",
-                                    OPinv=shift._tilde_inverse, v0=start)
+                                    OPinv=shift._tilde_inverse, v0=_start_vector(n))
         except ArpackError as exc:
             raise EigensolveFailed(
                 f"ARPACK found no {k} lowest eigenpairs of an {n}-node "

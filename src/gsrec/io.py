@@ -5,14 +5,18 @@ edge from src into dst, stored at ``weights[dst, src]``) or as a dense N x N
 CSV; either carries a JSON sidecar ``{"n": ..., "normalized": ...,
 "spectral_radius": ..., "format": ...}`` next to it; bundles use the edge
 list. Signals are plain numeric CSVs with one row per node; masks list
-accessible entries as ``row,col`` pairs. All parsers reject NaN and
-infinity, and name a bad row by its line number in the file.
+accessible entries as ``row,col`` pairs. One reader parses every CSV with a
+single ``np.loadtxt`` and the writers use ``np.savetxt``, so cells follow
+numpy's number syntax: no ``1_0`` digit separators, and indices must be
+integers. The readers reject NaN and infinity, and name a bad row by its
+line number in the file.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,46 +28,59 @@ from .solvers import RecoveryResult, SolverConfig
 
 FLOAT_FMT = "%.17g"
 
+# Rows of the integer-indexed CSVs; error messages name the fields
+_MASK_ROW = np.dtype([("row", np.int64), ("col", np.int64)])
+_EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", float)])
 
-def _read_rows(path: Path) -> list[tuple[int, list[str]]]:
-    """(file line number, cells) of each line that is not blank or a ``#``."""
+
+def _read_table(path, dtype: np.dtype) -> tuple[np.ndarray, list[int]]:
+    """One ``np.loadtxt`` of the lines of a CSV that are not blank or ``#``.
+
+    Returns the table (2-D for a plain dtype, one record per row for a record
+    dtype; empty for a file with no such line) and each row's line number.
+    """
     try:
-        lines = Path(path).read_text().splitlines()
+        text = Path(path).read_text().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return [(number, [cell.strip() for cell in line.split(",")])
-            for number, line in enumerate(lines, 1)
-            if line.strip() and not line.strip().startswith("#")]
+    numbers = [i for i, line in enumerate(text, 1)
+               if (s := line.lstrip()) and s[0] != "#"]
+    kept = [text[i - 1] for i in numbers]
+    ndmin = 1 if dtype.names else 2
+
+    def parse(rows):
+        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=ndmin)
+
+    if not kept:  # loadtxt warns on empty input
+        return np.empty((0,) * ndmin, dtype), numbers
+    try:
+        return parse(kept), numbers
+    except ValueError:
+        # numpy's message names no line in a stable form: bisect for the first
+        # line that fails alongside the first one (a ragged row parses alone)
+        lo, hi = 0, len(kept)  # kept[:lo] parse, kept[lo:hi] holds a bad line
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                parse(kept[:1] + kept[lo:mid])
+                lo = mid
+            except ValueError:
+                hi = mid
+    want = ",".join(dtype.names) if dtype.names else f"{kept[0].count(',') + 1} numbers"
+    raise DataError(f"{path} line {numbers[lo]}: expected {want}, got {kept[lo].strip()!r}")
 
 
-def _parse_float_rows(rows: list[tuple[int, list[str]]], path: Path,
-                      allow_nan: bool = False) -> np.ndarray:
-    if not rows:
-        raise DataError(f"{path} is empty")
-    width = len(rows[0][1])
-    data = np.empty((len(rows), width))
-    for i, (line, row) in enumerate(rows):
-        if len(row) != width:
-            raise DataError(
-                f"{path} line {line}: expected {width} columns, got {len(row)}"
-            )
-        try:
-            data[i] = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise DataError(f"{path} line {line}: {exc}") from exc
-    if allow_nan:
-        if np.any(np.isinf(data)):
-            raise DataError(f"{path} contains infinite values")
-    elif not np.all(np.isfinite(data)):
-        raise DataError(f"{path} contains NaN or infinite values")
-    return data
+def _check_rows(path, lines: list[int], bad: np.ndarray, describe) -> None:
+    """Raise a DataError naming the file line of the first row flagged in bad."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"{path} line {lines[i]}: {describe(i)}")
 
 
 def save_signal_csv(path, signal: np.ndarray) -> None:
     arr = np.asarray(signal, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    np.savetxt(path, arr, fmt=FLOAT_FMT, delimiter=",")
+    np.savetxt(path, arr[:, None] if arr.ndim == 1 else arr, fmt=FLOAT_FMT,
+               delimiter=",")
 
 
 def load_signal_csv(path, allow_nan: bool = False) -> np.ndarray:
@@ -72,31 +89,30 @@ def load_signal_csv(path, allow_nan: bool = False) -> np.ndarray:
     allow_nan admits NaN cells for feature tables with missing
     coordinates; infinities are always rejected.
     """
-    return _parse_float_rows(_read_rows(Path(path)), Path(path), allow_nan)
+    data, lines = _read_table(path, np.dtype(float))
+    if not data.size:
+        raise DataError(f"{path} is empty")
+    bad = np.isinf(data) if allow_nan else ~np.isfinite(data)
+    _check_rows(path, lines, bad.any(axis=1),
+                lambda i: "infinite value" if allow_nan else "NaN or infinite value")
+    return data
 
 
 def save_mask_csv(path, mask: np.ndarray) -> None:
     m = np.asarray(mask)
-    if m.ndim == 1:
-        m = m[:, None]
-    rows, cols = np.nonzero(m)
-    lines = [f"{r},{c}" for r, c in zip(rows, cols)]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    np.savetxt(path, np.argwhere(m[:, None] if m.ndim == 1 else m),
+               fmt="%d", delimiter=",")
 
 
 def load_mask_csv(path, shape: tuple[int, ...]) -> np.ndarray:
     """Boolean accessible-entry mask from row,col pairs."""
     mask2 = np.zeros(shape if len(shape) == 2 else (shape[0], 1), dtype=bool)
-    for line, row in _read_rows(Path(path)):
-        try:
-            r, c = map(int, row)
-        except ValueError as exc:  # a bad cell or a count other than two
-            raise DataError(f"{path} line {line}: expected row,col: {exc}") from exc
-        if not (0 <= r < mask2.shape[0] and 0 <= c < mask2.shape[1]):
-            raise DataError(
-                f"{path} line {line}: index ({r}, {c}) outside shape {mask2.shape}"
-            )
-        mask2[r, c] = True
+    pairs, lines = _read_table(path, _MASK_ROW)
+    rows, cols = pairs["row"], pairs["col"]
+    _check_rows(path, lines, (rows < 0) | (rows >= mask2.shape[0])
+                | (cols < 0) | (cols >= mask2.shape[1]),
+                lambda i: f"index ({rows[i]}, {cols[i]}) outside shape {mask2.shape}")
+    mask2[rows, cols] = True
     return mask2[:, 0] if len(shape) == 1 else mask2
 
 
@@ -106,10 +122,8 @@ def _sidecar_path(csv_path: Path) -> Path:
 
 def _write_sidecar(csv_path: Path, shift: GraphShift, fmt: str) -> None:
     _sidecar_path(csv_path).write_text(json.dumps({
-        "n": shift.n,
-        "normalized": shift.normalized,
-        "spectral_radius": shift.spectral_radius,
-        "format": fmt,
+        "n": shift.n, "normalized": shift.normalized,
+        "spectral_radius": shift.spectral_radius, "format": fmt,
     }, indent=2) + "\n")
 
 
@@ -120,11 +134,8 @@ def save_graph_edges(path, shift: GraphShift) -> None:
     """
     path = Path(path)
     edges = shift.matrix.tocoo()
-    lines = [
-        f"{s},{d},{FLOAT_FMT % w}"
-        for d, s, w in zip(edges.row, edges.col, edges.data)
-    ]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
+    np.savetxt(path, np.column_stack((edges.col, edges.row, edges.data)),
+               fmt="%d,%d," + FLOAT_FMT)
     _write_sidecar(path, shift, "edges")
 
 
@@ -132,6 +143,11 @@ def save_graph_dense(path, shift: GraphShift) -> None:
     path = Path(path)
     np.savetxt(path, shift.matrix.toarray(), fmt=FLOAT_FMT, delimiter=",")
     _write_sidecar(path, shift, "dense")
+
+
+def _is_json_number(value, kinds=(int, float)) -> bool:
+    """JSON true and false load as bools, which Python counts as ints."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def load_graph(path) -> GraphShift:
@@ -152,40 +168,34 @@ def load_graph(path) -> GraphShift:
         raise DataError(f"{sidecar}: 'normalized' must be true or false")
     radius = meta.get("spectral_radius")
     if radius is not None and not (
-            isinstance(radius, (int, float)) and not isinstance(radius, bool)
-            and 0.0 < radius <= sys.float_info.max):
+            _is_json_number(radius) and 0.0 < radius <= sys.float_info.max):
         raise DataError(f"{sidecar}: 'spectral_radius' must be null or a "
                         f"positive finite number, got {radius!r}")
+    n = meta.get("n")
+    if "n" in meta and not (_is_json_number(n, int) and n >= 1):
+        raise DataError(f"{sidecar}: 'n' must be an integer >= 1, got {n!r}")
     if fmt == "dense":
-        weights = _parse_float_rows(_read_rows(path), path)
+        weights = load_signal_csv(path)
         if weights.shape[0] != weights.shape[1]:
             raise DataError(f"{path}: dense graph must be square, got {weights.shape}")
-        if "n" in meta and meta["n"] != weights.shape[0]:
-            raise DataError(
-                f"{path}: sidecar says n={meta['n']} but file has {weights.shape[0]} rows"
-            )
+        if n is not None and n != weights.shape[0]:
+            raise DataError(f"{path}: sidecar says n={n} but file has "
+                            f"{weights.shape[0]} rows")
     elif fmt == "edges":
-        try:
-            n = int(meta["n"])
-        except (KeyError, TypeError, ValueError) as exc:
+        if n is None:
             raise DataError(f"{sidecar}: edge-list graphs need an integer 'n' "
-                            f"in the sidecar: {exc!r}") from exc
-        edges = {}  # (dst, src) -> weight; a repeated edge keeps its last weight
-        for line, row in _read_rows(path):
-            if len(row) != 3:
-                raise DataError(f"{path} line {line}: expected src,dst,weight")
-            try:
-                s, d, w = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise DataError(f"{path} line {line}: {exc}") from exc
-            if not np.isfinite(w):
-                raise DataError(f"{path} line {line}: non-finite weight")
-            if not (0 <= s < n and 0 <= d < n):
-                raise DataError(f"{path} line {line}: node index outside [0, {n})")
-            edges[d, s] = w
-        ends = np.array(list(edges), dtype=int).reshape(-1, 2)
-        weights = sp.csr_array((np.fromiter(edges.values(), float, len(edges)),
-                                (ends[:, 0], ends[:, 1])), shape=(n, n))
+                            "in the sidecar")
+        edges, lines = _read_table(path, _EDGE_ROW)
+        src, dst, w = edges["src"], edges["dst"], edges["weight"]
+        infinite = ~np.isfinite(w)
+        _check_rows(path, lines, infinite | (np.minimum(src, dst) < 0)
+                    | (np.maximum(src, dst) >= n),
+                    lambda i: "non-finite weight" if infinite[i]
+                    else f"node index outside [0, {n})")
+        # a repeated edge keeps its last weight, the first of the reversed keys
+        _, last = np.unique((dst * n + src)[::-1], return_index=True)
+        keep = len(w) - 1 - last
+        weights = sp.csr_array((w[keep], (dst[keep], src[keep])), shape=(n, n))
     else:
         raise DataError(f"{sidecar}: unknown graph format {fmt!r}")
     try:
@@ -235,16 +245,7 @@ def _jsonable(value):
 
 
 def result_to_dict(result: RecoveryResult) -> dict:
-    return _jsonable({
-        "x": result.x,
-        "outliers": result.outliers,
-        "noise": result.noise,
-        "aux": result.aux,
-        "objective_trace": result.objective_trace,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "meta": result.meta,
-    })
+    return _jsonable({f.name: getattr(result, f.name) for f in fields(result)})
 
 
 def save_result_json(path, result: RecoveryResult) -> None:
@@ -257,15 +258,12 @@ def save_bundle(directory, shift: GraphShift, instance, mask: np.ndarray) -> Non
 
     The graph goes out as an edge list, ``graph.csv`` plus its sidecar.
     """
-    from dataclasses import asdict
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_graph_edges(directory / "graph.csv", shift)
-    save_signal_csv(directory / "X0.csv", instance.x0)
-    save_signal_csv(directory / "W.csv", instance.noise)
-    save_signal_csv(directory / "E.csv", instance.outliers)
-    save_signal_csv(directory / "T.csv", instance.observed)
+    for name, part in (("X0", instance.x0), ("W", instance.noise),
+                       ("E", instance.outliers), ("T", instance.observed)):
+        save_signal_csv(directory / f"{name}.csv", part)
     save_mask_csv(directory / "mask.csv", mask)
     (directory / "spec.json").write_text(json.dumps({
         "synthetic": asdict(instance.spec),
@@ -279,16 +277,17 @@ def load_bundle(directory):
 
     directory = Path(directory)
     shift = load_graph(directory / "graph.csv")
-    x0 = load_signal_csv(directory / "X0.csv")
-    noise = load_signal_csv(directory / "W.csv")
-    outliers = load_signal_csv(directory / "E.csv")
-    observed = load_signal_csv(directory / "T.csv")
+    x0, noise, outliers, observed = (load_signal_csv(directory / f"{name}.csv")
+                                     for name in ("X0", "W", "E", "T"))
     try:
         meta = json.loads((directory / "spec.json").read_text())
         spec = SyntheticSpec(**meta["synthetic"])
-        seed = int(meta["seed"])
+        seed = meta["seed"]
     except (OSError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
         raise DataError(f"cannot read {directory / 'spec.json'}: {exc}") from exc
+    if not (_is_json_number(seed, int) and seed >= 0):
+        raise DataError(f"{directory / 'spec.json'}: 'seed' must be an integer >= 0, "
+                        f"got {seed!r}")
     if x0.shape != (spec.n, spec.l) or shift.n != spec.n:
         raise DataError(f"{directory}: X0.csv shape {x0.shape} and the {shift.n}-node "
                         f"graph must match spec ({spec.n}, {spec.l})")

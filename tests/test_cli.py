@@ -128,6 +128,18 @@ class TestInpaint:
         assert code == 2
 
 
+    def test_bad_sidecar_node_count_is_data_error(self, tmp_path):
+        graph = tmp_path / "graph.csv"
+        graph.write_text("")
+        graph.with_suffix(".json").write_text(json.dumps({"n": -1, "format": "edges"}))
+        signal = write_signal(tmp_path, "t.csv", np.zeros(3))
+        mask_path = tmp_path / "mask.csv"
+        save_mask_csv(mask_path, np.ones(3, dtype=bool))
+        code = main(["inpaint", "--graph", str(graph), "--signal", str(signal),
+                     "--mask", str(mask_path), "--out", str(tmp_path / "run")])
+        assert code == 3
+
+
 class TestComplete:
     def test_nonconvergence_exits_four_but_writes(self, tmp_path, graph_file):
         rng = np.random.default_rng(5)

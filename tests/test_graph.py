@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gsrec import (
     DimensionMismatch,
+    EigensolveFailed,
     GraphBuildSpec,
     GraphShift,
     NotDiagonalizable,
@@ -103,6 +105,44 @@ class TestSpectralRadius:
         assert shift.normalized
         np.testing.assert_allclose(shift.weights.sum(axis=1), 1.0,
                                    rtol=0.0, atol=1e-12)
+
+
+    def test_column_normalized_knn_graph_without_dense_eigensolve(
+            self, monkeypatch):
+        # nodes that are nobody's neighbour leave zero columns, so neither
+        # sum rule applies and the radius needs an eigensolve
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        shift = build_knn_graph(random_features(3000, 2, 1),
+                                GraphBuildSpec(k=8, normalization="column"))
+        sums = shift.matrix.sum(axis=0)
+        assert shift.normalized and sums.max() - sums.min() > 0.5
+        assert spectral_radius(shift.matrix) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_solve_matches_dense_on_nonnegative_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.1, 2.0, size=(200, 200)) * (rng.random((200, 200)) < 0.02)
+        w = sp.csr_array(w)
+        # two components whose Perron roots differ by 1e-6 relative
+        for m in (w, sp.block_diag((w, w * (1 - 1e-6)), format="csr")):
+            dense = np.max(np.abs(np.linalg.eigvals(m.toarray())))
+            assert spectral_radius(m) == pytest.approx(dense, rel=1e-10)
+
+    def test_signed_matrix_gets_the_exact_radius(self):
+        # its eigenvalues crowd the spectral circle; an ARPACK k = 1 solve
+        # settles on one 0.5 % inside it (4 of seeds 0-39 miss that way)
+        rng = np.random.default_rng(11)
+        w = sp.csr_array((rng.random((500, 500)) - 0.5) * (rng.random((500, 500)) < 0.02))
+        dense = np.max(np.abs(np.linalg.eigvals(w.toarray())))
+        assert spectral_radius(w) == pytest.approx(dense, rel=1e-12)
+
+    def test_nonconvergence_raises(self):
+        nilpotent = sp.diags_array(np.ones(49), offsets=1, format="csr")
+        with pytest.raises(EigensolveFailed):
+            spectral_radius(nilpotent)
 
 
 class TestVariation:

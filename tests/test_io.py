@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gsrec import (
     ConfigError,
@@ -96,20 +97,107 @@ class TestSignalCsv:
             load_signal_csv(tmp_path / "nope.csv")
 
 
+# reader-fault -> file body after a comment and a blank line, and the number
+# of the bad line; the body's first line is good unless the fault says so
+FAULTS = {
+    "signal": ("1,2\nx,3\n", 4), "ragged": ("1,2\n3\n", 4),
+    "mask": ("0,0\n0,x\n", 4), "edges": ("0,1,0.5\n0,x,1\n", 4),
+    "signal-long-row": ("1,2\n3,4,5\n", 4), "signal-nan": ("1,2\nnan,3\n", 4),
+    "signal-inf": ("1,2\n3,-inf\n", 4), "signal-overflow": ("1,2\n1e400,3\n", 4),
+    "signal-digit-separator": ("1,2\n1_0,3\n", 4),
+    "signal-first-line": ("x,2\n1,2\n", 3), "signal-trailing-comma": ("1,2\n3,4,\n", 4),
+    "signal-late": ("1,2\n" * 700 + "# note\n  \n" + "1,2\n" * 50 + "1;2\n"
+                    + "1,2\n" * 300, 755),
+    "dense-bad-cell": ("0,1\nx,0\n", 4), "dense-ragged": ("0,1\n0\n", 4),
+    "dense-nan": ("0,1\n1,nan\n", 4),
+    "mask-ragged": ("0,0\n1\n", 4), "mask-long-row": ("0,0\n1,0,1\n", 4),
+    "mask-row-range": ("0,0\n3,0\n", 4), "mask-col-range": ("0,0\n0,1\n", 4),
+    "mask-negative": ("0,0\n-1,0\n", 4), "mask-float-index": ("0,0\n1.0,0\n", 4),
+    "mask-exponent-index": ("0,0\n0,1e0\n", 4),
+    "edges-ragged": ("0,1,0.5\n1,0\n", 4), "edges-bad-weight": ("0,1,0.5\n1,0,w\n", 4),
+    "edges-range": ("0,1,0.5\n0,2,1\n", 4), "edges-negative": ("0,1,0.5\n-1,0,1\n", 4),
+    "edges-float-index": ("0,1,0.5\n1.0,0,1\n", 4),
+    "edges-inf-weight": ("0,1,0.5\n1,0,inf\n", 4),
+    "edges-nan-weight": ("0,1,0.5\n1,0,nan\n", 4),
+    "edges-range-before-inf": ("0,1,0.5\n0,5,1\n1,0,inf\n", 4),
+}
+
+
 class TestLineNumbers:
     """A reader's error names the file line, counting comments and blanks."""
 
-    @pytest.mark.parametrize("kind", ["signal", "ragged", "mask", "edges"])
+    @pytest.mark.parametrize("kind", list(FAULTS))
     def test_error_names_the_file_line(self, tmp_path, kind):
         p = tmp_path / "g.csv"
-        body = {"signal": "1,2\nx,3\n", "ragged": "1,2\n3\n",
-                "mask": "0,0\n0,x\n", "edges": "0,1,0.5\n0,x,1\n"}[kind]
+        body, line = FAULTS[kind]
         p.write_text("# header\n\n" + body)
+        fmt = "dense" if kind.startswith("dense") else "edges"
+        (tmp_path / "g.json").write_text(json.dumps({"n": 2, "format": fmt}))
+        reader = kind.split("-")[0]
+        read = {"mask": lambda: load_mask_csv(p, (3, 1)), "edges": lambda: load_graph(p),
+                "dense": lambda: load_graph(p)}.get(reader, lambda: load_signal_csv(p))
+        with pytest.raises(DataError, match=f"line {line}:"):
+            read()
+
+    @pytest.mark.parametrize("kind", ["signal", "mask", "edges"])
+    def test_crlf_error_names_the_file_line(self, tmp_path, kind):
+        body, line = FAULTS[kind]
+        p = tmp_path / "g.csv"
+        p.write_bytes(("# header\n\n" + body).replace("\n", "\r\n").encode())
         (tmp_path / "g.json").write_text(json.dumps({"n": 2, "format": "edges"}))
         read = {"mask": lambda: load_mask_csv(p, (3, 1)),
                 "edges": lambda: load_graph(p)}.get(kind, lambda: load_signal_csv(p))
-        with pytest.raises(DataError, match="line 4:"):
+        with pytest.raises(DataError, match=f"line {line}:"):
             read()
+
+
+def random_graph(rng, n):
+    """A sparse random shift, with no edge at all one time in four."""
+    density = 0.0 if rng.random() < 0.25 else rng.random()
+    w = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-5, 5, size=(n, n))
+    return GraphShift(sp.csr_array(w * (rng.random((n, n)) < density)))
+
+
+def as_crlf(path):
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
+class TestRoundTrip:
+    """Every writer/reader pair gives back the same bits, with LF or CRLF."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bitwise(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n, l = int(rng.integers(1, 25)), int(rng.integers(1, 5))
+        x = rng.normal(size=(n, l)) * 10.0 ** rng.integers(-300, 300, size=(n, l))
+        x[rng.random((n, l)) < 0.1] = -0.0
+        masks = [rng.random((n, l)) < rng.random(), rng.random(n) < 0.5,
+                 np.zeros((n, l), dtype=bool), np.zeros(n, dtype=bool)]
+        shift = random_graph(rng, n)
+        for crlf in (False, True):
+            for j, signal in enumerate((x, x[:, 0])):
+                p = tmp_path / f"s{j}.csv"
+                save_signal_csv(p, signal)
+                if crlf:
+                    as_crlf(p)
+                back = load_signal_csv(p)
+                assert back.shape == (n, signal.size // n)
+                assert back.tobytes() == signal.reshape(n, -1).tobytes()
+            for j, mask in enumerate(masks):
+                p = tmp_path / f"m{j}.csv"
+                save_mask_csv(p, mask)
+                if crlf:
+                    as_crlf(p)
+                np.testing.assert_array_equal(load_mask_csv(p, mask.shape), mask)
+            for j, save in enumerate((save_graph_edges, save_graph_dense)):
+                p = tmp_path / f"g{j}.csv"
+                save(p, shift)
+                if crlf:
+                    as_crlf(p)
+                back = load_graph(p).matrix
+                np.testing.assert_array_equal(back.indptr, shift.matrix.indptr)
+                np.testing.assert_array_equal(back.indices, shift.matrix.indices)
+                assert back.data.tobytes() == shift.matrix.data.tobytes()
 
 
 class TestMaskCsv:
@@ -227,6 +315,32 @@ class TestGraphFormats:
         with pytest.raises(DataError):
             load_graph(p)
 
+    def test_repeated_edge_keeps_its_last_weight(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("0,1,0.5\n2,1,3\n1,0,2\n0,1,0.25\n2,1,0\n1,0,4\n0,1,0.75\n")
+        (tmp_path / "g.json").write_text(json.dumps({"n": 3, "format": "edges"}))
+        np.testing.assert_array_equal(load_graph(p).weights,
+                                      [[0, 4, 0], [0.75, 0, 0], [0, 0, 0]])
+
+    def test_empty_edge_list_has_no_edges(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("# no edges\n\n")
+        (tmp_path / "g.json").write_text(json.dumps({"n": 3, "format": "edges"}))
+        back = load_graph(p)
+        assert back.n == 3 and back.matrix.nnz == 0
+
+    @pytest.mark.parametrize("fmt", ["dense", "edges"])
+    @pytest.mark.parametrize("n", [-1, 0, 2.5, 2.0, True, "2", None, [2]],
+                             ids=["negative", "zero", "fraction", "float", "a-boolean",
+                                  "a-string", "null", "a-list"])
+    def test_sidecar_n_must_be_a_positive_integer(self, tmp_path, fmt, n):
+        p = tmp_path / "g.csv"
+        (save_graph_dense if fmt == "dense" else save_graph_edges)(p, small_shift(2, 1))
+        meta = json.loads(p.with_suffix(".json").read_text())
+        p.with_suffix(".json").write_text(json.dumps(dict(meta, n=n)))
+        with pytest.raises(DataError, match="'n'"):
+            load_graph(p)
+
     def test_non_finite_edge_weight(self, tmp_path):
         p = tmp_path / "g.csv"
         p.write_text("0,1,inf\n")
@@ -316,6 +430,20 @@ class TestBundle:
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(shift.matrix, name))
 
+    def test_written_files_match_the_format(self, tmp_path):
+        w = np.array([[0.0, 0.5, 0.5], [0.25, 0.0, 0.75], [0.0, 1.0, 0.0]])
+        shift = normalize_shift(GraphShift(w))  # row-stochastic: radius 1
+        inst = synth_instance(shift, SyntheticSpec(n=3, l=2), 1)
+        mask = np.array([[True, False], [False, True], [True, True]])
+        save_bundle(tmp_path, shift, inst, mask)
+        assert (tmp_path / "mask.csv").read_text() == "0,0\n1,1\n2,0\n2,1\n"
+        assert (tmp_path / "graph.csv").read_text() == \
+            "1,0,0.5\n2,0,0.5\n0,1,0.25\n2,1,0.75\n1,2,1\n"
+        assert json.loads((tmp_path / "graph.json").read_text()) == {
+            "n": 3, "normalized": True, "spectral_radius": 1.0, "format": "edges"}
+        save_bundle(tmp_path, shift, inst, np.zeros((3, 2), dtype=bool))
+        assert (tmp_path / "mask.csv").read_text() == ""
+
     def test_shape_mismatch_detected(self, tmp_path):
         shift = small_shift(5, 10)
         inst = synth_instance(shift, SyntheticSpec(n=5), 11)
@@ -335,6 +463,9 @@ def corrupt_bundle(d, case):
         spec["synthetic"]["recipe"] = "foo"
     elif case == "seed-not-a-number":
         spec["seed"] = "abc"
+    elif case.startswith("seed-"):
+        spec["seed"] = {"seed-fraction": 1.5, "seed-float": 1.0, "seed-negative": -1,
+                        "seed-a-boolean": True, "seed-a-string": "1"}[case]
     elif case.endswith("-short"):  # 29 rows on the 30-node graph
         name = case.split("-")[0]
         save_signal_csv(d / f"{name}.csv", load_signal_csv(d / f"{name}.csv")[:29])
@@ -342,6 +473,11 @@ def corrupt_bundle(d, case):
             spec["synthetic"]["n"] = 29
     elif case == "sidecar-n-not-a-number":
         (d / "graph.json").write_text(json.dumps({"n": "x", "format": "edges"}))
+    elif case.startswith("sidecar-n-"):
+        meta = json.loads((d / "graph.json").read_text())
+        (d / "graph.json").write_text(json.dumps(dict(meta, n={
+            "sidecar-n-negative": -1, "sidecar-n-fraction": 29.5,
+            "sidecar-n-a-boolean": True, "sidecar-n-a-string": "30"}[case])))
     elif case == "sidecar-normalized-a-string":
         meta = json.loads((d / "graph.json").read_text())
         (d / "graph.json").write_text(json.dumps(dict(meta, normalized="false")))
@@ -360,7 +496,10 @@ class TestMalformedBundle:
     @pytest.mark.parametrize("case", [
         "unknown-recipe", "seed-not-a-number", "X0-and-spec-short", "W-short",
         "E-short", "T-short", "sidecar-n-not-a-number", "sidecar-normalized-a-string",
-        "sidecar-not-an-object", *(f"sidecar-radius-{r}" for r in BAD_RADII)])
+        "sidecar-not-an-object", *(f"sidecar-radius-{r}" for r in BAD_RADII),
+        "seed-fraction", "seed-float", "seed-negative", "seed-a-boolean", "seed-a-string",
+        "sidecar-n-negative", "sidecar-n-fraction", "sidecar-n-a-boolean",
+        "sidecar-n-a-string"])
     def test_rejected(self, tmp_path, case):
         shift = small_shift(30, 14)
         inst = synth_instance(shift, SyntheticSpec(n=30), 15)
