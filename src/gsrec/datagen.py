@@ -23,7 +23,7 @@ from .errors import (
     KTooLarge,
     TooManyNodes,
 )
-from .graph import GraphShift, _lowest_eigenpairs, normalize_shift
+from .graph import DENSE_MAX_NODES, GraphShift, _lowest_eigenpairs, normalize_shift
 
 # Stream tags for seed derivation; never reuse across operations.
 STREAM_MASK = 1
@@ -33,10 +33,10 @@ STREAM_SPLIT = 4
 STREAM_GRAPH = 5
 STREAM_OPINION = 6
 
-# Most feature rows with missing values that build_knn_graph accepts: their
-# distance matrix is compared over co-observed coordinates in a dense pass
-# whose peak holds about 5.3 (n, n) float arrays, 1.1 GB at this n.
-DENSE_MAX_NODES = 5000
+# DENSE_MAX_NODES (from graph) caps the feature rows with missing values
+# that build_knn_graph accepts: their distance matrix is compared over
+# co-observed coordinates in a dense pass whose peak holds about 5.3 (n, n)
+# float arrays, 1.1 GB at that n.
 
 # cdist's name for each feature metric
 _CDIST_METRIC = {"euclidean": "euclidean", "manhattan": "cityblock"}

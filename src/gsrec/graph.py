@@ -43,6 +43,12 @@ from .prox import factorized
 # spectral radius is read off its sums instead of an eigensolve.
 _SUM_RTOL = 1e-12
 
+# Most nodes of a dense (n, n) pass: the co-observed distance matrix of
+# features with missing values (:func:`gsrec.datagen.pairwise_distances`),
+# and the dense ``eigvals`` that :func:`spectral_radius` falls back to where
+# ARPACK fails on a nonnegative matrix. One (n, n) float array is 200 MB here.
+DENSE_MAX_NODES = 5000
+
 # Largest residual ``||W v - lambda v|| / ||v||`` accepted from the ARPACK
 # eigenpair of :func:`spectral_radius`, relative to ``||W||_F >= |lambda|``.
 _RADIUS_RESIDUAL = 1e-8
@@ -194,12 +200,14 @@ def spectral_radius(weights) -> float:
     or more nodes gets one sparse ARPACK solve (``eigs``, k = 1, largest
     magnitude) from a fixed start vector, in O(nnz) memory, and its eigenpair
     must pass a residual check: the Perron root is an eigenvalue that no
-    other outgrows. A matrix with a negative entry is densified for one dense
-    ``eigvals``, since ARPACK can settle on a smaller eigenvalue where many
-    crowd the spectral circle, as in a random signed matrix. Raises
-    :class:`EigensolveFailed` when ARPACK does not converge or its eigenpair
-    fails the check; a nilpotent matrix, or a weighted directed cycle whose
-    eigenvalues all share one magnitude, does not converge.
+    other outgrows. ARPACK does not converge where every eigenvalue shares
+    one magnitude, as for a nilpotent matrix or a weighted directed cycle;
+    where it fails or its eigenpair fails the check, a matrix of at most
+    :data:`DENSE_MAX_NODES` nodes gets one dense ``eigvals``, and a larger
+    one raises :class:`EigensolveFailed`. A matrix with a negative entry is
+    densified for one dense ``eigvals`` at once, since ARPACK can settle on
+    a smaller eigenvalue where many crowd the spectral circle, as in a
+    random signed matrix.
     """
     w = _csr(weights)
     nonnegative = bool(np.all(w.data >= 0))
@@ -210,21 +218,30 @@ def spectral_radius(weights) -> float:
                 return r
     n = w.shape[0]
     if not nonnegative or n <= 2:  # ARPACK needs k < n - 1
-        return float(np.max(np.abs(np.linalg.eigvals(w.toarray()))))
+        return _dense_radius(w)
     # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
     from scipy.sparse.linalg import ArpackError, eigs
 
     try:
         values, vectors = eigs(w, 1, which="LM", v0=_start_vector(n))
     except ArpackError as exc:
-        raise EigensolveFailed(f"ARPACK found no largest-magnitude eigenvalue "
-                               f"of an {n}-node operator: {exc}") from exc
-    value, vector = values[0], vectors[:, 0]
-    residual = np.linalg.norm(w @ vector - value * vector) / np.linalg.norm(vector)
-    if not residual <= _RADIUS_RESIDUAL * np.linalg.norm(w.data):
-        raise EigensolveFailed(f"ARPACK's largest-magnitude eigenpair of an "
-                               f"{n}-node operator has residual {residual:.3e}")
-    return float(abs(value))
+        failure = (f"ARPACK found no largest-magnitude eigenvalue of an "
+                   f"{n}-node operator: {exc}")
+    else:
+        value, vector = values[0], vectors[:, 0]
+        residual = np.linalg.norm(w @ vector - value * vector) / np.linalg.norm(vector)
+        if residual <= _RADIUS_RESIDUAL * np.linalg.norm(w.data):
+            return float(abs(value))
+        failure = (f"ARPACK's largest-magnitude eigenpair of an {n}-node "
+                   f"operator has residual {residual:.3e}")
+    if n <= DENSE_MAX_NODES:
+        return _dense_radius(w)
+    raise EigensolveFailed(f"{failure}; a dense eigensolve allows at most "
+                           f"{DENSE_MAX_NODES} nodes")
+
+
+def _dense_radius(w: sp.csr_array) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(w.toarray()))))
 
 
 def normalize_shift(shift: GraphShift) -> GraphShift:

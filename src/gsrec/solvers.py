@@ -13,7 +13,7 @@ Proximal gradient
     gmcm   matrix completion, measured entries pinned exactly
     gmcr   matrix completion, measured entries fitted in least squares
     anomaly_detect            sparse-outlier detection, penalized form
-    anomaly_detect_constrained  bisection wrapper enforcing a smoothness cap
+    anomaly_detect_constrained  weight search enforcing a smoothness cap
 
 ADMM
     gsr_admm  the full model: smoothness + low rank + sparse outliers + noise
@@ -23,7 +23,10 @@ ADMM
 The three proximal-gradient solvers run one shared driver,
 :func:`_prox_gradient`; each supplies only its smooth part, that part's
 gradient and a proximal step (``svt`` or ``shrink``) that also returns the
-nonsmooth value of its result. The driver backtracks the step until the
+nonsmooth value of its result. The smooth part also returns the shift
+residual ``X - A X`` of the point it evaluated, and the driver hands the
+accepted candidate's residual to the next gradient, which then costs one
+sparse product (with A^T). The driver backtracks the step until the
 smooth part lies below its quadratic model at the candidate (Beck & Teboulle
 2009). ``gmcm`` instead accepts a candidate when the full objective does not
 increase, because re-pinning the measured entries after the thresholding makes
@@ -47,12 +50,14 @@ forms factor sparse systems built from ``(I - A)^T (I - A)`` with
 shift's CSR A^T as sparse products, O(nnz) each, and
 ``anomaly_detect_constrained`` reads the few lowest eigenpairs it needs.
 
-``anomaly_detect_constrained`` bisects over the l1 weight in one loop of
-``MAX_BISECT`` weights, each weight's solve warm-started from the outliers
-at the weight solved before it, and polishes each solve along the
-variation-free subspace by an exact l1 line search: the weighted median of
-the breakpoints, found from one sort and prefix sums, O(n log n) time and
-O(n) memory per direction.
+``anomaly_detect_constrained`` searches the l1 weight at which the
+variation meets the cap: halvings up to the first feasible weight, then
+safeguarded regula falsi (Anderson-Bjorck) down to the width of a
+``MAX_BISECT``-step bisection, in at most ``MAX_BISECT`` weights. Each
+weight's solve is warm-started from the outliers at the weight solved
+before it and polished along the variation-free subspace by an exact l1
+line search: the weighted median of the breakpoints, found from one sort
+and prefix sums, O(n log n) time and O(n) memory per direction.
 
 Iterative solvers stop when the objective changes by less than
 ``config.tol_outer`` between consecutive iterations; ``gsr_admm`` (so also
@@ -87,8 +92,10 @@ from .prox import _nuclear_norm, factorized, shrink, svt
 # Relative feasibility tolerance for the ADMM coupling constraints.
 FEAS_RTOL = 1e-6
 
-# Weights anomaly_detect_constrained tries: each halves the bracket of the
-# critical l1 weight, which starts as [0, beta_hi].
+# Most weights anomaly_detect_constrained solves, and the width its search
+# stops at: beta_hi * 2^-MAX_BISECT, where MAX_BISECT halvings of the first
+# bracket [0, beta_hi] would leave it. The halvings that look for the first
+# feasible weight count against it too.
 MAX_BISECT = 40
 
 # Step search of the proximal-gradient driver: each iteration starts at most
@@ -206,16 +213,20 @@ def _vector_inputs(t, mask, shift: GraphShift) -> tuple[np.ndarray, np.ndarray]:
     return t, m
 
 
+def _residual_variation(X: np.ndarray, shift: GraphShift) -> tuple[float, np.ndarray]:
+    """``||X - A X||_F^2`` and the residual ``d = X - A X`` it sums."""
+    d = X - shift.matrix @ X
+    return float(np.sum(d * d)), d
+
+
 def _variation(X: np.ndarray, shift: GraphShift) -> float:
-    d = X - shift.matrix @ X
-    return float(np.sum(d * d))
+    return _residual_variation(X, shift)[0]
 
 
-def _variation_grad(X: np.ndarray, shift: GraphShift) -> np.ndarray:
-    # gradient of ||X - A X||_F^2: 2 (I - A)^T (I - A) X, with the shift's
-    # own CSR transpose: ``A.T @ d`` would build a CSC transpose on every
-    # gradient
-    d = X - shift.matrix @ X
+def _variation_grad(d: np.ndarray, shift: GraphShift) -> np.ndarray:
+    # gradient of ||X - A X||_F^2, 2 (I - A)^T (I - A) X, from the residual
+    # d = X - A X, with the shift's own CSR transpose: ``A.T @ d`` would
+    # build a CSC transpose on every gradient
     return 2.0 * (d - shift._transpose @ d)
 
 
@@ -300,8 +311,8 @@ class _ProxGradientRun(NamedTuple):
 
 
 def _prox_gradient(x: np.ndarray,
-                   smooth: Callable[[np.ndarray], float],
-                   grad: Callable[[np.ndarray], np.ndarray],
+                   smooth: Callable[[np.ndarray], tuple[float, np.ndarray]],
+                   grad: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    prox: Callable[[np.ndarray, float], tuple[np.ndarray, float]],
                    nonsmooth: float,
                    config: SolverConfig,
@@ -309,7 +320,10 @@ def _prox_gradient(x: np.ndarray,
                    fixed_point_tol: float | None = None) -> _ProxGradientRun:
     """Minimize ``f + g`` by proximal gradient with a backtracked step.
 
-    ``smooth`` and ``grad`` evaluate f and its gradient; g is reached only
+    ``smooth(x)`` returns f at x together with the shift residual
+    ``d = X - A X`` it was built from, and ``grad(x, d)`` the gradient of f
+    at x from that residual: the accepted candidate's residual serves the
+    next gradient, so no iteration forms ``A X`` twice. g is reached only
     through ``prox(v, t)``, which returns ``prox_{t g}(v)`` together with g
     at that point, and ``nonsmooth`` is g at the start point x. The step
     search reads the module constants: each iteration first lets the step t
@@ -323,26 +337,29 @@ def _prox_gradient(x: np.ndarray,
     The run stops once the objective changes by less than
     ``config.tol_outer``. With ``fixed_point_tol`` the stop also needs the
     fixed-point residual ``max |x - prox(x - t grad(x), t)|`` to be at most
-    that tolerance, and the residual at the returned point is reported.
+    that tolerance, and the residual at the returned point is reported; it
+    is computed only where the objective test passed, and once more at the
+    end of a run that did not converge.
     """
 
-    def residual(xc, t):
-        d = xc - prox(xc - t * grad(xc), t)[0]
-        return float(np.max(np.abs(d))) if d.size else 0.0
+    def residual(xc, dc, t):
+        r = xc - prox(xc - t * grad(xc, dc), t)[0]
+        return float(np.max(np.abs(r))) if r.size else 0.0
 
-    f_val = smooth(x)
+    f_val, d = smooth(x)
     F = f_val + nonsmooth
     trace = []
     t = STEP_T0
     converged = False
+    fixed_point = None
     it = 0
     for it in range(1, config.max_outer + 1):
-        g = grad(x)
+        g = grad(x, d)
         t = min(t / STEP_RHO, STEP_T0)
         moved = False
         for _ in range(STEP_HALVINGS + 1):
             cand, g_cand = prox(x - t * g, t)
-            f_cand = smooth(cand)
+            f_cand, d_cand = smooth(cand)
             if descent:
                 moved = f_cand + g_cand <= F
             else:
@@ -353,20 +370,23 @@ def _prox_gradient(x: np.ndarray,
                 break
             t *= STEP_RHO
         if moved:
-            x, f_val = cand, f_cand
+            x, f_val, d = cand, f_cand, d_cand
             F_new = f_val + g_cand
         else:
             F_new = F
         if not np.isfinite(F_new):
             raise NonFiniteObjective(f"objective became {F_new} at iteration {it}")
         trace.append(F_new)
-        if abs(F_new - F) < config.tol_outer and (
-                fixed_point_tol is None or residual(x, t) <= fixed_point_tol):
-            converged = True
-            break
+        if abs(F_new - F) < config.tol_outer:
+            if fixed_point_tol is not None:
+                fixed_point = residual(x, d, t)
+            if fixed_point_tol is None or fixed_point <= fixed_point_tol:
+                converged = True
+                break
         F = F_new
-    return _ProxGradientRun(x, np.array(trace), it, converged, t,
-                            None if fixed_point_tol is None else residual(x, t))
+    if fixed_point_tol is not None and not converged:
+        fixed_point = residual(x, d, t)
+    return _ProxGradientRun(x, np.array(trace), it, converged, t, fixed_point)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +413,8 @@ def gmcm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
         return V, (beta * _nuclear_norm(V) if beta > 0 else 0.0)
 
     X = np.where(m, T2, 0.0)
-    run = _prox_gradient(X, lambda Xc: _variation(Xc, shift),
-                         lambda Xc: _variation_grad(Xc, shift), pinned_svt,
+    run = _prox_gradient(X, lambda Xc: _residual_variation(Xc, shift),
+                         lambda Xc, d: _variation_grad(d, shift), pinned_svt,
                          beta * _nuclear_norm(X) if beta > 0 else 0.0,
                          config, descent=True)
     return RecoveryResult(
@@ -421,12 +441,13 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
 
     def smooth(Xc):
         r = Xc[m] - T2[m]
-        return float(r @ r) + alpha * _variation(Xc, shift)
+        variation, d = _residual_variation(Xc, shift)
+        return float(r @ r) + alpha * variation, d
 
-    def smooth_grad(Xc):
+    def smooth_grad(Xc, d):
         g = np.zeros_like(Xc)
         g[m] = 2.0 * (Xc[m] - T2[m])
-        return g + alpha * _variation_grad(Xc, shift)
+        return g + alpha * _variation_grad(d, shift)
 
     def nuclear_prox(V, t):
         if beta > 0:
@@ -470,11 +491,9 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
     t = _vector_signal(t, shift)
 
     def smooth(ec):
-        d = (t - ec)[:, None]
-        return _variation(d, shift)
+        return _residual_variation((t - ec)[:, None], shift)
 
-    def smooth_grad(ec):
-        d = (t - ec)[:, None]
+    def smooth_grad(ec, d):
         return -_variation_grad(d, shift)[:, 0]
 
     def l1_prox(v, step):
@@ -595,32 +614,109 @@ def _variation_free(shift: GraphShift) -> np.ndarray:
         k = min(2 * k, n)
 
 
+def _weight_search(excess: Callable[[float], float], beta_hi: float,
+                   excess_hi: float) -> tuple[float, float, int]:
+    """Bracket the largest weight beta with ``excess(beta) <= 0``.
+
+    ``excess`` solves at a weight and returns how far its variation lies
+    above the cap; it is nondecreasing in beta, and ``excess_hi > 0`` is its
+    value at ``beta_hi``. The weights ``beta_hi / 2, beta_hi / 4, ...`` are
+    tried until one is feasible; that weight ``lo`` and the one before it
+    leave the bracket ``[lo, 2 lo]``. Regula falsi with the Anderson-Bjorck
+    rule (1973) shrinks it: the next weight is where the chord between the
+    bracket's ends crosses zero, and when the same end moves twice in a row
+    the excess kept at the other end is scaled down by
+    ``1 - excess_new / excess_old`` (by 1/2 where that is not positive), so
+    both ends close in on the critical weight. As in Brent's method (1973,
+    ch. 4), a chord point is kept at least half the final width inside the
+    bracket, so one weight just past the critical one closes it, and a
+    point outside the bracket's interior (a NaN) is replaced by the
+    midpoint. The search stops once the bracket is at most
+    ``beta_hi * 2^-MAX_BISECT`` wide, the width of a ``MAX_BISECT``-step
+    bisection, or after ``MAX_BISECT`` weights. Returns the final bracket
+    ``(lo, hi)`` and the number of weights solved; ``lo`` is the largest
+    feasible weight solved, 0 when none was.
+    """
+    lo, hi = 0.0, beta_hi
+    excess_lo = None
+    solves = 0
+    while excess_lo is None and solves < MAX_BISECT:
+        beta = 0.5 * hi
+        value = excess(beta)
+        solves += 1
+        if value <= 0:
+            lo, excess_lo = beta, value
+        else:
+            hi, excess_hi = beta, value
+    width = beta_hi * 2.0 ** -MAX_BISECT
+    moved = None  # the end the last weight replaced
+    while hi - lo > width and solves < MAX_BISECT:
+        beta = lo + (hi - lo) * excess_lo / (excess_lo - excess_hi)
+        beta = min(max(beta, lo + 0.5 * width), hi - 0.5 * width)
+        if not lo < beta < hi:
+            beta = 0.5 * (lo + hi)
+        value = excess(beta)
+        solves += 1
+        if value <= 0:
+            if moved == "lo":
+                excess_hi *= _anderson_bjorck(value, excess_lo)
+            lo, excess_lo, moved = beta, value, "lo"
+        else:
+            if moved == "hi":
+                excess_lo *= _anderson_bjorck(value, excess_hi)
+            hi, excess_hi, moved = beta, value, "hi"
+    return lo, hi, solves
+
+
+def _anderson_bjorck(new: float, old: float) -> float:
+    """Scale for the kept end's excess when the other end moved twice."""
+    scale = 1.0 - new / old
+    return scale if scale > 0 else 0.5
+
+
 def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: float,
                                config: SolverConfig | None = None,
                                ) -> RecoveryResult:
     """Outlier detection under an explicit smoothness cap.
 
-    Finds the critical l1 weight by bisection so the cleaned signal satisfies
+    Finds the critical l1 weight so the cleaned signal satisfies
     ``||x - A x||_2^2 <= eta_smooth^2`` (with 1e-6 relative slack) while the
     outlier estimate stays as small as possible, then returns the solution at
-    that weight. One bisection of ``[0, beta_hi]`` tries ``MAX_BISECT``
-    weights, ``beta_hi`` lying above the weight at which the outliers
-    vanish: until a weight is feasible each midpoint halves the weight, and
-    the first feasible weight ``lo`` leaves the bracket ``[lo, 2 lo]``. The
-    first penalized solve at each weight starts from the outliers at the
-    weight solved just before it. Each penalized solve is polished by an
-    exact l1 line search over the variation-free subspace (directions the
-    cap cannot see), a weighted median of O(n log n) time and O(n) memory
-    per direction, which removes the slow drift the plain proximal iteration
-    suffers there. Raises :class:`Infeasible` when none of the weights, down
-    to ``beta_hi * 2^-MAX_BISECT``, satisfies the cap.
+    that weight. The variation of the penalized solution grows with the
+    weight, piecewise quadratically, from 0 at weight 0 to the signal's own
+    variation at ``beta_hi``, a weight above the one at which the outliers
+    vanish. :func:`_weight_search` brackets the crossing:
+    halvings of ``beta_hi`` until a weight is feasible, then regula falsi
+    with the Anderson-Bjorck rule inside the bracket ``[lo, 2 lo]`` they
+    leave, each weight strictly inside the bracket the earlier ones left,
+    until it is as narrow as a ``MAX_BISECT``-step bisection's, ``beta_hi *
+    2^-MAX_BISECT``, or ``MAX_BISECT`` weights were solved. The largest
+    feasible weight solved is returned. The first penalized solve at each
+    weight starts from the outliers at the weight solved just before it.
+    Each penalized solve is polished by an exact l1 line search over the
+    variation-free subspace (directions the cap cannot see), a weighted
+    median of O(n log n) time and O(n) memory per direction, which removes
+    the slow drift the plain proximal iteration suffers there. Raises
+    :class:`Infeasible` when none of ``MAX_BISECT`` halvings, down to
+    ``beta_hi * 2^-MAX_BISECT``, satisfies the cap.
+
+    Feasibility is decided at the solver's resolution: a solve that stops
+    with fixed-point residual r (at most 1e-6) at step t is exact for entry
+    weights within ``r / t`` of its weight. So the weight returned depends
+    on the path of weights solved by about that much: another search, such
+    as plain bisection, finds the same support and a weight within the
+    ``r / t`` of the solves at both ends of both final brackets (times a
+    first-order factor of the support, 1 where ``T_SS^-1 s`` keeps the
+    signs s), plus the two brackets' widths.
 
     ``converged`` certifies the constrained problem: the returned point meets
     the cap and is stationary for the final weight at the step of the final
     solve (up to variation-free directions, which the polish handles
     exactly). ``iterations`` sums the iterations (and polish steps) of every
-    weight the bisection tried; the objective trace is that of the returned
-    weight alone.
+    weight the search tried; the objective trace is that of the returned
+    weight alone. ``meta`` records the returned weight (``beta_reg``), the
+    number of weights solved (``bisections``) and the final bracket
+    (``bracket``, its feasible end first).
     """
     if not eta_smooth >= 0:
         raise ValueError(f"eta_smooth must be nonnegative, got {eta_smooth}")
@@ -628,12 +724,8 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     t = _vector_signal(t, shift)
     target = eta_smooth ** 2
     base_variation = _variation(t[:, None], shift)
-    slack = target * 1e-6 + 1e-9 * (1.0 + base_variation)
-
-    def feasible(value: float) -> bool:
-        return value <= target + slack
-
-    if feasible(base_variation):
+    cap = target + (target * 1e-6 + 1e-9 * (1.0 + base_variation))  # with slack
+    if base_variation <= cap:
         return RecoveryResult(
             x=t.copy(),
             outliers=np.zeros_like(t),
@@ -646,6 +738,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
                 "smoothness": base_variation,
                 "target": target,
                 "bisections": 0,
+                "bracket": (float("inf"), float("inf")),
             },
         )
 
@@ -653,16 +746,17 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     null_basis = _variation_free(shift)
 
     last = None  # outliers at the weight solved last
+    kept = None  # the solve at the largest feasible weight so far
+    iterations = 0  # over every weight solved
 
-    def solve_at(beta: float) -> RecoveryResult:
+    def excess(beta: float) -> float:
         # start from the outliers at the weight solved last, then alternate
         # the penalized solve with the exact subspace polish; the polish
         # jumps over the flat directions, the re-solve cleans up the rest
         # from that much better starting point
-        nonlocal last
+        nonlocal last, kept, iterations
         warm = last
         traces = []
-        iterations = 0
         sol = None
         for _ in range(3):
             sol = anomaly_detect(t, shift, beta, config, e0=warm)
@@ -680,29 +774,22 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
                                     meta=dict(sol.meta, polished=True))
             warm = polished
         last = sol.outliers
-        return dataclass_replace(sol, objective_trace=np.concatenate(traces),
-                                 iterations=iterations)
+        value = _variation(sol.x[:, None], shift) - cap
+        if value <= 0:
+            kept = dataclass_replace(sol, objective_trace=np.concatenate(traces))
+        return value
 
     beta_hi = 1.001 * 2.0 * float(np.max(np.abs(at @ t)))
     if beta_hi <= 0:
         beta_hi = 1.0
-    best = None
-    lo, hi = 0.0, beta_hi
-    iterations = 0
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        sol = solve_at(mid)
-        iterations += sol.iterations
-        if feasible(_variation(sol.x[:, None], shift)):
-            lo, best = mid, (mid, sol)
-        else:
-            hi = mid
-    if best is None:
+    # at beta_hi the outliers vanish, so its variation needs no solve
+    lo, hi, solves = _weight_search(excess, beta_hi, base_variation - cap)
+    if kept is None:
         raise Infeasible(
             f"no l1 weight down to {hi:.3e} meets the smoothness cap "
             f"{target:.3e}"
         )
-    beta_star, sol = best
+    beta_star, sol = lo, kept
 
     # stationarity certificate at the returned point, ignoring displacement
     # along the variation-free subspace the polish already optimized
@@ -717,7 +804,8 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
         sol, iterations=iterations, converged=sol.converged or stationary,
         meta=dict(sol.meta, solver="anomaly_detect_constrained",
                   beta_reg=beta_star, smoothness=_variation(sol.x[:, None], shift),
-                  target=target, bisections=MAX_BISECT, stationarity=stationarity))
+                  target=target, bisections=solves, bracket=(lo, hi),
+                  stationarity=stationarity))
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,27 @@ def anomaly_support_oracle(t, tilde, beta, max_support=2):
     return best_support, best_e, best_obj
 
 
+def bisection_weight_search(excess, beta_hi, excess_hi, max_bisect=40):
+    """The critical l1 weight by plain bisection of ``[0, beta_hi]``.
+
+    A stand-in for ``gsrec.solvers._weight_search`` with its contract:
+    ``excess(beta)`` solves at a weight and returns how far its variation
+    lies above the cap; the result is the final bracket ``(lo, hi)``, lo the
+    largest feasible weight (0 when none was), and the number of weights
+    solved. Every weight is the midpoint of the bracket the earlier ones
+    left, ``max_bisect`` of them, so the bracket ends ``beta_hi *
+    2^-max_bisect`` wide; ``excess_hi`` is not needed.
+    """
+    lo, hi = 0.0, beta_hi
+    for _ in range(max_bisect):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, max_bisect
+
+
 def l1_polish_oracle(e, basis, passes=4):
     """Cyclic l1 line search along the columns of basis, by enumeration.
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from gsrec import (
     DimensionMismatch,
@@ -21,7 +22,7 @@ from gsrec import (
     spectral_radius,
     tilde_shift,
 )
-from gsrec.graph import check_node_mask
+from gsrec.graph import DENSE_MAX_NODES, check_node_mask
 
 
 def random_kregular_shift(n, k, seed):
@@ -139,10 +140,30 @@ class TestSpectralRadius:
         dense = np.max(np.abs(np.linalg.eigvals(w.toarray())))
         assert spectral_radius(w) == pytest.approx(dense, rel=1e-12)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        # every eigenvalue of a nilpotent shift is 0, so ARPACK does not converge
         nilpotent = sp.diags_array(np.ones(49), offsets=1, format="csr")
-        with pytest.raises(EigensolveFailed):
-            spectral_radius(nilpotent)
+        assert spectral_radius(nilpotent) == 0.0
+        with pytest.raises(ZeroSpectralRadius):
+            normalize_shift(GraphShift(nilpotent))
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("patched", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+        above = sp.diags_array(np.ones(DENSE_MAX_NODES), offsets=1, format="csr")
+        with pytest.raises(EigensolveFailed, match=str(DENSE_MAX_NODES)):
+            spectral_radius(above)
+
+    def test_weighted_directed_cycle_gets_the_exact_radius(self):
+        # its eigenvalues (prod w)^(1/n) exp(2 pi i k / n) all share one
+        # magnitude, where ARPACK does not converge
+        n = 101
+        weights = np.random.default_rng(5).uniform(0.5, 2.0, n)
+        cycle = sp.csr_array((weights, (np.arange(n), np.arange(-1, n - 1) % n)),
+                             shape=(n, n))
+        radius = float(np.exp(np.mean(np.log(weights))))
+        assert spectral_radius(cycle) == pytest.approx(radius, rel=1e-12)
 
 
 class TestVariation:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import svdvals
 
 import oracles
@@ -376,6 +377,61 @@ class TestAnomalyDetect:
         assert res.converged
         assert res.meta["fixed_point_residual"] <= 1e-6
 
+    @pytest.fixture
+    def counted_work(self, monkeypatch):
+        """Sparse products by operand (A or its CSR transpose) and prox calls."""
+        import gsrec.solvers as solvers
+
+        shift = symmetric_shift(12, 24)
+        work = {"A": 0, "AT": 0, "shrink": 0}
+        product, threshold = sp.csr_array.__matmul__, solvers.shrink
+
+        def counted_product(self, other):
+            work["A" if self is shift.matrix else "AT"] += 1
+            return product(self, other)
+
+        def counted_shrink(*args, **kwargs):
+            work["shrink"] += 1
+            return threshold(*args, **kwargs)
+
+        shift._transpose  # built before counting starts
+        monkeypatch.setattr(sp.csr_array, "__matmul__", counted_product)
+        monkeypatch.setattr(solvers, "shrink", counted_shrink)
+        t = np.random.default_rng(25).normal(size=12)
+        t[4] += 8.0
+        return shift, t, work
+
+    @staticmethod
+    def residual_tests(res, t, shift):
+        """Iterations whose objective change passed the stop test: the
+        fixed-point residual is taken there, and only there while running."""
+        F = np.concatenate([[quadratic_variation(t, shift)], res.objective_trace])
+        return int(np.sum(np.abs(np.diff(F)) < SolverConfig().tol_outer))
+
+    @pytest.mark.parametrize("max_outer", [2000, 3])
+    def test_fixed_point_residual_taken_once_at_the_stop(self, counted_work,
+                                                         max_outer):
+        # every residual needs one gradient, one A^T product from the kept
+        # residual d, as does each iteration; a converged run reuses the
+        # residual of its last stop test, a run cut at max_outer takes one
+        shift, t, work = counted_work
+        res = anomaly_detect(t, shift, 0.8, SolverConfig(max_outer=max_outer))
+        work = dict(work)
+        tests = self.residual_tests(res, t, shift)
+        assert res.converged == (max_outer == 2000) == (tests > 0)
+        assert work["AT"] == res.iterations + tests + (not res.converged)
+
+    def test_gradient_reuses_the_accepted_residual(self, counted_work):
+        # A x is formed once per smooth evaluation, the start and each step
+        # tried, and never for a gradient: one product per iteration fewer
+        # than forming d again; each step tried and each residual is a shrink
+        shift, t, work = counted_work
+        res = anomaly_detect(t, shift, 0.8)
+        work = dict(work)
+        steps = work["shrink"] - self.residual_tests(res, t, shift)
+        assert steps >= res.iterations > 5
+        assert work["A"] == 1 + steps
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             anomaly_detect(np.zeros(3), cycle_shift(3), -0.1)
@@ -458,6 +514,41 @@ class TestAnomalyDetectConstrained:
         assert len(counts) > 1
         assert res.iterations >= sum(counts)
 
+    @pytest.mark.parametrize("shape", ["linear", "quadratic", "step"])
+    def test_weight_search_keeps_a_bracket(self, shape):
+        """On a known excess: every weight strictly inside the bracket left,
+        the crossing kept in the final bracket, at most MAX_BISECT weights.
+
+        After the four halvings 4, 2, 1, 1/2, the first chord of a linear
+        excess lands on the crossing and one weight half the final width
+        past it closes the bracket; a step gives the chord no slope
+        information and is still bracketed."""
+        import gsrec.solvers as solvers
+
+        root, beta_hi = 0.3 * np.pi, 8.0
+        excess = {"linear": lambda b: b - root,
+                  "quadratic": lambda b: b * b - root * root,
+                  "step": lambda b: -1.0 if b <= root else 1.0}[shape]
+        weights = []
+
+        def recorded(beta):
+            weights.append(beta)
+            return excess(beta)
+
+        lo, hi, solves = solvers._weight_search(recorded, beta_hi, excess(beta_hi))
+        assert solves == len(weights) <= solvers.MAX_BISECT
+        left, right = 0.0, beta_hi
+        for beta in weights:
+            assert left < beta < right
+            if excess(beta) <= 0:
+                left = beta
+            else:
+                right = beta
+        assert (lo, hi) == (left, right) and lo <= root < hi
+        if shape != "step":
+            assert hi - lo <= beta_hi * 2.0 ** -solvers.MAX_BISECT
+            assert solves <= {"linear": 6, "quadratic": 12}[shape]
+
     def test_infeasible_after_max_bisect_weights(self, monkeypatch):
         """A solve that never removes anything meets no cap: MAX_BISECT halvings."""
         import gsrec.solvers as solvers
@@ -477,6 +568,70 @@ class TestAnomalyDetectConstrained:
         beta_hi = 1.001 * 2.0 * float(np.max(np.abs(tilde_shift(shift) @ t)))
         assert weights == [beta_hi / 2 ** (i + 1) for i in range(solvers.MAX_BISECT)]
 
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_search_matches_plain_bisection(self, monkeypatch, seed):
+        """The weight search against plain bisection, on random kNN graphs.
+
+        Both find the same support and meet the cap, and their weights agree
+        to the solves' resolution. A solve that stops with fixed-point
+        residual r (at most 1e-6) at step t has ``r = t |g_i + beta
+        sign(e_i)|`` on its support: it solves the problem exactly for entry
+        weights within ``eps = r / t`` of beta. To first order on a support
+        S with signs s, entry weight j moves the variation in proportion to
+        ``s_j u_j``, ``u = T_SS^+ s`` (T = tilde_shift), so entry errors of at
+        most eps move it no further than a uniform weight error of
+        ``kappa eps``, ``kappa = ||u||_1 / (s . u)``. The feasible end lo and
+        the infeasible end hi of a final bracket then place the critical
+        weight within ``[lo - kappa eps_lo, hi + kappa eps_hi]``, and the
+        weights of two searches differ by at most kappa times the four end
+        errors plus the two bracket widths.
+        """
+        import gsrec.solvers as solvers
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(100, 301))
+        shift = build_knn_graph(random_features(n, 2, 50 + seed),
+                                GraphBuildSpec(k=int(rng.integers(4, 9))))
+        t = synth_instance(shift, SyntheticSpec(n=n, l=1, rank=5,
+                                                noise_sigma=0.0), seed).x0[:, 0]
+        spikes = int(rng.integers(2, 8))
+        t[rng.choice(n, spikes, replace=False)] += (
+            rng.choice([-1.0, 1.0], spikes) * rng.uniform(2.0, 5.0, spikes))
+        base = quadratic_variation(t, shift)
+        eta = float(np.sqrt(base * rng.uniform(0.05, 0.5)))
+
+        inner = solvers.anomaly_detect
+        resolution = {}  # weight -> r / t of its last solve
+
+        def recorded(t, shift, beta_reg, *args, **kwargs):
+            res = inner(t, shift, beta_reg, *args, **kwargs)
+            resolution[beta_reg] = res.meta["fixed_point_residual"] / res.meta["step"]
+            return res
+
+        monkeypatch.setattr(solvers, "anomaly_detect", recorded)
+        runs = []
+        for search in (solvers._weight_search, oracles.bisection_weight_search):
+            monkeypatch.setattr(solvers, "_weight_search", search)
+            resolution.clear()
+            res = anomaly_detect_constrained(t, shift, eta)
+            lo, hi = res.meta["bracket"]
+            runs.append((res, resolution[lo] + resolution[hi], hi - lo))
+        (new, eps_new, width_new), (old, eps_old, width_old) = runs
+
+        support = np.flatnonzero(new.outliers)
+        assert support.size
+        np.testing.assert_array_equal(np.flatnonzero(old.outliers), support)
+        for res in (new, old):
+            slack = eta ** 2 * 1e-6 + 1e-9 * (1.0 + base)
+            assert quadratic_variation(res.x, shift) <= eta ** 2 + slack
+        assert new.meta["bisections"] <= 24 < old.meta["bisections"]
+        signs = np.sign(new.outliers[support])
+        tilde = tilde_shift(shift).toarray()
+        u = np.linalg.pinv(tilde[np.ix_(support, support)]) @ signs
+        kappa = float(np.abs(u).sum() / (signs @ u))
+        tol = kappa * (eps_new + eps_old) + width_new + width_old
+        assert abs(new.meta["beta_reg"] - old.meta["beta_reg"]) <= tol
 
     def test_bisection_warm_starts_each_weight(self, monkeypatch):
         import gsrec.solvers as solvers

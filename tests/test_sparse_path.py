@@ -457,8 +457,10 @@ def test_anomaly_constrained_solves_only_at_the_lowest_end(eigsh_calls):
     assert all("sigma" in call for call in eigsh_calls)
 
 
-def test_anomaly_constrained_bisects_one_bracket(monkeypatch):
-    """MAX_BISECT weights, each strictly inside the bracket the earlier ones left.
+def test_anomaly_constrained_searches_one_bracket(monkeypatch):
+    """Halvings up to the first feasible weight, then each weight strictly
+    inside the bracket the earlier ones left, down to a MAX_BISECT-step
+    bisection's width in at most 24 weights.
 
     A weight counts as feasible when it is at most the returned weight, the
     largest one that met the cap.
@@ -474,8 +476,9 @@ def test_anomaly_constrained_bisects_one_bracket(monkeypatch):
         return original(t, shift, beta_reg, *args, **kwargs)
 
     monkeypatch.setattr(gsrec.solvers, "anomaly_detect", recorded)
-    beta_star = anomaly_detect_constrained(t, shift, 1.0).meta["beta_reg"]
-    assert len(weights) == len(set(weights)) == MAX_BISECT
+    result = anomaly_detect_constrained(t, shift, 1.0)
+    beta_star = result.meta["beta_reg"]
+    assert len(weights) == len(set(weights)) == result.meta["bisections"] <= 24
     beta_hi = 1.001 * 2.0 * float(np.max(np.abs(tilde_shift(shift) @ t)))
     first = next(i for i, beta in enumerate(weights) if beta <= beta_star)
     assert first >= 2  # the halving part is not empty
@@ -488,7 +491,8 @@ def test_anomaly_constrained_bisects_one_bracket(monkeypatch):
         else:
             hi = beta
     assert lo == beta_star
-    assert hi - lo == pytest.approx(beta_hi / 2 ** MAX_BISECT, rel=1e-3)
+    assert (lo, hi) == result.meta["bracket"]
+    assert hi - lo <= beta_hi * 2.0 ** -MAX_BISECT
 
 
 def test_solvers_leave_the_kept_operators_intact():
