@@ -57,17 +57,15 @@ The shift enters through its CSR matrix A and the operators the
 :class:`~gsrec.graph.GraphShift` derives from A once and keeps: the closed
 forms factor sparse systems built from ``(I - A)^T (I - A)`` with
 :func:`~gsrec.prox.factorized`, the iterative solvers apply A and the
-shift's CSR A^T as sparse products, O(nnz) each, and
-``anomaly_detect_constrained`` reads the few lowest eigenpairs it needs.
+shift's CSR A^T as sparse products, O(nnz) each. No solver needs an
+eigenpair of ``(I - A)^T (I - A)``.
 
 ``anomaly_detect_constrained`` searches the l1 weight at which the
 variation meets the cap: halvings up to the first feasible weight, then
 safeguarded regula falsi (Anderson-Bjorck) down to the width of a
 ``MAX_BISECT``-step bisection, in at most ``MAX_BISECT`` weights. Each
-weight's solve is warm-started from the outliers at the weight solved
-before it and polished along the variation-free subspace by an exact l1
-line search: the weighted median of the breakpoints, found from one sort
-and prefix sums, O(n log n) time and O(n) memory per direction.
+weight is one ``anomaly_detect`` solve, warm-started from the outliers at
+the weight solved before it.
 
 Iterative solvers stop when the objective changes by less than
 ``config.tol_outer`` between consecutive iterations; ``gsr_admm`` (so also
@@ -91,12 +89,7 @@ from .errors import (
     Infeasible,
     NonFiniteObjective,
 )
-from .graph import (
-    GraphShift,
-    _lowest_eigenpairs,
-    _require_normalized,
-    tilde_shift,
-)
+from .graph import GraphShift, _require_normalized, tilde_shift
 from .prox import _nuclear_norm, factorized, shrink, svt
 
 # Relative feasibility tolerance for the ADMM coupling constraints.
@@ -558,94 +551,6 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
     )
 
 
-def _l1_line_search(e: np.ndarray, v: np.ndarray,
-                    nz: np.ndarray) -> tuple[float, float]:
-    """The breakpoint c minimizing ``sum |e + c v|``, and that exact cost.
-
-    The breakpoints are ``b_i = -e_i / v_i`` over the entries ``nz`` where v
-    is not negligible. Off ``nz`` the entries are nearly constant in c; on
-    it the cost is ``sum |v_i| |c - b_i|``, a piecewise linear function
-    whose minimum sits at the weighted median of the breakpoints. Sorting
-    them once gives the cost at every breakpoint from prefix sums, O(n log n)
-    time and O(n) memory. Those costs carry rounding and the off-``nz``
-    drift, bounded by ``1e-10`` of the sums' magnitude plus ``|c| sum
-    |v_off|``; only the distinct breakpoints that this bound cannot rule out
-    get the exact cost ``sum |e + c v|``. The lowest exact cost wins, ties
-    going to the first breakpoint in entry order: the one an exact
-    evaluation at every breakpoint would pick.
-    """
-    candidates = -e[nz] / v[nz]
-    w = np.abs(v[nz])
-    order = np.argsort(candidates, kind="stable")
-    b = candidates[order]
-    wb = w[order]
-    weight_left = np.cumsum(wb)
-    moment_left = np.cumsum(wb * b)
-    weight, moment = weight_left[-1], moment_left[-1]
-    off_cost = float(np.abs(e[~nz]).sum())
-    off_weight = float(np.abs(v[~nz]).sum())
-    # sum_j w_j |b_i - b_j|, split at i: left b_i W_i - M_i, right the rest
-    cost = b * (2.0 * weight_left - weight) - (2.0 * moment_left - moment) + off_cost
-    bound = (1e-10 * (np.abs(b) * weight + float(np.abs(wb * b).sum()) + off_cost)
-             + np.abs(b) * off_weight)
-    kept = np.flatnonzero(cost - bound <= np.min(cost + bound))
-    values, which = np.unique(b[kept], return_inverse=True)
-    exact = np.array([np.abs(e + c * v).sum() for c in values])
-    best = exact[which] == exact.min()
-    return candidates[order[kept[best]].min()], exact.min()
-
-
-def _l1_polish_along(e: np.ndarray, basis: np.ndarray, passes: int = 4) -> np.ndarray:
-    """Exact l1 minimization of ``e + basis @ c`` one direction at a time.
-
-    Along each direction v the l1 norm is piecewise linear in the
-    coefficient, so the optimum sits at a breakpoint where one entry crosses
-    zero: the weighted median of ``-e_i / v_i`` with weights ``|v_i|``.
-    :func:`_l1_line_search` finds it from one sort and prefix sums, O(n log n)
-    time and O(n) memory per direction. A move is taken only when it lowers
-    the norm by more than ``1e-15`` relative. Multiple directions are handled
-    by cyclic passes, which never increase the norm.
-    """
-    if basis.size == 0:
-        return e
-    e = e.copy()
-    for _ in range(passes):
-        improved = False
-        for j in range(basis.shape[1]):
-            v = basis[:, j]
-            nz = np.abs(v) > 1e-14
-            if not np.any(nz):
-                continue
-            c, cost = _l1_line_search(e, v, nz)
-            current = float(np.abs(e).sum())
-            if cost < current - 1e-15 * (1.0 + current):
-                e = e + c * v
-                improved = True
-        if not improved:
-            break
-    return e
-
-
-def _variation_free(shift: GraphShift) -> np.ndarray:
-    """Null space basis of ``tilde_shift(shift)``.
-
-    The null space holds the signals with zero variation (one vector per
-    closed class of a row-stochastic shift). An eigenvalue counts as zero at
-    or below ``1e-12 * max(||T||_inf, 1)``: the largest absolute row sum of
-    T bounds its largest eigenvalue and costs O(nnz). The basis comes from
-    the lowest k = 2, 4, 8, ... eigenpairs (sharing one sparse LU) until the
-    largest of them is nonzero; k starts at 2, the least that shows a
-    connected graph's one null vector is the only one.
-    """
-    cutoff = 1e-12 * max(float(abs(tilde_shift(shift)).sum(axis=1).max()), 1.0)
-    n, k = shift.n, min(2, shift.n)
-    while True:
-        values, vectors = _lowest_eigenpairs(shift, k)
-        if values[-1] > cutoff or k == n:
-            return vectors[:, values <= cutoff]
-        k = min(2 * k, n)
-
-
 def _weight_search(excess: Callable[[float], float], beta_hi: float,
                    excess_hi: float) -> tuple[float, float, int]:
     """Bracket the largest weight beta with ``excess(beta) <= 0``.
@@ -723,14 +628,11 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     leave, each weight strictly inside the bracket the earlier ones left,
     until it is as narrow as a ``MAX_BISECT``-step bisection's, ``beta_hi *
     2^-MAX_BISECT``, or ``MAX_BISECT`` weights were solved. The largest
-    feasible weight solved is returned. The first penalized solve at each
-    weight starts from the outliers at the weight solved just before it.
-    Each penalized solve is polished by an exact l1 line search over the
-    variation-free subspace (directions the cap cannot see), a weighted
-    median of O(n log n) time and O(n) memory per direction, which removes
-    the slow drift the plain proximal iteration suffers there. Raises
-    :class:`Infeasible` when none of ``MAX_BISECT`` halvings, down to
-    ``beta_hi * 2^-MAX_BISECT``, satisfies the cap.
+    feasible weight solved is returned. Each weight is one
+    :func:`anomaly_detect` solve, started from the outliers at the weight
+    solved just before it. Raises :class:`Infeasible` when none of
+    ``MAX_BISECT`` halvings, down to ``beta_hi * 2^-MAX_BISECT``, satisfies
+    the cap.
 
     Feasibility is decided at the solver's resolution: a solve that stops
     with fixed-point residual r (at most 1e-6) at step t is exact for entry
@@ -742,10 +644,13 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     signs s), plus the two brackets' widths.
 
     ``converged`` certifies the constrained problem: the returned point meets
-    the cap and is stationary for the final weight at the step of the final
-    solve (up to variation-free directions, which the polish handles
-    exactly). ``iterations`` sums the iterations (and polish steps) of every
-    weight the search tried, ``meta["backtracks"]`` the rejected step
+    the cap and is stationary for the final weight, its solve's fixed-point
+    residual ``max |e - shrink(e - t grad, t beta)|`` at its final step t
+    (``meta["stationarity"]``) being at most ``1e-6 (1 + max |e|)``. That
+    covers the variation-free directions too: along a v with ``v - A v =
+    0`` the gradient has no component, so an exact fixed point already
+    minimizes ``||e||_1`` along v. ``iterations`` sums the iterations of
+    every weight the search tried, ``meta["backtracks"]`` the rejected step
     candidates of those solves; the objective trace is that of the returned
     weight alone. ``meta`` records the returned weight (``beta_reg``), the
     number of weights solved (``bisections``) and the final bracket
@@ -775,45 +680,22 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
             },
         )
 
-    at = tilde_shift(shift)
-    null_basis = _variation_free(shift)
-
     last = None  # outliers at the weight solved last
     kept = None  # the solve at the largest feasible weight so far
     iterations = backtracks = 0  # over every weight solved
 
     def excess(beta: float) -> float:
-        # start from the outliers at the weight solved last, then alternate
-        # the penalized solve with the exact subspace polish; the polish
-        # jumps over the flat directions, the re-solve cleans up the rest
-        # from that much better starting point
         nonlocal last, kept, iterations, backtracks
-        warm = last
-        traces = []
-        sol = None
-        for _ in range(3):
-            sol = anomaly_detect(t, shift, beta, config, e0=warm)
-            traces.append(sol.objective_trace)
-            iterations += sol.iterations
-            backtracks += sol.meta["backtracks"]
-            polished = _l1_polish_along(sol.outliers, null_basis)
-            if np.array_equal(polished, sol.outliers):
-                break
-            x = t - polished
-            objective = (_variation(x[:, None], shift)
-                         + beta * float(np.abs(polished).sum()))
-            traces.append(np.array([objective]))
-            iterations += 1
-            sol = dataclass_replace(sol, x=x, outliers=polished,
-                                    meta=dict(sol.meta, polished=True))
-            warm = polished
+        sol = anomaly_detect(t, shift, beta, config, e0=last)
+        iterations += sol.iterations
+        backtracks += sol.meta["backtracks"]
         last = sol.outliers
         value = _variation(sol.x[:, None], shift) - cap
         if value <= 0:
-            kept = dataclass_replace(sol, objective_trace=np.concatenate(traces))
+            kept = sol
         return value
 
-    beta_hi = 1.001 * 2.0 * float(np.max(np.abs(at @ t)))
+    beta_hi = 1.001 * 2.0 * float(np.max(np.abs(tilde_shift(shift) @ t)))
     if beta_hi <= 0:
         beta_hi = 1.0
     # at beta_hi the outliers vanish, so its variation needs no solve
@@ -823,21 +705,13 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
             f"no l1 weight down to {hi:.3e} meets the smoothness cap "
             f"{target:.3e}"
         )
-    beta_star, sol = lo, kept
-
-    # stationarity certificate at the returned point, ignoring displacement
-    # along the variation-free subspace the polish already optimized
-    e, step_fp = sol.outliers, sol.meta["step"]
-    grad = -2.0 * (at @ (t - e))
-    disp = e - shrink(e - step_fp * grad, step_fp * beta_star)
-    if null_basis.size:
-        disp = disp - null_basis @ (null_basis.T @ disp)
-    stationarity = float(np.max(np.abs(disp))) if disp.size else 0.0
-    stationary = stationarity <= 1e-6 * (1.0 + float(np.max(np.abs(e))))
+    sol = kept
+    stationarity = sol.meta["fixed_point_residual"]
+    stationary = stationarity <= 1e-6 * (1.0 + float(np.max(np.abs(sol.outliers))))
     return dataclass_replace(
-        sol, iterations=iterations, converged=sol.converged or stationary,
+        sol, iterations=iterations, converged=stationary,
         meta=dict(sol.meta, solver="anomaly_detect_constrained",
-                  beta_reg=beta_star, smoothness=_variation(sol.x[:, None], shift),
+                  beta_reg=lo, smoothness=_variation(sol.x[:, None], shift),
                   target=target, bisections=solves, bracket=(lo, hi),
                   backtracks=backtracks, stationarity=stationarity))
 

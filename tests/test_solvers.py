@@ -723,77 +723,6 @@ def assert_bitwise(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def polish_case(kind, seed, n=60):
-    """(e, basis) of one kind of l1 polish input."""
-    rng = np.random.default_rng(seed)
-    e = rng.normal(size=n) * rng.uniform(0.1, 3.0)
-    if kind == "one column":
-        basis = rng.normal(size=(n, 1))
-        basis /= np.linalg.norm(basis)
-    elif kind == "two columns":
-        basis = np.linalg.qr(rng.normal(size=(n, 2)))[0]
-    elif kind == "zero entries":
-        v = rng.normal(size=n)
-        v[rng.choice(n, size=n // 3, replace=False)] = 0.0
-        v[rng.choice(n, size=3, replace=False)] = 1e-15
-        basis = (v / np.linalg.norm(v))[:, None]
-    elif kind == "repeated breakpoints":
-        e = np.where(rng.uniform(size=n) < 0.1, rng.choice([-2.0, 1.0, 3.0], n), 0.0)
-        e[rng.choice(n, size=3, replace=False)] = 1.0
-        basis = np.stack([np.full(n, n ** -0.5),
-                          np.repeat([1.0, -1.0], n // 2) * n ** -0.5], axis=1)
-    elif kind == "flat minimum":
-        # sum |e_i + c| with half the e_i at a and half at b is flat between
-        # -a and -b, so two breakpoints tie exactly and the first one wins
-        a, b = rng.choice(np.arange(1.0, 9.0), size=2, replace=False)
-        e = rng.permutation(np.repeat([a, b], n // 2)) * 2.0 ** int(rng.integers(-3, 4))
-        basis = np.ones((n, 1))
-    elif kind == "already optimal":
-        # one line search lands on the optimum along its only direction
-        basis = rng.normal(size=(n, 1))
-        basis /= np.linalg.norm(basis)
-        e = oracles.l1_polish_oracle(e, basis)
-    elif kind == "empty basis":
-        basis = np.zeros((n, 0))
-    return e, basis
-
-
-class TestL1Polish:
-    @pytest.mark.parametrize("kind", ["one column", "two columns", "zero entries",
-                                      "repeated breakpoints", "flat minimum",
-                                      "already optimal", "empty basis"])
-    def test_bitwise_equal_to_enumeration(self, kind):
-        from gsrec.solvers import _l1_polish_along
-
-        for seed in range(20):
-            e, basis = polish_case(kind, seed)
-            before = e.copy()
-            out = _l1_polish_along(e, basis)
-            assert_bitwise(out, oracles.l1_polish_oracle(e, basis))
-            assert_bitwise(e, before)
-            if kind == "already optimal":
-                assert_bitwise(out, e)
-
-    def test_memory_is_linear(self):
-        import tracemalloc
-
-        from gsrec.solvers import _l1_polish_along
-
-        n = 5000
-        rng = np.random.default_rng(7)
-        e = np.where(rng.uniform(size=n) < 0.02, rng.normal(size=n) * 4.0, 0.0) + 0.3
-        basis = np.full((n, 1), n ** -0.5)
-        tracemalloc.start()
-        try:
-            out = _l1_polish_along(e, basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the (n, n) cost matrix of a direct enumeration would need 200 MB
-        assert peak < 4e6
-        assert np.abs(out).sum() < np.abs(e).sum()
-
-
 class TestRgtvr:
     def test_clean_signal_large_gamma_matches_gtvr(self):
         shift = symmetric_shift(15, 30)
