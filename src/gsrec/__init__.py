@@ -20,7 +20,6 @@ from .analysis import (
     verify_inpainting_bound,
 )
 from .datagen import (
-    FeatureTable,
     GraphBuildSpec,
     SyntheticInstance,
     SyntheticSpec,

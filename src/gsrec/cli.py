@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import (
-    FeatureTable,
     GraphBuildSpec,
     SyntheticSpec,
     build_knn_graph,
@@ -255,11 +254,10 @@ def _finish(result) -> int:
 
 def _cmd_build_graph(args) -> int:
     features = load_signal_csv(args.features, allow_nan=True)
-    table = FeatureTable(features, allow_missing=bool(np.isnan(features).any()))
     spec = GraphBuildSpec(k=args.k, metric=args.metric,
                           normalization=args.normalization,
                           symmetrize=args.symmetrize, missing=args.missing)
-    shift = build_knn_graph(table, spec)
+    shift = build_knn_graph(features, spec)
     out = args.out
     if not out:
         raise ConfigError("build-graph needs --out")

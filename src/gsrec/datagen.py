@@ -52,33 +52,6 @@ def stream_rng(seed: int, *tags: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class FeatureTable:
-    """Feature rows used to build a similarity graph, one row per node.
-
-    NaN marks a missing value and is only allowed with ``allow_missing``.
-    """
-
-    values: np.ndarray
-    allow_missing: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise DimensionMismatch(f"features must be 2-d, got {v.ndim}-d")
-        if v.shape[1] == 0:
-            raise DimensionMismatch("features need at least one column")
-        if np.any(np.isinf(v)):
-            raise ValueError("features must not contain infinities")
-        if not self.allow_missing and np.any(np.isnan(v)):
-            raise ValueError("features contain NaN but allow_missing is False")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class GraphBuildSpec:
     """How to turn features or distances into a shift operator."""
 
@@ -154,14 +127,20 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def _feature_values(features: FeatureTable | np.ndarray) -> np.ndarray:
-    if isinstance(features, FeatureTable):
-        return features.values
-    return FeatureTable(np.asarray(features, dtype=float),
-                        allow_missing=bool(np.any(np.isnan(features)))).values
+def _feature_values(features) -> np.ndarray:
+    """Feature rows as a 2-d float array, one row per node; NaN marks a
+    missing value."""
+    v = np.asarray(features, dtype=float)
+    if v.ndim != 2:
+        raise DimensionMismatch(f"features must be 2-d, got {v.ndim}-d")
+    if v.shape[1] == 0:
+        raise DimensionMismatch("features need at least one column")
+    if np.any(np.isinf(v)):
+        raise ValueError("features must not contain infinities")
+    return v
 
 
-def pairwise_distances(features: FeatureTable | np.ndarray,
+def pairwise_distances(features: np.ndarray,
                        metric: str = "euclidean",
                        missing: str = "mean") -> np.ndarray:
     """Symmetric distance matrix between feature rows.
@@ -324,7 +303,7 @@ def _tree_neighbors(x: np.ndarray, k: int,
             np.take_along_axis(dists, order, axis=1), total)
 
 
-def build_knn_graph(data: FeatureTable | np.ndarray,
+def build_knn_graph(data: np.ndarray,
                     spec: GraphBuildSpec = GraphBuildSpec()) -> GraphShift:
     """Directed k-nearest-neighbor graph with kernel weights, as a shift.
 
@@ -350,8 +329,7 @@ def build_knn_graph(data: FeatureTable | np.ndarray,
     """
     k = spec.k
     if spec.metric == "precomputed":
-        d = np.asarray(data.values if isinstance(data, FeatureTable) else data,
-                       dtype=float)
+        d = np.asarray(data, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise DimensionMismatch(f"distance matrix must be square, got {d.shape}")
         if np.any(np.isnan(d)):
@@ -362,8 +340,7 @@ def build_knn_graph(data: FeatureTable | np.ndarray,
     else:
         x = _feature_values(data)
         d = None if np.isfinite(x).all() else pairwise_distances(
-            FeatureTable(x, allow_missing=True), metric=spec.metric,
-            missing=spec.missing)
+            x, metric=spec.metric, missing=spec.missing)
     n = (x if d is None else d).shape[0]
     if k >= n:
         raise KTooLarge(f"k={k} needs at least k+1={k + 1} nodes, have {n}")

@@ -173,7 +173,9 @@ def _start_vector(n: int) -> np.ndarray:
 
     Never the constant vector: for a row-stochastic A that is an exact null
     vector of ``tilde_shift``, and a Lanczos basis started there finds
-    nothing else.
+    nothing else. ARPACK draws a new start vector whenever its Krylov space
+    closes (as at a repeated eigenvalue), from OS entropy unless it is given
+    a generator, so every call also passes ``rng=np.random.default_rng(0)``.
     """
     return 1.0 + 0.5 * np.cos(0.618 * np.arange(n))
 
@@ -223,7 +225,8 @@ def spectral_radius(weights) -> float:
     from scipy.sparse.linalg import ArpackError, eigs
 
     try:
-        values, vectors = eigs(w, 1, which="LM", v0=_start_vector(n))
+        values, vectors = eigs(w, 1, which="LM", v0=_start_vector(n),
+                               rng=np.random.default_rng(0))
     except ArpackError as exc:
         failure = (f"ARPACK found no largest-magnitude eigenvalue of an "
                    f"{n}-node operator: {exc}")
@@ -323,10 +326,13 @@ def _lowest_eigenpairs(shift: GraphShift, k: int) -> tuple[np.ndarray, np.ndarra
     computed once per k and kept on the shift. Uses ARPACK's shift-invert
     Lanczos (``eigsh`` with ``sigma=_EIGSH_SIGMA``) on the shift's one sparse
     LU of ``T - sigma I``, O(n k) memory, started from one fixed vector, so
-    no random stream is drawn from. ARPACK needs ``k < n - 1``; for
+    no random stream is drawn from. Where ARPACK does not converge in its
+    default Krylov space of ``ncv = min(n, max(2 k + 1, 20))`` vectors (a
+    graph with many closed classes, whose zero eigenvalue repeats, can stall
+    it), one retry triples that space. ARPACK needs ``k < n - 1``; for
     ``k >= n - 1`` this makes one dense ``np.linalg.eigh``, the only dense
     eigensolve on the ``gsrec run`` path. Raises :class:`EigensolveFailed`
-    when ARPACK does not converge, without a dense retry.
+    when the retry does not converge either, without a dense retry.
     """
     if k in shift._eigenpairs:
         return shift._eigenpairs[k]
@@ -338,14 +344,20 @@ def _lowest_eigenpairs(shift: GraphShift, k: int) -> tuple[np.ndarray, np.ndarra
         # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
         from scipy.sparse.linalg import ArpackError, eigsh
 
-        try:
-            values, vectors = eigsh(sp.csc_array(matrix, dtype=float), k,
-                                    sigma=_EIGSH_SIGMA, which="LM",
-                                    OPinv=shift._tilde_inverse, v0=_start_vector(n))
-        except ArpackError as exc:
+        for ncv in (None, min(n, 3 * max(2 * k + 1, 20))):
+            try:
+                values, vectors = eigsh(sp.csc_array(matrix, dtype=float), k,
+                                        sigma=_EIGSH_SIGMA, which="LM",
+                                        OPinv=shift._tilde_inverse,
+                                        v0=_start_vector(n), ncv=ncv,
+                                        rng=np.random.default_rng(0))
+                break
+            except ArpackError as exc:
+                failure = exc
+        else:
             raise EigensolveFailed(
                 f"ARPACK found no {k} lowest eigenpairs of an {n}-node "
-                f"operator: {exc}") from exc
+                f"operator: {failure}") from failure
         order = np.argsort(values, kind="stable")
         values, vectors = values[order], vectors[:, order]
     values.flags.writeable = vectors.flags.writeable = False

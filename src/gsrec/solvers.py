@@ -20,21 +20,26 @@ ADMM
     rgtvr     gsr_admm on one column at beta = 0: inpainting robust to
               sparse corruption of the measurements
 
-The three proximal-gradient solvers run one shared driver,
-:func:`_prox_gradient`; each supplies only its smooth part, that part's
-gradient and a proximal step (``svt`` or ``shrink``) that also returns the
-nonsmooth value of its result. The smooth part also returns the shift
-residual ``X - A X`` of the point it evaluated, and the driver hands the
+The three proximal-gradient solvers run one shared loop,
+:func:`_prox_gradient`, which returns their :class:`RecoveryResult`; each
+supplies only its smooth part, that part's gradient and a proximal step
+(``svt`` or ``shrink``) that also returns the nonsmooth value of its result,
+and then names itself and shapes ``x``. The smooth part also returns the
+shift residual ``X - A X`` of the point it evaluated, and the loop hands the
 accepted candidate's residual to the next gradient, which then costs one
-sparse product (with A^T). The driver backtracks the step until the
-smooth part lies below its quadratic model at the candidate (Beck & Teboulle
-2009). ``gmcm`` instead accepts a candidate when the full objective does not
-increase, because re-pinning the measured entries after the thresholding makes
-its step something other than a proximal map. Each step search starts at the
-step accepted last and tries a doubled one (capped at ``STEP_T0``) only after
-``STEP_GROW_AFTER`` iterations in a row were accepted at their first
-candidate, so a run whose step has settled spends about one proximal map
-per iteration instead of two.
+sparse product (with A^T). The step is backtracked until the smooth part
+lies below its quadratic model at the candidate (Beck & Teboulle 2009),
+tested by the exact curvature of the quadratic smooth part along the move
+s, the squared change of the shift residual (plus ``||s_M||^2`` for
+``gmcr``), against ``||s||^2 / (2 t)``: no difference of two nearly equal
+objectives lets rounding shrink the step. ``gmcm`` instead accepts a
+candidate when the full objective does not increase, because re-pinning the
+measured entries after the thresholding makes its step something other than
+a proximal map. Each step search starts at the step accepted last and tries
+a doubled one (capped at ``STEP_T0``) only after ``STEP_GROW_AFTER``
+iterations in a row were accepted at their first candidate, so a run whose
+step has settled spends about one proximal map per iteration instead of
+two. A warm-started ``anomaly_detect`` starts at its earlier result's step.
 
 ``gsr_admm`` is the one ADMM loop, and every block update in it is one
 closed form: a solve with a sparse LU factorization made once per call, an
@@ -64,8 +69,8 @@ eigenpair of ``(I - A)^T (I - A)``.
 variation meets the cap: halvings up to the first feasible weight, then
 safeguarded regula falsi (Anderson-Bjorck) down to the width of a
 ``MAX_BISECT``-step bisection, in at most ``MAX_BISECT`` weights. Each
-weight is one ``anomaly_detect`` solve, warm-started from the outliers at
-the weight solved before it.
+weight is one ``anomaly_detect`` solve, warm-started from the outliers and
+the final step of the weight solved before it.
 
 Iterative solvers stop when the objective changes by less than
 ``config.tol_outer`` between consecutive iterations; ``gsr_admm`` (so also
@@ -78,7 +83,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 from dataclasses import replace as dataclass_replace
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -312,24 +317,15 @@ def gtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift, alpha: float) -> Re
 # proximal gradient
 # ---------------------------------------------------------------------------
 
-class _ProxGradientRun(NamedTuple):
-    x: np.ndarray
-    trace: np.ndarray
-    iterations: int
-    converged: bool
-    step: float
-    fixed_point_residual: float | None
-    backtracks: int
-
-
 def _prox_gradient(x: np.ndarray,
                    smooth: Callable[[np.ndarray], tuple[float, np.ndarray]],
                    grad: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    prox: Callable[[np.ndarray, float], tuple[np.ndarray, float]],
                    nonsmooth: float,
                    config: SolverConfig,
-                   descent: bool = False,
-                   fixed_point_tol: float | None = None) -> _ProxGradientRun:
+                   curvature: Callable[[np.ndarray, np.ndarray], float] | None = None,
+                   fixed_point_tol: float | None = None,
+                   step: float = STEP_T0) -> RecoveryResult:
     """Minimize ``f + g`` by proximal gradient with a backtracked step.
 
     ``smooth(x)`` returns f at x together with the shift residual
@@ -339,22 +335,27 @@ def _prox_gradient(x: np.ndarray,
     through ``prox(v, t)``, which returns ``prox_{t g}(v)`` together with g
     at that point, and ``nonsmooth`` is g at the start point x. The step
     search reads the module constants: the first iteration starts at
-    ``STEP_T0`` and each later one at the step the search before it ended
+    ``step`` and each later one at the step the search before it ended
     on, grown to ``min(t / STEP_RHO, STEP_T0)`` only after
     ``STEP_GROW_AFTER`` iterations in a row were accepted at their first
     candidate. It shrinks the step by ``STEP_RHO`` (at most
-    ``STEP_HALVINGS`` times) until the candidate is accepted: when f lies
-    below its quadratic model at the candidate, which keeps the objective
-    from increasing, or, with ``descent=True``, when the objective ``f + g``
-    itself does not increase. Without an accepted candidate the iterate
-    stays where it is. ``backtracks`` counts the rejected candidates.
+    ``STEP_HALVINGS`` times) until the candidate is accepted. For a
+    quadratic f, ``curvature(s, d_cand - d)`` is ``f(x + s) - f(x) -
+    grad(x) . s`` for the move s to the candidate, and the candidate is
+    accepted when it is at most ``||s||^2 / (2 t)``: f then lies below its
+    quadratic model there, which keeps the objective from increasing.
+    Without ``curvature`` the candidate is accepted when the objective
+    ``f + g`` itself does not increase. Without an accepted candidate the
+    iterate stays where it is.
 
     The run stops once the objective changes by less than
     ``config.tol_outer``. With ``fixed_point_tol`` the stop also needs the
     fixed-point residual ``max |x - prox(x - t grad(x), t)|`` to be at most
-    that tolerance, and the residual at the returned point is reported; it
-    is computed only where the objective test passed, and once more at the
-    end of a run that did not converge.
+    that tolerance; it is computed only where the objective test passed,
+    and once more at the end of a run that did not converge. The result's
+    ``meta`` holds the final ``step``, the rejected candidates
+    (``backtracks``), f at the returned point (``smooth``) and, with
+    ``fixed_point_tol``, the ``fixed_point_residual`` there.
     """
 
     def residual(xc, dc, t):
@@ -364,11 +365,11 @@ def _prox_gradient(x: np.ndarray,
     f_val, d = smooth(x)
     F = f_val + nonsmooth
     trace = []
-    t = STEP_T0
+    t = step
     streak = 0  # iterations in a row accepted at their first candidate
     backtracks = 0
     converged = False
-    fixed_point = None
+    meta = {}
     it = 0
     for it in range(1, config.max_outer + 1):
         g = grad(x, d)
@@ -379,12 +380,11 @@ def _prox_gradient(x: np.ndarray,
         for tries in range(STEP_HALVINGS + 1):
             cand, g_cand = prox(x - t * g, t)
             f_cand, d_cand = smooth(cand)
-            if descent:
+            if curvature is None:
                 moved = f_cand + g_cand <= F
             else:
-                diff = cand - x
-                moved = f_cand <= (f_val + float(np.vdot(g, diff))
-                                   + float(np.vdot(diff, diff)) / (2.0 * t))
+                s = cand - x
+                moved = curvature(s, d_cand - d) <= float(np.vdot(s, s)) / (2.0 * t)
             if moved:
                 break
             t *= STEP_RHO
@@ -400,15 +400,16 @@ def _prox_gradient(x: np.ndarray,
         trace.append(F_new)
         if abs(F_new - F) < config.tol_outer:
             if fixed_point_tol is not None:
-                fixed_point = residual(x, d, t)
-            if fixed_point_tol is None or fixed_point <= fixed_point_tol:
+                meta["fixed_point_residual"] = residual(x, d, t)
+            if fixed_point_tol is None or meta["fixed_point_residual"] <= fixed_point_tol:
                 converged = True
                 break
         F = F_new
     if fixed_point_tol is not None and not converged:
-        fixed_point = residual(x, d, t)
-    return _ProxGradientRun(x, np.array(trace), it, converged, t, fixed_point,
-                            backtracks)
+        meta["fixed_point_residual"] = residual(x, d, t)
+    return RecoveryResult(x=x, objective_trace=np.array(trace), iterations=it,
+                          converged=converged,
+                          meta=dict(meta, step=t, backtracks=backtracks, smooth=f_val))
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +436,11 @@ def gmcm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
         return V, (beta * _nuclear_norm(V) if beta > 0 else 0.0)
 
     X = np.where(m, T2, 0.0)
-    run = _prox_gradient(X, lambda Xc: _residual_variation(Xc, shift),
+    res = _prox_gradient(X, lambda Xc: _residual_variation(Xc, shift),
                          lambda Xc, d: _variation_grad(d, shift), pinned_svt,
-                         beta * _nuclear_norm(X) if beta > 0 else 0.0,
-                         config, descent=True)
-    return RecoveryResult(
-        x=run.x[:, 0] if was_vec else run.x,
-        objective_trace=run.trace,
-        iterations=run.iterations,
-        converged=run.converged,
-        meta={"solver": "gmcm", "step": run.step,
-              "backtracks": run.backtracks},
-    )
+                         beta * _nuclear_norm(X) if beta > 0 else 0.0, config)
+    res.x, res.meta["solver"] = (res.x[:, 0] if was_vec else res.x), "gmcm"
+    return res
 
 
 def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
@@ -479,16 +473,13 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
         return V, 0.0
 
     X = np.where(m, T2, 0.0)
-    run = _prox_gradient(X, smooth, smooth_grad, nuclear_prox,
-                         beta * _nuclear_norm(X) if beta > 0 else 0.0, config)
-    return RecoveryResult(
-        x=run.x[:, 0] if was_vec else run.x,
-        objective_trace=run.trace,
-        iterations=run.iterations,
-        converged=run.converged,
-        meta={"solver": "gmcr", "step": run.step,
-              "backtracks": run.backtracks},
-    )
+    w = m.astype(float)  # a product with it is cheaper than a masked gather
+    res = _prox_gradient(X, smooth, smooth_grad, nuclear_prox,
+                         beta * _nuclear_norm(X) if beta > 0 else 0.0, config,
+                         curvature=lambda S, dD: (float(np.vdot(S * w, S))
+                                                  + alpha * float(np.vdot(dD, dD))))
+    res.x, res.meta["solver"] = (res.x[:, 0] if was_vec else res.x), "gmcr"
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +488,16 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
 
 def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
                    config: SolverConfig | None = None,
-                   e0: np.ndarray | None = None) -> RecoveryResult:
+                   start: RecoveryResult | None = None) -> RecoveryResult:
     """Sparse outlier detection on a fully observed signal.
 
     Minimizes ``||(t - e) - A (t - e)||_2^2 + beta_reg * ||e||_1`` over the
     outlier vector e by proximal gradient (soft threshold after a variation
     gradient step, backtracking on the smooth part). Returns the cleaned
-    signal ``x = t - e`` and the outlier estimate. ``e0`` warm-starts the
-    iteration; the default start is zero.
+    signal ``x = t - e`` and the outlier estimate. ``start``, an earlier
+    result on the same signal, warm-starts the iteration at its outliers and
+    its final ``meta["step"]`` (``STEP_T0`` without one); the default start
+    is zero at ``STEP_T0``.
 
     ``converged`` means a genuine fixed point of the prox map (residual at
     most 1e-6), not just a plateau of the objective.
@@ -524,31 +517,20 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
         ec = shrink(v, step * beta_reg)
         return ec, beta_reg * float(np.sum(np.abs(ec)))
 
-    if e0 is None:
-        e = np.zeros_like(t)
-    else:
-        e = np.asarray(e0, dtype=float).copy()
+    e, step = np.zeros_like(t), STEP_T0
+    if start is not None:
+        e = np.array(start.outliers, dtype=float)
+        step = start.meta.get("step", STEP_T0)  # none where nothing was solved
         if e.shape != t.shape:
             raise DimensionMismatch(
-                f"warm start shape {e.shape} does not match signal {t.shape}"
-            )
-    run = _prox_gradient(e, smooth, smooth_grad, l1_prox,
+                f"warm start shape {e.shape} does not match signal {t.shape}")
+    res = _prox_gradient(e, smooth, smooth_grad, l1_prox,
                          beta_reg * float(np.sum(np.abs(e))), config,
-                         fixed_point_tol=1e-6)
-    return RecoveryResult(
-        x=t - run.x,
-        outliers=run.x,
-        objective_trace=run.trace,
-        iterations=run.iterations,
-        converged=run.converged,
-        meta={
-            "solver": "anomaly_detect",
-            "beta_reg": beta_reg,
-            "step": run.step,
-            "backtracks": run.backtracks,
-            "fixed_point_residual": run.fixed_point_residual,
-        },
-    )
+                         curvature=lambda s, dd: float(np.vdot(dd, dd)),
+                         fixed_point_tol=1e-6, step=step)
+    res.x, res.outliers = t - res.x, res.x
+    res.meta.update(solver="anomaly_detect", beta_reg=beta_reg)
+    return res
 
 
 def _weight_search(excess: Callable[[float], float], beta_hi: float,
@@ -622,14 +604,14 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     that weight. The variation of the penalized solution grows with the
     weight, piecewise quadratically, from 0 at weight 0 to the signal's own
     variation at ``beta_hi``, a weight above the one at which the outliers
-    vanish. :func:`_weight_search` brackets the crossing:
-    halvings of ``beta_hi`` until a weight is feasible, then regula falsi
-    with the Anderson-Bjorck rule inside the bracket ``[lo, 2 lo]`` they
-    leave, each weight strictly inside the bracket the earlier ones left,
-    until it is as narrow as a ``MAX_BISECT``-step bisection's, ``beta_hi *
+    vanish. :func:`_weight_search` brackets the crossing: halvings of
+    ``beta_hi`` until a weight is feasible, then regula falsi with the
+    Anderson-Bjorck rule inside the bracket ``[lo, 2 lo]`` they leave, each
+    weight strictly inside the bracket the earlier ones left, until it is as
+    narrow as a ``MAX_BISECT``-step bisection's, ``beta_hi *
     2^-MAX_BISECT``, or ``MAX_BISECT`` weights were solved. The largest
     feasible weight solved is returned. Each weight is one
-    :func:`anomaly_detect` solve, started from the outliers at the weight
+    :func:`anomaly_detect` solve, started from the result at the weight
     solved just before it. Raises :class:`Infeasible` when none of
     ``MAX_BISECT`` halvings, down to ``beta_hi * 2^-MAX_BISECT``, satisfies
     the cap.
@@ -643,13 +625,14 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     first-order factor of the support, 1 where ``T_SS^-1 s`` keeps the
     signs s), plus the two brackets' widths.
 
-    ``converged`` certifies the constrained problem: the returned point meets
-    the cap and is stationary for the final weight, its solve's fixed-point
+    ``converged`` is the kept solve's own certificate: the returned point
+    meets the cap (its variation, ``meta["smoothness"]``, is that solve's
+    smooth value) and is stationary for the final weight, its fixed-point
     residual ``max |e - shrink(e - t grad, t beta)|`` at its final step t
-    (``meta["stationarity"]``) being at most ``1e-6 (1 + max |e|)``. That
-    covers the variation-free directions too: along a v with ``v - A v =
-    0`` the gradient has no component, so an exact fixed point already
-    minimizes ``||e||_1`` along v. ``iterations`` sums the iterations of
+    (``meta["stationarity"]``) being at most 1e-6. That covers the
+    variation-free directions too: along a v with ``v - A v = 0`` the
+    gradient has no component, so an exact fixed point already minimizes
+    ``||e||_1`` along v. ``iterations`` sums the iterations of
     every weight the search tried, ``meta["backtracks"]`` the rejected step
     candidates of those solves; the objective trace is that of the returned
     weight alone. ``meta`` records the returned weight (``beta_reg``), the
@@ -680,19 +663,18 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
             },
         )
 
-    last = None  # outliers at the weight solved last
+    last = None  # the result at the weight solved last
     kept = None  # the solve at the largest feasible weight so far
     iterations = backtracks = 0  # over every weight solved
 
     def excess(beta: float) -> float:
         nonlocal last, kept, iterations, backtracks
-        sol = anomaly_detect(t, shift, beta, config, e0=last)
-        iterations += sol.iterations
-        backtracks += sol.meta["backtracks"]
-        last = sol.outliers
-        value = _variation(sol.x[:, None], shift) - cap
+        last = anomaly_detect(t, shift, beta, config, start=last)
+        iterations += last.iterations
+        backtracks += last.meta["backtracks"]
+        value = last.meta["smooth"] - cap
         if value <= 0:
-            kept = sol
+            kept = last
         return value
 
     beta_hi = 1.001 * 2.0 * float(np.max(np.abs(tilde_shift(shift) @ t)))
@@ -705,15 +687,13 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
             f"no l1 weight down to {hi:.3e} meets the smoothness cap "
             f"{target:.3e}"
         )
-    sol = kept
-    stationarity = sol.meta["fixed_point_residual"]
-    stationary = stationarity <= 1e-6 * (1.0 + float(np.max(np.abs(sol.outliers))))
     return dataclass_replace(
-        sol, iterations=iterations, converged=stationary,
-        meta=dict(sol.meta, solver="anomaly_detect_constrained",
-                  beta_reg=lo, smoothness=_variation(sol.x[:, None], shift),
+        kept, iterations=iterations,
+        meta=dict(kept.meta, solver="anomaly_detect_constrained",
+                  beta_reg=lo, smoothness=kept.meta["smooth"],
                   target=target, bisections=solves, bracket=(lo, hi),
-                  backtracks=backtracks, stationarity=stationarity))
+                  backtracks=backtracks,
+                  stationarity=kept.meta["fixed_point_residual"]))
 
 
 # ---------------------------------------------------------------------------

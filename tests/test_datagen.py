@@ -8,7 +8,6 @@ from gsrec import (
     DegenerateDistances,
     DimensionMismatch,
     EmptyMask,
-    FeatureTable,
     GraphBuildSpec,
     GraphShift,
     InconsistentInputs,
@@ -78,8 +77,7 @@ class TestPairwiseDistances:
 
     def test_missing_coordinates_rescaled(self):
         pts = np.array([[1.0, np.nan], [2.0, np.nan], [np.nan, 5.0]])
-        d = pairwise_distances(FeatureTable(pts, allow_missing=True),
-                              metric="manhattan")
+        d = pairwise_distances(pts, metric="manhattan")
         # rows 0 and 1 share only the first coordinate: |1-2| * (2/1)
         assert abs(d[0, 1] - 2.0) <= 1e-12
         # rows with no shared coordinate fall back to the mean distance
@@ -88,14 +86,9 @@ class TestPairwiseDistances:
 
     def test_exclude_policy_marks_disjoint_pairs(self):
         pts = np.array([[1.0, np.nan], [2.0, np.nan], [np.nan, 5.0]])
-        d = pairwise_distances(FeatureTable(pts, allow_missing=True),
-                              metric="manhattan", missing="exclude")
+        d = pairwise_distances(pts, metric="manhattan", missing="exclude")
         assert np.isinf(d[0, 2]) and np.isinf(d[2, 1])
         assert np.isfinite(d[0, 1])
-
-    def test_nan_without_allow_missing_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureTable(np.array([[1.0, np.nan]]))
 
 
 class TestKernelWeights:

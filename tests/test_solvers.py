@@ -18,6 +18,7 @@ from gsrec import (
     anomaly_detect_constrained,
     build_knn_graph,
     cycle_shift,
+    eigen_basis,
     gmcm,
     gmcr,
     gsr_admm,
@@ -479,9 +480,19 @@ class TestAnomalyDetect:
         with pytest.raises(ValueError):
             anomaly_detect(np.zeros(3), cycle_shift(3), -0.1)
 
+    def test_warm_start_from_a_result_without_a_solve(self):
+        # a cap the signal already meets returns it without a solve, so
+        # without a step; a warm start from it begins at STEP_T0
+        t, shift = np.arange(5.0), cycle_shift(5)
+        start = anomaly_detect_constrained(t, shift, np.inf)
+        cold = anomaly_detect(t, shift, 0.5)
+        warm = anomaly_detect(t, shift, 0.5, start=start)
+        np.testing.assert_array_equal(warm.outliers, cold.outliers)
+
     def test_warm_start_shape_checked(self):
         with pytest.raises(DimensionMismatch):
-            anomaly_detect(np.zeros(3), cycle_shift(3), 0.5, e0=np.zeros(4))
+            anomaly_detect(np.zeros(3), cycle_shift(3), 0.5,
+                           start=anomaly_detect(np.zeros(4), cycle_shift(4), 0.5))
 
 
 class TestAnomalyDetectConstrained:
@@ -600,10 +611,11 @@ class TestAnomalyDetectConstrained:
 
         weights = []
 
-        def stuck(t, shift, beta_reg, config=None, e0=None):
+        def stuck(t, shift, beta_reg, config=None, start=None):
             weights.append(beta_reg)
             return RecoveryResult(x=t.copy(), outliers=np.zeros_like(t),
-                                  meta={"step": 1.0, "backtracks": 0})
+                                  meta={"step": 1.0, "backtracks": 0,
+                                        "smooth": quadratic_variation(t, shift)})
 
         monkeypatch.setattr(solvers, "anomaly_detect", stuck)
         shift = symmetric_shift(10, 28)
@@ -695,14 +707,14 @@ class TestAnomalyDetectConstrained:
         starts = []
 
         def recorded(*args, **kwargs):
-            starts.append(kwargs.get("e0"))
+            starts.append(kwargs.get("start"))
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "anomaly_detect", recorded)
         res = anomaly_detect_constrained(t, shift, eta)
         assert len(starts) > 1
         assert starts[0] is None
-        assert all(e0 is not None for e0 in starts[1:])
+        assert all(start is not None for start in starts[1:])
         support = np.flatnonzero(np.abs(res.outliers) > 1e-6)
         np.testing.assert_array_equal(support, planted)
         assert res.converged
@@ -710,12 +722,41 @@ class TestAnomalyDetectConstrained:
         assert res.meta["stationarity"] <= 1e-6 * (1.0 + e_max)
 
         def cold_started(*args, **kwargs):
-            kwargs["e0"] = None
+            kwargs.pop("start", None)
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "anomaly_detect", cold_started)
         cold = anomaly_detect_constrained(t, shift, eta)
         assert res.iterations < cold.iterations
+
+    def test_converged_solves_keep_their_step(self, monkeypatch):
+        """A step search that compared two nearly equal objectives halved the
+        step on rounding noise near a fixed point, down to 1.5e-5 with 16
+        backtracks in one solve on this instance, so the 1e-6 fixed-point
+        residual was taken at a step that rounding chose. Each warm start
+        also began again at STEP_T0. On this column-normalized graph every
+        step of at most 1 / (2 ||I - A||^2) is accepted."""
+        import gsrec.solvers as solvers
+
+        shift = build_knn_graph(random_features(200, 2, 165),
+                                GraphBuildSpec(k=5, normalization="column"))
+        rng = np.random.default_rng(0)
+        t = eigen_basis(shift, 10) @ rng.normal(size=10)
+        t[rng.choice(200, 4, replace=False)] += rng.uniform(5, 8, 4)
+        inner = solvers.anomaly_detect
+        solves = []
+
+        def recorded(*args, **kwargs):
+            solves.append(inner(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(solvers, "anomaly_detect", recorded)
+        variation = quadratic_variation(t, shift)
+        for fraction in np.linspace(0.01, 0.8, 40):
+            res = anomaly_detect_constrained(t, shift, np.sqrt(fraction * variation))
+            assert res.converged
+        assert min(sol.meta["step"] for sol in solves) >= 0.1
+        assert max(sol.meta["backtracks"] for sol in solves) <= 6
 
 
 def assert_bitwise(a, b):
@@ -1042,3 +1083,22 @@ def trace_instance():
 def test_last_trace_entry_is_model_objective(case, trace_instance):
     res, objective = case(*trace_instance)
     assert res.objective_trace[-1] == pytest.approx(objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", ["gmcm", "gmcr", "anomaly_detect"])
+def test_prox_gradient_meta_reports_its_run(case, trace_instance):
+    """The final step, the rejected candidates and the smooth part f at x."""
+    shift, T, mask = trace_instance
+    c = TRACE_CONFIG
+    if case == "gmcm":
+        res = gmcm(T, mask, shift, c)
+        smooth = _variation(res.x, shift)
+    elif case == "gmcr":
+        res = gmcr(T, mask, shift, c)
+        smooth = _misfit(res.x - T, mask) + c.alpha * _variation(res.x, shift)
+    else:
+        res = anomaly_detect(T[:, 0], shift, c.gamma, c)
+        smooth = _variation(res.x, shift)
+    assert res.meta["solver"] == case
+    assert 0 < res.meta["step"] <= 1.0 and res.meta["backtracks"] >= 0
+    assert res.meta["smooth"] == pytest.approx(smooth, rel=1e-10)
