@@ -31,8 +31,8 @@ print("sparsity-weighted detector found:", found.tolist(),
 assert np.array_equal(found, support)
 
 # Same signal, but ask for a cleaned version whose variation is no more
-# than a tenth of the spiked signal's.  The solver bisects on the
-# sparsity weight internally until the budget is met.
+# than a tenth of the spiked signal's.  The solver follows the detector's
+# solution path down in the sparsity weight to where the budget is met.
 budget = np.sqrt(0.1 * quadratic_variation(t, shift))
 con = anomaly_detect_constrained(t, shift, eta_smooth=budget)
 print("budgeted detector found: ",

@@ -13,7 +13,9 @@ Proximal gradient
     gmcm   matrix completion, measured entries pinned exactly
     gmcr   matrix completion, measured entries fitted in least squares
     anomaly_detect            sparse-outlier detection, penalized form
-    anomaly_detect_constrained  weight search enforcing a smoothness cap
+
+Lasso homotopy
+    anomaly_detect_constrained  the least l1 outliers under a smoothness cap
 
 ADMM
     gsr_admm  the full model: smoothness + low rank + sparse outliers + noise
@@ -39,7 +41,7 @@ a proximal map. Each step search starts at the step accepted last and tries
 a doubled one (capped at ``STEP_T0``) only after ``STEP_GROW_AFTER``
 iterations in a row were accepted at their first candidate, so a run whose
 step has settled spends about one proximal map per iteration instead of
-two. A warm-started ``anomaly_detect`` starts at its earlier result's step.
+two.
 
 ``gsr_admm`` is the one ADMM loop, and every block update in it is one
 closed form: a solve with a sparse LU factorization made once per call, an
@@ -65,12 +67,10 @@ forms factor sparse systems built from ``(I - A)^T (I - A)`` with
 shift's CSR A^T as sparse products, O(nnz) each. No solver needs an
 eigenpair of ``(I - A)^T (I - A)``.
 
-``anomaly_detect_constrained`` searches the l1 weight at which the
-variation meets the cap: halvings up to the first feasible weight, then
-safeguarded regula falsi (Anderson-Bjorck) down to the width of a
-``MAX_BISECT``-step bisection, in at most ``MAX_BISECT`` weights. Each
-weight is one ``anomaly_detect`` solve, warm-started from the outliers and
-the final step of the weight solved before it.
+``anomaly_detect_constrained`` solves no penalized problem: the solution of
+``anomaly_detect`` is piecewise linear in its l1 weight, and
+:func:`_lasso_path` follows it down from e = 0, one dense solve on the
+support per segment, to the exact point where the variation meets the cap.
 
 Iterative solvers stop when the objective changes by less than
 ``config.tol_outer`` between consecutive iterations; ``gsr_admm`` (so also
@@ -99,12 +99,6 @@ from .prox import _nuclear_norm, factorized, shrink, svt
 
 # Relative feasibility tolerance for the ADMM coupling constraints.
 FEAS_RTOL = 1e-6
-
-# Most weights anomaly_detect_constrained solves, and the width its search
-# stops at: beta_hi * 2^-MAX_BISECT, where MAX_BISECT halvings of the first
-# bracket [0, beta_hi] would leave it. The halvings that look for the first
-# feasible weight count against it too.
-MAX_BISECT = 40
 
 # Step search of the proximal-gradient driver: each iteration starts at the
 # step accepted last, grown by 1 / STEP_RHO (up to STEP_T0) only after
@@ -324,8 +318,7 @@ def _prox_gradient(x: np.ndarray,
                    nonsmooth: float,
                    config: SolverConfig,
                    curvature: Callable[[np.ndarray, np.ndarray], float] | None = None,
-                   fixed_point_tol: float | None = None,
-                   step: float = STEP_T0) -> RecoveryResult:
+                   fixed_point_tol: float | None = None) -> RecoveryResult:
     """Minimize ``f + g`` by proximal gradient with a backtracked step.
 
     ``smooth(x)`` returns f at x together with the shift residual
@@ -335,7 +328,7 @@ def _prox_gradient(x: np.ndarray,
     through ``prox(v, t)``, which returns ``prox_{t g}(v)`` together with g
     at that point, and ``nonsmooth`` is g at the start point x. The step
     search reads the module constants: the first iteration starts at
-    ``step`` and each later one at the step the search before it ended
+    ``STEP_T0`` and each later one at the step the search before it ended
     on, grown to ``min(t / STEP_RHO, STEP_T0)`` only after
     ``STEP_GROW_AFTER`` iterations in a row were accepted at their first
     candidate. It shrinks the step by ``STEP_RHO`` (at most
@@ -365,7 +358,7 @@ def _prox_gradient(x: np.ndarray,
     f_val, d = smooth(x)
     F = f_val + nonsmooth
     trace = []
-    t = step
+    t = STEP_T0
     streak = 0  # iterations in a row accepted at their first candidate
     backtracks = 0
     converged = False
@@ -456,15 +449,17 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     T2, m, was_vec = _matrix_inputs(T, mask, shift)
     alpha, beta = config.alpha, config.beta
 
+    # products with the float mask w are cheaper than masked gathers and
+    # scatters; Tm is T on M and 0 off it, so a NaN off M never enters
+    w, Tm = m.astype(float), np.where(m, T2, 0.0)
+
     def smooth(Xc):
-        r = Xc[m] - T2[m]
+        r = w * Xc - Tm
         variation, d = _residual_variation(Xc, shift)
-        return float(r @ r) + alpha * variation, d
+        return float(np.vdot(r, r)) + alpha * variation, d
 
     def smooth_grad(Xc, d):
-        g = np.zeros_like(Xc)
-        g[m] = 2.0 * (Xc[m] - T2[m])
-        return g + alpha * _variation_grad(d, shift)
+        return 2.0 * (w * Xc - Tm) + alpha * _variation_grad(d, shift)
 
     def nuclear_prox(V, t):
         if beta > 0:
@@ -472,10 +467,8 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
             return V, beta * float(np.sum(s))
         return V, 0.0
 
-    X = np.where(m, T2, 0.0)
-    w = m.astype(float)  # a product with it is cheaper than a masked gather
-    res = _prox_gradient(X, smooth, smooth_grad, nuclear_prox,
-                         beta * _nuclear_norm(X) if beta > 0 else 0.0, config,
+    res = _prox_gradient(Tm, smooth, smooth_grad, nuclear_prox,
+                         beta * _nuclear_norm(Tm) if beta > 0 else 0.0, config,
                          curvature=lambda S, dD: (float(np.vdot(S * w, S))
                                                   + alpha * float(np.vdot(dD, dD))))
     res.x, res.meta["solver"] = (res.x[:, 0] if was_vec else res.x), "gmcr"
@@ -487,17 +480,13 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
 # ---------------------------------------------------------------------------
 
 def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
-                   config: SolverConfig | None = None,
-                   start: RecoveryResult | None = None) -> RecoveryResult:
+                   config: SolverConfig | None = None) -> RecoveryResult:
     """Sparse outlier detection on a fully observed signal.
 
     Minimizes ``||(t - e) - A (t - e)||_2^2 + beta_reg * ||e||_1`` over the
     outlier vector e by proximal gradient (soft threshold after a variation
-    gradient step, backtracking on the smooth part). Returns the cleaned
-    signal ``x = t - e`` and the outlier estimate. ``start``, an earlier
-    result on the same signal, warm-starts the iteration at its outliers and
-    its final ``meta["step"]`` (``STEP_T0`` without one); the default start
-    is zero at ``STEP_T0``.
+    gradient step, backtracking on the smooth part), started from e = 0.
+    Returns the cleaned signal ``x = t - e`` and the outlier estimate.
 
     ``converged`` means a genuine fixed point of the prox map (residual at
     most 1e-6), not just a plateau of the objective.
@@ -517,80 +506,84 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
         ec = shrink(v, step * beta_reg)
         return ec, beta_reg * float(np.sum(np.abs(ec)))
 
-    e, step = np.zeros_like(t), STEP_T0
-    if start is not None:
-        e = np.array(start.outliers, dtype=float)
-        step = start.meta.get("step", STEP_T0)  # none where nothing was solved
-        if e.shape != t.shape:
-            raise DimensionMismatch(
-                f"warm start shape {e.shape} does not match signal {t.shape}")
-    res = _prox_gradient(e, smooth, smooth_grad, l1_prox,
-                         beta_reg * float(np.sum(np.abs(e))), config,
-                         curvature=lambda s, dd: float(np.vdot(dd, dd)),
-                         fixed_point_tol=1e-6, step=step)
+    res = _prox_gradient(np.zeros_like(t), smooth, smooth_grad, l1_prox, 0.0,
+                         config, curvature=lambda s, dd: float(np.vdot(dd, dd)),
+                         fixed_point_tol=1e-6)
     res.x, res.outliers = t - res.x, res.x
     res.meta.update(solver="anomaly_detect", beta_reg=beta_reg)
     return res
 
 
-def _weight_search(excess: Callable[[float], float], beta_hi: float,
-                   excess_hi: float) -> tuple[float, float, int]:
-    """Bracket the largest weight beta with ``excess(beta) <= 0``.
+def _lasso_path(t: np.ndarray, shift: GraphShift, budget: float,
+                max_segments: int) -> tuple[np.ndarray, float, int]:
+    """The point of :func:`anomaly_detect`'s solution path at a variation.
 
-    ``excess`` solves at a weight and returns how far its variation lies
-    above the cap; it is nondecreasing in beta, and ``excess_hi > 0`` is its
-    value at ``beta_hi``. The weights ``beta_hi / 2, beta_hi / 4, ...`` are
-    tried until one is feasible; that weight ``lo`` and the one before it
-    leave the bracket ``[lo, 2 lo]``. Regula falsi with the Anderson-Bjorck
-    rule (1973) shrinks it: the next weight is where the chord between the
-    bracket's ends crosses zero, and when the same end moves twice in a row
-    the excess kept at the other end is scaled down by
-    ``1 - excess_new / excess_old`` (by 1/2 where that is not positive), so
-    both ends close in on the critical weight. As in Brent's method (1973,
-    ch. 4), a chord point is kept at least half the final width inside the
-    bracket, so one weight just past the critical one closes it, and a
-    point outside the bracket's interior (a NaN) is replaced by the
-    midpoint. The search stops once the bracket is at most
-    ``beta_hi * 2^-MAX_BISECT`` wide, the width of a ``MAX_BISECT``-step
-    bisection, or after ``MAX_BISECT`` weights. Returns the final bracket
-    ``(lo, hi)`` and the number of weights solved; ``lo`` is the largest
-    feasible weight solved, 0 when none was.
+    With ``D = I - A``, ``T = D^T D`` and ``b = T t``, the minimizer e of
+    ``||D (t - e)||^2 + beta ||e||_1`` is piecewise linear in beta (the
+    lasso homotopy: Osborne, Presnell & Turlach 2000; Efron et al. 2004,
+    section 3.1). On a support S with signs s the correlations ``c = 2 T
+    (t - e)`` equal ``beta s`` on S, so ``e_S = u - beta v`` with ``T_SS
+    [u, v] = [b_S, s / 2]`` (one dense solve); the residual ``D (t - e)`` is
+    ``r0 + beta r1`` and c is ``p + beta q``. The path starts at ``beta =
+    max |2 b|`` with e = 0 and runs down. A segment ends at the largest
+    weight, at most beta, where an entry of e_S shrinking toward 0 reaches
+    it (it leaves S) or a correlation off S moving out at a rate ``1 -+
+    q_j`` above 1e-9 reaches ``+-beta`` (it joins with that sign). One
+    already there ends the segment at once, so ties go one per segment; an
+    entry that just joined grows and one that just left moves in, so
+    neither comes back. A correlation the support holds at ``+-beta``, as
+    when S and j carry a variation-free vector (a closed class of the
+    graph), moves at rate 0 and stays out, where joining would make
+    ``T_SS`` singular. The variation ``||r0 + beta r1||^2`` grows with
+    beta; on the first segment whose lower end meets ``budget``, the larger
+    root of that quadratic is returned with e and the segment count.
+    Raises :class:`Infeasible` when the path reaches weight 0 or
+    ``max_segments`` segments above the budget.
     """
-    lo, hi = 0.0, beta_hi
-    excess_lo = None
-    solves = 0
-    while excess_lo is None and solves < MAX_BISECT:
-        beta = 0.5 * hi
-        value = excess(beta)
-        solves += 1
-        if value <= 0:
-            lo, excess_lo = beta, value
-        else:
-            hi, excess_hi = beta, value
-    width = beta_hi * 2.0 ** -MAX_BISECT
-    moved = None  # the end the last weight replaced
-    while hi - lo > width and solves < MAX_BISECT:
-        beta = lo + (hi - lo) * excess_lo / (excess_lo - excess_hi)
-        beta = min(max(beta, lo + 0.5 * width), hi - 0.5 * width)
-        if not lo < beta < hi:
-            beta = 0.5 * (lo + hi)
-        value = excess(beta)
-        solves += 1
-        if value <= 0:
-            if moved == "lo":
-                excess_hi *= _anderson_bjorck(value, excess_lo)
-            lo, excess_lo, moved = beta, value, "lo"
-        else:
-            if moved == "hi":
-                excess_lo *= _anderson_bjorck(value, excess_hi)
-            hi, excess_hi, moved = beta, value, "hi"
-    return lo, hi, solves
-
-
-def _anderson_bjorck(new: float, old: float) -> float:
-    """Scale for the kept end's excess when the other end moved twice."""
-    scale = 1.0 - new / old
-    return scale if scale > 0 else 0.5
+    T = tilde_shift(shift)
+    b = T @ t
+    n = t.shape[0]
+    beta = 2.0 * float(np.max(np.abs(b)))
+    # s on the support, 0 off it: the largest correlation joins first
+    signs = np.where(np.arange(n) == np.argmax(np.abs(b)), np.sign(b), 0.0)
+    for segment in range(1, max_segments + 1):
+        S = np.flatnonzero(signs)
+        s = signs[S]
+        uv = np.zeros((n, 2))
+        uv[S] = np.linalg.solve(T[S][:, S].toarray(), np.column_stack([b[S], 0.5 * s]))
+        u, v = uv[S].T
+        X = np.column_stack([t - uv[:, 0], uv[:, 1]])  # t - e = X @ (1, beta)
+        R = X - shift.matrix @ X
+        p, q = _variation_grad(R, shift).T
+        # weights where an entry of e_S shrinking toward 0 reaches it (row
+        # 0), or a correlation off S reaches +beta (row 1) or -beta (row 2),
+        # approaching it at a rate 1 -+ q of more than 1e-9; one there now
+        # counts at beta
+        events = np.full((3, n), -np.inf)
+        shrinking = s * v < 0
+        events[0, S[shrinking]] = u[shrinking] / v[shrinking]
+        for row, side in ((1, 1.0), (2, -1.0)):
+            rate = 1.0 - side * q
+            joins = (signs == 0) & (rate > 1e-9)
+            events[row, joins] = side * p[joins] / rate[joins]
+        kind, i = np.unravel_index(np.argmax(events), events.shape)
+        low = min(max(float(events[kind, i]), 0.0), beta)
+        r0, r1 = R.T
+        if float(np.sum((r0 + low * r1) ** 2)) <= budget:
+            a, h, c = float(r1 @ r1), float(r0 @ r1), float(r0 @ r0) - budget
+            sq = np.sqrt(max(h * h - a * c, 0.0))
+            root = (sq - h) / a if h < 0 else -c / (h + sq)
+            beta = min(max(root, low), beta)
+            e = np.zeros(n)
+            e[S] = s * np.maximum(s * (u - beta * v), 0.0)  # none rounded past 0
+            return e, beta, segment
+        if low == 0.0:
+            break
+        signs[i] = (0.0, 1.0, -1.0)[kind]
+        beta = low
+    raise Infeasible(f"the lasso path stops at weight {low:.3e} after "
+                     f"{segment} segments, above the smoothness budget "
+                     f"{budget:.3e}")
 
 
 def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: float,
@@ -598,46 +591,25 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
                                ) -> RecoveryResult:
     """Outlier detection under an explicit smoothness cap.
 
-    Finds the critical l1 weight so the cleaned signal satisfies
-    ``||x - A x||_2^2 <= eta_smooth^2`` (with 1e-6 relative slack) while the
-    outlier estimate stays as small as possible, then returns the solution at
-    that weight. The variation of the penalized solution grows with the
-    weight, piecewise quadratically, from 0 at weight 0 to the signal's own
-    variation at ``beta_hi``, a weight above the one at which the outliers
-    vanish. :func:`_weight_search` brackets the crossing: halvings of
-    ``beta_hi`` until a weight is feasible, then regula falsi with the
-    Anderson-Bjorck rule inside the bracket ``[lo, 2 lo]`` they leave, each
-    weight strictly inside the bracket the earlier ones left, until it is as
-    narrow as a ``MAX_BISECT``-step bisection's, ``beta_hi *
-    2^-MAX_BISECT``, or ``MAX_BISECT`` weights were solved. The largest
-    feasible weight solved is returned. Each weight is one
-    :func:`anomaly_detect` solve, started from the result at the weight
-    solved just before it. Raises :class:`Infeasible` when none of
-    ``MAX_BISECT`` halvings, down to ``beta_hi * 2^-MAX_BISECT``, satisfies
-    the cap.
+    Minimizes ``||e||_1`` subject to ``||x - A x||_2^2 <= eta_smooth^2`` for
+    the cleaned signal ``x = t - e``, with a slack of ``1e-6 eta_smooth^2 +
+    1e-9 (1 + V(t))`` on the cap (V the variation). A signal within the cap
+    is returned as it is. Otherwise :func:`_lasso_path` follows the solution
+    of :func:`anomaly_detect` down in its weight, for at most
+    ``config.max_outer`` segments and with no proximal-gradient solve, to
+    the point whose variation is ``eta_smooth^2`` plus half the slack, so
+    rounding never lifts it over the cap and a zero cap has a root.
 
-    Feasibility is decided at the solver's resolution: a solve that stops
-    with fixed-point residual r (at most 1e-6) at step t is exact for entry
-    weights within ``r / t`` of its weight. So the weight returned depends
-    on the path of weights solved by about that much: another search, such
-    as plain bisection, finds the same support and a weight within the
-    ``r / t`` of the solves at both ends of both final brackets (times a
-    first-order factor of the support, 1 where ``T_SS^-1 s`` keeps the
-    signs s), plus the two brackets' widths.
-
-    ``converged`` is the kept solve's own certificate: the returned point
-    meets the cap (its variation, ``meta["smoothness"]``, is that solve's
-    smooth value) and is stationary for the final weight, its fixed-point
-    residual ``max |e - shrink(e - t grad, t beta)|`` at its final step t
-    (``meta["stationarity"]``) being at most 1e-6. That covers the
-    variation-free directions too: along a v with ``v - A v = 0`` the
-    gradient has no component, so an exact fixed point already minimizes
-    ``||e||_1`` along v. ``iterations`` sums the iterations of
-    every weight the search tried, ``meta["backtracks"]`` the rejected step
-    candidates of those solves; the objective trace is that of the returned
-    weight alone. ``meta`` records the returned weight (``beta_reg``), the
-    number of weights solved (``bisections``) and the final bracket
-    (``bracket``, its feasible end first).
+    The point is certified by its KKT conditions at its weight beta
+    (``meta["beta_reg"]``): ``c = 2 (I - A)^T (I - A) x`` equals ``beta
+    sign(e_i)`` where e is nonzero and is at most beta in absolute value
+    elsewhere. ``converged`` means the largest violation relative to beta
+    (``meta["stationarity"]``) is at most 1e-8 and the variation
+    (``meta["smoothness"]``) meets the cap. Exact KKT at a point whose
+    variation is the budget proves e has the least l1 norm within the
+    budget: a smaller one would lower the penalized objective at beta.
+    ``iterations`` counts the path's segments (``meta["segments"]``); the
+    trace holds the penalized objective ``V + beta ||e||_1`` at the point.
     """
     if not eta_smooth >= 0:
         raise ValueError(f"eta_smooth must be nonnegative, got {eta_smooth}")
@@ -645,55 +617,27 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     t = _vector_signal(t, shift)
     target = eta_smooth ** 2
     base_variation = _variation(t[:, None], shift)
-    cap = target + (target * 1e-6 + 1e-9 * (1.0 + base_variation))  # with slack
-    if base_variation <= cap:
-        return RecoveryResult(
-            x=t.copy(),
-            outliers=np.zeros_like(t),
-            objective_trace=np.array([0.0]),
-            iterations=1,
-            converged=True,
-            meta={
-                "solver": "anomaly_detect_constrained",
-                "beta_reg": float("inf"),
-                "smoothness": base_variation,
-                "target": target,
-                "bisections": 0,
-                "bracket": (float("inf"), float("inf")),
-            },
-        )
+    slack = target * 1e-6 + 1e-9 * (1.0 + base_variation)
+    meta = {"solver": "anomaly_detect_constrained", "target": target}
+    if base_variation <= target + slack:
+        return RecoveryResult(x=t.copy(), outliers=np.zeros_like(t),
+                              objective_trace=np.array([0.0]), converged=True,
+                              meta=dict(meta, beta_reg=float("inf"), segments=0,
+                                        smoothness=base_variation, stationarity=0.0))
 
-    last = None  # the result at the weight solved last
-    kept = None  # the solve at the largest feasible weight so far
-    iterations = backtracks = 0  # over every weight solved
-
-    def excess(beta: float) -> float:
-        nonlocal last, kept, iterations, backtracks
-        last = anomaly_detect(t, shift, beta, config, start=last)
-        iterations += last.iterations
-        backtracks += last.meta["backtracks"]
-        value = last.meta["smooth"] - cap
-        if value <= 0:
-            kept = last
-        return value
-
-    beta_hi = 1.001 * 2.0 * float(np.max(np.abs(tilde_shift(shift) @ t)))
-    if beta_hi <= 0:
-        beta_hi = 1.0
-    # at beta_hi the outliers vanish, so its variation needs no solve
-    lo, hi, solves = _weight_search(excess, beta_hi, base_variation - cap)
-    if kept is None:
-        raise Infeasible(
-            f"no l1 weight down to {hi:.3e} meets the smoothness cap "
-            f"{target:.3e}"
-        )
-    return dataclass_replace(
-        kept, iterations=iterations,
-        meta=dict(kept.meta, solver="anomaly_detect_constrained",
-                  beta_reg=lo, smoothness=kept.meta["smooth"],
-                  target=target, bisections=solves, bracket=(lo, hi),
-                  backtracks=backtracks,
-                  stationarity=kept.meta["fixed_point_residual"]))
+    e, beta, segments = _lasso_path(t, shift, target + 0.5 * slack,
+                                    config.max_outer)
+    x = t - e
+    smoothness, d = _residual_variation(x[:, None], shift)
+    corr = _variation_grad(d, shift)[:, 0]
+    violation = np.where(e != 0, np.abs(corr - beta * np.sign(e)), np.abs(corr) - beta)
+    stationarity = float(np.max(violation)) / beta
+    return RecoveryResult(
+        x=x, outliers=e, iterations=segments,
+        objective_trace=np.array([smoothness + beta * float(np.sum(np.abs(e)))]),
+        converged=bool(stationarity <= 1e-8 and smoothness <= target + slack),
+        meta=dict(meta, beta_reg=beta, smoothness=smoothness,
+                  stationarity=stationarity, segments=segments))
 
 
 # ---------------------------------------------------------------------------

@@ -167,16 +167,16 @@ def anomaly_support_oracle(t, tilde, beta, max_support=2):
     return best_support, best_e, best_obj
 
 
-def bisection_weight_search(excess, beta_hi, excess_hi, max_bisect=40):
+def bisection_weight_search(excess, beta_hi, max_bisect=40):
     """The critical l1 weight by plain bisection of ``[0, beta_hi]``.
 
-    A stand-in for ``gsrec.solvers._weight_search`` with its contract:
+    A reference for the weight ``anomaly_detect_constrained`` returns:
     ``excess(beta)`` solves at a weight and returns how far its variation
     lies above the cap; the result is the final bracket ``(lo, hi)``, lo the
     largest feasible weight (0 when none was), and the number of weights
     solved. Every weight is the midpoint of the bracket the earlier ones
     left, ``max_bisect`` of them, so the bracket ends ``beta_hi *
-    2^-max_bisect`` wide; ``excess_hi`` is not needed.
+    2^-max_bisect`` wide.
     """
     lo, hi = 0.0, beta_hi
     for _ in range(max_bisect):
@@ -186,6 +186,21 @@ def bisection_weight_search(excess, beta_hi, excess_hi, max_bisect=40):
         else:
             hi = mid
     return lo, hi, max_bisect
+
+
+def lasso_kkt_violation(weights, t, e, beta):
+    """Largest KKT violation of e for ``min ||D (t - e)||^2 + beta ||e||_1``.
+
+    D = I - weights, dense. The correlations ``c = 2 D^T D (t - e)`` must
+    equal ``beta sign(e_i)`` where e is nonzero and be at most beta in
+    absolute value elsewhere; returns the largest violation over beta.
+    """
+    d = np.eye(len(t)) - np.asarray(weights, dtype=float)
+    c = 2.0 * d.T @ (d @ (t - e))
+    on = e != 0
+    active = np.max(np.abs(c[on] - beta * np.sign(e[on])), initial=0.0)
+    inactive = np.max(np.abs(c[~on]), initial=0.0) - beta
+    return max(active, inactive) / beta
 
 
 def l1_polish_oracle(e, basis, passes=4):

@@ -11,7 +11,6 @@ from gsrec import (
     GraphBuildSpec,
     GraphShift,
     Infeasible,
-    RecoveryResult,
     SolverConfig,
     SyntheticSpec,
     anomaly_detect,
@@ -480,19 +479,20 @@ class TestAnomalyDetect:
         with pytest.raises(ValueError):
             anomaly_detect(np.zeros(3), cycle_shift(3), -0.1)
 
-    def test_warm_start_from_a_result_without_a_solve(self):
-        # a cap the signal already meets returns it without a solve, so
-        # without a step; a warm start from it begins at STEP_T0
-        t, shift = np.arange(5.0), cycle_shift(5)
-        start = anomaly_detect_constrained(t, shift, np.inf)
-        cold = anomaly_detect(t, shift, 0.5)
-        warm = anomaly_detect(t, shift, 0.5, start=start)
-        np.testing.assert_array_equal(warm.outliers, cold.outliers)
-
-    def test_warm_start_shape_checked(self):
-        with pytest.raises(DimensionMismatch):
-            anomaly_detect(np.zeros(3), cycle_shift(3), 0.5,
-                           start=anomaly_detect(np.zeros(4), cycle_shift(4), 0.5))
+def bisection_instance(seed):
+    """A random kNN graph (n 100-300), a smooth signal with 2-7 spikes and a
+    cap at 5-50 % of its variation."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(100, 301))
+    shift = build_knn_graph(random_features(n, 2, 50 + seed),
+                            GraphBuildSpec(k=int(rng.integers(4, 9))))
+    t = synth_instance(shift, SyntheticSpec(n=n, l=1, rank=5,
+                                            noise_sigma=0.0), seed).x0[:, 0]
+    spikes = int(rng.integers(2, 8))
+    t[rng.choice(n, spikes, replace=False)] += (
+        rng.choice([-1.0, 1.0], spikes) * rng.uniform(2.0, 5.0, spikes))
+    eta = float(np.sqrt(quadratic_variation(t, shift) * rng.uniform(0.05, 0.5)))
+    return shift, t, eta
 
 
 class TestAnomalyDetectConstrained:
@@ -547,216 +547,128 @@ class TestAnomalyDetectConstrained:
         t = np.arange(3.0)
         res = anomaly_detect_constrained(t, cycle_shift(3), np.inf)
         np.testing.assert_array_equal(res.x, t)
-        assert res.meta["bisections"] == 0 and res.converged
+        assert res.meta["segments"] == 0 and res.converged
 
     def test_iterations_count_every_bisection_solve(self, monkeypatch):
+        """``iterations`` counts the lasso path's segments, and no penalized
+        solve runs."""
         import gsrec.solvers as solvers
 
-        counts, backtracks = [], []
-        inner = solvers.anomaly_detect
-
-        def counted(*args, **kwargs):
-            res = inner(*args, **kwargs)
-            counts.append(res.iterations)
-            backtracks.append(res.meta["backtracks"])
-            return res
-
-        monkeypatch.setattr(solvers, "anomaly_detect", counted)
+        calls = []
+        monkeypatch.setattr(solvers, "anomaly_detect",
+                            lambda *args, **kwargs: calls.append(args))
         shift = symmetric_shift(10, 28)
         t = np.random.default_rng(29).normal(size=10)
         t[3] += 6.0
         res = anomaly_detect_constrained(t, shift, 0.1)
-        assert len(counts) > 1
-        assert res.iterations >= sum(counts)
-        assert res.meta["backtracks"] == sum(backtracks)
+        assert calls == []
+        assert res.iterations == res.meta["segments"] > 1
+        assert res.converged
 
-    @pytest.mark.parametrize("shape", ["linear", "quadratic", "step"])
-    def test_weight_search_keeps_a_bracket(self, shape):
-        """On a known excess: every weight strictly inside the bracket left,
-        the crossing kept in the final bracket, at most MAX_BISECT weights.
-
-        After the four halvings 4, 2, 1, 1/2, the first chord of a linear
-        excess lands on the crossing and one weight half the final width
-        past it closes the bracket; a step gives the chord no slope
-        information and is still bracketed."""
-        import gsrec.solvers as solvers
-
-        root, beta_hi = 0.3 * np.pi, 8.0
-        excess = {"linear": lambda b: b - root,
-                  "quadratic": lambda b: b * b - root * root,
-                  "step": lambda b: -1.0 if b <= root else 1.0}[shape]
-        weights = []
-
-        def recorded(beta):
-            weights.append(beta)
-            return excess(beta)
-
-        lo, hi, solves = solvers._weight_search(recorded, beta_hi, excess(beta_hi))
-        assert solves == len(weights) <= solvers.MAX_BISECT
-        left, right = 0.0, beta_hi
-        for beta in weights:
-            assert left < beta < right
-            if excess(beta) <= 0:
-                left = beta
-            else:
-                right = beta
-        assert (lo, hi) == (left, right) and lo <= root < hi
-        if shape != "step":
-            assert hi - lo <= beta_hi * 2.0 ** -solvers.MAX_BISECT
-            assert solves <= {"linear": 6, "quadratic": 12}[shape]
-
-    def test_infeasible_after_max_bisect_weights(self, monkeypatch):
-        """A solve that never removes anything meets no cap: MAX_BISECT halvings."""
-        import gsrec.solvers as solvers
-
-        weights = []
-
-        def stuck(t, shift, beta_reg, config=None, start=None):
-            weights.append(beta_reg)
-            return RecoveryResult(x=t.copy(), outliers=np.zeros_like(t),
-                                  meta={"step": 1.0, "backtracks": 0,
-                                        "smooth": quadratic_variation(t, shift)})
-
-        monkeypatch.setattr(solvers, "anomaly_detect", stuck)
+    def test_infeasible_when_the_path_runs_out_of_segments(self):
         shift = symmetric_shift(10, 28)
         t = np.random.default_rng(29).normal(size=10)
-        with pytest.raises(Infeasible, match="down to"):
-            anomaly_detect_constrained(t, shift, 0.0)
-        beta_hi = 1.001 * 2.0 * float(np.max(np.abs(tilde_shift(shift) @ t)))
-        assert weights == [beta_hi / 2 ** (i + 1) for i in range(solvers.MAX_BISECT)]
-
+        t[3] += 6.0
+        with pytest.raises(Infeasible, match="after 1 segments"):
+            anomaly_detect_constrained(t, shift, 0.1, SolverConfig(max_outer=1))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_search_matches_plain_bisection(self, monkeypatch, seed):
-        """The weight search against plain bisection, on random kNN graphs.
+    def test_search_matches_plain_bisection(self, seed):
+        """The lasso path's weight against plain bisection of cold solves,
+        on random kNN graphs.
 
-        Both find the same support and meet the cap, and their weights agree
-        to the solves' resolution. A solve that stops with fixed-point
-        residual r (at most 1e-6) at step t has ``r = t |g_i + beta
-        sign(e_i)|`` on its support: it solves the problem exactly for entry
-        weights within ``eps = r / t`` of beta. To first order on a support
-        S with signs s, entry weight j moves the variation in proportion to
-        ``s_j u_j``, ``u = T_SS^+ s`` (T = tilde_shift), so entry errors of at
-        most eps move it no further than a uniform weight error of
-        ``kappa eps``, ``kappa = ||u||_1 / (s . u)``. The feasible end lo and
-        the infeasible end hi of a final bracket then place the critical
-        weight within ``[lo - kappa eps_lo, hi + kappa eps_hi]``, and the
-        weights of two searches differ by at most kappa times the four end
-        errors plus the two bracket widths.
+        Both find the same support, and the weights agree to the solves'
+        resolution. A solve that stops with fixed-point residual r (at most
+        1e-6) at step t has ``r = t |g_i + beta sign(e_i)|`` on its support:
+        it solves the problem exactly for entry weights within ``eps = r /
+        t`` of beta. To first order on a support S with signs s, entry
+        weight j moves the variation in proportion to ``s_j u_j``, ``u =
+        T_SS^+ s`` (T = tilde_shift), so entry errors of at most eps move it
+        no further than a uniform weight error of ``kappa eps``, ``kappa =
+        ||u||_1 / (s . u)``. The feasible end lo and the infeasible end hi of
+        the bisection's final bracket then place the critical weight within
+        ``[lo - kappa eps_lo, hi + kappa eps_hi]``. The bisection reads its
+        feasibility against the path's budget, so the path's weight, exact
+        to rounding, lies there too.
         """
-        import gsrec.solvers as solvers
-
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(100, 301))
-        shift = build_knn_graph(random_features(n, 2, 50 + seed),
-                                GraphBuildSpec(k=int(rng.integers(4, 9))))
-        t = synth_instance(shift, SyntheticSpec(n=n, l=1, rank=5,
-                                                noise_sigma=0.0), seed).x0[:, 0]
-        spikes = int(rng.integers(2, 8))
-        t[rng.choice(n, spikes, replace=False)] += (
-            rng.choice([-1.0, 1.0], spikes) * rng.uniform(2.0, 5.0, spikes))
+        shift, t, eta = bisection_instance(seed)
         base = quadratic_variation(t, shift)
-        eta = float(np.sqrt(base * rng.uniform(0.05, 0.5)))
+        slack = eta ** 2 * 1e-6 + 1e-9 * (1.0 + base)
+        budget = eta ** 2 + 0.5 * slack
+        solves = {}
 
-        inner = solvers.anomaly_detect
-        resolution = {}  # weight -> r / t of its last solve
+        def excess(beta):
+            solves[beta] = anomaly_detect(t, shift, beta)
+            return solves[beta].meta["smooth"] - budget
 
-        def recorded(t, shift, beta_reg, *args, **kwargs):
-            res = inner(t, shift, beta_reg, *args, **kwargs)
-            resolution[beta_reg] = res.meta["fixed_point_residual"] / res.meta["step"]
-            return res
-
-        monkeypatch.setattr(solvers, "anomaly_detect", recorded)
-        runs = []
-        for search in (solvers._weight_search, oracles.bisection_weight_search):
-            monkeypatch.setattr(solvers, "_weight_search", search)
-            resolution.clear()
-            res = anomaly_detect_constrained(t, shift, eta)
-            lo, hi = res.meta["bracket"]
-            runs.append((res, resolution[lo] + resolution[hi], hi - lo))
-        (new, eps_new, width_new), (old, eps_old, width_old) = runs
-
-        support = np.flatnonzero(new.outliers)
+        beta_hi = 1.001 * 2.0 * float(np.max(np.abs(tilde_shift(shift) @ t)))
+        lo, hi, _ = oracles.bisection_weight_search(excess, beta_hi)
+        res = anomaly_detect_constrained(t, shift, eta)
+        assert res.converged
+        assert quadratic_variation(res.x, shift) <= eta ** 2 + slack
+        support = np.flatnonzero(res.outliers)
         assert support.size
-        np.testing.assert_array_equal(np.flatnonzero(old.outliers), support)
-        for res in (new, old):
-            slack = eta ** 2 * 1e-6 + 1e-9 * (1.0 + base)
-            assert quadratic_variation(res.x, shift) <= eta ** 2 + slack
-        assert new.meta["bisections"] <= 24 < old.meta["bisections"]
-        signs = np.sign(new.outliers[support])
+        np.testing.assert_array_equal(np.flatnonzero(solves[lo].outliers), support)
+        signs = np.sign(res.outliers[support])
         tilde = tilde_shift(shift).toarray()
         u = np.linalg.pinv(tilde[np.ix_(support, support)]) @ signs
         kappa = float(np.abs(u).sum() / (signs @ u))
-        tol = kappa * (eps_new + eps_old) + width_new + width_old
-        assert abs(new.meta["beta_reg"] - old.meta["beta_reg"]) <= tol
+        eps = sum(solves[b].meta["fixed_point_residual"] / solves[b].meta["step"]
+                  for b in (lo, hi))
+        assert abs(res.meta["beta_reg"] - lo) <= kappa * eps + (hi - lo)
 
-    def test_bisection_warm_starts_each_weight(self, monkeypatch):
-        import gsrec.solvers as solvers
+    @pytest.mark.parametrize("instance", [*(f"knn-{seed}" for seed in range(6)),
+                                          *(f"detect-bisect-{seed}" for seed in (1, 2, 3))])
+    def test_path_meets_kkt(self, instance):
+        """The returned point is a minimizer at its weight to 1e-12 relative,
+        checked on a dense ``D^T D`` here: on the instances above and on the
+        ``detect-bisect`` benchmark instances (n = 1000) of seeds 1-3."""
+        kind, seed = instance.rsplit("-", 1)
+        if kind == "knn":
+            shift, t, eta = bisection_instance(int(seed))
+        else:
+            from gsrec.experiments import (ExperimentSpec, _resolve_graph,
+                                           _synthetic_draws)
 
-        n = 300
-        shift = build_knn_graph(random_features(n, 2, 1), GraphBuildSpec(k=8))
-        x0 = synth_instance(shift, SyntheticSpec(n=n, l=1, rank=3,
-                                                 noise_sigma=0.0), 1).x0[:, 0]
-        rng = np.random.default_rng(1)
-        planted = np.sort(rng.choice(n, size=6, replace=False))
-        t = x0.copy()
-        t[planted] += rng.choice([-1.0, 1.0], 6) * rng.uniform(3.0, 5.0, 6)
-        eta = 1.5 * float(np.sqrt(quadratic_variation(x0, shift)))
-
-        inner = solvers.anomaly_detect
-        starts = []
-
-        def recorded(*args, **kwargs):
-            starts.append(kwargs.get("start"))
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "anomaly_detect", recorded)
+            spec = ExperimentSpec.from_dict({
+                "task": "detect", "seed": int(seed), "trials": 1,
+                "graph": {"kind": "knn", "n": 1000, "k": 8},
+                "signal": {"synthetic": {"rank": 5, "outliers_per_column": 10,
+                                         "outlier_lo": 3.0, "outlier_hi": 5.0}},
+                "solvers": [{"method": "anomaly-constrained",
+                             "eta_smooth": 2.0 ** 0.5}],
+            })
+            shift = _resolve_graph(spec.graph, spec.seed)
+            t = _synthetic_draws(spec, shift)(0).observed[:, 0]
+            eta = 2.0 ** 0.5
         res = anomaly_detect_constrained(t, shift, eta)
-        assert len(starts) > 1
-        assert starts[0] is None
-        assert all(start is not None for start in starts[1:])
-        support = np.flatnonzero(np.abs(res.outliers) > 1e-6)
-        np.testing.assert_array_equal(support, planted)
-        assert res.converged
-        e_max = float(np.max(np.abs(res.outliers)))
-        assert res.meta["stationarity"] <= 1e-6 * (1.0 + e_max)
+        assert res.converged and np.any(res.outliers)
+        beta = res.meta["beta_reg"]
+        assert oracles.lasso_kkt_violation(shift.weights, t, res.outliers,
+                                           beta) <= 1e-12
 
-        def cold_started(*args, **kwargs):
-            kwargs.pop("start", None)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "anomaly_detect", cold_started)
-        cold = anomaly_detect_constrained(t, shift, eta)
-        assert res.iterations < cold.iterations
-
-    def test_converged_solves_keep_their_step(self, monkeypatch):
+    def test_converged_solves_keep_their_step(self):
         """A step search that compared two nearly equal objectives halved the
         step on rounding noise near a fixed point, down to 1.5e-5 with 16
         backtracks in one solve on this instance, so the 1e-6 fixed-point
-        residual was taken at a step that rounding chose. Each warm start
-        also began again at STEP_T0. On this column-normalized graph every
-        step of at most 1 / (2 ||I - A||^2) is accepted."""
-        import gsrec.solvers as solvers
-
+        residual was taken at a step that rounding chose. On this
+        column-normalized graph every step of at most 1 / (2 ||I - A||^2) is
+        accepted: cold solves at the lasso path's weights for 40 caps all
+        converge at a step of at least 0.1, on the path's support."""
         shift = build_knn_graph(random_features(200, 2, 165),
                                 GraphBuildSpec(k=5, normalization="column"))
         rng = np.random.default_rng(0)
         t = eigen_basis(shift, 10) @ rng.normal(size=10)
         t[rng.choice(200, 4, replace=False)] += rng.uniform(5, 8, 4)
-        inner = solvers.anomaly_detect
-        solves = []
-
-        def recorded(*args, **kwargs):
-            solves.append(inner(*args, **kwargs))
-            return solves[-1]
-
-        monkeypatch.setattr(solvers, "anomaly_detect", recorded)
         variation = quadratic_variation(t, shift)
         for fraction in np.linspace(0.01, 0.8, 40):
-            res = anomaly_detect_constrained(t, shift, np.sqrt(fraction * variation))
-            assert res.converged
-        assert min(sol.meta["step"] for sol in solves) >= 0.1
-        assert max(sol.meta["backtracks"] for sol in solves) <= 6
+            path = anomaly_detect_constrained(t, shift, np.sqrt(fraction * variation))
+            assert path.converged
+            sol = anomaly_detect(t, shift, path.meta["beta_reg"])
+            assert sol.converged
+            assert sol.meta["step"] >= 0.1 and sol.meta["backtracks"] <= 6
+            np.testing.assert_array_equal(np.flatnonzero(sol.outliers),
+                                          np.flatnonzero(path.outliers))
 
 
 def assert_bitwise(a, b):
