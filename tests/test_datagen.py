@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import oracles
 from gsrec import (
@@ -28,6 +29,7 @@ from gsrec import (
     synth_opinion_instance,
     tilde_shift,
 )
+from gsrec import datagen
 from gsrec.datagen import DENSE_MAX_NODES, STREAM_SYNTH, round_half_up
 
 
@@ -109,6 +111,22 @@ class TestKernelWeights:
         p = kernel_weights(d)
         assert p[0, 2] == 0.0 and p[2, 0] == 0.0
         assert p[0, 1] > 0.0
+
+    def test_no_copy_besides_the_result(self):
+        # the exponent and the copy of the finite distances for the mass
+        # each held one more (n, n) float array
+        d = pairwise_distances(random_features(1000, 2, 37))
+        d[3, 7] = d[7, 3] = np.inf
+        tracemalloc.start()
+        try:
+            p = kernel_weights(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * d.nbytes
+        finite = np.isfinite(d)
+        want = np.exp(-(1000 ** 2) * np.where(finite, d, np.inf) / d[finite].sum())
+        np.testing.assert_allclose(p, want, rtol=1e-12, atol=0.0)
 
 
 class TestBuildKnnGraph:
@@ -247,7 +265,8 @@ class TestKnnMatchesDenseOracle:
         np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=0.0)
 
     def test_memory_is_linear(self):
-        # the dense path's distance matrix and ranked copy: 6.4 GB at this n
+        # the dense path's distance matrix and ranked copy: 6.4 GB at this n;
+        # whole 16 MiB row blocks of the distance mass peaked at 44 MB
         feats = random_features(20_000, 2, 33)
         tracemalloc.start()
         try:
@@ -255,8 +274,63 @@ class TestKnnMatchesDenseOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100e6
+        assert peak < 20e6
         assert shift.matrix.nnz == 20_000 * 8
+
+    def test_memory_is_linear_when_most_rows_are_unclear(self, monkeypatch):
+        # each of 400 points 12 times: every row ties across the cut at
+        # distance zero and is ranked on its full distance row; all of those
+        # rows at once would be 184 MB, and 16 MiB blocks peaked at 86 MB
+        feats = np.repeat(random_features(400, 2, 35), 12, axis=0)
+        ranked = []
+        nearest = datagen._nearest
+
+        def counted(rows, nodes, k):
+            ranked.append(nodes.size)
+            return nearest(rows, nodes, k)
+
+        monkeypatch.setattr(datagen, "_nearest", counted)
+        tracemalloc.start()
+        try:
+            shift = build_knn_graph(feats, GraphBuildSpec(k=8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(ranked) == 4800
+        assert peak < 20e6
+        assert shift.matrix.nnz == 4800 * 8
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("k", [1, 8])
+    @pytest.mark.parametrize("case", ["random-dim2", "grid", "repeated"])
+    @pytest.mark.parametrize("entries", [1, 997, 5000])
+    def test_block_boundaries(self, monkeypatch, entries, case, k, metric):
+        # tiny blocks split the distance mass's triangle into ragged row
+        # blocks and spread the unclear rows over many of them: every row of
+        # "repeated", 8 to 225 of the 225 rows of "grid", none of "random-dim2"
+        monkeypatch.setattr(datagen, "_BLOCK_ENTRIES", entries)
+        feats = knn_case(case)
+        got = build_knn_graph(feats, GraphBuildSpec(k=k, metric=metric)).matrix
+        want = oracles.dense_knn_weights(feats, k, metric=metric)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=0.0)
+
+    def test_precomputed_build_makes_no_dense_copy(self):
+        # the unblocked build peaked at three (n, n) float arrays (its
+        # symmetry check); the finite distances' copy for the mass was one.
+        # Blocked, it holds a few 1 MiB blocks and the mass's boolean mask
+        feats = random_features(1000, 2, 36)
+        d = cdist(feats, feats)
+        tracemalloc.start()
+        try:
+            got = build_knn_graph(d, GraphBuildSpec(k=8, metric="precomputed")).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * d.nbytes
+        want = oracles.dense_knn_weights(feats, 8)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=0.0)
 
 
 class TestDenseSizeLimit:
