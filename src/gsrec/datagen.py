@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DegenerateDistances,
@@ -159,6 +157,9 @@ def pairwise_distances(features: np.ndarray,
         raise ValueError(f"unknown metric {metric!r}")
     observed = np.isfinite(values)
     if observed.all():
+        # imported on first use: scipy.spatial adds 100 modules to start-up
+        from scipy.spatial.distance import cdist
+
         d = cdist(values, values, _CDIST_METRIC[metric])
         return 0.5 * (d + d.T)
 
@@ -231,9 +232,11 @@ def _nearest(ranked: np.ndarray, nodes: np.ndarray, k: int) -> np.ndarray:
     ``ranked`` holds the distances of ``nodes`` to every node, each node's
     own entry set to infinity. Ties go to the smaller index.
     ``np.argpartition`` places the k-th and (k+1)-th smallest values; where
-    they differ the first k positions hold the unique answer, and only rows
-    where they are equal (an exact tie across the cut) fall back to a stable
-    sort. Raises :class:`DegenerateDistances`, naming the node, for a row
+    they differ the first k positions hold the unique answer. A row where
+    they are equal (an exact tie across the cut) sorts only its entries at
+    or below the k-th value, by value and then column: the k columns a
+    stable sort of the whole row would put first, without its O(n log n)
+    cost. Raises :class:`DegenerateDistances`, naming the node, for a row
     with fewer than k finite entries.
     """
     short = np.flatnonzero(np.isfinite(ranked).sum(axis=1) < k)
@@ -242,10 +245,16 @@ def _nearest(ranked: np.ndarray, nodes: np.ndarray, k: int) -> np.ndarray:
             f"node {nodes[short[0]]} has fewer than k={k} other nodes at finite distance")
     part = np.argpartition(ranked, (k - 1, k), axis=1)
     rows = np.arange(ranked.shape[0])
-    tied = np.flatnonzero(ranked[rows, part[:, k - 1]] == ranked[rows, part[:, k]])
+    kth = ranked[rows, part[:, k - 1]]
+    tied = np.flatnonzero(kth == ranked[rows, part[:, k]])
     nearest = part[:, :k]
     if tied.size:
-        nearest[tied] = np.argsort(ranked[tied], axis=1, kind="stable")[:, :k]
+        # rank only the entries at or below the k-th value: by row, value, column
+        cut = ranked[tied]
+        row, col = np.nonzero(cut <= kth[tied, None])
+        col = col[np.lexsort((col, cut[row, col], row))]
+        first = np.searchsorted(row, np.arange(tied.size))
+        nearest[tied] = col[first[:, None] + np.arange(k)]
     return np.sort(nearest, axis=1)
 
 
@@ -294,6 +303,9 @@ def _distance_mass(x: np.ndarray, metric: str) -> float:
     is zero. Each block holds at most ``_BLOCK_ENTRIES`` distances, or one
     row where a row is longer, and is dropped before the next one is made.
     """
+    # imported on first use: scipy.spatial adds 100 modules to start-up
+    from scipy.spatial.distance import cdist
+
     n = x.shape[0]
     total = 0.0
     lo = 0
@@ -322,6 +334,10 @@ def _tree_neighbors(x: np.ndarray, k: int,
     :func:`_distance_mass`, which computes each pair once in blocks of the
     same size.
     """
+    # imported on first use: scipy.spatial adds 100 modules to start-up
+    from scipy.spatial import cKDTree
+    from scipy.spatial.distance import cdist
+
     n = x.shape[0]
     m = min(k + 2, n)  # with k = n - 1 there is nothing past the cut
     found = cKDTree(x).query(x, k=m, p=2 if metric == "euclidean" else 1)[1]

@@ -9,13 +9,13 @@ in-neighbors. Directed graphs and non-symmetric weights are fully supported.
 The weights are stored once, as a ``scipy.sparse.csr_array``; every operator
 derived from them (``tilde_shift``, the Laplacian) is sparse too, so a kNN
 graph costs O(N k) memory. A :class:`GraphShift` builds each operator derived
-from its weights (``tilde_shift``, the CSR transpose, the sparse LU of the
-shift-invert eigensolve, the extreme eigenpairs of ``tilde_shift``) on first
-use and keeps it, so every solver and draw on one shift shares it. Dense
-copies are made only where the theory needs a full eigendecomposition or
-SVD (:func:`spectral_decomposition`, the block norms of
-:func:`~gsrec.analysis.inpainting_bound`), and each such place calls
-``.toarray()`` itself.
+from its weights (``tilde_shift``, the CSR transpose, the lowest eigenpairs
+of ``tilde_shift``) on first use and keeps it, so every solver and draw on
+one shift shares it; the sparse LU that the eigensolve factors lives only
+while that eigensolve runs. Dense copies are made only where the theory
+needs a full eigendecomposition or SVD (:func:`spectral_decomposition`, the
+block norms of :func:`~gsrec.analysis.inpainting_bound`), and each such
+place calls ``.toarray()`` itself.
 
 Signals are plain numpy arrays: a vector signal has shape ``(N,)`` and a signal
 matrix (one signal per column) has shape ``(N, L)``. Masks of accessible entries
@@ -58,17 +58,27 @@ _DIAG_COND_LIMIT = 1e10
 _DIAG_RECON_TOL = 1e-8
 
 # Shift of the shift-invert eigensolve for the lowest eigenpairs of the PSD
-# ``tilde_shift``. Negative, so ``T - sigma I`` is positive definite and its
-# LU never meets a singular pivot, even on an exact null space; small, so the
-# wanted eigenvalues (0 and just above) still map to the largest, best
-# separated ones of ``(T - sigma I)^{-1}``. For the 10 lowest pairs of the
-# n = 2000, k = 8 kNN graphs of seeds 1-3 (2-vCPU Xeon guest, one BLAS
-# thread), factorization included, sigma = -1e-5 took 0.037-0.041 s, -1e-4
-# 0.041-0.052 s, -1e-3 0.095-0.112 s and -1e-2 0.21-0.35 s.
-# The condition number it allows, ``lambda_max / 1e-5`` (at most 4e5), costs
-# no visible accuracy: the null vector of a row-stochastic shift came out
-# closer to the constant vector than a dense ``eigh`` puts it.
-_EIGSH_SIGMA = -1e-5
+# ``tilde_shift`` T, as a fraction of T's largest absolute row sum (a bound
+# on its spectrum). Negative, so ``T - sigma I`` is positive definite and its
+# LU never meets a singular pivot, even on an exact null space: its smallest
+# pivot ratio is at least about this fraction (2e-6 to 4e-4 on the graphs
+# below), a thousand times ``prox.PINV_CUTOFF``, so the solve is never the
+# dense ``lstsq`` one. Small, because shift-invert Lanczos converges fast
+# only when the shift is close to the wanted eigenvalues against their
+# spread (Ericsson & Ruhe, Math. Comp. 1980), and the 10 lowest of the
+# n = 20 000 kNN graph lie within 1.2e-7 of its row sum.
+# For the 10 lowest pairs (one BLAS thread, 2-vCPU Xeon guest, factorization
+# included), fractions of -1e-9, -1e-8, -1e-7, -1e-6 and -1e-5 take 34, 34,
+# 34, 34-35 and 45-49 solves (0.023-0.029 s) on the n = 2000, k = 8 kNN
+# graphs of seeds 1-3. On the n = 20 000 one of seed 1, -1e-9, -1e-8, -1e-7
+# and -1e-6 take 34, 35, 55 and 114 solves (0.45, 0.44, 0.63 and 0.78 s),
+# and the earlier absolute shift of -1e-5 (a fraction of -2.7e-6 there) 187
+# solves (1.13 s). On ``random_features(297, 2, 136)`` with k = 3, whose zero
+# eigenvalue repeats 13 times, -1e-7 converges at ranks 2, 3 and 5 in 73,
+# 129 and 174 solves, where the absolute -1e-5 stalled for some 40 000
+# solves before the retry. Residuals stay below 1e-14 of the row sum on
+# every graph named here.
+_EIGSH_SIGMA = -1e-7
 
 
 def _csr(weights) -> sp.csr_array:
@@ -99,6 +109,15 @@ class GraphShift:
         True once the matrix has been scaled to unit spectral radius.
     spectral_radius : float or None
         The pre-scaling spectral radius, recorded by :func:`normalize_shift`.
+
+    Notes
+    -----
+    The shift keeps what it derives from its weights, each built on first
+    use: ``tilde_shift`` (``_tilde``), the CSR transpose (``_transpose``)
+    and the lowest eigenpairs of ``tilde_shift`` by rank (``_eigenpairs``).
+    It keeps no factorization: the shift-invert LU of an eigen draw is
+    freed when the draw returns, so it holds no memory for the rest of a
+    job.
     """
 
     matrix: sp.csr_array
@@ -140,15 +159,6 @@ class GraphShift:
     @cached_property
     def _transpose(self) -> sp.csr_array:
         return self.matrix.T.tocsr()
-
-    @cached_property
-    def _tilde_inverse(self):
-        # ``(T - sigma I)^{-1}``, sigma = _EIGSH_SIGMA, from the one sparse LU
-        # path, ``prox.factorized``
-        from scipy.sparse.linalg import LinearOperator
-
-        solve = factorized(self._tilde - _EIGSH_SIGMA * sp.eye_array(self.n))
-        return LinearOperator((self.n, self.n), matvec=solve, dtype=float)
 
     @cached_property
     def _eigenpairs(self) -> dict:  # k -> (values, vectors)
@@ -324,12 +334,14 @@ def _lowest_eigenpairs(shift: GraphShift, k: int) -> tuple[np.ndarray, np.ndarra
 
     Returns read-only ``(values, vectors)`` sorted by ascending eigenvalue,
     computed once per k and kept on the shift. Uses ARPACK's shift-invert
-    Lanczos (``eigsh`` with ``sigma=_EIGSH_SIGMA``) on the shift's one sparse
-    LU of ``T - sigma I``, O(n k) memory, started from one fixed vector, so
-    no random stream is drawn from. Where ARPACK does not converge in its
-    default Krylov space of ``ncv = min(n, max(2 k + 1, 20))`` vectors (a
-    graph with many closed classes, whose zero eigenvalue repeats, can stall
-    it), one retry triples that space. ARPACK needs ``k < n - 1``; for
+    Lanczos (``eigsh``) at ``sigma = _EIGSH_SIGMA`` times the largest
+    absolute row sum of T, on one sparse LU of ``T - sigma I`` that this
+    call makes and frees on return, O(n k) memory besides the LU, started
+    from one fixed vector, so no random stream is drawn from. A draw at a
+    new k factors again. Where ARPACK does not converge in its default
+    Krylov space of ``ncv = min(n, max(2 k + 1, 20))`` vectors, one retry
+    triples that space; none of the graphs measured at ``_EIGSH_SIGMA``
+    reaches it, 13 closed classes included. ARPACK needs ``k < n - 1``; for
     ``k >= n - 1`` this makes one dense ``np.linalg.eigh``, the only dense
     eigensolve on the ``gsrec run`` path. Raises :class:`EigensolveFailed`
     when the retry does not converge either, without a dense retry.
@@ -342,22 +354,26 @@ def _lowest_eigenpairs(shift: GraphShift, k: int) -> tuple[np.ndarray, np.ndarra
         values, vectors = values[:k], vectors[:, :k]
     else:
         # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
-        from scipy.sparse.linalg import ArpackError, eigsh
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-        for ncv in (None, min(n, 3 * max(2 * k + 1, 20))):
+        # T = 0 (A = I) has no scale of its own; any positive one will do
+        sigma = _EIGSH_SIGMA * (float(abs(matrix).sum(axis=1).max()) or 1.0)
+        inverse = LinearOperator(
+            (n, n), matvec=factorized(matrix - sigma * sp.eye_array(n)), dtype=float)
+        attempts = (None, min(n, 3 * max(2 * k + 1, 20)))
+        for ncv in attempts:
             try:
-                values, vectors = eigsh(sp.csc_array(matrix, dtype=float), k,
-                                        sigma=_EIGSH_SIGMA, which="LM",
-                                        OPinv=shift._tilde_inverse,
-                                        v0=_start_vector(n), ncv=ncv,
-                                        rng=np.random.default_rng(0))
+                values, vectors = eigsh(matrix, k, sigma=sigma, which="LM",
+                                        OPinv=inverse, v0=_start_vector(n),
+                                        ncv=ncv, rng=np.random.default_rng(0))
                 break
             except ArpackError as exc:
-                failure = exc
-        else:
-            raise EigensolveFailed(
-                f"ARPACK found no {k} lowest eigenpairs of an {n}-node "
-                f"operator: {failure}") from failure
+                # raised here, not kept past the handler: its traceback holds
+                # this frame, and so the LU, in a cycle only gc would break
+                if ncv == attempts[-1]:
+                    raise EigensolveFailed(
+                        f"ARPACK found no {k} lowest eigenpairs of an {n}-node "
+                        f"operator: {exc}") from exc
         order = np.argsort(values, kind="stable")
         values, vectors = values[order], vectors[:, order]
     values.flags.writeable = vectors.flags.writeable = False

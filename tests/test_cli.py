@@ -453,3 +453,18 @@ def test_demo_runs(demo, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_leaves_heavy_scipy_modules_for_first_use():
+    """``scipy.spatial`` (the kNN build) and ``scipy.sparse.linalg`` (the
+    factorizations and eigensolves) are imported by the functions that use
+    them, so a command that needs neither does not pay for them at start-up."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    script = ("import sys, gsrec.cli; print(sorted(m for m in sys.modules "
+              "if m.startswith(('scipy.spatial', 'scipy.sparse.linalg'))))")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -238,6 +238,11 @@ def knn_case(name):
     return np.repeat(random_features(20, 2, 32), 12, axis=0)
 
 
+def nearest_by_whole_row_sort(ranked, nodes, k):
+    """``datagen._nearest`` by a stable sort of every whole row, O(n log n) a row."""
+    return np.sort(np.argsort(ranked, axis=1, kind="stable")[:, :k], axis=1)
+
+
 class TestKnnMatchesDenseOracle:
     """The k-d tree build equals the dense cdist + stable-sort build."""
 
@@ -299,6 +304,34 @@ class TestKnnMatchesDenseOracle:
         assert sum(ranked) == 4800
         assert peak < 20e6
         assert shift.matrix.nnz == 4800 * 8
+
+    @pytest.mark.parametrize("case", ["grid", "repeated", "repeated-4800"])
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_tied_rows_rank_as_a_whole_row_stable_sort(self, monkeypatch, case, k):
+        # tied rows are ranked on their entries at or below the k-th value
+        # only; the graph is bit for bit the one a stable sort of each whole
+        # row gives ("repeated-4800": each of 400 points 12 times, every row
+        # tied at distance zero, as in the memory test above)
+        feats = (np.repeat(random_features(400, 2, 35), 12, axis=0)
+                 if case == "repeated-4800" else knn_case(case))
+        got = build_knn_graph(feats, GraphBuildSpec(k=k)).matrix
+        monkeypatch.setattr(datagen, "_nearest", nearest_by_whole_row_sort)
+        want = build_knn_graph(feats, GraphBuildSpec(k=k)).matrix
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_nearest_equals_a_whole_row_stable_sort(self, k):
+        # few distinct values, so most rows tie across the cut, some entries
+        # infinite as a node's own entry is
+        rng = np.random.default_rng(7)
+        ranked = rng.integers(0, 4, size=(200, 60)).astype(float)
+        ranked[rng.random(ranked.shape) < 0.2] = np.inf
+        ranked[np.isfinite(ranked).sum(axis=1) < k, :k] = 0.0
+        nodes = np.arange(200)
+        np.testing.assert_array_equal(datagen._nearest(ranked, nodes, k),
+                                      nearest_by_whole_row_sort(ranked, nodes, k))
 
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
     @pytest.mark.parametrize("k", [1, 8])

@@ -8,6 +8,7 @@ eigenpairs of ``tilde_shift`` are checked against a dense ``np.linalg.eigh``
 made here, and the run path is run with that ``eigh`` switched off.
 """
 
+import gc
 import json
 
 import numpy as np
@@ -364,17 +365,15 @@ def test_non_convergence_is_an_error_without_a_dense_retry(monkeypatch):
         eigen_basis(knn(30, 1), 3)
 
 
-@pytest.mark.parametrize("rank", [2, 3])
-def test_eigen_basis_on_many_closed_classes(rank):
-    """13 closed classes repeat the zero eigenvalue of ``tilde_shift`` 13
-    times. ARPACK's default Krylov space stalls on the lowest end there, the
-    retry in a tripled one converges, and the restarts this takes draw from
-    a fixed stream, so a fresh copy of the shift gets the same basis."""
-    shift = build_knn_graph(random_features(297, 2, 136), GraphBuildSpec(k=3))
-    basis = eigen_basis(shift, rank)
-    fresh = GraphShift(shift.matrix, normalized=True,
-                       spectral_radius=shift.spectral_radius)
-    np.testing.assert_array_equal(eigen_basis(fresh, rank), basis)
+def many_closed_classes():
+    """A row-normalized kNN graph (k = 3) with 13 closed classes."""
+    return build_knn_graph(random_features(297, 2, 136), GraphBuildSpec(k=3))
+
+
+def assert_lowest_eigenvectors(shift, basis):
+    """Orthonormal columns whose Rayleigh quotients are the lowest eigenvalues
+    of ``tilde_shift``, each with residual at most 1e-10 of the largest."""
+    rank = basis.shape[1]
     np.testing.assert_allclose(basis.T @ basis, np.eye(rank), rtol=0.0, atol=1e-10)
     tilde = dense_tilde(shift)
     values = np.linalg.eigh(tilde)[0]
@@ -383,6 +382,23 @@ def test_eigen_basis_on_many_closed_classes(rank):
                                atol=1e-12 * values[-1])
     residual = np.linalg.norm(tilde @ basis - basis * rayleigh, axis=0)
     assert residual.max() <= 1e-10 * values[-1]
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_eigen_basis_on_many_closed_classes(eigsh_calls, rank):
+    """13 closed classes repeat the zero eigenvalue of ``tilde_shift`` 13
+    times. A shift scaled to the operator puts the wanted eigenvalues far
+    apart in ``(T - sigma I)^{-1}``, so ARPACK converges at the first
+    attempt, in its default Krylov space (an absolute shift of -1e-5
+    stalled here for some 40 000 solves before a retry); any restarts draw
+    from a fixed stream, so a fresh copy of the shift gets the same basis."""
+    shift = many_closed_classes()
+    basis = eigen_basis(shift, rank)
+    assert len(eigsh_calls) == 1 and eigsh_calls[0]["ncv"] is None
+    fresh = GraphShift(shift.matrix, normalized=True,
+                       spectral_radius=shift.spectral_radius)
+    np.testing.assert_array_equal(eigen_basis(fresh, rank), basis)
+    assert_lowest_eigenvectors(shift, basis)
 
 
 @pytest.mark.parametrize("make", [_inpaint, _detect], ids=lambda f: f.__name__[1:])
@@ -436,6 +452,51 @@ def test_anomaly_constrained_factors_only_for_the_eigen_draw(monkeypatch):
     result = anomaly_detect_constrained(spiky_signal(shift, 2), shift, 1.0)
     assert result.meta["segments"] > 0  # the lasso path ran
     assert factorizations == [shift.n]
+
+
+def test_eigen_basis_of_a_zero_tilde_shift():
+    """A = I gives ``tilde_shift`` = 0, which has no row sum to scale the
+    eigensolve's shift by; every vector is a lowest eigenvector."""
+    shift = GraphShift(sp.eye_array(30, format="csr"), normalized=True,
+                       spectral_radius=1.0)
+    basis = eigen_basis(shift, 3)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(3), rtol=0.0, atol=1e-10)
+
+
+def test_a_stalled_first_attempt_is_retried_in_a_tripled_space(monkeypatch):
+    calls = []
+    original = scipy.sparse.linalg.eigsh
+
+    def first_stalls(*args, **kwargs):
+        calls.append(kwargs["ncv"])
+        if len(calls) == 1:
+            raise scipy.sparse.linalg.ArpackNoConvergence("patched", [], [])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", first_stalls)
+    shift = knn8(300, 1)
+    basis = eigen_basis(shift, 5)
+    assert calls == [None, 3 * 20]
+    assert_lowest_eigenvectors(shift, basis)
+
+
+def test_eigen_draw_releases_its_lu(monkeypatch):
+    """The shift-invert LU lives only while the draw runs; the shift keeps
+    the eigenpairs. ``SuperLU`` takes no weak reference, so the test asks
+    the garbage collector what still refers to it."""
+    lus = []
+
+    def recorded(*args, **kwargs):
+        lus.append(SCIPY_SPLU(*args, **kwargs))
+        return lus[-1]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
+    shift = knn8(300, 1)
+    eigen_basis(shift, 5)
+    gc.collect()
+    assert len(lus) == 1
+    assert gc.get_referrers(lus[0]) == [lus]
+    assert 5 in shift._eigenpairs
 
 
 def test_draws_on_one_shift_share_one_eigensolve(eigsh_calls):
@@ -618,7 +679,7 @@ def test_every_graph_system_pivots_on_its_diagonal(kept_lus, pinv_calls, make):
     gtvr(t, m, shift, 0.7)
     laplacian_baseline(t, m, laplacian_from_shift(shift), 0.7)
     gsr_admm(t, m, shift, SolverConfig(gamma=0.5))
-    shift._tilde_inverse  # built on first use, from one factorization
+    _lowest_eigenpairs(shift, 2)  # the eigen draw factors once
     assert len(kept_lus) == 5 and pinv_calls == []
     for lu in kept_lus:
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
