@@ -26,22 +26,14 @@ The three proximal-gradient solvers run one shared loop,
 :func:`_prox_gradient`, which returns their :class:`RecoveryResult`; each
 supplies only its smooth part, that part's gradient and a proximal step
 (``svt`` or ``shrink``) that also returns the nonsmooth value of its result,
-and then names itself and shapes ``x``. The smooth part also returns the
-shift residual ``X - A X`` of the point it evaluated, and the loop hands the
-accepted candidate's residual to the next gradient, which then costs one
-sparse product (with A^T). The step is backtracked until the smooth part
-lies below its quadratic model at the candidate (Beck & Teboulle 2009),
-tested by the exact curvature of the quadratic smooth part along the move
-s, the squared change of the shift residual (plus ``||s_M||^2`` for
-``gmcr``), against ``||s||^2 / (2 t)``: no difference of two nearly equal
-objectives lets rounding shrink the step. ``gmcm`` instead accepts a
-candidate when the full objective does not increase, because re-pinning the
-measured entries after the thresholding makes its step something other than
-a proximal map. Each step search starts at the step accepted last and tries
-a doubled one (capped at ``STEP_T0``) only after ``STEP_GROW_AFTER``
-iterations in a row were accepted at their first candidate, so a run whose
-step has settled spends about one proximal map per iteration instead of
-two.
+and then names itself and shapes ``x``. The loop backtracks the step until
+the smooth part lies below its quadratic model (Beck & Teboulle 2009),
+tested by the exact curvature of the quadratic smooth part along the move,
+so no difference of two nearly equal objectives lets rounding shrink the
+step; ``gmcm``, whose re-pinned step is no proximal map, accepts a
+candidate when the objective does not increase. The accepted candidate's
+shift residual ``X - A X`` serves the next gradient, and each step search
+starts at the step accepted last (see :func:`_prox_gradient`).
 
 ``gsr_admm`` is the one ADMM loop, and every block update in it is one
 closed form: a solve with a sparse LU factorization made once per call, an
@@ -62,8 +54,8 @@ matrix would cost accuracy (see :func:`~gsrec.prox.svt`).
 
 The shift enters through its CSR matrix A and the operators the
 :class:`~gsrec.graph.GraphShift` derives from A once and keeps: the closed
-forms factor sparse systems built from ``(I - A)^T (I - A)`` with
-:func:`~gsrec.prox.factorized`, the iterative solvers apply A and the
+forms and ``anomaly_detect``'s finish factor sparse systems built from
+``(I - A)^T (I - A)`` with :func:`~gsrec.prox.factorized`, the iterative solvers apply A and the
 shift's CSR A^T as sparse products, O(nnz) each. No solver needs an
 eigenpair of ``(I - A)^T (I - A)``.
 
@@ -77,6 +69,11 @@ Iterative solvers stop when the objective changes by less than
 ``rgtvr``) additionally requires the split ``T = X + W + E + slack`` and, with
 beta > 0, the duplicate ``X = Z`` to hold to 1e-6 relative. Hitting
 ``config.max_outer`` first returns the last iterate with ``converged=False``.
+Both detection solvers instead certify their point by one measure, its
+lasso KKT violation relative to its weight (:func:`_lasso_kkt`;
+``meta["stationarity"]`` and ``meta["beta_reg"]``): ``converged`` needs it
+at most 1e-8. ``anomaly_detect`` gets there by one more iteration, a
+sparse solve on the support its plateaued run found.
 """
 
 from __future__ import annotations
@@ -100,10 +97,11 @@ from .prox import _nuclear_norm, factorized, shrink, svt
 # Relative feasibility tolerance for the ADMM coupling constraints.
 FEAS_RTOL = 1e-6
 
-# Step search of the proximal-gradient driver: each iteration starts at the
-# step accepted last, grown by 1 / STEP_RHO (up to STEP_T0) only after
-# STEP_GROW_AFTER iterations in a row were accepted at their first candidate,
-# and shrinks the step by STEP_RHO, at most STEP_HALVINGS times.
+# Step search of the proximal-gradient loop: the first iteration starts at
+# STEP_T0, each later one at the step accepted last, grown by 1 / STEP_RHO
+# (up to STEP_T0) only after STEP_GROW_AFTER iterations in a row were accepted
+# at their first candidate, and shrinks the step by STEP_RHO, at most
+# STEP_HALVINGS times.
 STEP_T0 = 1.0
 STEP_RHO = 0.5
 STEP_HALVINGS = 50
@@ -317,8 +315,8 @@ def _prox_gradient(x: np.ndarray,
                    prox: Callable[[np.ndarray, float], tuple[np.ndarray, float]],
                    nonsmooth: float,
                    config: SolverConfig,
-                   curvature: Callable[[np.ndarray, np.ndarray], float] | None = None,
-                   fixed_point_tol: float | None = None) -> RecoveryResult:
+                   curvature: Callable[[np.ndarray, np.ndarray], float] | None = None
+                   ) -> RecoveryResult:
     """Minimize ``f + g`` by proximal gradient with a backtracked step.
 
     ``smooth(x)`` returns f at x together with the shift residual
@@ -327,34 +325,21 @@ def _prox_gradient(x: np.ndarray,
     next gradient, so no iteration forms ``A X`` twice. g is reached only
     through ``prox(v, t)``, which returns ``prox_{t g}(v)`` together with g
     at that point, and ``nonsmooth`` is g at the start point x. The step
-    search reads the module constants: the first iteration starts at
-    ``STEP_T0`` and each later one at the step the search before it ended
-    on, grown to ``min(t / STEP_RHO, STEP_T0)`` only after
-    ``STEP_GROW_AFTER`` iterations in a row were accepted at their first
-    candidate. It shrinks the step by ``STEP_RHO`` (at most
-    ``STEP_HALVINGS`` times) until the candidate is accepted. For a
-    quadratic f, ``curvature(s, d_cand - d)`` is ``f(x + s) - f(x) -
-    grad(x) . s`` for the move s to the candidate, and the candidate is
-    accepted when it is at most ``||s||^2 / (2 t)``: f then lies below its
-    quadratic model there, which keeps the objective from increasing.
-    Without ``curvature`` the candidate is accepted when the objective
-    ``f + g`` itself does not increase. Without an accepted candidate the
-    iterate stays where it is.
+    search follows the module constants ``STEP_*`` (see there) until a
+    candidate is accepted. For a quadratic f, ``curvature(s, d_cand - d)``
+    is ``f(x + s) - f(x) - grad(x) . s`` for the move s to the candidate,
+    and the candidate is accepted when it is at most ``||s||^2 / (2 t)``: f
+    then lies below its quadratic model there, which keeps the objective
+    from increasing. Without ``curvature`` the candidate is accepted when
+    the objective ``f + g`` itself does not increase. Without an accepted
+    candidate the iterate stays where it is.
 
-    The run stops once the objective changes by less than
-    ``config.tol_outer``. With ``fixed_point_tol`` the stop also needs the
-    fixed-point residual ``max |x - prox(x - t grad(x), t)|`` to be at most
-    that tolerance; it is computed only where the objective test passed,
-    and once more at the end of a run that did not converge. The result's
-    ``meta`` holds the final ``step``, the rejected candidates
-    (``backtracks``), f at the returned point (``smooth``) and, with
-    ``fixed_point_tol``, the ``fixed_point_residual`` there.
+    The run stops, with ``converged`` set, once the objective changes by
+    less than ``config.tol_outer``; a caller with a sharper certificate
+    replaces ``converged`` with it. The result's ``meta`` holds the final
+    ``step``, the rejected candidates (``backtracks``) and f at the
+    returned point (``smooth``).
     """
-
-    def residual(xc, dc, t):
-        r = xc - prox(xc - t * grad(xc, dc), t)[0]
-        return float(np.max(np.abs(r))) if r.size else 0.0
-
     f_val, d = smooth(x)
     F = f_val + nonsmooth
     trace = []
@@ -362,7 +347,6 @@ def _prox_gradient(x: np.ndarray,
     streak = 0  # iterations in a row accepted at their first candidate
     backtracks = 0
     converged = False
-    meta = {}
     it = 0
     for it in range(1, config.max_outer + 1):
         g = grad(x, d)
@@ -392,17 +376,12 @@ def _prox_gradient(x: np.ndarray,
             raise NonFiniteObjective(f"objective became {F_new} at iteration {it}")
         trace.append(F_new)
         if abs(F_new - F) < config.tol_outer:
-            if fixed_point_tol is not None:
-                meta["fixed_point_residual"] = residual(x, d, t)
-            if fixed_point_tol is None or meta["fixed_point_residual"] <= fixed_point_tol:
-                converged = True
-                break
+            converged = True
+            break
         F = F_new
-    if fixed_point_tol is not None and not converged:
-        meta["fixed_point_residual"] = residual(x, d, t)
     return RecoveryResult(x=x, objective_trace=np.array(trace), iterations=it,
                           converged=converged,
-                          meta=dict(meta, step=t, backtracks=backtracks, smooth=f_val))
+                          meta=dict(step=t, backtracks=backtracks, smooth=f_val))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +458,23 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
 # anomaly detection
 # ---------------------------------------------------------------------------
 
+def _lasso_kkt(t: np.ndarray, e: np.ndarray, beta: float,
+               shift: GraphShift) -> tuple[float, float]:
+    """The variation of ``x = t - e`` and the lasso KKT violation of e.
+
+    e minimizes ``||D (t - e)||^2 + beta ||e||_1`` (D = I - A) exactly when
+    ``c = 2 D^T D (t - e)`` is ``beta sign(e_i)`` where e is nonzero and at
+    most beta in absolute value elsewhere. The violation is the largest miss
+    over beta, at beta = 0 over ``max |c|`` at e = 0 (0 if that is 0 too).
+    """
+    variation, d = _residual_variation((t - e)[:, None], shift)
+    c = _variation_grad(d, shift)[:, 0]
+    violation = np.where(e != 0, np.abs(c - beta * np.sign(e)), np.abs(c) - beta)
+    scale = beta or 2.0 * float(np.max(np.abs(tilde_shift(shift) @ t)))
+    worst = float(np.max(violation, initial=0.0))
+    return variation, (worst / scale if scale > 0 else 0.0)
+
+
 def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
                    config: SolverConfig | None = None) -> RecoveryResult:
     """Sparse outlier detection on a fully observed signal.
@@ -488,8 +484,15 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
     gradient step, backtracking on the smooth part), started from e = 0.
     Returns the cleaned signal ``x = t - e`` and the outlier estimate.
 
-    ``converged`` means a genuine fixed point of the prox map (residual at
-    most 1e-6), not just a plateau of the objective.
+    Proximal gradient fixes the support S and signs s of e after finitely
+    many steps (Hare & Lewis 2004), so a run that plateaus with S not empty
+    ends with one more iteration, the sparse solve ``T_SS e_S = (T t)_S -
+    (beta_reg / 2) s`` (``T = tilde_shift(shift)``; the LARS support solve,
+    Efron et al. 2004, section 7), kept when its KKT violation
+    (:func:`_lasso_kkt`; a flipped sign violates it) is at most 1e-8.
+    ``meta["stationarity"]`` is that violation at the returned point,
+    ``converged`` means it is at most 1e-8, and ``meta["smooth"]`` is the
+    variation there.
     """
     if beta_reg < 0:
         raise ValueError("beta_reg must be nonnegative")
@@ -507,10 +510,22 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
         return ec, beta_reg * float(np.sum(np.abs(ec)))
 
     res = _prox_gradient(np.zeros_like(t), smooth, smooth_grad, l1_prox, 0.0,
-                         config, curvature=lambda s, dd: float(np.vdot(dd, dd)),
-                         fixed_point_tol=1e-6)
-    res.x, res.outliers = t - res.x, res.x
-    res.meta.update(solver="anomaly_detect", beta_reg=beta_reg)
+                         config, curvature=lambda s, dd: float(np.vdot(dd, dd)))
+    e, S = res.x, np.flatnonzero(res.x)
+    variation, stationarity = _lasso_kkt(t, e, beta_reg, shift)
+    if res.converged and S.size:
+        rows = tilde_shift(shift)[S]
+        exact = np.zeros_like(e)
+        exact[S] = factorized(rows[:, S])(rows @ t - 0.5 * beta_reg * np.sign(e[S]))
+        exact_kkt = _lasso_kkt(t, exact, beta_reg, shift)
+        if exact_kkt[1] <= 1e-8:
+            e, (variation, stationarity) = exact, exact_kkt
+            res.iterations += 1
+            res.objective_trace = np.append(
+                res.objective_trace, variation + beta_reg * float(np.sum(np.abs(e))))
+    res.x, res.outliers, res.converged = t - e, e, stationarity <= 1e-8
+    res.meta.update(solver="anomaly_detect", beta_reg=beta_reg, smooth=variation,
+                    stationarity=stationarity)
     return res
 
 
@@ -578,12 +593,13 @@ def _lasso_path(t: np.ndarray, shift: GraphShift, budget: float,
             e[S] = s * np.maximum(s * (u - beta * v), 0.0)  # none rounded past 0
             return e, beta, segment
         if low == 0.0:
-            break
+            raise Infeasible(f"the lasso path reaches weight 0 above the "
+                             f"smoothness budget {budget:.3e}")
         signs[i] = (0.0, 1.0, -1.0)[kind]
         beta = low
-    raise Infeasible(f"the lasso path stops at weight {low:.3e} after "
-                     f"{segment} segments, above the smoothness budget "
-                     f"{budget:.3e}")
+    raise Infeasible(f"the lasso path ran out of segments at weight {low:.3e} "
+                     f"after {segment} segments, still above the smoothness "
+                     f"budget {budget:.3e}; a larger max_outer may meet it")
 
 
 def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: float,
@@ -600,12 +616,10 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     the point whose variation is ``eta_smooth^2`` plus half the slack, so
     rounding never lifts it over the cap and a zero cap has a root.
 
-    The point is certified by its KKT conditions at its weight beta
-    (``meta["beta_reg"]``): ``c = 2 (I - A)^T (I - A) x`` equals ``beta
-    sign(e_i)`` where e is nonzero and is at most beta in absolute value
-    elsewhere. ``converged`` means the largest violation relative to beta
-    (``meta["stationarity"]``) is at most 1e-8 and the variation
-    (``meta["smoothness"]``) meets the cap. Exact KKT at a point whose
+    The point is certified as :func:`anomaly_detect`'s is, by its KKT
+    violation (:func:`_lasso_kkt`, ``meta["stationarity"]``) at its weight
+    beta (``meta["beta_reg"]``): ``converged`` means it is at most 1e-8 and
+    the variation (``meta["smoothness"]``) meets the cap. Exact KKT at a point whose
     variation is the budget proves e has the least l1 norm within the
     budget: a smaller one would lower the penalized objective at beta.
     ``iterations`` counts the path's segments (``meta["segments"]``); the
@@ -627,13 +641,9 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
 
     e, beta, segments = _lasso_path(t, shift, target + 0.5 * slack,
                                     config.max_outer)
-    x = t - e
-    smoothness, d = _residual_variation(x[:, None], shift)
-    corr = _variation_grad(d, shift)[:, 0]
-    violation = np.where(e != 0, np.abs(corr - beta * np.sign(e)), np.abs(corr) - beta)
-    stationarity = float(np.max(violation)) / beta
+    smoothness, stationarity = _lasso_kkt(t, e, beta, shift)
     return RecoveryResult(
-        x=x, outliers=e, iterations=segments,
+        x=t - e, outliers=e, iterations=segments,
         objective_trace=np.array([smoothness + beta * float(np.sum(np.abs(e)))]),
         converged=bool(stationarity <= 1e-8 and smoothness <= target + slack),
         meta=dict(meta, beta_reg=beta, smoothness=smoothness,

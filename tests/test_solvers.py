@@ -417,67 +417,144 @@ class TestAnomalyDetect:
         assert_trace_nonincreasing(res.objective_trace)
         assert res.objective_trace.shape[0] == res.iterations
         assert res.converged
-        assert res.meta["fixed_point_residual"] <= 1e-6
+        assert res.meta["stationarity"] <= 1e-8
 
     @pytest.fixture
     def counted_work(self, monkeypatch):
-        """Sparse products by operand (A or its CSR transpose) and prox calls."""
+        """Sparse products by operand (A, its CSR transpose or rows of
+        ``tilde_shift``), prox calls and factorizations."""
         import gsrec.solvers as solvers
 
         shift = symmetric_shift(12, 24)
-        work = {"A": 0, "AT": 0, "shrink": 0}
-        product, threshold = sp.csr_array.__matmul__, solvers.shrink
+        work = {"A": 0, "AT": 0, "T": 0, "shrink": 0, "factorized": 0}
+        product = sp.csr_array.__matmul__
+        threshold, factor = solvers.shrink, solvers.factorized
 
         def counted_product(self, other):
-            work["A" if self is shift.matrix else "AT"] += 1
+            work["A" if self is shift.matrix
+                 else "AT" if self is shift._transpose else "T"] += 1
             return product(self, other)
 
         def counted_shrink(*args, **kwargs):
             work["shrink"] += 1
             return threshold(*args, **kwargs)
 
-        shift._transpose  # built before counting starts
+        def counted_factorized(H):
+            work["factorized"] += 1
+            return factor(H)
+
+        shift._transpose, tilde_shift(shift)  # built before counting starts
         monkeypatch.setattr(sp.csr_array, "__matmul__", counted_product)
         monkeypatch.setattr(solvers, "shrink", counted_shrink)
+        monkeypatch.setattr(solvers, "factorized", counted_factorized)
         t = np.random.default_rng(25).normal(size=12)
         t[4] += 8.0
         return shift, t, work
 
-    @staticmethod
-    def residual_tests(res, t, shift):
-        """Iterations whose objective change passed the stop test: the
-        fixed-point residual is taken there, and only there while running."""
-        F = np.concatenate([[quadratic_variation(t, shift)], res.objective_trace])
-        return int(np.sum(np.abs(np.diff(F)) < SolverConfig().tol_outer))
-
     @pytest.mark.parametrize("max_outer", [2000, 3])
-    def test_fixed_point_residual_taken_once_at_the_stop(self, counted_work,
-                                                         max_outer):
-        # every residual needs one gradient, one A^T product from the kept
-        # residual d, as does each iteration; a converged run reuses the
-        # residual of its last stop test, a run cut at max_outer takes one
+    def test_finish_factors_once_at_the_plateau(self, counted_work, max_outer):
+        # a plateaued run ends with one more iteration: one factorization of
+        # its support block, one product with rows of T for the right-hand
+        # side and the KKT check of the solved point; a run cut at max_outer
+        # makes none. Each proximal iteration and each KKT check takes one
+        # A^T product from its residual d, and every run checks its last
+        # proximal iterate
         shift, t, work = counted_work
         res = anomaly_detect(t, shift, 0.8, SolverConfig(max_outer=max_outer))
         work = dict(work)
-        tests = self.residual_tests(res, t, shift)
-        assert res.converged == (max_outer == 2000) == (tests > 0)
-        assert work["AT"] == res.iterations + tests + (not res.converged)
+        finished = work["factorized"]
+        assert finished == work["T"] == res.converged == (max_outer == 2000)
+        assert res.objective_trace.shape[0] == res.iterations
+        assert work["AT"] == (res.iterations - finished) + 1 + finished
 
     def test_gradient_reuses_the_accepted_residual(self, counted_work):
-        # A x is formed once per smooth evaluation, the start and each step
-        # tried, and never for a gradient: one product per iteration fewer
-        # than forming d again; each step tried and each residual is a shrink
+        # A x is formed once per smooth evaluation, the start, each step
+        # tried and the KKT checks of the last proximal iterate and of the
+        # solved point, and never for a gradient: one product per iteration
+        # fewer than forming d again; each step tried is a shrink
         shift, t, work = counted_work
         res = anomaly_detect(t, shift, 0.8)
         work = dict(work)
-        steps = work["shrink"] - self.residual_tests(res, t, shift)
-        assert steps >= res.iterations > 5
-        assert work["A"] == 1 + steps
-        assert steps == res.iterations + res.meta["backtracks"]
+        steps, proximal = work["shrink"], res.iterations - 1
+        assert res.converged and work["factorized"] == 1
+        assert steps >= proximal > 5
+        assert work["A"] == 1 + steps + 2
+        assert steps == proximal + res.meta["backtracks"]
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             anomaly_detect(np.zeros(3), cycle_shift(3), -0.1)
+
+    @staticmethod
+    def detection_instance(seed):
+        """A small graph (n 10-80): a kNN graph with k 1-8, a cycle, or a
+        symmetrized column-normalized kNN graph; a Gaussian signal with 1-4
+        spikes and a weight of 10^U(-3, 1)."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 81))
+        k = int(rng.integers(1, 9))
+        if seed % 3 == 1:
+            shift = cycle_shift(n)
+        else:
+            spec = (GraphBuildSpec(k=k) if seed % 3 == 0 else GraphBuildSpec(
+                k=k, normalization="column", symmetrize=True))
+            shift = build_knn_graph(random_features(n, 2, 700 + seed), spec)
+        t = rng.normal(size=n)
+        spikes = rng.choice(n, int(rng.integers(1, 5)), replace=False)
+        t[spikes] += (rng.choice([-1.0, 1.0], spikes.size)
+                      * rng.uniform(2.0, 6.0, spikes.size))
+        return shift, t, 10.0 ** rng.uniform(-3.0, 1.0)
+
+    def test_converged_means_kkt_on_many_small_graphs(self):
+        # checked on dense weights by the oracle, apart from the solver's own
+        # measure: an objective plateau is no certificate here, most of these
+        # plateaued iterates miss KKT by more than 1e-8 (up to about 3e-3)
+        converged = 0
+        for seed in range(60):
+            shift, t, beta = self.detection_instance(seed)
+            res = anomaly_detect(t, shift, beta)
+            if res.converged:
+                converged += 1
+                kkt = oracles.lasso_kkt_violation(shift.weights, t, res.outliers, beta)
+                assert kkt <= 1e-8, (seed, kkt)
+                assert res.meta["stationarity"] <= 1e-8
+        assert converged >= 40
+
+    def test_zero_signal_at_zero_weight_converges_at_once(self):
+        res = anomaly_detect(np.zeros(5), cycle_shift(5), 0.0)
+        assert res.converged and res.iterations == 1
+        assert res.meta["stationarity"] == 0.0
+
+    def test_spike_at_zero_weight_is_certified_by_its_correlations(self):
+        # at weight 0 the violation is the largest correlation, measured
+        # against the largest one at e = 0; the oracle divides by the weight
+        shift = cycle_shift(6)
+        t = np.ones(6)
+        t[2] += 5.0
+        res = anomaly_detect(t, shift, 0.0)
+        tilde = tilde_shift(shift)
+        ratio = (np.max(np.abs(2.0 * (tilde @ res.x)))
+                 / np.max(np.abs(2.0 * (tilde @ t))))
+        assert res.converged == (ratio <= 1e-8)
+
+    def test_singular_support_block_takes_the_minimum_norm_solve(self, monkeypatch):
+        # at a tiny weight the support covers the whole cycle, whose block of
+        # tilde_shift (the whole matrix) holds the constant vector in its
+        # null space
+        import gsrec.prox as prox
+
+        calls = []
+        solve = prox._min_norm_solve
+        monkeypatch.setattr(prox, "_min_norm_solve",
+                            lambda H, b: calls.append(H.shape) or solve(H, b))
+        shift = cycle_shift(6)
+        t = np.ones(6)
+        t[2] += 5.0
+        res = anomaly_detect(t, shift, 1e-9)
+        assert calls == [(6, 6)]
+        assert np.all(np.isfinite(res.x))
+        assert res.converged == (
+            oracles.lasso_kkt_violation(shift.weights, t, res.outliers, 1e-9) <= 1e-8)
 
 def bisection_instance(seed):
     """A random kNN graph (n 100-300), a smooth signal with 2-7 spikes and a
@@ -569,7 +646,8 @@ class TestAnomalyDetectConstrained:
         shift = symmetric_shift(10, 28)
         t = np.random.default_rng(29).normal(size=10)
         t[3] += 6.0
-        with pytest.raises(Infeasible, match="after 1 segments"):
+        with pytest.raises(Infeasible, match="ran out of segments .*after 1 "
+                                             "segments.*larger max_outer"):
             anomaly_detect_constrained(t, shift, 0.1, SolverConfig(max_outer=1))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -578,10 +656,11 @@ class TestAnomalyDetectConstrained:
         on random kNN graphs.
 
         Both find the same support, and the weights agree to the solves'
-        resolution. A solve that stops with fixed-point residual r (at most
-        1e-6) at step t has ``r = t |g_i + beta sign(e_i)|`` on its support:
-        it solves the problem exactly for entry weights within ``eps = r /
-        t`` of beta. To first order on a support S with signs s, entry
+        resolution. A solve with KKT violation delta relative to beta
+        (``meta["stationarity"]``, at most 1e-8) has ``|g_i + beta
+        sign(e_i)| <= delta beta`` on its support and ``|g_j| <= beta + delta
+        beta`` off it: it solves the problem exactly for entry weights within
+        ``eps = delta beta`` of beta. To first order on a support S with signs s, entry
         weight j moves the variation in proportion to ``s_j u_j``, ``u =
         T_SS^+ s`` (T = tilde_shift), so entry errors of at most eps move it
         no further than a uniform weight error of ``kappa eps``, ``kappa =
@@ -613,8 +692,7 @@ class TestAnomalyDetectConstrained:
         tilde = tilde_shift(shift).toarray()
         u = np.linalg.pinv(tilde[np.ix_(support, support)]) @ signs
         kappa = float(np.abs(u).sum() / (signs @ u))
-        eps = sum(solves[b].meta["fixed_point_residual"] / solves[b].meta["step"]
-                  for b in (lo, hi))
+        eps = sum(solves[b].meta["stationarity"] * b for b in (lo, hi))
         assert abs(res.meta["beta_reg"] - lo) <= kappa * eps + (hi - lo)
 
     @pytest.mark.parametrize("instance", [*(f"knn-{seed}" for seed in range(6)),
