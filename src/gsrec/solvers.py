@@ -12,9 +12,9 @@ Closed forms
 Proximal gradient
     gmcm   matrix completion, measured entries pinned exactly
     gmcr   matrix completion, measured entries fitted in least squares
-    anomaly_detect            sparse-outlier detection, penalized form
 
 Lasso homotopy
+    anomaly_detect              sparse-outlier detection, penalized form
     anomaly_detect_constrained  the least l1 outliers under a smoothness cap
 
 ADMM
@@ -22,10 +22,10 @@ ADMM
     rgtvr     gsr_admm on one column at beta = 0: inpainting robust to
               sparse corruption of the measurements
 
-The three proximal-gradient solvers run one shared loop,
+The two proximal-gradient solvers run one shared loop,
 :func:`_prox_gradient`, which returns their :class:`RecoveryResult`; each
 supplies only its smooth part, that part's gradient and a proximal step
-(``svt`` or ``shrink``) that also returns the nonsmooth value of its result,
+(an ``svt``) that also returns the nonsmooth value of its result,
 and then names itself and shapes ``x``. The loop backtracks the step until
 the smooth part lies below its quadratic model (Beck & Teboulle 2009),
 tested by the exact curvature of the quadratic smooth part along the move,
@@ -54,26 +54,25 @@ matrix would cost accuracy (see :func:`~gsrec.prox.svt`).
 
 The shift enters through its CSR matrix A and the operators the
 :class:`~gsrec.graph.GraphShift` derives from A once and keeps: the closed
-forms and ``anomaly_detect``'s finish factor sparse systems built from
-``(I - A)^T (I - A)`` with :func:`~gsrec.prox.factorized`, the iterative solvers apply A and the
+forms factor sparse systems built from ``(I - A)^T (I - A)`` with
+:func:`~gsrec.prox.factorized`, the iterative solvers apply A and the
 shift's CSR A^T as sparse products, O(nnz) each. No solver needs an
 eigenpair of ``(I - A)^T (I - A)``.
 
-``anomaly_detect_constrained`` solves no penalized problem: the solution of
-``anomaly_detect`` is piecewise linear in its l1 weight, and
+Both detection solvers follow one exact path: the minimizer of
+``anomaly_detect``'s objective is piecewise linear in its l1 weight, and
 :func:`_lasso_path` follows it down from e = 0, one dense solve on the
-support per segment, to the exact point where the variation meets the cap.
+support per segment, to the caller's weight or to the point where the
+variation meets the cap. It stops there or after ``config.max_outer``
+segments, and both certify the point by its lasso KKT violation relative to
+its weight (:func:`_lasso_kkt`; ``meta["stationarity"]``): ``converged``
+needs it at most 1e-8.
 
-Iterative solvers stop when the objective changes by less than
+The other iterative solvers stop when the objective changes by less than
 ``config.tol_outer`` between consecutive iterations; ``gsr_admm`` (so also
-``rgtvr``) additionally requires the split ``T = X + W + E + slack`` and, with
-beta > 0, the duplicate ``X = Z`` to hold to 1e-6 relative. Hitting
+``rgtvr``) additionally requires the split ``T = X + W + E + slack`` and,
+with beta > 0, the duplicate ``X = Z`` to hold to 1e-6 relative. Hitting
 ``config.max_outer`` first returns the last iterate with ``converged=False``.
-Both detection solvers instead certify their point by one measure, its
-lasso KKT violation relative to its weight (:func:`_lasso_kkt`;
-``meta["stationarity"]`` and ``meta["beta_reg"]``): ``converged`` needs it
-at most 1e-8. ``anomaly_detect`` gets there by one more iteration, a
-sparse solve on the support its plateaued run found.
 """
 
 from __future__ import annotations
@@ -117,7 +116,8 @@ class SolverConfig:
 
     alpha weights quadratic variation, beta the nuclear norm, gamma the
     outlier l1 norm, penalty is the ADMM penalty parameter. tol_outer and
-    max_outer control the stop of every iterative solver. The step search of
+    max_outer stop the iterative solvers; detection reads only max_outer,
+    as a cap on its path's segments. The step search of
     the proximal-gradient solvers is fixed by the module constants
     ``STEP_T0``, ``STEP_RHO``, ``STEP_HALVINGS`` and ``STEP_GROW_AFTER``,
     the ADMM over-relaxation by ``ADMM_RELAX`` (Boyd et al. 2011, section
@@ -335,8 +335,7 @@ def _prox_gradient(x: np.ndarray,
     candidate the iterate stays where it is.
 
     The run stops, with ``converged`` set, once the objective changes by
-    less than ``config.tol_outer``; a caller with a sharper certificate
-    replaces ``converged`` with it. The result's ``meta`` holds the final
+    less than ``config.tol_outer``. The result's ``meta`` holds the final
     ``step``, the rejected candidates (``backtracks``) and f at the
     returned point (``smooth``).
     """
@@ -480,126 +479,121 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
     """Sparse outlier detection on a fully observed signal.
 
     Minimizes ``||(t - e) - A (t - e)||_2^2 + beta_reg * ||e||_1`` over the
-    outlier vector e by proximal gradient (soft threshold after a variation
-    gradient step, backtracking on the smooth part), started from e = 0.
-    Returns the cleaned signal ``x = t - e`` and the outlier estimate.
-
-    Proximal gradient fixes the support S and signs s of e after finitely
-    many steps (Hare & Lewis 2004), so a run that plateaus with S not empty
-    ends with one more iteration, the sparse solve ``T_SS e_S = (T t)_S -
-    (beta_reg / 2) s`` (``T = tilde_shift(shift)``; the LARS support solve,
-    Efron et al. 2004, section 7), kept when its KKT violation
-    (:func:`_lasso_kkt`; a flipped sign violates it) is at most 1e-8.
-    ``meta["stationarity"]`` is that violation at the returned point,
-    ``converged`` means it is at most 1e-8, and ``meta["smooth"]`` is the
-    variation there.
+    outlier vector e exactly: :func:`_lasso_path` follows the minimizer down
+    from e = 0 to ``beta_reg`` in at most ``config.max_outer`` segments
+    (``meta["segments"]``; a cut run returns its last point). Returns ``x =
+    t - e`` and e. The trace holds the path's objective at ``beta_reg``,
+    which never rises, then one confirming proximal-gradient step's from e
+    at ``meta["step"] = 1 / (2 ||T||_inf) <= 1 / L`` (T = ``tilde_shift``),
+    of which a minimizer is a fixed point; ``iterations`` counts both.
+    ``meta["stationarity"]`` is e's KKT violation (:func:`_lasso_kkt`), at
+    most 1e-8 when ``converged``; ``meta["smooth"]`` is the variation.
     """
     if beta_reg < 0:
         raise ValueError("beta_reg must be nonnegative")
     config = config or SolverConfig()
     t = _vector_signal(t, shift)
-
-    def smooth(ec):
-        return _residual_variation((t - ec)[:, None], shift)
-
-    def smooth_grad(ec, d):
-        return -_variation_grad(d, shift)[:, 0]
-
-    def l1_prox(v, step):
-        ec = shrink(v, step * beta_reg)
-        return ec, beta_reg * float(np.sum(np.abs(ec)))
-
-    res = _prox_gradient(np.zeros_like(t), smooth, smooth_grad, l1_prox, 0.0,
-                         config, curvature=lambda s, dd: float(np.vdot(dd, dd)))
-    e, S = res.x, np.flatnonzero(res.x)
+    e, _, segments, trace = _lasso_path(t, shift, config.max_outer, weight=beta_reg)
     variation, stationarity = _lasso_kkt(t, e, beta_reg, shift)
-    if res.converged and S.size:
-        rows = tilde_shift(shift)[S]
-        exact = np.zeros_like(e)
-        exact[S] = factorized(rows[:, S])(rows @ t - 0.5 * beta_reg * np.sign(e[S]))
-        exact_kkt = _lasso_kkt(t, exact, beta_reg, shift)
-        if exact_kkt[1] <= 1e-8:
-            e, (variation, stationarity) = exact, exact_kkt
-            res.iterations += 1
-            res.objective_trace = np.append(
-                res.objective_trace, variation + beta_reg * float(np.sum(np.abs(e))))
-    res.x, res.outliers, res.converged = t - e, e, stationarity <= 1e-8
-    res.meta.update(solver="anomaly_detect", beta_reg=beta_reg, smooth=variation,
-                    stationarity=stationarity)
-    return res
+    T = tilde_shift(shift)
+    # ||T||_inf bounds its largest eigenvalue; T = 0 (A = I) takes any step
+    step = 0.5 / (float(abs(T).sum(axis=1).max()) or 1.0)
+    moved = shrink(e + 2.0 * step * (T @ (t - e)), step * beta_reg)
+    trace.append(_variation((t - moved)[:, None], shift)
+                 + beta_reg * float(np.sum(np.abs(moved))))
+    return RecoveryResult(
+        x=t - e, outliers=e, objective_trace=np.array(trace),
+        iterations=segments + 1, converged=stationarity <= 1e-8,
+        meta=dict(solver="anomaly_detect", beta_reg=beta_reg, smooth=variation,
+                  stationarity=stationarity, step=step, segments=segments))
 
 
-def _lasso_path(t: np.ndarray, shift: GraphShift, budget: float,
-                max_segments: int) -> tuple[np.ndarray, float, int]:
-    """The point of :func:`anomaly_detect`'s solution path at a variation.
+def _csr_row(M: sp.csr_array, i: int) -> np.ndarray:
+    """Row i of a CSR matrix without duplicates, dense, read off its arrays."""
+    row, lo, hi = np.zeros(M.shape[1]), M.indptr[i], M.indptr[i + 1]
+    row[M.indices[lo:hi]] = M.data[lo:hi]
+    return row
+
+
+def _lasso_path(t: np.ndarray, shift: GraphShift, max_segments: int,
+                weight: float = 0.0, budget: float | None = None
+                ) -> tuple[np.ndarray, float, int, list[float]]:
+    """The point of :func:`anomaly_detect`'s solution path at a weight or a variation.
 
     With ``D = I - A``, ``T = D^T D`` and ``b = T t``, the minimizer e of
     ``||D (t - e)||^2 + beta ||e||_1`` is piecewise linear in beta (the
     lasso homotopy: Osborne, Presnell & Turlach 2000; Efron et al. 2004,
     section 3.1). On a support S with signs s the correlations ``c = 2 T
     (t - e)`` equal ``beta s`` on S, so ``e_S = u - beta v`` with ``T_SS
-    [u, v] = [b_S, s / 2]`` (one dense solve); the residual ``D (t - e)`` is
-    ``r0 + beta r1`` and c is ``p + beta q``. The path starts at ``beta =
-    max |2 b|`` with e = 0 and runs down. A segment ends at the largest
-    weight, at most beta, where an entry of e_S shrinking toward 0 reaches
-    it (it leaves S) or a correlation off S moving out at a rate ``1 -+
-    q_j`` above 1e-9 reaches ``+-beta`` (it joins with that sign). One
+    [u, v] = [b_S, s / 2]``, one dense solve on the kept block ``T_SS``
+    (grown by a row of T per join); ``D (t - e) = r0 + beta r1`` and ``c =
+    p + beta q``. From ``beta = max |2 b|`` and e = 0 a segment runs down
+    to the largest weight, at most beta, where an entry of e_S shrinking
+    toward 0 reaches it (it leaves S) or a correlation off S moving out at
+    a rate ``1 -+ q_j`` above 1e-9 reaches ``+-beta`` (it joins). One
     already there ends the segment at once, so ties go one per segment; an
     entry that just joined grows and one that just left moves in, so
-    neither comes back. A correlation the support holds at ``+-beta``, as
-    when S and j carry a variation-free vector (a closed class of the
-    graph), moves at rate 0 and stays out, where joining would make
-    ``T_SS`` singular. The variation ``||r0 + beta r1||^2`` grows with
-    beta; on the first segment whose lower end meets ``budget``, the larger
-    root of that quadratic is returned with e and the segment count.
-    Raises :class:`Infeasible` when the path reaches weight 0 or
-    ``max_segments`` segments above the budget.
+    neither comes back. A correlation the support holds at ``+-beta`` (S and
+    j carry a variation-free vector, a closed class of the graph) moves at
+    rate 0 and stays out, where joining would make ``T_SS`` singular.
+
+    The path stops at ``weight`` or, given a ``budget``, at the larger root
+    of ``||r0 + beta r1||^2 = budget`` on the first segment whose lower end
+    meets it; a run cut at ``max_segments`` stops at its last point.
+    Returns e, its weight, the segment count and the objective at
+    ``weight`` at each segment's lower end.
     """
-    T = tilde_shift(shift)
+    T, n = tilde_shift(shift), t.shape[0]
     b = T @ t
-    n = t.shape[0]
-    beta = 2.0 * float(np.max(np.abs(b)))
-    # s on the support, 0 off it: the largest correlation joins first
-    signs = np.where(np.arange(n) == np.argmax(np.abs(b)), np.sign(b), 0.0)
+    beta, trace = 2.0 * float(np.max(np.abs(b))), []
+    if beta <= weight:
+        return np.zeros(n), weight, 0, trace
+    # s on the support, 0 off it; S lists the support in the order of the
+    # block's rows. The largest correlation joins first
+    signs, S, block = np.zeros(n), np.zeros(0, dtype=int), np.zeros((0, 0))
+    i = int(np.argmax(np.abs(b)))
+    kind = 1 if b[i] > 0 else 2
     for segment in range(1, max_segments + 1):
-        S = np.flatnonzero(signs)
+        if kind == 0:
+            k = int(np.flatnonzero(S == i)[0])
+            S, block = np.delete(S, k), np.delete(np.delete(block, k, 0), k, 1)
+        else:
+            S, joined, old = np.append(S, i), _csr_row(T, i), block
+            block = np.empty((S.size, S.size))
+            block[:-1, :-1], block[-1], block[:-1, -1] = old, joined[S], joined[S[:-1]]
+        signs[i] = (0.0, 1.0, -1.0)[kind]
         s = signs[S]
-        uv = np.zeros((n, 2))
-        uv[S] = np.linalg.solve(T[S][:, S].toarray(), np.column_stack([b[S], 0.5 * s]))
-        u, v = uv[S].T
-        X = np.column_stack([t - uv[:, 0], uv[:, 1]])  # t - e = X @ (1, beta)
+        u, v = np.linalg.solve(block, np.column_stack([b[S], 0.5 * s])).T
+        X = np.column_stack([t, np.zeros(n)])  # t - e = X @ (1, beta)
+        X[S] += np.column_stack([-u, v])
         R = X - shift.matrix @ X
         p, q = _variation_grad(R, shift).T
-        # weights where an entry of e_S shrinking toward 0 reaches it (row
-        # 0), or a correlation off S reaches +beta (row 1) or -beta (row 2),
-        # approaching it at a rate 1 -+ q of more than 1e-9; one there now
-        # counts at beta
+        # weights where an entry of e_S shrinking toward 0 reaches it (row 0)
+        # or a correlation off S reaches +-beta (rows 1, 2) at a rate 1 -+ q
+        # above 1e-9; one there now counts at beta
         events = np.full((3, n), -np.inf)
         shrinking = s * v < 0
         events[0, S[shrinking]] = u[shrinking] / v[shrinking]
-        for row, side in ((1, 1.0), (2, -1.0)):
-            rate = 1.0 - side * q
-            joins = (signs == 0) & (rate > 1e-9)
-            events[row, joins] = side * p[joins] / rate[joins]
-        kind, i = np.unravel_index(np.argmax(events), events.shape)
+        rates = np.stack([1.0 - q, 1.0 + q])
+        np.divide(np.stack([p, -p]), rates, out=events[1:],
+                  where=(rates > 1e-9) & (signs == 0))
+        kind, i = divmod(int(np.argmax(events)), n)
         low = min(max(float(events[kind, i]), 0.0), beta)
         r0, r1 = R.T
-        if float(np.sum((r0 + low * r1) ** 2)) <= budget:
+        if budget is not None and float(np.sum((r0 + low * r1) ** 2)) <= budget:
             a, h, c = float(r1 @ r1), float(r0 @ r1), float(r0 @ r0) - budget
             sq = np.sqrt(max(h * h - a * c, 0.0))
             root = (sq - h) / a if h < 0 else -c / (h + sq)
             beta = min(max(root, low), beta)
-            e = np.zeros(n)
-            e[S] = s * np.maximum(s * (u - beta * v), 0.0)  # none rounded past 0
-            return e, beta, segment
-        if low == 0.0:
-            raise Infeasible(f"the lasso path reaches weight 0 above the "
-                             f"smoothness budget {budget:.3e}")
-        signs[i] = (0.0, 1.0, -1.0)[kind]
-        beta = low
-    raise Infeasible(f"the lasso path ran out of segments at weight {low:.3e} "
-                     f"after {segment} segments, still above the smoothness "
-                     f"budget {budget:.3e}; a larger max_outer may meet it")
+            break
+        beta = max(low, weight)
+        trace.append(float(np.sum((r0 + beta * r1) ** 2))
+                     + weight * float(np.sum(np.maximum(s * (u - beta * v), 0.0))))
+        if low <= weight:
+            break
+    e = np.zeros(n)
+    e[S] = s * np.maximum(s * (u - beta * v), 0.0)  # none rounded past 0
+    return e, beta, segment, trace
 
 
 def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: float,
@@ -612,16 +606,17 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     1e-9 (1 + V(t))`` on the cap (V the variation). A signal within the cap
     is returned as it is. Otherwise :func:`_lasso_path` follows the solution
     of :func:`anomaly_detect` down in its weight, for at most
-    ``config.max_outer`` segments and with no proximal-gradient solve, to
-    the point whose variation is ``eta_smooth^2`` plus half the slack, so
-    rounding never lifts it over the cap and a zero cap has a root.
+    ``config.max_outer`` segments, to the point whose variation is
+    ``eta_smooth^2`` plus half the slack, so rounding never lifts it over
+    the cap and a zero cap has a root; a path that ends above the cap, at
+    weight 0 or cut, raises :class:`Infeasible`.
 
     The point is certified as :func:`anomaly_detect`'s is, by its KKT
     violation (:func:`_lasso_kkt`, ``meta["stationarity"]``) at its weight
     beta (``meta["beta_reg"]``): ``converged`` means it is at most 1e-8 and
-    the variation (``meta["smoothness"]``) meets the cap. Exact KKT at a point whose
-    variation is the budget proves e has the least l1 norm within the
-    budget: a smaller one would lower the penalized objective at beta.
+    the variation (``meta["smoothness"]``) meets the cap. Exact KKT at a
+    point whose variation is the budget proves e has the least l1 norm
+    within it: a smaller one would lower the penalized objective at beta.
     ``iterations`` counts the path's segments (``meta["segments"]``); the
     trace holds the penalized objective ``V + beta ||e||_1`` at the point.
     """
@@ -639,9 +634,14 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
                               meta=dict(meta, beta_reg=float("inf"), segments=0,
                                         smoothness=base_variation, stationarity=0.0))
 
-    e, beta, segments = _lasso_path(t, shift, target + 0.5 * slack,
-                                    config.max_outer)
+    e, beta, segments, _ = _lasso_path(t, shift, config.max_outer,
+                                       budget=target + 0.5 * slack)
     smoothness, stationarity = _lasso_kkt(t, e, beta, shift)
+    if smoothness > target + slack:
+        end = f"ran out of segments at weight {beta:.3e}" if beta else "reaches weight 0"
+        raise Infeasible(f"the lasso path {end} after {segments} segments, still above "
+                         f"the smoothness budget {target:.3e}"
+                         + ("; a larger max_outer may meet it" if beta else ""))
     return RecoveryResult(
         x=t - e, outliers=e, iterations=segments,
         objective_trace=np.array([smoothness + beta * float(np.sum(np.abs(e)))]),

@@ -181,6 +181,29 @@ class TestCompletionWork:
         assert len(calls) <= 1.3 * res.iterations + 3
         assert_trace_nonincreasing(res.objective_trace)
 
+    def test_gradient_reuses_the_accepted_residual(self, monkeypatch,
+                                                   tall_instance):
+        # A X is formed once per smooth evaluation, the start and each
+        # candidate tried, and never for a gradient: each iteration's
+        # gradient is one product with the CSR A^T from the accepted residual
+        T, mask, shift = tall_instance
+        counts = {"A": 0, "AT": 0}
+        product = sp.csr_array.__matmul__
+
+        def counted(self, other):
+            key = ("A" if self is shift.matrix
+                   else "AT" if self is shift._transpose else None)
+            if key:
+                counts[key] += 1
+            return product(self, other)
+
+        shift._transpose  # built before counting starts
+        monkeypatch.setattr(sp.csr_array, "__matmul__", counted)
+        res = gmcr(T, mask, shift, SolverConfig(alpha=1.0, beta=2.0, max_outer=300))
+        assert res.iterations > 5
+        tried = res.iterations + res.meta["backtracks"]
+        assert counts == {"A": 1 + tried, "AT": res.iterations}
+
     def test_over_relaxation_saves_admm_iterations(self, monkeypatch,
                                                    tall_instance):
         import gsrec.solvers as solvers
@@ -421,104 +444,202 @@ class TestAnomalyDetect:
 
     @pytest.fixture
     def counted_work(self, monkeypatch):
-        """Sparse products by operand (A, its CSR transpose or rows of
-        ``tilde_shift``), prox calls and factorizations."""
+        """``watch(shift)`` returns a dict that counts, from then on, the
+        sparse products with the shift's A, its CSR transpose and T =
+        ``tilde_shift``, indexing of T, rows of T read and factorizations."""
         import gsrec.solvers as solvers
 
-        shift = symmetric_shift(12, 24)
-        work = {"A": 0, "AT": 0, "T": 0, "shrink": 0, "factorized": 0}
-        product = sp.csr_array.__matmul__
-        threshold, factor = solvers.shrink, solvers.factorized
+        work, watched = {}, {}
+        product, index = sp.csr_array.__matmul__, sp.csr_array.__getitem__
+        read, factor = solvers._csr_row, solvers.factorized
+
+        def operand(matrix):
+            return next((key for key, m in watched.items() if m is matrix), None)
 
         def counted_product(self, other):
-            work["A" if self is shift.matrix
-                 else "AT" if self is shift._transpose else "T"] += 1
+            key = operand(self)
+            if key:
+                work[key] += 1
             return product(self, other)
 
-        def counted_shrink(*args, **kwargs):
-            work["shrink"] += 1
-            return threshold(*args, **kwargs)
+        def counted_index(self, key):
+            if operand(self) == "T":
+                work["T[]"] += 1
+            return index(self, key)
+
+        def counted_read(M, i):
+            work["rows"] += 1
+            return read(M, i)
 
         def counted_factorized(H):
             work["factorized"] += 1
             return factor(H)
 
-        shift._transpose, tilde_shift(shift)  # built before counting starts
         monkeypatch.setattr(sp.csr_array, "__matmul__", counted_product)
-        monkeypatch.setattr(solvers, "shrink", counted_shrink)
+        monkeypatch.setattr(sp.csr_array, "__getitem__", counted_index)
+        monkeypatch.setattr(solvers, "_csr_row", counted_read)
         monkeypatch.setattr(solvers, "factorized", counted_factorized)
-        t = np.random.default_rng(25).normal(size=12)
-        t[4] += 8.0
-        return shift, t, work
 
-    @pytest.mark.parametrize("max_outer", [2000, 3])
-    def test_finish_factors_once_at_the_plateau(self, counted_work, max_outer):
-        # a plateaued run ends with one more iteration: one factorization of
-        # its support block, one product with rows of T for the right-hand
-        # side and the KKT check of the solved point; a run cut at max_outer
-        # makes none. Each proximal iteration and each KKT check takes one
-        # A^T product from its residual d, and every run checks its last
-        # proximal iterate
-        shift, t, work = counted_work
-        res = anomaly_detect(t, shift, 0.8, SolverConfig(max_outer=max_outer))
-        work = dict(work)
-        finished = work["factorized"]
-        assert finished == work["T"] == res.converged == (max_outer == 2000)
+        def watch(shift):
+            # built before counting starts
+            watched.update(A=shift.matrix, AT=shift._transpose, T=tilde_shift(shift))
+            work.update({"A": 0, "AT": 0, "T": 0, "T[]": 0, "rows": 0,
+                         "factorized": 0})
+            return work
+
+        return watch
+
+    @pytest.mark.parametrize("instance", ["dense-12", "small-9"])
+    def test_path_work_per_segment_and_join(self, counted_work, instance):
+        """Each segment solves on the kept dense block T_SS and makes two
+        sparse products, with A and with its CSR transpose; each join reads
+        one row of T; nothing factors or indexes T. A path of k segments
+        that ends with m outliers made (k + m) / 2 joins and (k - m) / 2
+        leaves (small-9 has leaves, dense-12 none). Outside the segments
+        ``b = T t`` and the confirming step's gradient are products with T,
+        the KKT check takes one product with A and one with A^T, and the
+        confirming step's objective one with A."""
+        if instance == "dense-12":
+            shift = symmetric_shift(12, 24)
+            t = np.random.default_rng(25).normal(size=12)
+            t[4] += 8.0
+            beta = 0.8
+        else:
+            shift, t, beta = self.detection_instance(9)
+        work = counted_work(shift)
+        res = anomaly_detect(t, shift, beta)
+        k, m = res.meta["segments"], np.count_nonzero(res.outliers)
+        assert res.converged and (k + m) % 2 == 0
+        assert (k > m) == (instance == "small-9")
+        assert work == {"A": k + 2, "AT": k + 1, "T": 2, "T[]": 0,
+                        "rows": (k + m) // 2, "factorized": 0}
+
+    @pytest.mark.parametrize("cut", [1, 5, 20])
+    def test_run_cut_at_max_outer_returns_the_last_path_point(self, cut):
+        # the point at the cut is the exact minimizer at a weight above the
+        # asked one, read off its correlations, which equal that weight on
+        # the support
+        shift, t, beta = self.detection_instance(9)
+        full = anomaly_detect(t, shift, beta)
+        assert full.converged and full.meta["segments"] > 20
+        res = anomaly_detect(t, shift, beta, SolverConfig(max_outer=cut))
+        assert not res.converged and res.meta["stationarity"] > 1e-8
+        assert res.meta["segments"] == cut and res.iterations == cut + 1
         assert res.objective_trace.shape[0] == res.iterations
-        assert work["AT"] == (res.iterations - finished) + 1 + finished
-
-    def test_gradient_reuses_the_accepted_residual(self, counted_work):
-        # A x is formed once per smooth evaluation, the start, each step
-        # tried and the KKT checks of the last proximal iterate and of the
-        # solved point, and never for a gradient: one product per iteration
-        # fewer than forming d again; each step tried is a shrink
-        shift, t, work = counted_work
-        res = anomaly_detect(t, shift, 0.8)
-        work = dict(work)
-        steps, proximal = work["shrink"], res.iterations - 1
-        assert res.converged and work["factorized"] == 1
-        assert steps >= proximal > 5
-        assert work["A"] == 1 + steps + 2
-        assert steps == proximal + res.meta["backtracks"]
+        assert_trace_nonincreasing(res.objective_trace)
+        e = res.outliers
+        support = np.flatnonzero(e)
+        assert support.size
+        correlations = 2.0 * (tilde_shift(shift) @ (t - e))
+        weight = float(np.mean(np.abs(correlations[support])))
+        assert weight > beta
+        assert oracles.lasso_kkt_violation(shift.weights, t, e, weight) <= 1e-10
+        objective = (quadratic_variation(t - e, shift)
+                     + beta * float(np.abs(e).sum()))
+        assert res.objective_trace[-2] == pytest.approx(objective, rel=1e-12)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             anomaly_detect(np.zeros(3), cycle_shift(3), -0.1)
 
     @staticmethod
-    def detection_instance(seed):
-        """A small graph (n 10-80): a kNN graph with k 1-8, a cycle, or a
-        symmetrized column-normalized kNN graph; a Gaussian signal with 1-4
-        spikes and a weight of 10^U(-3, 1)."""
+    def detection_instance(seed, kind=None, sizes=(10, 81), exponents=(-3.0, 1.0)):
+        """A small graph (n in ``sizes``, default 10-80): a kNN graph with k
+        1-8, a cycle, or a symmetrized column-normalized kNN graph (by
+        ``kind``, else by seed); a Gaussian signal with 1-4 spikes and a
+        weight of 10^U(exponents), by default 10^U(-3, 1)."""
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(10, 81))
+        n = int(rng.integers(*sizes))
         k = int(rng.integers(1, 9))
-        if seed % 3 == 1:
+        kind = kind or ("knn", "cycle", "column-symmetrized")[seed % 3]
+        if kind == "cycle":
             shift = cycle_shift(n)
         else:
-            spec = (GraphBuildSpec(k=k) if seed % 3 == 0 else GraphBuildSpec(
+            spec = (GraphBuildSpec(k=k) if kind == "knn" else GraphBuildSpec(
                 k=k, normalization="column", symmetrize=True))
             shift = build_knn_graph(random_features(n, 2, 700 + seed), spec)
         t = rng.normal(size=n)
         spikes = rng.choice(n, int(rng.integers(1, 5)), replace=False)
         t[spikes] += (rng.choice([-1.0, 1.0], spikes.size)
                       * rng.uniform(2.0, 6.0, spikes.size))
-        return shift, t, 10.0 ** rng.uniform(-3.0, 1.0)
+        return shift, t, 10.0 ** rng.uniform(*exponents)
 
     def test_converged_means_kkt_on_many_small_graphs(self):
         # checked on dense weights by the oracle, apart from the solver's own
-        # measure: an objective plateau is no certificate here, most of these
-        # plateaued iterates miss KKT by more than 1e-8 (up to about 3e-3)
-        converged = 0
+        # measure; the path reaches every weight here exactly
         for seed in range(60):
             shift, t, beta = self.detection_instance(seed)
             res = anomaly_detect(t, shift, beta)
-            if res.converged:
-                converged += 1
-                kkt = oracles.lasso_kkt_violation(shift.weights, t, res.outliers, beta)
-                assert kkt <= 1e-8, (seed, kkt)
-                assert res.meta["stationarity"] <= 1e-8
-        assert converged >= 40
+            assert res.converged, seed
+            kkt = oracles.lasso_kkt_violation(shift.weights, t, res.outliers, beta)
+            assert kkt <= 1e-8, (seed, kkt)
+            assert res.meta["stationarity"] <= 1e-8
+
+    @staticmethod
+    def criterion_06_instance(shift_seed):
+        """The ``anomaly_detect`` signal of acceptance criterion 6 (weight 0.8)
+        on its graph of that seed, 300 (dense symmetric) or 301 (kNN)."""
+        if shift_seed == 300:
+            shift = symmetric_shift(20, 300)
+        else:
+            shift = build_knn_graph(random_features(24, 2, 301), GraphBuildSpec(k=5))
+        rng = np.random.default_rng(shift_seed + 50)
+        _, vecs = np.linalg.eigh(tilde_shift(shift).toarray())
+        smooth = vecs[:, :3] @ np.random.default_rng(shift_seed + 60).normal(size=3)
+        t = 3.0 * smooth / np.linalg.norm(smooth) + 0.05 * rng.normal(size=shift.n)
+        t[rng.choice(shift.n, size=2, replace=False)] += np.array([4.0, -5.0])
+        return shift, t, 0.8
+
+    def test_benchmark_anomaly_check_holds(self):
+        """The benchmark's ``anomaly.prox_fixed_point`` check, on dense
+        weights: the returned e is a fixed point of the proximal-gradient
+        step at ``meta["step"]`` to 1e-12, the trace never rises (up to
+        rounding) and has one entry per iteration. On the 60 small instances
+        and criterion 6's two."""
+        cases = [self.detection_instance(seed) for seed in range(60)]
+        cases += [self.criterion_06_instance(seed) for seed in (300, 301)]
+        for shift, t, beta in cases:
+            res = anomaly_detect(t, shift, beta)
+            e, step = res.outliers, res.meta["step"]
+            d = np.eye(shift.n) - shift.weights
+            v = e + step * 2.0 * d.T @ (d @ (t - e))
+            moved = np.sign(v) * np.maximum(np.abs(v) - step * beta, 0.0)
+            assert np.max(np.abs(e - moved)) <= 1e-12
+            assert_trace_nonincreasing(res.objective_trace)
+            assert res.objective_trace.shape[0] == res.iterations
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["knn", "cycle", "column-symmetrized"])
+    def test_objective_matches_coordinate_descent(self, kind, seed):
+        """A converged result's objective is within ``2 (1e-8 + delta_cd)``
+        relative of the coordinate-descent reference's.
+
+        Write F for the objective, g for its smooth part and c = -grad g.
+        A point x whose KKT violation relative to beta is delta has a
+        subgradient z of ``||.||_1`` at x with ``|c - beta z| <= delta beta``
+        entrywise, so by convexity, for the minimizer e*, ``F(e*) >= F(x) +
+        (beta z - c) . (e* - x) >= F(x) - delta beta ||e* - x||_1``. Both
+        ``beta ||x||_1 <= F(x)`` and ``beta ||e*||_1 <= F(e*) <= F(x)``,
+        so ``0 <= F(x) - F(e*) <= 2 delta F(x)``. ``converged`` bounds the
+        solver's delta by 1e-8; the reference's, delta_cd, is measured on
+        dense weights (at most 1e-10 by its stop). Evaluating F adds
+        rounding of about n eps relative, covered by 1e-13.
+        """
+        # n 20-40 and weights 10^U(-1, 1), where the descent takes well under
+        # a second
+        shift, t, beta = self.detection_instance(900 + seed, kind, (20, 41), (-1.0, 1.0))
+        reference = oracles.lasso_coordinate_descent(shift.weights, t, beta,
+                                                     kkt_tol=1e-10)
+        delta_cd = oracles.lasso_kkt_violation(shift.weights, t, reference, beta)
+        res = anomaly_detect(t, shift, beta)
+        assert res.converged
+
+        def objective(e):
+            return quadratic_variation(t - e, shift) + beta * float(np.abs(e).sum())
+
+        ours, theirs = objective(res.outliers), objective(reference)
+        gap = 2.0 * (1e-8 + delta_cd) + 1e-13
+        assert abs(ours - theirs) <= gap * max(ours, theirs)
 
     def test_zero_signal_at_zero_weight_converges_at_once(self):
         res = anomaly_detect(np.zeros(5), cycle_shift(5), 0.0)
@@ -537,21 +658,26 @@ class TestAnomalyDetect:
                  / np.max(np.abs(2.0 * (tilde @ t))))
         assert res.converged == (ratio <= 1e-8)
 
-    def test_singular_support_block_takes_the_minimum_norm_solve(self, monkeypatch):
-        # at a tiny weight the support covers the whole cycle, whose block of
-        # tilde_shift (the whole matrix) holds the constant vector in its
-        # null space
-        import gsrec.prox as prox
+    def test_cycle_at_a_tiny_weight_never_forms_a_singular_block(self, monkeypatch):
+        # the cycle's tilde_shift holds the constant vector in its null
+        # space; a correlation the support holds at the weight never joins,
+        # so every block the path solves on has full rank, down to 1e-9. The
+        # point is e_2 = 5 - beta / 4 to rounding, but rounding e_2 to a
+        # double (ulp 8.9e-16) moves the correlations by up to 1.8e-15,
+        # 1.8e-6 of this weight, so converged follows the dense oracle
+        import gsrec.solvers as solvers
 
-        calls = []
-        solve = prox._min_norm_solve
-        monkeypatch.setattr(prox, "_min_norm_solve",
-                            lambda H, b: calls.append(H.shape) or solve(H, b))
+        ranks = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(solvers.np.linalg, "solve", lambda H, B: ranks.append(
+            np.linalg.matrix_rank(H) == H.shape[0]) or solve(H, B))
         shift = cycle_shift(6)
         t = np.ones(6)
         t[2] += 5.0
         res = anomaly_detect(t, shift, 1e-9)
-        assert calls == [(6, 6)]
+        assert ranks and all(ranks)
+        assert np.flatnonzero(res.outliers).tolist() == [2]
+        assert abs(res.outliers[2] - (5.0 - 0.25e-9)) <= 4 * np.spacing(5.0)
         assert np.all(np.isfinite(res.x))
         assert res.converged == (
             oracles.lasso_kkt_violation(shift.weights, t, res.outliers, 1e-9) <= 1e-8)
@@ -655,8 +781,11 @@ class TestAnomalyDetectConstrained:
         """The lasso path's weight against plain bisection of cold solves,
         on random kNN graphs.
 
-        Both find the same support, and the weights agree to the solves'
-        resolution. A solve with KKT violation delta relative to beta
+        Each cold solve is the same path run to its weight, so this checks
+        the budget stop (a root on one segment) against a weight search
+        over the weight stop, not the path itself; the path is checked
+        against coordinate descent in ``TestAnomalyDetect``. Both find the
+        same support, and the weights agree to the solves' resolution. A solve with KKT violation delta relative to beta
         (``meta["stationarity"]``, at most 1e-8) has ``|g_i + beta
         sign(e_i)| <= delta beta`` on its support and ``|g_j| <= beta + delta
         beta`` off it: it solves the problem exactly for entry weights within
@@ -726,13 +855,10 @@ class TestAnomalyDetectConstrained:
                                            beta) <= 1e-12
 
     def test_converged_solves_keep_their_step(self):
-        """A step search that compared two nearly equal objectives halved the
-        step on rounding noise near a fixed point, down to 1.5e-5 with 16
-        backtracks in one solve on this instance, so the 1e-6 fixed-point
-        residual was taken at a step that rounding chose. On this
-        column-normalized graph every step of at most 1 / (2 ||I - A||^2) is
-        accepted: cold solves at the lasso path's weights for 40 caps all
-        converge at a step of at least 0.1, on the path's support."""
+        """Penalized solves at the weights the constrained path stops at, for
+        40 caps on this column-normalized graph, all converge on the
+        constrained point's support: the path stopped at a weight and the
+        path stopped at a variation agree on where they are."""
         shift = build_knn_graph(random_features(200, 2, 165),
                                 GraphBuildSpec(k=5, normalization="column"))
         rng = np.random.default_rng(0)
@@ -744,7 +870,6 @@ class TestAnomalyDetectConstrained:
             assert path.converged
             sol = anomaly_detect(t, shift, path.meta["beta_reg"])
             assert sol.converged
-            assert sol.meta["step"] >= 0.1 and sol.meta["backtracks"] <= 6
             np.testing.assert_array_equal(np.flatnonzero(sol.outliers),
                                           np.flatnonzero(path.outliers))
 
@@ -1075,7 +1200,7 @@ def test_last_trace_entry_is_model_objective(case, trace_instance):
     assert res.objective_trace[-1] == pytest.approx(objective, rel=1e-9)
 
 
-@pytest.mark.parametrize("case", ["gmcm", "gmcr", "anomaly_detect"])
+@pytest.mark.parametrize("case", ["gmcm", "gmcr"])
 def test_prox_gradient_meta_reports_its_run(case, trace_instance):
     """The final step, the rejected candidates and the smooth part f at x."""
     shift, T, mask = trace_instance
@@ -1083,12 +1208,9 @@ def test_prox_gradient_meta_reports_its_run(case, trace_instance):
     if case == "gmcm":
         res = gmcm(T, mask, shift, c)
         smooth = _variation(res.x, shift)
-    elif case == "gmcr":
+    else:
         res = gmcr(T, mask, shift, c)
         smooth = _misfit(res.x - T, mask) + c.alpha * _variation(res.x, shift)
-    else:
-        res = anomaly_detect(T[:, 0], shift, c.gamma, c)
-        smooth = _variation(res.x, shift)
     assert res.meta["solver"] == case
     assert 0 < res.meta["step"] <= 1.0 and res.meta["backtracks"] >= 0
     assert res.meta["smooth"] == pytest.approx(smooth, rel=1e-10)
