@@ -9,7 +9,6 @@ executable error bounds, data generation, and an experiment runner.
 from .analysis import (
     BoundCheck,
     BoundReport,
-    KNormOperator,
     OutlierModel,
     ResidualParts,
     inpainting_bound,
@@ -26,7 +25,6 @@ from .datagen import (
     build_knn_graph,
     corrupt_labels,
     eigen_basis,
-    kernel_weights,
     laplacian_from_shift,
     pairwise_distances,
     random_features,
@@ -95,7 +93,6 @@ from .io import (
     save_mask_csv,
     save_result_json,
     save_signal_csv,
-    save_solver_config,
 )
 from .prox import (
     factorized,

@@ -3,8 +3,8 @@
 These functions turn the theory behind the solvers into checks that run on
 concrete instances: worst-case inpainting error bounds from the block
 structure of the shift, the link between nuclear norm and quadratic
-variation through the singular vectors, a spectral-domain smoothness norm,
-and the exact decomposition of an anomaly-detection residual.
+variation through the singular vectors, and the exact decomposition of an
+anomaly-detection residual.
 """
 
 from __future__ import annotations
@@ -240,36 +240,6 @@ def subspace_smoothness_bound(U: np.ndarray, a: np.ndarray,
     lhs = quadratic_variation(U @ a, shift)
     rhs = matrix_variation(U, shift) * float(a @ a)
     return lhs, rhs
-
-
-@dataclass(frozen=True)
-class KNormOperator:
-    """Spectral-domain smoothness norm.
-
-    For expansion coefficients a in the graph Fourier basis,
-    ``k_norm(a)^2`` equals the quadratic variation of the node-domain signal
-    ``V a``. The matrix is Hermitian positive semidefinite by construction.
-    """
-
-    matrix: np.ndarray
-
-    @classmethod
-    def from_basis(cls, basis: SpectralBasis) -> "KNormOperator":
-        scale = np.eye(basis.n) - np.diag(basis.values)
-        b = basis.vectors @ scale
-        return cls(matrix=b.conj().T @ b)
-
-    def k_norm(self, a: np.ndarray) -> float:
-        a = np.asarray(a)
-        if a.shape != (self.matrix.shape[0],):
-            raise DimensionMismatch(
-                f"coefficients shape {a.shape} != operator size {self.matrix.shape[0]}"
-            )
-        value = np.real(np.conj(a) @ (self.matrix @ a))
-        return float(np.sqrt(max(value, 0.0)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(self.matrix)))
 
 
 def residual_decomposition(x0: np.ndarray, x_hat: np.ndarray,

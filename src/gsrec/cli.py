@@ -252,11 +252,21 @@ def _finish(result) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _flag_errors():
+    """Report an error raised while turning flags into specs as a ConfigError."""
+    try:
+        yield
+    except (GsrecError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _cmd_build_graph(args) -> int:
     features = load_signal_csv(args.features, allow_nan=True)
-    spec = GraphBuildSpec(k=args.k, metric=args.metric,
-                          normalization=args.normalization,
-                          symmetrize=args.symmetrize, missing=args.missing)
+    with _flag_errors():
+        spec = GraphBuildSpec(k=args.k, metric=args.metric,
+                              normalization=args.normalization,
+                              symmetrize=args.symmetrize, missing=args.missing)
     shift = build_knn_graph(features, spec)
     out = args.out
     if not out:
@@ -271,13 +281,14 @@ def _cmd_build_graph(args) -> int:
 
 def _cmd_synth(args) -> int:
     shift = normalize_shift(load_graph(args.graph))
-    spec = SyntheticSpec(
-        n=shift.n, l=args.l, recipe=args.recipe, rank=args.rank,
-        noise_sigma=args.noise_sigma,
-        outliers_per_column=args.outliers_per_column,
-        outlier_lo=args.outlier_lo, outlier_hi=args.outlier_hi)
+    with _flag_errors():
+        spec = SyntheticSpec(
+            n=shift.n, l=args.l, recipe=args.recipe, rank=args.rank,
+            noise_sigma=args.noise_sigma,
+            outliers_per_column=args.outliers_per_column,
+            outlier_lo=args.outlier_lo, outlier_hi=args.outlier_hi)
+        mask = sample_mask((spec.n, spec.l), args.ratio, args.seed)
     instance = synth_instance(shift, spec, args.seed)
-    mask = sample_mask(instance.observed.shape, args.ratio, args.seed)
     out = _out_dir(args)
     save_bundle(out, shift, instance, mask)
     print(f"wrote bundle to {out}")

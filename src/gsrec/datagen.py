@@ -193,7 +193,14 @@ def pairwise_distances(features: np.ndarray,
 
 
 def _kernel(distances: np.ndarray, n: int, total: float) -> np.ndarray:
-    """``exp(-n^2 d / total)`` elementwise; infinite distances get weight zero."""
+    """Gaussian-style similarity kernel scaled by the total distance mass.
+
+    ``P[i, j] = exp(-n^2 * d[i, j] / total)`` elementwise, where ``total``
+    is the sum of all finite pairwise distances of the n points before any
+    pruning (:func:`_finite_mass`, :func:`_distance_mass`), so the scale
+    reflects the whole point set. Infinite distances get weight zero. Raises
+    :class:`DegenerateDistances` unless ``total`` is positive and finite.
+    """
     if not 0.0 < total < np.inf:
         raise DegenerateDistances(
             f"the total pairwise distance is {total}, not a positive finite scale")
@@ -203,22 +210,6 @@ def _kernel(distances: np.ndarray, n: int, total: float) -> np.ndarray:
         np.exp(p, out=p)
     p[~np.isfinite(distances)] = 0.0
     return p
-
-
-def kernel_weights(distances: np.ndarray) -> np.ndarray:
-    """Gaussian-style similarity kernel scaled by the total distance mass.
-
-    ``P[i, j] = exp(-n^2 * d[i, j] / sum(d))``, the sum running over all
-    finite pairwise distances before any pruning, so the scale reflects the
-    whole point set. Returns the full (n, n) kernel. Infinite distances get
-    weight zero.
-    """
-    d = np.asarray(distances, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise DimensionMismatch(f"distances must be square, got {d.shape}")
-    if np.any(np.isnan(d)):
-        raise ValueError("distances must not contain NaN")
-    return _kernel(d, d.shape[0], _finite_mass(d))
 
 
 def _finite_mass(d: np.ndarray) -> float:
@@ -374,8 +365,8 @@ def build_knn_graph(data: np.ndarray,
     """Directed k-nearest-neighbor graph with kernel weights, as a shift.
 
     Each node keeps edges from its k nearest others (ties broken toward the
-    smaller index), weighted by the kernel of :func:`kernel_weights`
-    evaluated on those n k pairs only, and the weights go straight into a
+    smaller index), weighted by the kernel of :func:`_kernel` evaluated on
+    those n k pairs only, and the weights go straight into a
     CSR matrix. They are then normalized per row (default) or per column and
     finally scaled to unit spectral radius.
 

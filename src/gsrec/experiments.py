@@ -54,6 +54,7 @@ from .solvers import (
     RecoveryResult,
     SolverConfig,
     _regularized_fit,
+    _vector_inputs,
     anomaly_detect,
     anomaly_detect_constrained,
     gmcm,
@@ -129,17 +130,10 @@ def laplacian_baseline(t: np.ndarray, mask: np.ndarray, laplacian,
     minimum-norm solution. The Laplacian must be symmetric; this is
     the reference point the shift-based solvers are compared against.
     """
-    t = np.asarray(t, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
     laplacian = sp.csr_array(laplacian, dtype=float)
-    n = t.shape[0]
-    if t.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {t.shape}")
-    if mask.shape != (n,):
-        raise DimensionMismatch(f"mask shape {mask.shape} vs signal length {n}")
-    if laplacian.shape != (n, n):
-        raise DimensionMismatch(
-            f"laplacian shape {laplacian.shape} vs signal length {n}")
+    if laplacian.ndim != 2 or laplacian.shape[0] != laplacian.shape[1]:
+        raise DimensionMismatch(f"laplacian must be square, got shape {laplacian.shape}")
+    t, mask = _vector_inputs(t, mask, laplacian.shape[0])
     if alpha < 0:
         raise ConfigError(f"alpha must be nonnegative, got {alpha}")
     # Frobenius norms, from the stored entries
@@ -147,8 +141,6 @@ def laplacian_baseline(t: np.ndarray, mask: np.ndarray, laplacian,
     if asym > 1e-10 * (1.0 + float(np.linalg.norm(laplacian.data))):
         raise NonSymmetricLaplacian(
             f"laplacian asymmetry {asym:.3e} exceeds tolerance")
-    if not np.any(mask):
-        raise EmptyMask("no accessible nodes")
     x, objective = _regularized_fit(t, mask, laplacian, alpha)
     return RecoveryResult(
         x=x,
@@ -228,6 +220,16 @@ def combine_opinions(opinions: np.ndarray, method: str,
     low-rank recovery on the full opinion matrix and averages afterwards.
     Ties threshold to +1.
     """
+    return _combine(opinions, method, shift, config).x
+
+
+def _combine(opinions: np.ndarray, method: str, shift: GraphShift | None,
+             config: SolverConfig | None) -> RecoveryResult:
+    """:func:`combine_opinions`' solve, its ``x`` thresholded to the labels.
+
+    ``avg`` solves nothing: one iteration, converged. The denoise variants
+    keep their solver's iterations, convergence and trace.
+    """
     opinions = np.asarray(opinions, dtype=float)
     if opinions.ndim != 2:
         raise DimensionMismatch(
@@ -239,19 +241,20 @@ def combine_opinions(opinions: np.ndarray, method: str,
     config = config if config is not None else SolverConfig()
     scores = opinions.mean(axis=1)
     if method == "avg":
-        return np.where(scores >= 0.0, 1.0, -1.0)
-    if shift is None:
+        result = RecoveryResult(x=scores, objective_trace=np.asarray([0.0]),
+                                iterations=1, converged=True)
+    elif shift is None:
         raise ConfigError(f"method {method!r} needs a graph shift")
-    if shift.n != opinions.shape[0]:
+    elif shift.n != opinions.shape[0]:
         raise DimensionMismatch(
             f"shift has {shift.n} nodes, opinions have {opinions.shape[0]} rows")
-    full = np.ones(opinions.shape[0], dtype=bool)
-    if method == "gtvr-denoise":
-        smoothed = gtvr(scores, full, shift, config.alpha).x
-        return np.where(smoothed >= 0.0, 1.0, -1.0)
-    result = gmcr(opinions, np.ones(opinions.shape, dtype=bool), shift, config)
-    fused = np.asarray(result.x, dtype=float).mean(axis=1)
-    return np.where(fused >= 0.0, 1.0, -1.0)
+    elif method == "gtvr-denoise":
+        result = gtvr(scores, np.ones(opinions.shape[0], dtype=bool), shift, config.alpha)
+    else:
+        result = gmcr(opinions, np.ones(opinions.shape, dtype=bool), shift, config)
+        result.x = result.x.mean(axis=1)
+    result.x = np.where(result.x >= 0.0, 1.0, -1.0)
+    return result
 
 
 def solve_recovery(method: str, observed: np.ndarray, mask: np.ndarray | None,
@@ -701,10 +704,7 @@ def _combine_cells(spec: ExperimentSpec) -> Iterator[_Cell]:
 def _combine_cell(shift: GraphShift, truth: np.ndarray, opinions: np.ndarray,
                   trial: int) -> _Cell:
     def solve(entry: SolverEntry, config: SolverConfig) -> RecoveryResult:
-        labels = combine_opinions(opinions, entry.method, shift, config)
-        return RecoveryResult(x=labels, objective_trace=np.asarray([0.0]),
-                              iterations=1, converged=True,
-                              meta={"solver": entry.method})
+        return _combine(opinions, entry.method, shift, config)
 
     def score(result: RecoveryResult) -> MetricReport:
         return evaluate(truth, result.x, "classification")

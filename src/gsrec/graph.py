@@ -284,15 +284,18 @@ def _require_normalized(shift: GraphShift) -> None:
         )
 
 
-def _check_signal(x: np.ndarray, n: int, ndim: int | None = None) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape[0] != n:
-        raise DimensionMismatch(
-            f"signal has {arr.shape[0]} rows, shift has {n} nodes"
-        )
-    if ndim is not None and arr.ndim != ndim:
-        raise DimensionMismatch(f"expected {ndim}-d signal, got {arr.ndim}-d")
-    return arr
+def _vector_signal(t, n: int) -> np.ndarray:
+    """``t`` as a float vector of length n; anything else is a DimensionMismatch."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or t.shape[0] != n:
+        raise DimensionMismatch(f"expected vector of length {n}, got shape {t.shape}")
+    return t
+
+
+def _residual_variation(X: np.ndarray, shift: GraphShift) -> tuple[float, np.ndarray]:
+    """``||X - A X||_F^2`` and the residual ``d = X - A X`` it sums, unchecked."""
+    d = X - shift.matrix @ X
+    return float(np.sum(d * d)), d
 
 
 def quadratic_variation(x: np.ndarray, shift: GraphShift) -> float:
@@ -301,9 +304,7 @@ def quadratic_variation(x: np.ndarray, shift: GraphShift) -> float:
     The shift must be normalized so the difference is scale-free.
     """
     _require_normalized(shift)
-    x = _check_signal(x, shift.n, ndim=1)
-    d = x - shift.matrix @ x
-    return float(d @ d)
+    return _residual_variation(_vector_signal(x, shift.n), shift)[0]
 
 
 def matrix_variation(X: np.ndarray, shift: GraphShift) -> float:
@@ -312,9 +313,11 @@ def matrix_variation(X: np.ndarray, shift: GraphShift) -> float:
     Equals the sum of :func:`quadratic_variation` over columns.
     """
     _require_normalized(shift)
-    X = _check_signal(X, shift.n, ndim=2)
-    d = X - shift.matrix @ X
-    return float(np.sum(d * d))
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != shift.n:
+        raise DimensionMismatch(
+            f"expected a matrix of {shift.n} rows, got shape {X.shape}")
+    return _residual_variation(X, shift)[0]
 
 
 def tilde_shift(shift: GraphShift) -> sp.csr_array:
@@ -415,9 +418,9 @@ def spectral_decomposition(shift: GraphShift) -> SpectralBasis:
 def gft(x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Graph Fourier transform: expansion coefficients ``basis.inverse @ x``."""
     x = np.asarray(x)
-    if x.shape[0] != basis.n:
+    if x.ndim == 0 or x.shape[0] != basis.n:
         raise DimensionMismatch(
-            f"signal has {x.shape[0]} rows, basis has {basis.n}"
+            f"signal has shape {x.shape}, basis has {basis.n} rows"
         )
     return basis.inverse @ x
 
@@ -425,9 +428,9 @@ def gft(x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
 def igft(coeffs: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Inverse graph Fourier transform: ``basis.vectors @ coeffs``."""
     coeffs = np.asarray(coeffs)
-    if coeffs.shape[0] != basis.n:
+    if coeffs.ndim == 0 or coeffs.shape[0] != basis.n:
         raise DimensionMismatch(
-            f"coefficients have {coeffs.shape[0]} rows, basis has {basis.n}"
+            f"coefficients have shape {coeffs.shape}, basis has {basis.n} rows"
         )
     return basis.vectors @ coeffs
 

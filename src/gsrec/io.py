@@ -205,10 +205,6 @@ def load_graph(path) -> GraphShift:
         raise DataError(str(exc)) from exc
 
 
-def save_solver_config(path, config: SolverConfig) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2) + "\n")
-
-
 def load_solver_config(path) -> SolverConfig:
     try:
         data = json.loads(Path(path).read_text())

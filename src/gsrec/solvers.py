@@ -66,7 +66,8 @@ support per segment, to the caller's weight or to the point where the
 variation meets the cap. It stops there or after ``config.max_outer``
 segments, and both certify the point by its lasso KKT violation relative to
 its weight (:func:`_lasso_kkt`; ``meta["stationarity"]``): ``converged``
-needs it at most 1e-8.
+needs the violation at most 1e-8 of the weight plus a rounding floor of 4
+eps times the largest correlation at e = 0.
 
 The other iterative solvers stop when the objective changes by less than
 ``config.tol_outer`` between consecutive iterations; ``gsr_admm`` (so also
@@ -77,7 +78,7 @@ with beta > 0, the duplicate ``X = Z`` to hold to 1e-6 relative. Hitting
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from dataclasses import replace as dataclass_replace
 from typing import Any, Callable
 
@@ -90,7 +91,14 @@ from .errors import (
     Infeasible,
     NonFiniteObjective,
 )
-from .graph import GraphShift, _require_normalized, tilde_shift
+from .graph import (
+    GraphShift,
+    _require_normalized,
+    _residual_variation,
+    _vector_signal,
+    check_node_mask,
+    tilde_shift,
+)
 from .prox import _nuclear_norm, factorized, shrink, svt
 
 # Relative feasibility tolerance for the ADMM coupling constraints.
@@ -148,9 +156,6 @@ class SolverConfig:
     def replace(self, **changes) -> "SolverConfig":
         return dataclass_replace(self, **changes)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
         unknown = set(data) - {f.name for f in fields(cls)}
@@ -201,34 +206,12 @@ def _matrix_inputs(T, mask, shift: GraphShift) -> tuple[np.ndarray, np.ndarray, 
     return T2, m, was_vec
 
 
-def _vector_signal(t, shift: GraphShift) -> np.ndarray:
-    _require_normalized(shift)
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.shape[0] != shift.n:
-        raise DimensionMismatch(
-            f"expected vector of length {shift.n}, got shape {t.shape}"
-        )
-    return t
-
-
-def _vector_inputs(t, mask, shift: GraphShift) -> tuple[np.ndarray, np.ndarray]:
-    t = _vector_signal(t, shift)
-    m = np.asarray(mask)
-    if m.dtype != np.bool_ or m.shape != t.shape:
-        raise DimensionMismatch("mask must be a boolean array matching the signal")
+def _vector_inputs(t, mask, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A vector signal of length n and its boolean node mask, which must mark a node."""
+    t, m = _vector_signal(t, n), check_node_mask(mask, n)
     if not m.any():
         raise EmptyAccessibleSet("mask marks no entry as accessible")
     return t, m
-
-
-def _residual_variation(X: np.ndarray, shift: GraphShift) -> tuple[float, np.ndarray]:
-    """``||X - A X||_F^2`` and the residual ``d = X - A X`` it sums."""
-    d = X - shift.matrix @ X
-    return float(np.sum(d * d)), d
-
-
-def _variation(X: np.ndarray, shift: GraphShift) -> float:
-    return _residual_variation(X, shift)[0]
 
 
 def _variation_grad(d: np.ndarray, shift: GraphShift) -> np.ndarray:
@@ -266,14 +249,15 @@ def gtvm(t: np.ndarray, mask: np.ndarray, shift: GraphShift) -> RecoveryResult:
     class of the graph holds no measured node, and the hidden values are
     then the minimum-norm solution.
     """
-    t, m = _vector_inputs(t, mask, shift)
+    _require_normalized(shift)
+    t, m = _vector_inputs(t, mask, shift.n)
     at = tilde_shift(shift)
     x = np.where(m, t, 0.0)
     hidden = np.flatnonzero(~m)
     if hidden.size:
         rows = at[hidden]
         x[hidden] = -factorized(rows[:, hidden])(rows[:, np.flatnonzero(m)] @ t[m])
-    obj = _variation(x[:, None], shift)
+    obj = _residual_variation(x[:, None], shift)[0]
     return RecoveryResult(
         x=x,
         objective_trace=np.array([obj]),
@@ -294,7 +278,8 @@ def gtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift, alpha: float) -> Re
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    t, m = _vector_inputs(t, mask, shift)
+    _require_normalized(shift)
+    t, m = _vector_inputs(t, mask, shift.n)
     x, obj = _regularized_fit(t, m, tilde_shift(shift), alpha)
     return RecoveryResult(
         x=x,
@@ -458,20 +443,30 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
 # ---------------------------------------------------------------------------
 
 def _lasso_kkt(t: np.ndarray, e: np.ndarray, beta: float,
-               shift: GraphShift) -> tuple[float, float]:
-    """The variation of ``x = t - e`` and the lasso KKT violation of e.
+               shift: GraphShift) -> tuple[float, float, bool]:
+    """The variation of ``x = t - e``, the lasso KKT violation of e, and its verdict.
 
     e minimizes ``||D (t - e)||^2 + beta ||e||_1`` (D = I - A) exactly when
     ``c = 2 D^T D (t - e)`` is ``beta sign(e_i)`` where e is nonzero and at
     most beta in absolute value elsewhere. The violation is the largest miss
-    over beta, at beta = 0 over ``max |c|`` at e = 0 (0 if that is 0 too).
+    over beta, at beta = 0 over ``c0 = max |c|`` at e = 0 (0 if that is 0
+    too). e is certified when the miss is at most ``1e-8 beta`` (``1e-8 c0``
+    at beta = 0) plus the rounding floor ``4 eps c0``: rounding e to doubles
+    moves the correlations by about that much, more than 1e-8 of a tiny
+    weight.
     """
     variation, d = _residual_variation((t - e)[:, None], shift)
     c = _variation_grad(d, shift)[:, 0]
     violation = np.where(e != 0, np.abs(c - beta * np.sign(e)), np.abs(c) - beta)
-    scale = beta or 2.0 * float(np.max(np.abs(tilde_shift(shift) @ t)))
     worst = float(np.max(violation, initial=0.0))
-    return variation, (worst / scale if scale > 0 else 0.0)
+
+    def top() -> float:  # c0: one product with T, made only where it is read
+        return 2.0 * float(np.max(np.abs(tilde_shift(shift) @ t)))
+
+    scale = beta or top()
+    certified = (scale == 0 or worst <= 1e-8 * scale
+                 or worst <= 1e-8 * scale + 4.0 * np.finfo(float).eps * top())
+    return variation, (worst / scale if scale > 0 else 0.0), certified
 
 
 def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
@@ -486,24 +481,26 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
     which never rises, then one confirming proximal-gradient step's from e
     at ``meta["step"] = 1 / (2 ||T||_inf) <= 1 / L`` (T = ``tilde_shift``),
     of which a minimizer is a fixed point; ``iterations`` counts both.
-    ``meta["stationarity"]`` is e's KKT violation (:func:`_lasso_kkt`), at
-    most 1e-8 when ``converged``; ``meta["smooth"]`` is the variation.
+    ``meta["stationarity"]`` is e's KKT violation relative to the weight,
+    and ``converged`` says :func:`_lasso_kkt` certified it: at most 1e-8
+    but for a rounding floor; ``meta["smooth"]`` is the variation.
     """
     if beta_reg < 0:
         raise ValueError("beta_reg must be nonnegative")
     config = config or SolverConfig()
-    t = _vector_signal(t, shift)
+    _require_normalized(shift)
+    t = _vector_signal(t, shift.n)
     e, _, segments, trace = _lasso_path(t, shift, config.max_outer, weight=beta_reg)
-    variation, stationarity = _lasso_kkt(t, e, beta_reg, shift)
+    variation, stationarity, certified = _lasso_kkt(t, e, beta_reg, shift)
     T = tilde_shift(shift)
     # ||T||_inf bounds its largest eigenvalue; T = 0 (A = I) takes any step
     step = 0.5 / (float(abs(T).sum(axis=1).max()) or 1.0)
     moved = shrink(e + 2.0 * step * (T @ (t - e)), step * beta_reg)
-    trace.append(_variation((t - moved)[:, None], shift)
+    trace.append(_residual_variation((t - moved)[:, None], shift)[0]
                  + beta_reg * float(np.sum(np.abs(moved))))
     return RecoveryResult(
         x=t - e, outliers=e, objective_trace=np.array(trace),
-        iterations=segments + 1, converged=stationarity <= 1e-8,
+        iterations=segments + 1, converged=certified,
         meta=dict(solver="anomaly_detect", beta_reg=beta_reg, smooth=variation,
                   stationarity=stationarity, step=step, segments=segments))
 
@@ -613,7 +610,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
 
     The point is certified as :func:`anomaly_detect`'s is, by its KKT
     violation (:func:`_lasso_kkt`, ``meta["stationarity"]``) at its weight
-    beta (``meta["beta_reg"]``): ``converged`` means it is at most 1e-8 and
+    beta (``meta["beta_reg"]``): ``converged`` means it was certified and
     the variation (``meta["smoothness"]``) meets the cap. Exact KKT at a
     point whose variation is the budget proves e has the least l1 norm
     within it: a smaller one would lower the penalized objective at beta.
@@ -623,9 +620,10 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     if not eta_smooth >= 0:
         raise ValueError(f"eta_smooth must be nonnegative, got {eta_smooth}")
     config = config or SolverConfig()
-    t = _vector_signal(t, shift)
+    _require_normalized(shift)
+    t = _vector_signal(t, shift.n)
     target = eta_smooth ** 2
-    base_variation = _variation(t[:, None], shift)
+    base_variation = _residual_variation(t[:, None], shift)[0]
     slack = target * 1e-6 + 1e-9 * (1.0 + base_variation)
     meta = {"solver": "anomaly_detect_constrained", "target": target}
     if base_variation <= target + slack:
@@ -636,7 +634,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
 
     e, beta, segments, _ = _lasso_path(t, shift, config.max_outer,
                                        budget=target + 0.5 * slack)
-    smoothness, stationarity = _lasso_kkt(t, e, beta, shift)
+    smoothness, stationarity, certified = _lasso_kkt(t, e, beta, shift)
     if smoothness > target + slack:
         end = f"ran out of segments at weight {beta:.3e}" if beta else "reaches weight 0"
         raise Infeasible(f"the lasso path {end} after {segments} segments, still above "
@@ -645,7 +643,7 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     return RecoveryResult(
         x=t - e, outliers=e, iterations=segments,
         objective_trace=np.array([smoothness + beta * float(np.sum(np.abs(e)))]),
-        converged=bool(stationarity <= 1e-8 and smoothness <= target + slack),
+        converged=bool(certified and smoothness <= target + slack),
         meta=dict(meta, beta_reg=beta, smoothness=smoothness,
                   stationarity=stationarity, segments=segments))
 
@@ -695,7 +693,7 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     Y2 = np.zeros_like(T2)
 
     def objective(Xc, Wc, Ec, nuclear):
-        val = alpha * _variation(Xc, shift) + float(np.sum(Wc * Wc))
+        val = alpha * _residual_variation(Xc, shift)[0] + float(np.sum(Wc * Wc))
         if beta > 0:
             val += beta * nuclear
         if gamma > 0:
@@ -773,7 +771,8 @@ def rgtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift,
     objective trace records that noise term in its place. With gamma = 0 the
     outlier variable is dropped and the solution matches :func:`gtvr`.
     """
-    t, m = _vector_inputs(t, mask, shift)
+    _require_normalized(shift)
+    t, m = _vector_inputs(t, mask, shift.n)
     result = gsr_admm(t, m, shift, (config or SolverConfig()).replace(beta=0.0))
     result.meta["solver"] = "rgtvr"
     return result

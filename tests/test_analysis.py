@@ -8,7 +8,6 @@ from gsrec import (
     GraphBuildSpec,
     GraphShift,
     InconsistentInputs,
-    KNormOperator,
     NonOrthonormalBasis,
     OutlierModel,
     anomaly_detect,
@@ -290,54 +289,6 @@ class TestSubspaceSmoothnessBound:
         U = np.ones((4, 2))
         with pytest.raises(NonOrthonormalBasis):
             subspace_smoothness_bound(U, np.zeros(2), shift)
-
-
-class TestKNorm:
-    def test_unit_eigenvalue_coordinate_annihilated(self):
-        basis = spectral_decomposition(cycle_shift(3))
-        op = KNormOperator.from_basis(basis)
-        idx = int(np.argmin(np.abs(basis.values - 1.0)))
-        a = np.zeros(3, dtype=complex)
-        a[idx] = 2.5
-        assert op.k_norm(a) <= 1e-10
-
-    def test_identity_shift_gives_zero_operator(self):
-        eye = normalize_shift(GraphShift(np.eye(5)))
-        op = KNormOperator.from_basis(spectral_decomposition(eye))
-        a = np.random.default_rng(20).normal(size=5)
-        assert op.k_norm(a) <= 1e-12
-        assert np.max(np.abs(op.matrix)) <= 1e-12
-
-    def test_matches_direct_variation_on_three_cycle(self):
-        shift = cycle_shift(3)
-        basis = spectral_decomposition(shift)
-        op = KNormOperator.from_basis(basis)
-        a = np.zeros(3, dtype=complex)
-        a[1] = 1.0
-        x = basis.vectors @ a
-        d = x - shift.weights @ x
-        direct = float(np.sqrt(np.real(np.vdot(d, d))))
-        assert abs(op.k_norm(a) - direct) <= 1e-10 * (1.0 + direct)
-
-    def test_identity_for_random_coefficients(self):
-        for seed in range(50):
-            shift = symmetric_shift(10, 8000 + seed)
-            basis = spectral_decomposition(shift)
-            op = KNormOperator.from_basis(basis)
-            a = np.random.default_rng(9000 + seed).normal(size=10)
-            x = np.real(basis.vectors @ a)
-            s2 = quadratic_variation(x, shift)
-            assert abs(op.k_norm(a) ** 2 - s2) <= 1e-8 * (1.0 + s2)
-
-    def test_operator_hermitian_psd(self):
-        op = KNormOperator.from_basis(spectral_decomposition(cycle_shift(4)))
-        assert np.max(np.abs(op.matrix - op.matrix.conj().T)) <= 1e-10
-        assert op.min_eigenvalue() >= -1e-10
-
-    def test_dimension_mismatch(self):
-        op = KNormOperator.from_basis(spectral_decomposition(cycle_shift(4)))
-        with pytest.raises(DimensionMismatch):
-            op.k_norm(np.zeros(5))
 
 
 class TestResidualDecomposition:

@@ -99,6 +99,22 @@ class TestSynth:
             assert (out / name).exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--ratio", "1.5"], ["synth", "--ratio", "0"], ["synth", "--rank", "0"],
+    ["synth", "--l", "0"], ["synth", "--noise-sigma", "-1"],
+    ["synth", "--outlier-lo", "3", "--outlier-hi", "1"], ["synth", "--seed", "-1"],
+    ["build-graph", "--k", "0"],
+], ids=" ".join)
+def test_out_of_range_flag_is_config_error(tmp_path, graph_file, capsys, argv):
+    # exit 2 with a one-line message, not 1 with a traceback or 3
+    inputs = {"synth": ["--graph", str(graph_file)],
+              "build-graph": ["--features", str(write_signal(
+                  tmp_path, "feat.csv", np.arange(10.0)[:, None]))]}
+    code = main(argv[:1] + inputs[argv[0]] + argv[1:] + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 class TestInpaint:
     def test_end_to_end(self, tmp_path, graph_file):
         rng = np.random.default_rng(2)

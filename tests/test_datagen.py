@@ -17,7 +17,6 @@ from gsrec import (
     TooManyNodes,
     build_knn_graph,
     corrupt_labels,
-    kernel_weights,
     laplacian_from_shift,
     normalize_shift,
     pairwise_distances,
@@ -94,21 +93,23 @@ class TestPairwiseDistances:
 
 
 class TestKernelWeights:
+    """The kernel ``exp(-n^2 d / sum of finite d)`` that weighs kNN edges."""
+
     def test_values_in_unit_interval(self):
         d = pairwise_distances(random_features(10, 3, 0))
-        p = kernel_weights(d)
+        p = datagen._kernel(d, 10, datagen._finite_mass(d))
         assert np.all(p > 0.0) and np.all(p <= 1.0)
         np.testing.assert_allclose(np.diag(p), np.ones(10))
 
     def test_degenerate_distances_rejected(self):
         with pytest.raises(DegenerateDistances):
-            kernel_weights(np.zeros((4, 4)))
+            build_knn_graph(np.zeros((4, 4)), GraphBuildSpec(k=1, metric="precomputed"))
 
     def test_infinite_distance_gets_zero_weight(self):
         d = np.array([[0.0, 1.0, np.inf],
                       [1.0, 0.0, 1.0],
                       [np.inf, 1.0, 0.0]])
-        p = kernel_weights(d)
+        p = datagen._kernel(d, 3, datagen._finite_mass(d))
         assert p[0, 2] == 0.0 and p[2, 0] == 0.0
         assert p[0, 1] > 0.0
 
@@ -119,7 +120,7 @@ class TestKernelWeights:
         d[3, 7] = d[7, 3] = np.inf
         tracemalloc.start()
         try:
-            p = kernel_weights(d)
+            p = datagen._kernel(d, 1000, datagen._finite_mass(d))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

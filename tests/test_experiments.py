@@ -8,6 +8,7 @@ import gsrec.experiments
 from gsrec import (
     ConfigError,
     DimensionMismatch,
+    EmptyAccessibleSet,
     EmptyGrid,
     EmptyMask,
     ExperimentSpec,
@@ -146,7 +147,8 @@ class TestLaplacianBaseline:
                                path_laplacian(3), -1.0)
 
     def test_empty_mask_rejected(self):
-        with pytest.raises(EmptyMask):
+        # as gtvr rejects the same mask
+        with pytest.raises(EmptyAccessibleSet):
             laplacian_baseline(np.zeros(3), np.zeros(3, dtype=bool),
                                path_laplacian(3), 1.0)
 
@@ -673,6 +675,27 @@ class TestRunExperiment:
         report = run_experiment(ExperimentSpec.from_dict(raw), tmp_path)
         acc = {a["method"]: a["mean_acc"] for a in report["aggregates"]}
         assert acc["gmcr-denoise"] > acc["avg"]
+
+    def test_combine_rows_report_the_solver_run(self, tmp_path):
+        # a cut gmcr run is no converged one: its row says how far it got
+        raw = {
+            "task": "combine",
+            "seed": 6,
+            "trials": 1,
+            "signal": {"opinions": {"n": 60, "experts": 9, "k": 5}},
+            "solvers": [{"method": "avg"}, {"method": "gtvr-denoise"},
+                        {"method": "gmcr-denoise",
+                         "config": {"alpha": 5.0, "beta": 1.0, "max_outer": 5}}],
+            "score": "classification",
+        }
+        report = run_experiment(ExperimentSpec.from_dict(raw), tmp_path)
+        lines = (tmp_path / "trials.csv").read_text().splitlines()
+        columns = lines[0].split(",")
+        rows = [dict(zip(columns, line.split(","))) for line in lines[1:]]
+        assert [[r["method"], r["iterations"], r["converged"]] for r in rows] == [
+            ["avg", "1", "true"], ["gtvr-denoise", "1", "true"],
+            ["gmcr-denoise", "5", "false"]]
+        assert not report["all_converged"]
 
     def test_oracle_selection_mode_recorded(self, tmp_path):
         raw = {

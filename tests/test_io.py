@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from gsrec import (
     save_mask_csv,
     save_result_json,
     save_signal_csv,
-    save_solver_config,
     synth_instance,
 )
 from gsrec.cli import main
@@ -354,7 +354,7 @@ class TestSolverConfigIO:
     def test_round_trip(self, tmp_path):
         cfg = SolverConfig(alpha=2.5, beta=0.1, max_outer=500)
         p = tmp_path / "cfg.json"
-        save_solver_config(p, cfg)
+        p.write_text(json.dumps(asdict(cfg)))
         assert load_solver_config(p) == cfg
 
     def test_unknown_key_rejected(self):
