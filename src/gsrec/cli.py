@@ -30,7 +30,7 @@ from .experiments import (
     DETECT_METHODS,
     MATRIX_METHODS,
     ExperimentSpec,
-    combine_opinions,
+    _combine,
     evaluate,
     run_experiment,
     solve_recovery,
@@ -57,12 +57,15 @@ from .solvers import SolverConfig
 DEFAULT_THREADS = 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed for every random draw (default 0; "
-                             "for run, the description's seed)")
-    parser.add_argument("--config", type=str, default=None,
-                        help="JSON file with solver parameters")
+def _add_common(parser: argparse.ArgumentParser, seed: bool = False,
+                config: bool = False) -> None:
+    if seed:
+        parser.add_argument("--seed", type=int, default=0,
+                            help="base seed for every random draw (default 0; "
+                                 "for run, the description's seed)")
+    if config:
+        parser.add_argument("--config", type=str, default=None,
+                            help="JSON file with solver parameters")
     parser.add_argument("--out", type=str, default=None,
                         help="output file or directory")
     parser.add_argument("--threads", type=int, default=None,
@@ -89,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("dense", "edges"), default="dense")
 
     p = sub.add_parser("synth", help="generate a synthetic problem bundle")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--graph", required=True, help="graph CSV (with sidecar)")
     p.add_argument("--l", type=int, default=1, help="number of signal columns")
     p.add_argument("--recipe", choices=("eigen", "diffusion"), default="eigen")
@@ -102,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accessible-entry fraction for the bundled mask")
 
     p = sub.add_parser("inpaint", help="recover a single signal from a subset of nodes")
-    _add_common(p)
+    _add_common(p, config=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--mask", required=True)
@@ -110,14 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default="gtvm")
 
     p = sub.add_parser("complete", help="recover a signal matrix from observed entries")
-    _add_common(p)
+    _add_common(p, config=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--method", choices=MATRIX_METHODS, default="gmcm")
 
     p = sub.add_parser("detect", help="split a signal into smooth part and outliers")
-    _add_common(p)
+    _add_common(p, config=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--method", choices=DETECT_METHODS, default="anomaly")
@@ -127,14 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="variation budget for method 'anomaly-constrained'")
 
     p = sub.add_parser("robust", help="inpaint while rejecting outliers")
-    _add_common(p)
+    _add_common(p, config=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--method", choices=("rgtvr", "admm"), default="rgtvr")
 
     p = sub.add_parser("combine", help="fuse per-expert opinion columns into labels")
-    _add_common(p)
+    _add_common(p, config=True)
     p.add_argument("--opinions", required=True, help="CSV of +/-1 opinions")
     p.add_argument("--graph", default=None,
                    help="graph CSV; required for the denoise methods")
@@ -151,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--on", choices=("hidden", "all"), default="all")
 
     p = sub.add_parser("run", help="run a full experiment description")
-    _add_common(p)
+    _add_common(p, seed=True, config=True)
     # without --seed the description's own seed stays
     p.set_defaults(seed=None)
 
@@ -305,6 +308,11 @@ def _cmd_recovery(args, methods_with_mask: bool = True) -> int:
     eta_smooth = getattr(args, "eta_smooth", None)
     if eta_smooth is not None and not eta_smooth >= 0:
         raise ConfigError(f"--eta-smooth must be nonnegative, got {eta_smooth}")
+    if args.command == "detect":
+        flag, value = (("--eta-smooth", eta_smooth) if args.method == "anomaly"
+                       else ("--beta", args.beta))
+        if value is not None:
+            raise ConfigError(f"method {args.method!r} does not read {flag}")
     if args.command == "detect" and args.method == "anomaly":
         if args.beta is not None:
             try:
@@ -329,12 +337,11 @@ def _cmd_combine(args) -> int:
         if not args.graph:
             raise ConfigError(f"method {args.method!r} needs --graph")
         shift = normalize_shift(load_graph(args.graph))
-    labels = combine_opinions(opinions, args.method, shift,
-                              _load_config(args.config))
+    result = _combine(opinions, args.method, shift, _load_config(args.config))
     out = _out_dir(args)
-    save_signal_csv(out / "labels.csv", labels)
-    print(f"wrote labels for {labels.shape[0]} nodes to {out / 'labels.csv'}")
-    return 0
+    save_signal_csv(out / "labels.csv", result.x)
+    print(f"wrote labels for {result.x.shape[0]} nodes to {out / 'labels.csv'}")
+    return _finish(result)
 
 
 def _cmd_eval(args) -> int:

@@ -177,6 +177,9 @@ def cross_validate(method: str, observed: np.ndarray, mask: np.ndarray,
     if not grid:
         raise EmptyGrid("empty configuration grid")
     observed = np.asarray(observed, dtype=float)
+    if observed.ndim not in (1, 2) or observed.shape[0] != shift.n:
+        raise DimensionMismatch(
+            f"expected {shift.n} signal rows, got shape {observed.shape}")
     mask = np.asarray(mask, dtype=bool)
     if observed.shape != mask.shape:
         raise DimensionMismatch(
@@ -764,18 +767,10 @@ def _aggregate(rows: list[dict]) -> list[dict]:
 def _versions() -> dict:
     import scipy
 
-    try:
-        from importlib.metadata import version
+    from . import __version__
 
-        own = version("gsrec")
-    except Exception:
-        own = "unknown"
-    return {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "gsrec": own,
-    }
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "scipy": scipy.__version__, "gsrec": __version__}
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:

@@ -72,8 +72,9 @@ eps times the largest correlation at e = 0.
 The other iterative solvers stop when the objective changes by less than
 ``config.tol_outer`` between consecutive iterations; ``gsr_admm`` (so also
 ``rgtvr``) additionally requires the split ``T = X + W + E + slack`` and,
-with beta > 0, the duplicate ``X = Z`` to hold to 1e-6 relative. Hitting
-``config.max_outer`` first returns the last iterate with ``converged=False``.
+with beta > 0, the duplicate ``X = Z`` to hold to 1e-6 relative; W and E
+are 0 off the accessible set, the slack 0 on it. Hitting ``config.max_outer``
+first returns the last iterate with ``converged=False``.
 """
 
 from __future__ import annotations
@@ -170,8 +171,9 @@ class RecoveryResult:
 
     x is the recovered signal (vector or matrix matching the input),
     outliers/noise the sparse and dense error estimates where the solver
-    separates them, aux holds the ADMM internals: ``slack`` (the split's
-    part off the accessible set) and ``multiplier_split``, plus
+    separates them (the ADMM's are 0 off the accessible set), aux holds the
+    ADMM internals: ``slack`` (the split's part off the accessible set,
+    ``T - x`` there) and ``multiplier_split``, plus
     ``duplicate`` and ``multiplier_duplicate`` when beta > 0. The objective
     trace has one entry per iteration.
     """
@@ -657,22 +659,24 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     """General recovery: smooth + low-rank signal, sparse outliers, noise.
 
     Minimizes ``alpha ||X - A X||_F^2 + beta ||X||_* + gamma ||E||_1 +
-    ||W||_F^2`` subject to the measurements splitting as
-    ``T = X + W + E + slack`` (W the noise) with the slack supported off the
-    accessible set; the objective trace records that whole sum. Solved by
-    ADMM. With beta > 0 a duplicate Z of X carries the smoothness term, so
-    the X-step is one svt and the Z-step one solve with
+    ||W_M||_F^2`` subject to ``T = X + W + E`` on the accessible set M (W
+    the noise), by ADMM on T's values on M alone. Off M, W is free and takes
+    up the split's rest, E and the split's multiplier stay 0, and the result
+    reports ``noise`` 0 and ``aux["slack"]`` ``T - X`` there. The trace is
+    that objective, whose last term at a feasible split is the misfit
+    ``||(T - X - E)_M||^2``. With beta > 0 a duplicate Z of X carries the
+    smoothness term, so the X-step is one svt and the Z-step one solve with
     ``I + (2 alpha / eta) (I - A)^T (I - A)``; with beta = 0 there is no
     duplicate and the X-step is that solve itself. With gamma = 0 the
     outlier variable is dropped from the model (held at zero).
 
     The loop is over-relaxed (Eckstein & Bertsekas 1992; Boyd et al. 2011,
-    section 3.4.3) with ``rho = ADMM_RELAX``: after the X-step, the W, E
-    and C steps and the split's multiplier read ``rho X + (1 - rho) (T - W
-    - E - C)`` (W, E, C from the iteration before), and the duplicate's
-    solve and multiplier read ``rho X + (1 - rho) Z``. The stop test reads
-    X itself: objective change below ``tol_outer`` and both constraints
-    met to ``FEAS_RTOL``.
+    section 3.4.3) with ``rho = ADMM_RELAX``: after the X-step, the W and E
+    steps and the split's multiplier read ``rho X + (1 - rho) (T - W - E)``
+    (W, E from the iteration before), and the duplicate's solve and
+    multiplier read ``rho X + (1 - rho) Z``. The stop test reads X itself:
+    objective change below ``tol_outer`` and both constraints met to
+    ``FEAS_RTOL``.
 
     Specializations: :func:`rgtvr` is one column with beta = 0; one column
     with beta = gamma = 0 reproduces :func:`gtvr`; alpha = 0 with gamma = 0
@@ -684,16 +688,13 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     alpha, beta, gamma, eta = config.alpha, config.beta, config.gamma, config.penalty
     solve = factorized(sp.eye_array(shift.n) + (2.0 * alpha / eta) * tilde_shift(shift))
 
-    X = np.where(m, T2, 0.0)
-    W = np.zeros_like(T2)
-    E = np.zeros_like(T2)
-    Z = np.zeros_like(T2)
-    C = np.zeros_like(T2)
-    Y1 = np.zeros_like(T2)
-    Y2 = np.zeros_like(T2)
+    # the W-step's weight is eta / (eta + 2) where W costs ||W||^2, 1 off M
+    Tm, weight = np.where(m, T2, 0.0), np.where(m, eta / (eta + 2.0), 1.0)
+    X = Tm
+    W, E, Z, Y1, Y2 = (np.zeros_like(T2) for _ in range(5))
 
     def objective(Xc, Wc, Ec, nuclear):
-        val = alpha * _residual_variation(Xc, shift)[0] + float(np.sum(Wc * Wc))
+        val = alpha * _residual_variation(Xc, shift)[0] + float(np.sum(Wc[m] ** 2))
         if beta > 0:
             val += beta * nuclear
         if gamma > 0:
@@ -701,7 +702,7 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
         return val
 
     F = objective(X, W, E, _nuclear_norm(X) if beta > 0 else 0.0)
-    t_norm = float(np.linalg.norm(T2))
+    t_norm = float(np.linalg.norm(Tm))
     trace = []
     nuclear = 0.0
     converged = False
@@ -709,21 +710,20 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     for it in range(1, config.max_outer + 1):
         if beta > 0:
             # X minimizes beta ||X||_* + eta/2 (||X - P||^2 + ||X - Q||^2) for
-            # P = T - W - E - C - Y1/eta and Q = Z + Y2/eta: one svt of their mean
-            R = 0.5 * ((T2 - W - E - C - Y1 / eta) + (Z + Y2 / eta))
+            # P = T - W - E - Y1/eta and Q = Z + Y2/eta: one svt of their mean
+            R = 0.5 * ((Tm - W - E - Y1 / eta) + (Z + Y2 / eta))
             X, s = svt(R, beta / (2.0 * eta))
             nuclear = float(np.sum(s))
         else:
             # X minimizes alpha ||X - A X||^2 + eta/2 ||X - P||^2 directly
-            X = solve(T2 - W - E - C - Y1 / eta)
+            X = solve(Tm - W - E - Y1 / eta)
         # the other blocks and the multipliers see X over-relaxed against
         # the values it is coupled to, the split's rest and the duplicate
-        Xr = ADMM_RELAX * X + (1.0 - ADMM_RELAX) * (T2 - W - E - C)
-        W = (eta / (eta + 2.0)) * (T2 - Xr - E - C - Y1 / eta)
+        Xr = ADMM_RELAX * X + (1.0 - ADMM_RELAX) * (Tm - W - E)
+        W = weight * (Tm - Xr - E - Y1 / eta)
         if gamma > 0:
-            E = shrink(T2 - Xr - W - C - Y1 / eta, gamma / eta)
-        C = np.where(m, 0.0, T2 - Xr - W - E - Y1 / eta)
-        Y1 = Y1 - eta * (T2 - Xr - W - E - C)
+            E = shrink(Tm - Xr - W - Y1 / eta, gamma / eta)
+        Y1 = Y1 - eta * (Tm - Xr - W - E)
         if beta > 0:
             Xr = ADMM_RELAX * X + (1.0 - ADMM_RELAX) * Z
             Z = solve(Xr - Y2 / eta)
@@ -732,11 +732,9 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
         if not np.isfinite(F_new):
             raise NonFiniteObjective(f"objective became {F_new} at iteration {it}")
         trace.append(F_new)
-        feasible = (
-            np.linalg.norm(T2 - X - W - E - C) <= FEAS_RTOL * (1.0 + t_norm)
-            and (beta == 0
-                 or np.linalg.norm(X - Z) <= FEAS_RTOL * (1.0 + np.linalg.norm(X)))
-        )
+        feasible = (np.linalg.norm(Tm - X - W - E) <= FEAS_RTOL * (1.0 + t_norm)
+                    and (beta == 0 or np.linalg.norm(X - Z)
+                         <= FEAS_RTOL * (1.0 + np.linalg.norm(X))))
         if abs(F_new - F) < config.tol_outer and feasible:
             converged = True
             break
@@ -745,13 +743,13 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     def out(arr):
         return arr[:, 0] if was_vec else arr
 
-    aux = {"slack": out(C), "multiplier_split": out(Y1)}
+    aux = {"slack": out(np.where(m, 0.0, T2 - X)), "multiplier_split": out(Y1)}
     if beta > 0:
         aux.update(duplicate=out(Z), multiplier_duplicate=out(Y2))
     return RecoveryResult(
         x=out(X),
         outliers=out(E),
-        noise=out(W),
+        noise=out(np.where(m, W, 0.0)),
         aux=aux,
         objective_trace=np.array(trace),
         iterations=it,
@@ -767,8 +765,7 @@ def rgtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift,
     Minimizes ``||(t - x - e)_M||_2^2 + alpha ||x - A x||_2^2 + gamma ||e||_1``,
     separating the signal x from a sparse measurement-error vector e. This is
     :func:`gsr_admm` on one column at beta = 0 (``config.beta`` is ignored).
-    The misfit is the least noise ``||w||^2`` over the split, and the
-    objective trace records that noise term in its place. With gamma = 0 the
+    Like :func:`gsr_admm` it reads t only on the mask. With gamma = 0 the
     outlier variable is dropped and the solution matches :func:`gtvr`.
     """
     _require_normalized(shift)

@@ -17,6 +17,7 @@ from gsrec import (
     save_graph_dense,
     save_mask_csv,
     save_signal_csv,
+    synth_opinion_instance,
 )
 import gsrec.cli
 from gsrec.cli import main
@@ -113,6 +114,34 @@ def test_out_of_range_flag_is_config_error(tmp_path, graph_file, capsys, argv):
     code = main(argv[:1] + inputs[argv[0]] + argv[1:] + ["--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-graph", "--seed", "1"], ["build-graph", "--config", "c.json"],
+    ["synth", "--config", "c.json"], ["inpaint", "--seed", "1"],
+    ["complete", "--seed", "1"], ["detect", "--seed", "1"], ["robust", "--seed", "1"],
+    ["combine", "--seed", "1"], ["eval", "--seed", "1"], ["eval", "--config", "c.json"],
+    ["detect", "--method", "anomaly-constrained", "--eta-smooth", "1", "--beta", "1"],
+    ["detect", "--beta", "1", "--eta-smooth", "1"],
+], ids=" ".join)
+def test_flag_the_command_does_not_read_is_config_error(tmp_path, graph_file, capsys,
+                                                        argv):
+    # exit 2 naming the flag, where it would otherwise be silently ignored
+    signal = str(write_signal(tmp_path, "t.csv", np.ones(12)))
+    mask = tmp_path / "mask.csv"
+    save_mask_csv(mask, np.ones(12, dtype=bool))
+    inputs = {"build-graph": ["--features", signal], "synth": ["--graph", str(graph_file)],
+              "detect": ["--graph", str(graph_file), "--signal", signal],
+              "combine": ["--opinions", signal], "eval": ["--truth", signal,
+                                                          "--estimate", signal]}
+    inputs.update(dict.fromkeys(("inpaint", "complete", "robust"),
+                                inputs["detect"] + ["--mask", str(mask)]))
+    try:
+        code = main(argv[:1] + inputs[argv[0]] + argv[1:] + ["--out", str(tmp_path / "o")])
+    except SystemExit as exc:  # argparse rejects a flag the command lacks
+        code = exc.code
+    assert code == 2
+    assert argv[-2] in capsys.readouterr().err
 
 
 class TestInpaint:
@@ -262,6 +291,20 @@ class TestCombine:
         code = main(["combine", "--opinions", str(path), "--method",
                      "gtvr-denoise", "--out", str(tmp_path / "run")])
         assert code == 2
+
+    def test_unconverged_denoising_exits_four_but_writes(self, tmp_path):
+        shift, _, opinions, _ = synth_opinion_instance(60, 9, 0.9, 0.3, 0.2, 5, 6, 0)
+        graph = tmp_path / "graph.csv"
+        save_graph_dense(graph, shift)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 5, "beta": 1, "max_outer": 5}))
+        out = tmp_path / "run"
+        path = write_signal(tmp_path, "op.csv", opinions)
+        code = main(["combine", "--opinions", str(path), "--graph", str(graph),
+                     "--method", "gmcr-denoise", "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 4
+        assert (out / "labels.csv").exists()
 
     def test_non_binary_opinions(self, tmp_path):
         path = write_signal(tmp_path, "op.csv", np.array([[0.25, 1.0]]))

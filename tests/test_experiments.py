@@ -726,6 +726,7 @@ class TestRunExperiment:
         report = run_experiment(ExperimentSpec.from_dict(raw), tmp_path)
         assert report["spec"] == raw
         assert set(report["versions"]) >= {"python", "numpy", "scipy"}
+        assert report["versions"]["gsrec"] == gsrec.__version__
         assert (tmp_path / "report.json").exists()
 
     def test_full_ratio_with_hidden_eval_fails(self, tmp_path):

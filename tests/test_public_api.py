@@ -75,6 +75,8 @@ SIGNAL_TAKERS = {
         x, SHIFT, 1.0),
     "solve_recovery": lambda x: gsrec.solve_recovery("gtvr", x, np.bool_(True), SHIFT),
     "combine_opinions": lambda x: gsrec.combine_opinions(x, "avg"),
+    "cross_validate": lambda x: gsrec.cross_validate(
+        "gtvr", x, np.bool_(True), SHIFT, [gsrec.SolverConfig()], 0),
     "tv_svd_terms": lambda x: gsrec.tv_svd_terms(x, SHIFT),
     "nuclear_tv_bound": lambda x: gsrec.nuclear_tv_bound(x, SHIFT),
     "subspace_smoothness_bound": lambda x: gsrec.subspace_smoothness_bound(

@@ -35,6 +35,7 @@ from gsrec import (
     tilde_shift,
 )
 from gsrec.io import solver_config_from_dict
+from gsrec.solvers import FEAS_RTOL
 
 
 def symmetric_shift(n, seed):
@@ -1094,6 +1095,51 @@ class TestGsrAdmm:
         tr = res.objective_trace
         if tr.size >= 2:
             assert abs(tr[-1] - tr[-2]) < 1e-8
+
+    def test_slack_is_no_costed_noise_off_the_mask(self):
+        # off the mask the split is the slack alone: noise, outliers and the
+        # split's multiplier are exactly 0 there, and the trace ends at the
+        # model's objective, whose noise term is the misfit on the mask
+        shift = symmetric_shift(12, 51)
+        rng = np.random.default_rng(52)
+        T = rng.normal(size=(12, 4))
+        T[3, 1] += 6.0
+        mask = rng.uniform(size=T.shape) < 0.6
+        mask[3, 1] = True
+        cfg = SolverConfig(alpha=1.0, beta=0.2, gamma=0.3, penalty=2.0,
+                           max_outer=8000)
+        res = gsr_admm(T, mask, shift, cfg)
+        assert res.converged
+        for name, value in (("outliers", res.outliers), ("noise", res.noise),
+                            ("multiplier_split", res.aux["multiplier_split"])):
+            assert np.all(value[~mask] == 0.0), name
+        objective = (cfg.alpha * sum(quadratic_variation(c, shift) for c in res.x.T)
+                     + cfg.beta * float(np.sum(svdvals(res.x)))
+                     + cfg.gamma * float(np.sum(np.abs(res.outliers)))
+                     + float(np.sum(res.noise[mask] ** 2)))
+        assert abs(res.objective_trace[-1] - objective) <= 1e-12 * objective
+        split = T - res.x - res.noise - res.outliers - res.aux["slack"]
+        assert np.linalg.norm(split) <= FEAS_RTOL * (1.0 + np.linalg.norm(T))
+
+    @pytest.mark.parametrize("solver", ["gsr_admm", "rgtvr"])
+    def test_values_off_the_mask_are_never_read(self, solver):
+        shift = symmetric_shift(12, 53)
+        rng = np.random.default_rng(54)
+        if solver == "gsr_admm":
+            T, run = rng.normal(size=(12, 3)), gsr_admm
+            cfg = SolverConfig(alpha=1.0, beta=0.2, gamma=0.3)
+        else:
+            T, run = rng.normal(size=12), rgtvr
+            cfg = SolverConfig(alpha=1.0, gamma=0.3)
+        T.flat[0] += 6.0
+        mask = rng.uniform(size=T.shape) < 0.6
+        mask.flat[0] = True
+        zeros = run(np.where(mask, T, 0.0), mask, shift, cfg)
+        nans = run(np.where(mask, T, np.nan), mask, shift, cfg)
+        assert zeros.converged and np.any(zeros.outliers != 0.0)
+        for name in ("x", "noise", "outliers"):
+            assert_bitwise(getattr(nans, name), getattr(zeros, name))
+        assert nans.iterations == zeros.iterations
 
     def test_zero_beta_has_no_duplicate(self, monkeypatch):
         from gsrec import solvers
