@@ -22,7 +22,6 @@ from .errors import (
 from .graph import (
     GraphShift,
     SpectralBasis,
-    _require_normalized,
     check_node_mask,
     gft,
     igft,
@@ -116,7 +115,6 @@ def inpainting_bound(shift: GraphShift, node_mask: np.ndarray,
     leaves a 2-norm unchanged, so both come from column slices of one dense
     copy of ``I + A``: O(N^2) memory, O(N^3) time.
     """
-    _require_normalized(shift)
     mask = check_node_mask(node_mask, shift.n)
     b = shift.matrix.toarray() + np.eye(shift.n)
     p = _spectral_norm(b[:, mask])
@@ -150,7 +148,6 @@ def verify_inpainting_bound(shift: GraphShift, node_mask: np.ndarray,
     (certified) form should pass constants that also dominate the recovered
     signal. Raises :class:`BoundNotApplicable` when q >= 2.
     """
-    _require_normalized(shift)
     mask = check_node_mask(node_mask, shift.n)
     x0 = np.asarray(x0, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -177,7 +174,6 @@ def _thin_svd(X: np.ndarray, shift: GraphShift
     Raises ``np.linalg.LinAlgError`` for a non-finite X before the SVD, as
     :func:`~gsrec.prox.svt` does: an inf makes LAPACK's SVD loop without end.
     """
-    _require_normalized(shift)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != shift.n:
         raise DimensionMismatch(f"expected ({shift.n}, L) matrix, got {X.shape}")
@@ -224,7 +220,6 @@ def subspace_smoothness_bound(U: np.ndarray, a: np.ndarray,
     ``||U - A U||_F^2 ||a||^2``. Raises :class:`NonOrthonormalBasis` when the
     columns are not orthonormal within 1e-8.
     """
-    _require_normalized(shift)
     U = np.asarray(U, dtype=float)
     a = np.asarray(a, dtype=float)
     if U.ndim != 2 or U.shape[0] != shift.n:

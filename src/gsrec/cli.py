@@ -35,7 +35,6 @@ from .experiments import (
     run_experiment,
     solve_recovery,
 )
-from .graph import normalize_shift
 from .io import (
     load_graph,
     load_mask_csv,
@@ -283,7 +282,7 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    shift = normalize_shift(load_graph(args.graph))
+    shift = load_graph(args.graph)
     with _flag_errors():
         spec = SyntheticSpec(
             n=shift.n, l=args.l, recipe=args.recipe, rank=args.rank,
@@ -299,7 +298,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_recovery(args, methods_with_mask: bool = True) -> int:
-    shift = normalize_shift(load_graph(args.graph))
+    shift = load_graph(args.graph)
     observed = load_signal_csv(args.signal)
     mask = None
     if methods_with_mask:
@@ -336,7 +335,7 @@ def _cmd_combine(args) -> int:
     if args.method != "avg":
         if not args.graph:
             raise ConfigError(f"method {args.method!r} needs --graph")
-        shift = normalize_shift(load_graph(args.graph))
+        shift = load_graph(args.graph)
     result = _combine(opinions, args.method, shift, _load_config(args.config))
     out = _out_dir(args)
     save_signal_csv(out / "labels.csv", result.x)

@@ -21,7 +21,7 @@ from .errors import (
     KTooLarge,
     TooManyNodes,
 )
-from .graph import DENSE_MAX_NODES, GraphShift, _lowest_eigenpairs, normalize_shift
+from .graph import DENSE_MAX_NODES, GraphShift, _lowest_eigenpairs
 
 # Stream tags for seed derivation; never reuse across operations.
 STREAM_MASK = 1
@@ -425,7 +425,7 @@ def build_knn_graph(data: np.ndarray,
     else:
         lines, sums = weights.indices, weights.sum(axis=0)
     weights.data /= sums[lines]
-    return normalize_shift(GraphShift(weights))
+    return GraphShift(weights)
 
 
 def random_features(n: int, dim: int, seed: int) -> np.ndarray:

@@ -48,7 +48,7 @@ from .errors import (
     NonBinaryInput,
     NonSymmetricLaplacian,
 )
-from .graph import GraphShift, cycle_shift, normalize_shift
+from .graph import GraphShift, cycle_shift
 from .io import load_bundle, load_graph, solver_config_from_dict
 from .solvers import (
     RecoveryResult,
@@ -594,12 +594,12 @@ def _sized(synthetic: SyntheticSpec, n: int, block: dict | None = None) -> Synth
 
 def _resolve_graph(graph: dict, seed: int) -> GraphShift:
     if graph["kind"] == "cycle":
-        return normalize_shift(cycle_shift(graph["n"]))
+        return cycle_shift(graph["n"])
     if graph["kind"] == "knn":
         features = random_features(graph["n"], graph["dim"],
                                    stream_rng(seed, STREAM_GRAPH).integers(2**31))
         return build_knn_graph(features, graph["build"])
-    return normalize_shift(load_graph(graph["path"]))
+    return load_graph(graph["path"])
 
 
 class _Cell(NamedTuple):

@@ -1,7 +1,8 @@
 """Graph shift operators, total variation, and graph spectral transforms.
 
 A graph on N nodes is represented by its weighted adjacency matrix acting as a
-shift operator. The orientation convention used throughout the package:
+shift operator, scaled to unit spectral radius when its :class:`GraphShift` is
+made. The orientation convention used throughout the package:
 ``weights[n, m]`` is the weight of the edge from node ``m`` into node ``n``, so
 ``weights @ x`` replaces the value at each node by a weighted aggregate over its
 in-neighbors. Directed graphs and non-symmetric weights are fully supported.
@@ -106,9 +107,13 @@ class GraphShift:
         Edge weights, dense or sparse; ``matrix[n, m]`` is the weight from
         node m into node n. Stored as a canonical ``csr_array``.
     normalized : bool
-        True once the matrix has been scaled to unit spectral radius.
+        False divides the weights by :func:`spectral_radius`; True keeps
+        weights of unit radius as given, but nonnegative ones whose row (or
+        column) sums agree must sum to 1 (else ``ValueError``). True once made.
     spectral_radius : float or None
-        The pre-scaling spectral radius, recorded by :func:`normalize_shift`.
+        The radius the weights were divided by, as passed when ``normalized``;
+        a numerically zero one (zero or nilpotent weights) raises
+        :class:`ZeroSpectralRadius`.
 
     Notes
     -----
@@ -134,6 +139,15 @@ class GraphShift:
             raise DimensionMismatch("shift needs at least one node")
         if not np.all(np.isfinite(w.data)):
             raise ValueError("shift weights must be finite")
+        if not self.normalized:
+            radius = spectral_radius(w)
+            if radius <= 1e-12 * (1.0 + np.max(np.abs(w.data), initial=0.0)):
+                raise ZeroSpectralRadius(f"spectral radius {radius:.3e} is numerically zero")
+            w = _csr(w / radius)
+            object.__setattr__(self, "normalized", True)
+            object.__setattr__(self, "spectral_radius", radius)
+        elif (radius := _sums_radius(w)) is not None and abs(radius - 1.0) > _SUM_RTOL:
+            raise ValueError(f"weights marked normalized sum to {radius:.17g}, not 1")
         object.__setattr__(self, "matrix", w)
 
     @property
@@ -222,14 +236,10 @@ def spectral_radius(weights) -> float:
     random signed matrix.
     """
     w = _csr(weights)
-    nonnegative = bool(np.all(w.data >= 0))
-    if nonnegative:
-        for sums in (w.sum(axis=1), w.sum(axis=0)):
-            r = float(sums.max())
-            if r - float(sums.min()) <= _SUM_RTOL * r:
-                return r
+    if (r := _sums_radius(w)) is not None:
+        return r
     n = w.shape[0]
-    if not nonnegative or n <= 2:  # ARPACK needs k < n - 1
+    if np.any(w.data < 0) or n <= 2:  # ARPACK needs k < n - 1
         return _dense_radius(w)
     # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
     from scipy.sparse.linalg import ArpackError, eigs
@@ -253,35 +263,23 @@ def spectral_radius(weights) -> float:
                            f"{DENSE_MAX_NODES} nodes")
 
 
+def _sums_radius(w: sp.csr_array) -> float | None:
+    """Nonnegative w's row (or column) sum where all agree, so its radius; else None."""
+    if np.all(w.data >= 0):
+        for sums in (w.sum(axis=1), w.sum(axis=0)):
+            r = float(sums.max())
+            if r - float(sums.min()) <= _SUM_RTOL * r:
+                return r
+    return None
+
+
 def _dense_radius(w: sp.csr_array) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(w.toarray()))))
 
 
 def normalize_shift(shift: GraphShift) -> GraphShift:
-    """Scale a shift to unit spectral radius.
-
-    Returns a new :class:`GraphShift` with ``normalized=True`` and the
-    pre-scaling radius recorded in ``spectral_radius``. Raises
-    :class:`ZeroSpectralRadius` when the radius is numerically zero (zero or
-    nilpotent weights), since no scaling can fix that.
-    """
-    if shift.normalized:
-        return shift
-    w = shift.matrix
-    radius = spectral_radius(w)
-    if radius <= 1e-12 * (1.0 + np.max(np.abs(w.data), initial=0.0)):
-        raise ZeroSpectralRadius(
-            f"spectral radius {radius:.3e} is numerically zero"
-        )
-    return GraphShift(w / radius, normalized=True, spectral_radius=radius)
-
-
-def _require_normalized(shift: GraphShift) -> None:
-    if not shift.normalized:
-        raise ValueError(
-            "shift must be normalized to unit spectral radius first "
-            "(use normalize_shift)"
-        )
+    """The shift itself: every :class:`GraphShift` is normalized when it is made."""
+    return shift
 
 
 def _vector_signal(t, n: int) -> np.ndarray:
@@ -299,11 +297,7 @@ def _residual_variation(X: np.ndarray, shift: GraphShift) -> tuple[float, np.nda
 
 
 def quadratic_variation(x: np.ndarray, shift: GraphShift) -> float:
-    """Quadratic total variation of a vector signal: ``||x - A x||_2^2``.
-
-    The shift must be normalized so the difference is scale-free.
-    """
-    _require_normalized(shift)
+    """Quadratic total variation of a vector signal: ``||x - A x||_2^2``."""
     return _residual_variation(_vector_signal(x, shift.n), shift)[0]
 
 
@@ -312,7 +306,6 @@ def matrix_variation(X: np.ndarray, shift: GraphShift) -> float:
 
     Equals the sum of :func:`quadratic_variation` over columns.
     """
-    _require_normalized(shift)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != shift.n:
         raise DimensionMismatch(
@@ -328,7 +321,6 @@ def tilde_shift(shift: GraphShift) -> sp.csr_array:
     per node gives O(N k^2) nonzeros. Formed once per shift and kept on it:
     every call returns the same matrix, which callers must not modify.
     """
-    _require_normalized(shift)
     return shift._tilde
 
 

@@ -2,14 +2,15 @@
 
 Graphs travel as an edge-list CSV (``src,dst,weight`` per line, meaning an
 edge from src into dst, stored at ``weights[dst, src]``) or as a dense N x N
-CSV; either carries a JSON sidecar ``{"n": ..., "normalized": ...,
-"spectral_radius": ..., "format": ...}`` next to it; bundles use the edge
-list. Signals are plain numeric CSVs with one row per node; masks list
-accessible entries as ``row,col`` pairs. One reader parses every CSV with a
-single ``np.loadtxt`` and the writers use ``np.savetxt``, so cells follow
-numpy's number syntax: no ``1_0`` digit separators, and indices must be
-integers. The readers reject NaN and infinity, and name a bad row by its
-line number in the file.
+CSV, with a JSON sidecar ``{"n": ..., "normalized": ..., "spectral_radius":
+..., "format": ...}``; bundles use the edge list. Weights a sidecar marks
+``normalized`` are taken as already of unit radius, checked where that is
+cheap (:class:`~gsrec.graph.GraphShift`); any others are scaled on load.
+Signals are plain numeric CSVs with one row per node; masks list accessible
+entries as ``row,col`` pairs. One reader parses every CSV with a single
+``np.loadtxt`` and the writers use ``np.savetxt``, so cells follow numpy's
+number syntax: no ``1_0`` digit separators, and indices must be integers.
+The readers reject NaN and infinity, and name a bad row by its line number.
 """
 
 from __future__ import annotations

@@ -71,9 +71,9 @@ eps times the largest correlation at e = 0.
 
 The other iterative solvers stop when the objective changes by less than
 ``config.tol_outer`` between consecutive iterations; ``gsr_admm`` (so also
-``rgtvr``) additionally requires the split ``T = X + W + E + slack`` and,
-with beta > 0, the duplicate ``X = Z`` to hold to 1e-6 relative; W and E
-are 0 off the accessible set, the slack 0 on it. Hitting ``config.max_outer``
+``rgtvr``) additionally requires ``||T_M - X - W - E|| <= 1e-6 (1 +
+||T_M||)``, T_M being T zeroed off the accessible set, and with beta > 0
+the duplicate ``X = Z`` to 1e-6 relative. Hitting ``config.max_outer``
 first returns the last iterate with ``converged=False``.
 """
 
@@ -94,7 +94,6 @@ from .errors import (
 )
 from .graph import (
     GraphShift,
-    _require_normalized,
     _residual_variation,
     _vector_signal,
     check_node_mask,
@@ -190,7 +189,6 @@ class RecoveryResult:
 
 def _matrix_inputs(T, mask, shift: GraphShift) -> tuple[np.ndarray, np.ndarray, bool]:
     """The signal as an (n, L) matrix, its mask, and whether it was a vector."""
-    _require_normalized(shift)
     T2, m = np.asarray(T, dtype=float), np.asarray(mask)
     was_vec = T2.ndim == 1
     if was_vec:
@@ -251,7 +249,6 @@ def gtvm(t: np.ndarray, mask: np.ndarray, shift: GraphShift) -> RecoveryResult:
     class of the graph holds no measured node, and the hidden values are
     then the minimum-norm solution.
     """
-    _require_normalized(shift)
     t, m = _vector_inputs(t, mask, shift.n)
     at = tilde_shift(shift)
     x = np.where(m, t, 0.0)
@@ -280,7 +277,6 @@ def gtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift, alpha: float) -> Re
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    _require_normalized(shift)
     t, m = _vector_inputs(t, mask, shift.n)
     x, obj = _regularized_fit(t, m, tilde_shift(shift), alpha)
     return RecoveryResult(
@@ -490,7 +486,6 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
     if beta_reg < 0:
         raise ValueError("beta_reg must be nonnegative")
     config = config or SolverConfig()
-    _require_normalized(shift)
     t = _vector_signal(t, shift.n)
     e, _, segments, trace = _lasso_path(t, shift, config.max_outer, weight=beta_reg)
     variation, stationarity, certified = _lasso_kkt(t, e, beta_reg, shift)
@@ -532,9 +527,12 @@ def _lasso_path(t: np.ndarray, shift: GraphShift, max_segments: int,
     a rate ``1 -+ q_j`` above 1e-9 reaches ``+-beta`` (it joins). One
     already there ends the segment at once, so ties go one per segment; an
     entry that just joined grows and one that just left moves in, so
-    neither comes back. A correlation the support holds at ``+-beta`` (S and
-    j carry a variation-free vector, a closed class of the graph) moves at
-    rate 0 and stays out, where joining would make ``T_SS`` singular.
+    neither comes back above the rounding floor ``4 eps c0`` of
+    :func:`_lasso_kkt` (c0 the start weight); the path ends at ``weight``
+    once within that floor of it. A correlation the support holds at
+    ``+-beta`` (S and j carry a variation-free vector, a closed class of the
+    graph) moves at rate 0 and stays out, where joining would make ``T_SS``
+    singular.
 
     The path stops at ``weight`` or, given a ``budget``, at the larger root
     of ``||r0 + beta r1||^2 = budget`` on the first segment whose lower end
@@ -547,6 +545,7 @@ def _lasso_path(t: np.ndarray, shift: GraphShift, max_segments: int,
     beta, trace = 2.0 * float(np.max(np.abs(b))), []
     if beta <= weight:
         return np.zeros(n), weight, 0, trace
+    end = weight + 4.0 * np.finfo(float).eps * beta
     # s on the support, 0 off it; S lists the support in the order of the
     # block's rows. The largest correlation joins first
     signs, S, block = np.zeros(n), np.zeros(0, dtype=int), np.zeros((0, 0))
@@ -585,10 +584,10 @@ def _lasso_path(t: np.ndarray, shift: GraphShift, max_segments: int,
             root = (sq - h) / a if h < 0 else -c / (h + sq)
             beta = min(max(root, low), beta)
             break
-        beta = max(low, weight)
+        beta = weight if low <= end else low
         trace.append(float(np.sum((r0 + beta * r1) ** 2))
                      + weight * float(np.sum(np.maximum(s * (u - beta * v), 0.0))))
-        if low <= weight:
+        if low <= end:
             break
     e = np.zeros(n)
     e[S] = s * np.maximum(s * (u - beta * v), 0.0)  # none rounded past 0
@@ -622,7 +621,6 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     if not eta_smooth >= 0:
         raise ValueError(f"eta_smooth must be nonnegative, got {eta_smooth}")
     config = config or SolverConfig()
-    _require_normalized(shift)
     t = _vector_signal(t, shift.n)
     target = eta_smooth ** 2
     base_variation = _residual_variation(t[:, None], shift)[0]
@@ -768,7 +766,6 @@ def rgtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift,
     Like :func:`gsr_admm` it reads t only on the mask. With gamma = 0 the
     outlier variable is dropped and the solution matches :func:`gtvr`.
     """
-    _require_normalized(shift)
     t, m = _vector_inputs(t, mask, shift.n)
     result = gsr_admm(t, m, shift, (config or SolverConfig()).replace(beta=0.0))
     result.meta["solver"] = "rgtvr"

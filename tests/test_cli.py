@@ -184,6 +184,21 @@ class TestInpaint:
                      "--mask", str(mask_path), "--out", str(tmp_path / "run")])
         assert code == 3
 
+    @pytest.mark.parametrize("weight, code", [(1.0, 0), (2.0, 3)])
+    def test_sidecar_normalized_is_checked(self, tmp_path, capsys, weight, code):
+        # a directed 3-cycle: its rows sum to the weight, which is its radius
+        graph = tmp_path / "graph.csv"
+        graph.write_text("".join(f"{i},{(i + 1) % 3},{weight}\n" for i in range(3)))
+        graph.with_suffix(".json").write_text(json.dumps(
+            {"n": 3, "normalized": True, "format": "edges"}))
+        signal = write_signal(tmp_path, "t.csv", np.arange(3.0))
+        mask_path = tmp_path / "mask.csv"
+        save_mask_csv(mask_path, np.array([True, True, False]))
+        assert main(["inpaint", "--graph", str(graph), "--signal", str(signal),
+                     "--mask", str(mask_path), "--method", "gtvr",
+                     "--out", str(tmp_path / "run")]) == code
+        assert ("not 1" in capsys.readouterr().err) == (code == 3)
+
 
 class TestComplete:
     def test_nonconvergence_exits_four_but_writes(self, tmp_path, graph_file):
@@ -387,6 +402,24 @@ class TestRun:
 
         assert seeds("--seed", "0") == {"0"}
         assert seeds() == {"5"}
+
+    def test_detection_at_weight_zero_ends_at_the_rounding_floor(self, tmp_path):
+        # gamma defaults to 0. On this instance one node once joined and left
+        # the lasso path at a weight of about 1e-15 on every segment, up to
+        # the 2000-segment cap; the path now ends within _lasso_kkt's rounding
+        # floor of 0, after 289 segments (290 iterations) on x86-64 OpenBLAS
+        cfg = tmp_path / "detect.json"
+        cfg.write_text(json.dumps({
+            "task": "detect", "seed": 4, "trials": 1,
+            "graph": {"kind": "knn", "n": 200, "k": 8},
+            "signal": {"synthetic": {"rank": 5, "outliers_per_column": 5,
+                                     "outlier_lo": 3.0, "outlier_hi": 5.0}},
+            "solvers": [{"method": "anomaly"}]}))
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "trials.csv").read_text().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert int(row["iterations"]) < 1000 and row["converged"] == "true"
 
     def test_missing_config_flag(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "r")]) == 2

@@ -67,11 +67,60 @@ class TestNormalize:
 
     def test_nilpotent_raises(self):
         with pytest.raises(ZeroSpectralRadius):
-            normalize_shift(GraphShift(np.array([[0.0, 2.0], [0.0, 0.0]])))
+            GraphShift(np.array([[0.0, 2.0], [0.0, 0.0]]))
 
     def test_already_normalized_is_identity(self):
         shift = cycle_shift(5)
         assert normalize_shift(shift) is shift
+
+    # weights, and the eigensolvers finding their radius must not call
+    ROUTES = {
+        "row-sums": (np.array([[0.0, 1.0, 1.0], [2.0, 0.0, 0.0], [1.0, 0.0, 1.0]]),
+                     ("eigs", "eigvals")),
+        "column-sums": (np.array([[0.0, 0.5], [3.0, 2.5]]), ("eigs", "eigvals")),
+        "arpack": (np.random.default_rng(3).uniform(0.1, 2.0, (50, 50)), ("eigvals",)),
+        "dense": (np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.5], [0.0, 1.0, 1.0]]),
+                  ("eigs",)),
+    }
+
+    @pytest.mark.parametrize("weights, unused", ROUTES.values(), ids=ROUTES)
+    def test_made_shift_has_unit_radius(self, monkeypatch, weights, unused):
+        radius = np.max(np.abs(np.linalg.eigvals(weights)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        with monkeypatch.context() as patch:
+            for name, home in (("eigs", scipy.sparse.linalg), ("eigvals", np.linalg)):
+                if name in unused:
+                    patch.setattr(home, name, forbidden)
+            shift = GraphShift(weights)
+        assert shift.normalized
+        assert shift.spectral_radius == pytest.approx(radius, rel=1e-12)
+        assert np.max(np.abs(np.linalg.eigvals(shift.weights))) == pytest.approx(
+            1.0, rel=1e-12)
+        # bit for bit the CSR division a separate normalization step made
+        scaled = sp.csr_array(weights) / spectral_radius(weights)
+        np.testing.assert_array_equal(shift.weights, scaled.toarray())
+
+    def test_zero_weights_raise(self):
+        with pytest.raises(ZeroSpectralRadius, match="numerically zero"):
+            GraphShift(sp.csr_array((3, 3)))
+
+    def test_passed_as_normalized_is_kept_as_given(self):
+        w = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.2, 0.0, 0.8]])
+        for weights in (w, w.T):  # unit row sums, unit column sums
+            shift = GraphShift(weights, normalized=True, spectral_radius=4.0)
+            assert shift.spectral_radius == 4.0
+            np.testing.assert_array_equal(shift.weights, weights)
+
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9, 0.0])
+    def test_passed_as_normalized_with_other_sums_raises(self, scale):
+        # equal row (or column) sums are the radius, so they must be 1
+        w = scale * np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.2, 0.0, 0.8]])
+        for weights in (w, w.T):
+            with pytest.raises(ValueError, match="not 1"):
+                GraphShift(weights, normalized=True)
 
     def test_random_matrices_end_at_unit_radius(self):
         for seed in range(20):
@@ -145,7 +194,7 @@ class TestSpectralRadius:
         nilpotent = sp.diags_array(np.ones(49), offsets=1, format="csr")
         assert spectral_radius(nilpotent) == 0.0
         with pytest.raises(ZeroSpectralRadius):
-            normalize_shift(GraphShift(nilpotent))
+            GraphShift(nilpotent)
 
         def no_convergence(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("patched", [], [])
@@ -183,10 +232,6 @@ class TestVariation:
         shift = normalize_shift(GraphShift(np.eye(4)))
         rng = np.random.default_rng(0)
         assert quadratic_variation(rng.normal(size=4), shift) == pytest.approx(0.0)
-
-    def test_requires_normalized(self):
-        with pytest.raises(ValueError):
-            quadratic_variation(np.ones(3), GraphShift(np.eye(3)))
 
     def test_matrix_variation_duplicated_column(self):
         shift = cycle_shift(3)

@@ -11,6 +11,7 @@ from gsrec import (
     GraphShift,
     SolverConfig,
     SyntheticSpec,
+    ZeroSpectralRadius,
     anomaly_detect,
     load_bundle,
     load_graph,
@@ -273,19 +274,22 @@ class TestGraphFormats:
 
     def test_edge_direction_convention(self, tmp_path):
         p = tmp_path / "g.csv"
-        p.write_text("0,1,0.5\n")
+        p.write_text("0,1,0.5\n1,0,2\n")  # eigenvalues +-1
         (tmp_path / "g.json").write_text(json.dumps(
             {"n": 2, "normalized": False, "format": "edges"}))
         back = load_graph(p)
         # src,dst means the weight lands in row dst, column src
-        assert back.weights[1, 0] == 0.5
-        assert back.weights[0, 1] == 0.0
+        np.testing.assert_allclose(back.weights * back.spectral_radius,
+                                   [[0.0, 2.0], [0.5, 0.0]], rtol=1e-14)
+        assert back.spectral_radius == pytest.approx(1.0, rel=1e-14)
 
     def test_dense_without_sidecar(self, tmp_path):
+        # no sidecar: a dense file, not marked normalized, so scaled on load
         p = tmp_path / "g.csv"
         np.savetxt(p, np.eye(3) * 0.5, delimiter=",")
         back = load_graph(p)
-        assert back.n == 3 and not back.normalized
+        assert back.n == 3 and back.spectral_radius == 0.5
+        np.testing.assert_array_equal(back.weights, np.eye(3))
 
     def test_edges_need_n_in_sidecar(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -319,15 +323,19 @@ class TestGraphFormats:
         p = tmp_path / "g.csv"
         p.write_text("0,1,0.5\n2,1,3\n1,0,2\n0,1,0.25\n2,1,0\n1,0,4\n0,1,0.75\n")
         (tmp_path / "g.json").write_text(json.dumps({"n": 3, "format": "edges"}))
-        np.testing.assert_array_equal(load_graph(p).weights,
-                                      [[0, 4, 0], [0.75, 0, 0], [0, 0, 0]])
+        back = load_graph(p)
+        # rtol with no atol: the dropped 2 -> 1 edge must be exactly 0
+        np.testing.assert_allclose(back.weights * back.spectral_radius,
+                                   [[0, 4, 0], [0.75, 0, 0], [0, 0, 0]], rtol=1e-14)
+        assert back.spectral_radius == pytest.approx(3.0 ** 0.5, rel=1e-14)
 
     def test_empty_edge_list_has_no_edges(self, tmp_path):
+        # no edges leave a zero radius, which no scaling makes 1
         p = tmp_path / "g.csv"
         p.write_text("# no edges\n\n")
         (tmp_path / "g.json").write_text(json.dumps({"n": 3, "format": "edges"}))
-        back = load_graph(p)
-        assert back.n == 3 and back.matrix.nnz == 0
+        with pytest.raises(ZeroSpectralRadius, match="numerically zero"):
+            load_graph(p)
 
     @pytest.mark.parametrize("fmt", ["dense", "edges"])
     @pytest.mark.parametrize("n", [-1, 0, 2.5, 2.0, True, "2", None, [2]],

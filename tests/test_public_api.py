@@ -92,3 +92,21 @@ def test_zero_dimensional_signal_is_a_dimension_mismatch(call):
     # a scalar has no node axis: the shape check names it, no IndexError
     with pytest.raises(gsrec.DimensionMismatch):
         call(np.float64(1.0))
+
+
+def test_only_graph_computes_or_checks_a_radius():
+    # a GraphShift is normalized when it is made, in graph.py, so no other
+    # module computes a spectral radius or checks that a shift has one
+    names = {"spectral_radius", "normalize_shift", "_require_normalized"}
+    calls = []
+    for path in sorted((ROOT / "src" / "gsrec").glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert not calls, f"radius computed or checked outside graph.py: {calls}"
+    assert not hasattr(gsrec.graph, "_require_normalized")
