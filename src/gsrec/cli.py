@@ -36,6 +36,7 @@ from .experiments import (
     solve_recovery,
 )
 from .io import (
+    config_values,
     load_graph,
     load_mask_csv,
     load_signal_csv,
@@ -46,7 +47,6 @@ from .io import (
     save_result_json,
     save_signal_csv,
 )
-from .solvers import SolverConfig
 
 
 # BLAS threads of every command unless --threads says otherwise. The solvers
@@ -225,12 +225,6 @@ def _limit_threads(threads: int | None):
             put(count)
 
 
-def _load_config(path: str | None) -> SolverConfig:
-    if path is None:
-        return SolverConfig()
-    return load_solver_config(path)
-
-
 def _out_dir(args) -> Path:
     if not args.out:
         raise ConfigError(f"{args.command} needs --out")
@@ -254,18 +248,9 @@ def _finish(result) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _flag_errors():
-    """Report an error raised while turning flags into specs as a ConfigError."""
-    try:
-        yield
-    except (GsrecError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _cmd_build_graph(args) -> int:
     features = load_signal_csv(args.features, allow_nan=True)
-    with _flag_errors():
+    with config_values("build-graph"):
         spec = GraphBuildSpec(k=args.k, metric=args.metric,
                               normalization=args.normalization,
                               symmetrize=args.symmetrize, missing=args.missing)
@@ -283,7 +268,7 @@ def _cmd_build_graph(args) -> int:
 
 def _cmd_synth(args) -> int:
     shift = load_graph(args.graph)
-    with _flag_errors():
+    with config_values("synth"):
         spec = SyntheticSpec(
             n=shift.n, l=args.l, recipe=args.recipe, rank=args.rank,
             noise_sigma=args.noise_sigma,
@@ -303,7 +288,7 @@ def _cmd_recovery(args, methods_with_mask: bool = True) -> int:
     mask = None
     if methods_with_mask:
         mask = load_mask_csv(args.mask, observed.shape)
-    config = _load_config(args.config)
+    config = load_solver_config(args.config)
     eta_smooth = getattr(args, "eta_smooth", None)
     if eta_smooth is not None and not eta_smooth >= 0:
         raise ConfigError(f"--eta-smooth must be nonnegative, got {eta_smooth}")
@@ -314,10 +299,8 @@ def _cmd_recovery(args, methods_with_mask: bool = True) -> int:
             raise ConfigError(f"method {args.method!r} does not read {flag}")
     if args.command == "detect" and args.method == "anomaly":
         if args.beta is not None:
-            try:
+            with config_values(f"--beta {args.beta}"):
                 config = config.replace(gamma=args.beta)
-            except ValueError as exc:
-                raise ConfigError(f"--beta {args.beta}: {exc}") from None
         if config.gamma <= 0:
             raise ConfigError("method 'anomaly' needs --beta > 0")
     result = solve_recovery(args.method, observed, mask, shift, config,
@@ -336,7 +319,7 @@ def _cmd_combine(args) -> int:
         if not args.graph:
             raise ConfigError(f"method {args.method!r} needs --graph")
         shift = load_graph(args.graph)
-    result = _combine(opinions, args.method, shift, _load_config(args.config))
+    result = _combine(opinions, args.method, shift, load_solver_config(args.config))
     out = _out_dir(args)
     save_signal_csv(out / "labels.csv", result.x)
     print(f"wrote labels for {result.x.shape[0]} nodes to {out / 'labels.csv'}")

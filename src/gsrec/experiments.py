@@ -49,7 +49,7 @@ from .errors import (
     NonSymmetricLaplacian,
 )
 from .graph import GraphShift, cycle_shift
-from .io import load_bundle, load_graph, solver_config_from_dict
+from .io import config_values, json_value, load_bundle, load_graph, spec_from_dict
 from .solvers import (
     RecoveryResult,
     SolverConfig,
@@ -366,11 +366,8 @@ class ExperimentSpec:
         if task not in _TASKS:
             raise ConfigError(f"task must be one of {list(_TASKS)}, got {task!r}")
         recovery = task in _RECOVERY_TASKS
-        try:
-            seed = int(data.get("seed", 0))
-            trials = int(data.get("trials", 1))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"seed and trials must be integers: {exc}") from None
+        seed = json_value(data.get("seed", 0), int, "seed")
+        trials = json_value(data.get("trials", 1), int, "trials")
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
         if trials < 1:
@@ -385,11 +382,11 @@ class ExperimentSpec:
                 ratios_raw = [0.5]
             if not isinstance(ratios_raw, list) or not ratios_raw:
                 raise ConfigError("ratios must be a nonempty list of fractions")
-            ratios = tuple(_number(r, "ratios") for r in ratios_raw)
+            ratios = tuple(json_value(r, float, "ratios") for r in ratios_raw)
             for r in ratios:
                 if not 0.0 < r <= 1.0:
                     raise ConfigError(f"ratios must lie in (0, 1], got {r}")
-        oracle_select = bool(data.get("oracle_select", False))
+        oracle_select = json_value(data.get("oracle_select", False), bool, "oracle_select")
         solvers_raw = data.get("solvers")
         if not isinstance(solvers_raw, list) or not solvers_raw:
             raise ConfigError("solvers must be a nonempty list")
@@ -408,7 +405,7 @@ class ExperimentSpec:
             unknown = set(corrupt) - {"fraction", "mode"}
             if unknown:
                 raise ConfigError(f"corrupt: unknown keys {sorted(unknown)}")
-            fraction = _number(corrupt.get("fraction", 0.0), "corrupt.fraction")
+            fraction = json_value(corrupt.get("fraction", 0.0), float, "corrupt.fraction")
             mode = corrupt.get("mode", "regression")
             if not 0.0 <= fraction <= 1.0:
                 raise ConfigError(f"corrupt.fraction must lie in [0, 1], got {fraction}")
@@ -452,21 +449,6 @@ _OPINION_DEFAULTS = {"n": 200, "experts": 20, "easy_acc": 0.9, "hard_acc": 0.3,
                      "hard_fraction": 0.25, "k": 8}
 
 
-def _number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
-
-
-def _config_from(data: dict | None, where: str) -> SolverConfig:
-    if data is None:
-        return SolverConfig()
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected a config object, got {type(data).__name__}")
-    return solver_config_from_dict(data)
-
-
 def _solver_entry(data: dict, index: int, task: str,
                   oracle_select: bool) -> SolverEntry:
     if not isinstance(data, dict):
@@ -486,7 +468,9 @@ def _solver_entry(data: dict, index: int, task: str,
     grid_raw = data.get("grid", [])
     if not isinstance(grid_raw, list):
         raise ConfigError(f"solvers[{index}]: grid must be a list of config objects")
-    grid = tuple(_config_from(g, f"solvers[{index}].grid[{j}]")
+    # null stands for the default config
+    grid = tuple(spec_from_dict(SolverConfig, {} if g is None else g,
+                                f"solvers[{index}].grid[{j}]")
                  for j, g in enumerate(grid_raw))
     mode = "fixed" if not grid else "oracle" if oracle_select else "holdout"
     if mode == "holdout" and task not in _RECOVERY_TASKS:
@@ -495,16 +479,18 @@ def _solver_entry(data: dict, index: int, task: str,
             f"set oracle_select to search a grid")
     eta_smooth = data.get("eta_smooth")
     if eta_smooth is not None:
-        eta_smooth = _number(eta_smooth, f"solvers[{index}].eta_smooth")
+        eta_smooth = json_value(eta_smooth, float, f"solvers[{index}].eta_smooth")
         if not eta_smooth >= 0:
             raise ConfigError(f"solvers[{index}]: eta_smooth must be nonnegative, "
                               f"got {eta_smooth}")
     if method == "anomaly-constrained" and eta_smooth is None:
         raise ConfigError(f"solvers[{index}]: anomaly-constrained needs eta_smooth")
+    config = data.get("config")
     return SolverEntry(
         name=name,
         method=method,
-        config=_config_from(data.get("config"), f"solvers[{index}].config"),
+        config=spec_from_dict(SolverConfig, {} if config is None else config,
+                              f"solvers[{index}].config"),
         grid=grid,
         eta_smooth=eta_smooth,
         selection_mode=mode,
@@ -535,15 +521,19 @@ def _graph_and_signal(task: str, graph, signal) -> tuple[dict | None, dict]:
         unknown = set(block) - set(_OPINION_DEFAULTS)
         if unknown:
             raise ConfigError(f"signal.opinions: unknown keys {sorted(unknown)}")
-        try:
-            opinions = {key: type(default)(block.get(key, default))
-                        for key, default in _OPINION_DEFAULTS.items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"signal.opinions: {exc}") from None
+        opinions = {key: json_value(block.get(key, default), type(default),
+                                    f"signal.opinions.{key}")
+                    for key, default in _OPINION_DEFAULTS.items()}
+        if not (1 <= opinions["k"] < opinions["n"] and opinions["experts"] >= 1 and all(
+                0 <= opinions[p] <= 1 for p in ("easy_acc", "hard_acc", "hard_fraction"))):
+            raise ConfigError("signal.opinions needs 1 <= k < n, experts >= 1, and "
+                              "easy_acc, hard_acc and hard_fraction in [0, 1], "
+                              f"got {opinions}")
         return None, {"opinions": opinions}
     # a file graph's size is known once the file is read; until then n puts
-    # no bound on rank or outliers_per_column, and _sized checks them later
-    synthetic = _sized(SyntheticSpec(n=1), graph.get("n", sys.maxsize), block)
+    # no bound on rank or outliers_per_column, which are checked again then
+    synthetic = spec_from_dict(SyntheticSpec, block, "signal.synthetic",
+                               n=graph.get("n", sys.maxsize))
     if task != "complete" and synthetic.l != 1:
         raise ConfigError(f"task {task!r} needs a single-column signal, "
                           f"got signal.synthetic.l = {synthetic.l}")
@@ -556,7 +546,7 @@ def _graph_block(graph) -> dict:
     if not isinstance(graph, dict):
         raise ConfigError("graph must be an object")
     kind = graph.get("kind")
-    if kind not in _GRAPH_KEYS:
+    if not isinstance(kind, str) or kind not in _GRAPH_KEYS:
         raise ConfigError(f"graph.kind must be cycle, knn, or file, got {kind!r}")
     unknown = set(graph) - _GRAPH_KEYS[kind]
     if unknown:
@@ -566,30 +556,18 @@ def _graph_block(graph) -> dict:
         if not isinstance(path, str) or not path:
             raise ConfigError("graph kind 'file' needs a path")
         return {"kind": kind, "path": path}
-    try:
-        n = int(graph.get("n", 0))
-        if kind == "cycle":
-            if n < 2:
-                raise ConfigError(f"cycle graph needs n >= 2, got {n}")
-            return {"kind": kind, "n": n}
-        dim = int(graph.get("dim", 2))
-        k = int(graph.get("k", 8))
-        if n < 2 or dim < 1 or not 1 <= k < n:
-            raise ConfigError(f"knn graph needs n >= 2, dim >= 1 and 1 <= k < n, "
-                              f"got n={n}, dim={dim}, k={k}")
-        build = GraphBuildSpec(k=k, symmetrize=bool(graph.get("symmetrize", False)),
-                               normalization=graph.get("normalization", "row"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"graph: {exc}") from None
+    n = json_value(graph.get("n", 0), int, "graph.n")
+    if kind == "cycle":
+        if n < 2:
+            raise ConfigError(f"cycle graph needs n >= 2, got {n}")
+        return {"kind": kind, "n": n}
+    dim = json_value(graph.get("dim", 2), int, "graph.dim")
+    build = spec_from_dict(GraphBuildSpec, {key: value for key, value in graph.items()
+                                            if key not in ("kind", "n", "dim")}, "graph")
+    if n < 2 or dim < 1 or build.k >= n:
+        raise ConfigError(f"knn graph needs n >= 2, dim >= 1 and 1 <= k < n, "
+                          f"got n={n}, dim={dim}, k={build.k}")
     return {"kind": kind, "n": n, "dim": dim, "build": build}
-
-
-def _sized(synthetic: SyntheticSpec, n: int, block: dict | None = None) -> SyntheticSpec:
-    """``synthetic`` at ``n`` nodes with the ``block`` values; rechecks every range."""
-    try:
-        return replace(synthetic, n=n, **(block or {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"signal.synthetic: {exc}") from None
 
 
 def _resolve_graph(graph: dict, seed: int) -> GraphShift:
@@ -618,7 +596,8 @@ class _Cell(NamedTuple):
 
 def _synthetic_draws(spec: ExperimentSpec, shift: GraphShift):
     """``draw(*subkeys)``: one synthetic instance on ``shift``."""
-    synthetic = _sized(spec.signal["synthetic"], shift.n)
+    with config_values("signal.synthetic"):
+        synthetic = replace(spec.signal["synthetic"], n=shift.n)
     return lambda *subkeys: synth_instance(shift, synthetic, spec.seed, *subkeys)
 
 

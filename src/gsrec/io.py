@@ -11,19 +11,26 @@ entries as ``row,col`` pairs. One reader parses every CSV with a single
 ``np.loadtxt`` and the writers use ``np.savetxt``, so cells follow numpy's
 number syntax: no ``1_0`` digit separators, and indices must be integers.
 The readers reject NaN and infinity, and name a bad row by its line number.
+
+Config files and experiment descriptions have one reader: :func:`json_value`
+takes a value only if JSON holds it with the setting's type, :func:`spec_from_dict`
+builds a dataclass from an object, and any error there, a range check
+included, is a ConfigError naming the key (:func:`config_values`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
+import typing
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, GsrecError
 from .graph import GraphShift
 from .solvers import RecoveryResult, SolverConfig
 
@@ -146,9 +153,44 @@ def save_graph_dense(path, shift: GraphShift) -> None:
     _write_sidecar(path, shift, "dense")
 
 
-def _is_json_number(value, kinds=(int, float)) -> bool:
-    """JSON true and false load as bools, which Python counts as ints."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+def json_value(value, kind: type, where: str, error: type = ConfigError):
+    """``value`` if JSON holds it as ``kind`` (bool, int, float or str), else
+    ``error``. Nothing is converted: a JSON boolean is no integer, though a
+    float setting also takes a JSON integer."""
+    if isinstance(value, (int, float) if kind is float else kind) and (
+            kind is bool or not isinstance(value, bool)):
+        return value
+    named = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+    raise error(f"{where} must be {named[kind]}, got {value!r}")
+
+
+@contextlib.contextmanager
+def config_values(where: str):
+    """Report a GsrecError, TypeError or ValueError raised inside as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (GsrecError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def spec_from_dict(cls, data, where: str, **fixed):
+    """``cls(**data, **fixed)``, where each key of the JSON object ``data`` is a
+    field of the dataclass ``cls`` not in ``fixed`` and each value has its
+    field's JSON type; a field typed ``X | None`` also takes null."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {data!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - (set(hints) - set(fixed))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, value in data.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if value is not None or type(None) not in kinds:
+            json_value(value, kinds[0], f"{where}.{key}")
+    with config_values(where):
+        return cls(**data, **fixed)
 
 
 def load_graph(path) -> GraphShift:
@@ -164,16 +206,15 @@ def load_graph(path) -> GraphShift:
         if not isinstance(meta, dict):
             raise DataError(f"{sidecar}: the sidecar must be a JSON object")
     fmt = meta.get("format", "dense")
-    normalized = meta.get("normalized", False)
-    if not isinstance(normalized, bool):  # bool("false") would be True
-        raise DataError(f"{sidecar}: 'normalized' must be true or false")
+    normalized = json_value(meta.get("normalized", False), bool,
+                            f"{sidecar}: 'normalized'", DataError)
     radius = meta.get("spectral_radius")
-    if radius is not None and not (
-            _is_json_number(radius) and 0.0 < radius <= sys.float_info.max):
+    if radius is not None and not 0.0 < json_value(
+            radius, float, f"{sidecar}: 'spectral_radius'", DataError) <= sys.float_info.max:
         raise DataError(f"{sidecar}: 'spectral_radius' must be null or a "
                         f"positive finite number, got {radius!r}")
     n = meta.get("n")
-    if "n" in meta and not (_is_json_number(n, int) and n >= 1):
+    if "n" in meta and json_value(n, int, f"{sidecar}: 'n'", DataError) < 1:
         raise DataError(f"{sidecar}: 'n' must be an integer >= 1, got {n!r}")
     if fmt == "dense":
         weights = load_signal_csv(path)
@@ -207,20 +248,14 @@ def load_graph(path) -> GraphShift:
 
 
 def load_solver_config(path) -> SolverConfig:
+    """The solver config a JSON file holds; the defaults when path is None."""
+    if path is None:
+        return SolverConfig()
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return solver_config_from_dict(data)
-
-
-def solver_config_from_dict(data) -> SolverConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("solver config must be a JSON object")
-    try:
-        return SolverConfig.from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return spec_from_dict(SolverConfig, data, str(path))
 
 
 def _jsonable(value):
@@ -282,7 +317,7 @@ def load_bundle(directory):
         seed = meta["seed"]
     except (OSError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
         raise DataError(f"cannot read {directory / 'spec.json'}: {exc}") from exc
-    if not (_is_json_number(seed, int) and seed >= 0):
+    if json_value(seed, int, f"{directory / 'spec.json'}: 'seed'", DataError) < 0:
         raise DataError(f"{directory / 'spec.json'}: 'seed' must be an integer >= 0, "
                         f"got {seed!r}")
     if x0.shape != (spec.n, spec.l) or shift.n != spec.n:

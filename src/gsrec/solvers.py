@@ -79,7 +79,7 @@ first returns the last iterate with ``converged=False``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
 from typing import Any, Callable
 
@@ -155,13 +155,6 @@ class SolverConfig:
 
     def replace(self, **changes) -> "SolverConfig":
         return dataclass_replace(self, **changes)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SolverConfig":
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 @dataclass

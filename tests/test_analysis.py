@@ -17,7 +17,6 @@ from gsrec import (
     gtvr,
     inpainting_bound,
     matrix_variation,
-    normalize_shift,
     nuclear_tv_bound,
     quadratic_variation,
     random_features,
@@ -35,11 +34,11 @@ def symmetric_shift(n, seed):
     w = np.abs(rng.normal(size=(n, n)))
     w = 0.5 * (w + w.T)
     np.fill_diagonal(w, 0.0)
-    return normalize_shift(GraphShift(w))
+    return GraphShift(w)
 
 
 def smooth_vector(shift, seed, modes=5):
-    _, vecs = np.linalg.eigh(shift.weights)
+    _, vecs = np.linalg.eigh(shift.matrix.toarray())
     rng = np.random.default_rng(seed)
     u = vecs[:, -modes:] @ rng.normal(size=modes)
     return u / np.linalg.norm(u)
@@ -50,7 +49,7 @@ def uneven_cycle_shift():
     w = np.array([[0.0, 4.0, 0.0],
                   [0.0, 0.0, 4.0],
                   [1.0 / 16.0, 0.0, 0.0]])
-    return normalize_shift(GraphShift(w))
+    return GraphShift(w)
 
 
 class TestInpaintingBound:
@@ -58,7 +57,7 @@ class TestInpaintingBound:
         shift = cycle_shift(3)
         mask = np.array([True, True, False])
         rep = inpainting_bound(shift, mask, 0.0, 0.0)
-        A = shift.weights
+        A = shift.matrix.toarray()
         m_idx, u_idx = [0, 1], [2]
         p_direct = np.linalg.norm(
             np.vstack([np.eye(2) + A[np.ix_(m_idx, m_idx)],
@@ -110,7 +109,7 @@ class TestBoundMatchesBlockOracle:
     @staticmethod
     def assert_matches(shift, mask):
         rep = inpainting_bound(shift, mask, 0.1, 0.1)
-        p, q = oracles.block_stacked_norms(shift.weights, mask)
+        p, q = oracles.block_stacked_norms(shift.matrix.toarray(), mask)
         assert abs(rep.p - p) <= 1e-12 * p
         assert abs(rep.q - q) <= 1e-12 * q
 

@@ -12,7 +12,6 @@ from gsrec import (
     GraphShift,
     cycle_shift,
     load_graph,
-    normalize_shift,
     sample_mask,
     save_graph_dense,
     save_mask_csv,
@@ -29,7 +28,7 @@ def graph_file(tmp_path):
     w = np.abs(rng.normal(size=(12, 12)))
     w = (w + w.T) / 2
     np.fill_diagonal(w, 0.0)
-    shift = normalize_shift(GraphShift(w))
+    shift = GraphShift(w)
     path = tmp_path / "graph.csv"
     save_graph_dense(path, shift)
     return path

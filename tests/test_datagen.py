@@ -18,7 +18,6 @@ from gsrec import (
     build_knn_graph,
     corrupt_labels,
     laplacian_from_shift,
-    normalize_shift,
     pairwise_distances,
     quadratic_variation,
     random_features,
@@ -38,7 +37,7 @@ def dense_stochastic_shift(n, seed):
     w = rng.uniform(0.1, 1.0, size=(n, n))
     np.fill_diagonal(w, 0.0)
     w /= w.sum(axis=1, keepdims=True)
-    return normalize_shift(GraphShift(w))
+    return GraphShift(w)
 
 
 class TestRounding:
@@ -134,7 +133,7 @@ class TestBuildKnnGraph:
     def test_three_points_on_a_line(self):
         shift = build_knn_graph(np.array([[0.0], [1.0], [10.0]]),
                                 GraphBuildSpec(k=1))
-        pattern = shift.weights > 0
+        pattern = shift.matrix.toarray() > 0
         expected = np.array([[False, True, False],
                              [True, False, False],
                              [False, True, False]])
@@ -144,7 +143,7 @@ class TestBuildKnnGraph:
         feats = random_features(20, 3, 1)
         for k in (1, 3, 8):
             shift = build_knn_graph(feats, GraphBuildSpec(k=k))
-            counts = (shift.weights > 0).sum(axis=1)
+            counts = (shift.matrix.toarray() > 0).sum(axis=1)
             np.testing.assert_array_equal(counts, np.full(20, k))
 
     def test_k_too_large(self):
@@ -154,13 +153,13 @@ class TestBuildKnnGraph:
 
     def test_row_normalization_sums_to_one(self):
         shift = build_knn_graph(random_features(15, 2, 3), GraphBuildSpec(k=4))
-        np.testing.assert_allclose(shift.weights.sum(axis=1), np.ones(15),
+        np.testing.assert_allclose(shift.matrix.toarray().sum(axis=1), np.ones(15),
                                    atol=1e-12)
 
     def test_column_normalization_sums_to_one(self):
         shift = build_knn_graph(random_features(15, 2, 4),
                                 GraphBuildSpec(k=4, normalization="column"))
-        sums = shift.weights.sum(axis=0)
+        sums = shift.matrix.toarray().sum(axis=0)
         incident = sums > 0
         np.testing.assert_allclose(sums[incident],
                                    np.ones(incident.sum()), atol=1e-12)
@@ -168,16 +167,16 @@ class TestBuildKnnGraph:
     def test_symmetrize_makes_pattern_symmetric(self):
         feats = random_features(12, 2, 5)
         shift = build_knn_graph(feats, GraphBuildSpec(k=3, symmetrize=True))
-        pattern = shift.weights > 0
+        pattern = shift.matrix.toarray() > 0
         base = build_knn_graph(feats, GraphBuildSpec(k=3))
-        base_pattern = base.weights > 0
+        base_pattern = base.matrix.toarray() > 0
         np.testing.assert_array_equal(pattern, base_pattern | base_pattern.T)
 
     def test_precomputed_distances_accepted(self):
         d = pairwise_distances(random_features(8, 2, 6))
         from_d = build_knn_graph(d, GraphBuildSpec(k=2, metric="precomputed"))
         direct = build_knn_graph(random_features(8, 2, 6), GraphBuildSpec(k=2))
-        np.testing.assert_allclose(from_d.weights, direct.weights, atol=1e-12)
+        np.testing.assert_allclose(from_d.matrix.toarray(), direct.matrix.toarray(), atol=1e-12)
 
     def test_asymmetric_distances_rejected(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -187,7 +186,7 @@ class TestBuildKnnGraph:
     def test_unit_spectral_radius(self):
         shift = build_knn_graph(random_features(18, 3, 7), GraphBuildSpec(k=5))
         assert shift.normalized
-        radius = np.max(np.abs(np.linalg.eigvals(shift.weights)))
+        radius = np.max(np.abs(np.linalg.eigvals(shift.matrix.toarray())))
         assert abs(radius - 1.0) <= 1e-8
 
     def test_node_without_k_finite_neighbors_rejected(self):
@@ -570,7 +569,7 @@ class TestSynthOpinionInstance:
         b = synth_opinion_instance(14, 4, 0.8, 0.3, 0.25, 3, 2)
         np.testing.assert_array_equal(a[1], b[1])
         np.testing.assert_array_equal(a[2], b[2])
-        np.testing.assert_array_equal(a[0].weights, b[0].weights)
+        np.testing.assert_array_equal(a[0].matrix.toarray(), b[0].matrix.toarray())
 
 
 class TestLaplacianFromShift:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from gsrec import (
     cross_validate,
     evaluate,
     laplacian_baseline,
-    normalize_shift,
     run_experiment,
     sample_mask,
     save_bundle,
@@ -40,7 +41,7 @@ def blob_shift(n, seed):
     w = np.abs(rng.normal(size=(n, n)))
     w = (w + w.T) / 2
     np.fill_diagonal(w, 0.0)
-    return normalize_shift(GraphShift(w))
+    return GraphShift(w)
 
 
 def stochastic_shift(n, seed):
@@ -49,7 +50,7 @@ def stochastic_shift(n, seed):
     w = rng.uniform(0.1, 1.0, size=(n, n))
     np.fill_diagonal(w, 0.0)
     w /= w.sum(axis=1, keepdims=True)
-    return normalize_shift(GraphShift(w))
+    return GraphShift(w)
 
 
 def path_laplacian(n):
@@ -313,20 +314,185 @@ class TestSolveRecovery:
             solve_recovery("magic", np.ones(6), np.ones(6, dtype=bool), shift)
 
 
+def _description(task):
+    """A valid description of each task, for the parse-error table to edit."""
+    detect = {"l": 1, "outliers_per_column": 1, "outlier_lo": 5.0, "outlier_hi": 6.0}
+    inpaint = {"task": "inpaint", "seed": 1, "trials": 2, "ratios": [0.5],
+               "graph": {"kind": "knn", "n": 20, "dim": 2, "k": 4},
+               "signal": {"synthetic": {"l": 1, "rank": 3}},
+               "solvers": [{"method": "gtvm"}]}
+    return {
+        "inpaint": inpaint,
+        "complete": dict(inpaint, task="complete"),
+        "detect": {"task": "detect",
+                   "graph": {"kind": "knn", "n": 20, "dim": 2, "k": 4},
+                   "signal": {"synthetic": detect},
+                   "solvers": [{"method": "anomaly"}]},
+        "combine": {"task": "combine",
+                    "signal": {"opinions": {"n": 20, "experts": 3}},
+                    "solvers": [{"method": "avg"}]},
+        # not read before the run, so the directory need not exist
+        "bundle": {"task": "inpaint", "signal": {"bundle": "bundle-dir"},
+                   "solvers": [{"method": "gtvm"}]},
+    }[task]
+
+
+_DROP = object()
+
+
+def _edited(task, path, value):
+    """The task's description with the entry at path set to value, or dropped."""
+    raw = _description(task)
+    *parents, last = path
+    block = raw
+    for key in parents:
+        block = block[key]
+    if value is _DROP:
+        del block[last]
+    else:
+        block[last] = value
+    return raw
+
+
+# (task, path into the description, value, what the message must name)
+PARSE_ERRORS = [
+    ("inpaint", ("seed",), -1, "seed"),
+    ("inpaint", ("task",), _DROP, "task"),
+    ("inpaint", ("ratios",), [], "ratios"),
+    ("inpaint", ("ratios",), 0.5, "ratios"),
+    ("inpaint", ("solvers",), [], "solvers"),
+    ("inpaint", ("solvers",), {"method": "gtvm"}, "solvers"),
+    ("inpaint", ("solvers", 0), "gtvm", r"solvers\[0\]"),
+    ("inpaint", ("solvers", 0, "tol"), 1e-6, r"solvers\[0\]: unknown keys \['tol'\]"),
+    ("inpaint", ("solvers", 0, "name"), "", "name"),
+    ("inpaint", ("solvers", 0, "name"), 3, "name"),
+    ("inpaint", ("solvers", 0, "grid"), {"alpha": 1.0}, "grid"),
+    ("inpaint", ("solvers", 0, "grid"), [[]], r"solvers\[0\]\.grid\[0\]"),
+    ("inpaint", ("solvers", 0, "config"), [], r"solvers\[0\]\.config"),
+    ("inpaint", ("solvers", 0, "config"), {"alpha": -1.0}, "alpha"),
+    ("inpaint", ("solvers", 0, "config"), {"max_outer": 3.0}, "max_outer"),
+    ("inpaint", ("solvers", 0, "config"), {"bogus": 1.0},
+     r"solvers\[0\]\.config: unknown keys \['bogus'\]"),
+    ("inpaint", ("solvers", 0, "eta_smooth"), -1.0, "eta_smooth"),
+    ("inpaint", ("corrupt",), [0.1], "corrupt"),
+    ("inpaint", ("corrupt",), {"rate": 0.1}, r"corrupt: unknown keys \['rate'\]"),
+    ("inpaint", ("corrupt",), {"fraction": 1.5}, "corrupt.fraction"),
+    ("inpaint", ("corrupt",), {"mode": "ordinal"}, "corrupt.mode"),
+    ("inpaint", ("graph",), _DROP, "graph"),
+    ("inpaint", ("graph",), "cycle", "graph"),
+    ("inpaint", ("graph", "kind"), "grid", "graph.kind"),
+    ("inpaint", ("graph",), {"kind": "cycle", "n": 1}, "n >= 2"),
+    ("inpaint", ("graph",), {"kind": "file"}, "path"),
+    ("inpaint", ("graph", "n"), 1, "n >= 2"),
+    ("inpaint", ("graph", "dim"), 0, "dim >= 1"),
+    ("inpaint", ("graph", "k"), 20, "k < n"),
+    ("inpaint", ("graph", "k"), 0, "k"),
+    ("inpaint", ("graph", "normalization"), "sum", "normalization"),
+    ("inpaint", ("signal",), "synthetic", "signal"),
+    ("bundle", ("signal", "bundle"), 3, "signal.bundle must be"),
+    ("bundle", ("signal", "bundle"), "", "signal.bundle must be"),
+    ("inpaint", ("signal", "synthetic"), [], "signal.synthetic"),
+    ("inpaint", ("signal", "synthetic", "l"), 2, "single-column"),
+    ("inpaint", ("signal", "synthetic", "recipe"), "walk", "recipe"),
+    ("inpaint", ("signal", "synthetic", "rank"), 30, "rank"),
+    ("inpaint", ("score",), "ranking", "score"),
+    ("inpaint", ("eval_on",), "train", "eval_on"),
+    ("detect", ("signal", "synthetic", "outliers_per_column"), 0, "outliers_per_column"),
+    ("combine", ("ratios",), [0.5], "ratios"),
+    ("combine", ("signal", "opinions", "trust"), 0.5,
+     r"signal.opinions: unknown keys \['trust'\]"),
+    # a value must already have its JSON type: none of these is converted
+    ("inpaint", ("seed",), 2.9, "seed"),
+    ("inpaint", ("seed",), "3", "seed"),
+    ("inpaint", ("seed",), 2.0, "seed"),
+    ("inpaint", ("seed",), True, "seed"),
+    ("inpaint", ("trials",), "3", "trials"),
+    ("inpaint", ("oracle_select",), "false", "oracle_select"),
+    ("inpaint", ("ratios",), [True], "ratios"),
+    ("inpaint", ("ratios",), ["0.5"], "ratios"),
+    ("inpaint", ("corrupt",), {"fraction": True}, "corrupt.fraction"),
+    ("inpaint", ("graph", "kind"), ["knn"], "graph.kind"),
+    ("inpaint", ("graph", "symmetrize"), "false", "graph.symmetrize"),
+    ("inpaint", ("graph", "n"), 50.9, "graph.n"),
+    ("inpaint", ("graph", "k"), 4.5, "graph.k"),
+    ("inpaint", ("solvers", 0, "config"), {"alpha": True}, r"config\.alpha"),
+    ("complete", ("signal", "synthetic", "l"), 2.5, "signal.synthetic.l"),
+    ("combine", ("signal", "opinions", "experts"), 3.7, "signal.opinions.experts"),
+    # a spec's own range checks are config errors too, with keys named alike
+    ("inpaint", ("signal", "synthetic", "l"), 0, "signal.synthetic"),
+    ("inpaint", ("signal", "synthetic", "outliers_per_column"), 30, "signal.synthetic"),
+    ("inpaint", ("signal", "synthetic", "noise"), 0.1,
+     r"signal.synthetic: unknown keys \['noise'\]"),
+    # opinion ranges: 1 <= k < n, experts >= 1, probabilities in [0, 1]
+    ("combine", ("signal", "opinions", "n"), -4, "signal.opinions"),
+    ("combine", ("signal", "opinions", "n"), 5, "k < n"),
+    ("combine", ("signal", "opinions", "experts"), 0, "experts >= 1"),
+    ("combine", ("signal", "opinions", "hard_fraction"), 3, "hard_fraction"),
+    ("combine", ("signal", "opinions", "easy_acc"), 2, "easy_acc"),
+    ("combine", ("signal", "opinions", "hard_acc"), -0.5, "hard_acc"),
+]
+
+
 class TestExperimentSpec:
-    def base(self):
-        return {
-            "task": "inpaint",
-            "seed": 1,
-            "trials": 2,
-            "ratios": [0.5],
-            "graph": {"kind": "knn", "n": 20, "dim": 2, "k": 4},
-            "signal": {"synthetic": {"l": 1, "rank": 3}},
-            "solvers": [{"method": "gtvm"}],
-        }
+    @pytest.mark.parametrize("task, path, value, match", PARSE_ERRORS)
+    def test_parse_errors_name_the_key(self, task, path, value, match):
+        ExperimentSpec.from_dict(_description(task))
+        with pytest.raises(ConfigError, match=match):
+            ExperimentSpec.from_dict(_edited(task, path, value))
+
+    @pytest.mark.parametrize("task, path, value, match", [
+        ("inpaint", ("seed",), 2.9, "seed"),
+        ("inpaint", ("oracle_select",), "false", "oracle_select"),
+        ("inpaint", ("graph", "symmetrize"), "false", "symmetrize"),
+        ("inpaint", ("signal", "synthetic", "l"), 0, "signal.synthetic"),
+        ("complete", ("signal", "synthetic", "l"), 2.5, "signal.synthetic.l"),
+        ("combine", ("signal", "opinions", "experts"), 0, "experts"),
+        ("combine", ("signal", "opinions", "hard_fraction"), 3, "hard_fraction"),
+    ])
+    def test_run_exits_2_naming_the_key(self, tmp_path, capsys, task, path, value,
+                                        match):
+        path_ = tmp_path / "experiment.json"
+        path_.write_text(json.dumps(_edited(task, path, value)))
+        assert main(["run", "--config", str(path_), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert re.search(match, err)
+
+    def test_run_rejects_a_multi_column_bundle_for_inpaint(self, tmp_path, capsys):
+        x0 = np.ones((12, 2))
+        instance = SyntheticInstance(x0=x0, noise=np.zeros_like(x0),
+                                     outliers=np.zeros_like(x0), observed=x0,
+                                     spec=SyntheticSpec(n=12, l=2), seed=3)
+        save_bundle(tmp_path / "b", stochastic_shift(12, 3), instance,
+                    sample_mask((12, 2), 0.5, 3))
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps({"task": "inpaint",
+                                    "signal": {"bundle": str(tmp_path / "b")},
+                                    "solvers": [{"method": "gtvm"}]}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "single-column" in capsys.readouterr().err
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("## Experiment descriptions")[1].split("```json")[1]
+        spec = ExperimentSpec.from_dict(json.loads(example.split("```")[0]))
+        assert spec.task == "robust-inpaint" and spec.trials == 10
+
+    def test_float_settings_take_json_integers_and_null_configs_default(self):
+        raw = _description("inpaint")
+        raw["task"] = "robust-inpaint"
+        raw["ratios"] = [1]
+        raw["corrupt"] = {"fraction": 0}
+        raw["solvers"] = [{"method": "gtvr", "config": None,
+                           "grid": [None, {"alpha": 2, "max_outer": 5}]}]
+        spec = ExperimentSpec.from_dict(raw)
+        assert spec.ratios == (1.0,) and spec.corrupt["fraction"] == 0.0
+        entry = spec.solvers[0]
+        assert entry.config == entry.grid[0] == SolverConfig()
+        assert entry.grid[1] == SolverConfig(alpha=2.0, max_outer=5)
 
     def test_valid_description(self):
-        spec = ExperimentSpec.from_dict(self.base())
+        spec = ExperimentSpec.from_dict(_description("inpaint"))
         assert spec.task == "inpaint" and spec.trials == 2
         assert spec.ratios == (0.5,)
         assert spec.solvers[0].selection_mode == "fixed"
@@ -340,25 +506,25 @@ class TestExperimentSpec:
         assert ExperimentSpec.from_dict(raw).task == "combine"
 
     def test_unknown_keys_rejected(self):
-        raw = self.base()
+        raw = _description("inpaint")
         raw["verbose"] = True
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict(raw)
 
     def test_unknown_task(self):
-        raw = self.base()
+        raw = _description("inpaint")
         raw["task"] = "forecast"
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict(raw)
 
     def test_nonpositive_trials(self):
-        raw = self.base()
+        raw = _description("inpaint")
         raw["trials"] = 0
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict(raw)
 
     def test_ratio_out_of_range(self):
-        raw = self.base()
+        raw = _description("inpaint")
         raw["ratios"] = [0.5, 1.2]
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict(raw)
@@ -411,19 +577,19 @@ class TestExperimentSpec:
         assert ExperimentSpec.from_dict(raw).oracle_select
 
     def test_duplicate_solver_names(self):
-        raw = self.base()
+        raw = _description("inpaint")
         raw["solvers"] = [{"method": "gtvm"}, {"method": "gtvm"}]
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict(raw)
 
     def test_method_task_mismatch(self):
-        raw = self.base()
+        raw = _description("inpaint")
         raw["solvers"] = [{"method": "anomaly"}]
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict(raw)
 
     def test_hidden_eval_is_the_recovery_default(self):
-        assert ExperimentSpec.from_dict(self.base()).eval_on == "hidden"
+        assert ExperimentSpec.from_dict(_description("inpaint")).eval_on == "hidden"
 
     @pytest.mark.parametrize("task, key, value", [
         ("inpaint", "graph", {"kind": "cycle", "n": 30, "k": 4}),
@@ -442,22 +608,7 @@ class TestExperimentSpec:
         ("combine", "eval_on", "hidden"),
     ])
     def test_keys_the_task_never_reads_rejected(self, task, key, value):
-        raw = {
-            "inpaint": self.base(),
-            "complete": dict(self.base(), task="complete"),
-            "detect": {
-                "task": "detect",
-                "graph": {"kind": "knn", "n": 20, "dim": 2, "k": 4},
-                "signal": {"synthetic": {"l": 1, "outliers_per_column": 1,
-                                         "outlier_lo": 5.0, "outlier_hi": 6.0}},
-                "solvers": [{"method": "anomaly"}],
-            },
-            "combine": {
-                "task": "combine",
-                "signal": {"opinions": {"n": 20, "experts": 3}},
-                "solvers": [{"method": "avg"}],
-            },
-        }[task]
+        raw = _description(task)
         ExperimentSpec.from_dict(raw)
         raw[key] = value
         with pytest.raises(ConfigError):
@@ -468,7 +619,7 @@ class TestExperimentSpec:
             raise AssertionError("graph built before the description was checked")
 
         monkeypatch.setattr(gsrec.experiments, "build_knn_graph", no_build)
-        raw = self.base()
+        raw = _description("inpaint")
         raw["graph"] = {"kind": "knn", "n": 2000, "k": 8}
         raw["signal"] = {"synthetic": {"rank": 3, "noise": 0.1}}
         with pytest.raises(ConfigError, match="noise"):
@@ -481,7 +632,7 @@ class TestExperimentSpec:
         ("eta_smooth", float("nan")),
     ])
     def test_non_numeric_values_are_config_errors(self, tmp_path, where, value):
-        raw = self.base()
+        raw = _description("inpaint")
         if where == "ratios":
             raw["ratios"] = value
         elif where == "corrupt.fraction":
@@ -500,7 +651,7 @@ class TestExperimentSpec:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
     def test_classification_score_on_a_synthetic_signal_rejected(self):
-        raw = self.base()
+        raw = _description("inpaint")
         raw["task"] = "robust-inpaint"
         raw["graph"] = {"kind": "cycle", "n": 30}
         raw["score"] = "classification"

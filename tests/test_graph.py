@@ -33,7 +33,7 @@ def random_kregular_shift(n, k, seed):
         others = np.delete(np.arange(n), i)
         cols = rng.choice(others, size=k, replace=False)
         w[i, cols] = rng.uniform(0.2, 1.0, size=k)
-    return normalize_shift(GraphShift(w))
+    return GraphShift(w)
 
 
 class TestGraphShift:
@@ -49,21 +49,21 @@ class TestGraphShift:
         # (A x)[k] must equal x[k-1], so shifting e0 yields e1
         shift = cycle_shift(4)
         e0 = np.array([1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(shift.weights @ e0,
+        np.testing.assert_array_equal(shift.matrix.toarray() @ e0,
                                       np.array([0.0, 1.0, 0.0, 0.0]))
 
 
 class TestNormalize:
     def test_scalar_matrix(self):
-        shift = normalize_shift(GraphShift(2.0 * np.eye(3)))
-        np.testing.assert_allclose(shift.weights, np.eye(3))
+        shift = GraphShift(2.0 * np.eye(3))
+        np.testing.assert_allclose(shift.matrix.toarray(), np.eye(3))
         assert shift.spectral_radius == pytest.approx(2.0)
         assert shift.normalized
 
     def test_cycle_permutation_unchanged(self):
-        w = cycle_shift(3).weights
-        shift = normalize_shift(GraphShift(w))
-        np.testing.assert_allclose(shift.weights, w)
+        w = cycle_shift(3).matrix.toarray()
+        shift = GraphShift(w)
+        np.testing.assert_allclose(shift.matrix.toarray(), w)
 
     def test_nilpotent_raises(self):
         with pytest.raises(ZeroSpectralRadius):
@@ -97,11 +97,11 @@ class TestNormalize:
             shift = GraphShift(weights)
         assert shift.normalized
         assert shift.spectral_radius == pytest.approx(radius, rel=1e-12)
-        assert np.max(np.abs(np.linalg.eigvals(shift.weights))) == pytest.approx(
+        assert np.max(np.abs(np.linalg.eigvals(shift.matrix.toarray()))) == pytest.approx(
             1.0, rel=1e-12)
         # bit for bit the CSR division a separate normalization step made
         scaled = sp.csr_array(weights) / spectral_radius(weights)
-        np.testing.assert_array_equal(shift.weights, scaled.toarray())
+        np.testing.assert_array_equal(shift.matrix.toarray(), scaled.toarray())
 
     def test_zero_weights_raise(self):
         with pytest.raises(ZeroSpectralRadius, match="numerically zero"):
@@ -112,7 +112,7 @@ class TestNormalize:
         for weights in (w, w.T):  # unit row sums, unit column sums
             shift = GraphShift(weights, normalized=True, spectral_radius=4.0)
             assert shift.spectral_radius == 4.0
-            np.testing.assert_array_equal(shift.weights, weights)
+            np.testing.assert_array_equal(shift.matrix.toarray(), weights)
 
     @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9, 0.0])
     def test_passed_as_normalized_with_other_sums_raises(self, scale):
@@ -126,8 +126,8 @@ class TestNormalize:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             w = rng.normal(size=(8, 8))
-            shift = normalize_shift(GraphShift(w))
-            assert spectral_radius(shift.weights) == pytest.approx(1.0, abs=1e-8)
+            shift = GraphShift(w)
+            assert spectral_radius(shift.matrix.toarray()) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestSpectralRadius:
@@ -153,7 +153,7 @@ class TestSpectralRadius:
         shift = build_knn_graph(random_features(2500, 2, 1),
                                 GraphBuildSpec(k=8))
         assert shift.normalized
-        np.testing.assert_allclose(shift.weights.sum(axis=1), 1.0,
+        np.testing.assert_allclose(shift.matrix.toarray().sum(axis=1), 1.0,
                                    rtol=0.0, atol=1e-12)
 
 
@@ -224,12 +224,12 @@ class TestVariation:
         # x = (1,0,0): x - Ax = (1,-1,0), squared norm 2
         shift = cycle_shift(3)
         x = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(x - shift.weights @ x,
+        np.testing.assert_allclose(x - shift.matrix.toarray() @ x,
                                    np.array([1.0, -1.0, 0.0]))
         assert quadratic_variation(x, shift) == pytest.approx(2.0)
 
     def test_identity_shift_sees_no_variation(self):
-        shift = normalize_shift(GraphShift(np.eye(4)))
+        shift = GraphShift(np.eye(4))
         rng = np.random.default_rng(0)
         assert quadratic_variation(rng.normal(size=4), shift) == pytest.approx(0.0)
 
@@ -252,15 +252,15 @@ class TestVariation:
 
 class TestTildeShift:
     def test_identity_gives_zero(self):
-        shift = normalize_shift(GraphShift(np.eye(3)))
+        shift = GraphShift(np.eye(3))
         np.testing.assert_allclose(tilde_shift(shift).toarray(), np.zeros((3, 3)))
 
     def test_symmetric_square(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(5, 5))
         w = w + w.T
-        shift = normalize_shift(GraphShift(w))
-        a = shift.weights
+        shift = GraphShift(w)
+        a = shift.matrix.toarray()
         np.testing.assert_allclose(tilde_shift(shift).toarray(),
                                    (np.eye(5) - a) @ (np.eye(5) - a),
                                    atol=1e-12)
@@ -268,7 +268,7 @@ class TestTildeShift:
     def test_cycle_permutation_formula(self):
         # permutations satisfy A^T A = I, so the product expands exactly
         shift = cycle_shift(3)
-        a = shift.weights
+        a = shift.matrix.toarray()
         np.testing.assert_allclose(tilde_shift(shift).toarray(),
                                    2.0 * np.eye(3) - a - a.T, atol=1e-12)
 
@@ -281,7 +281,7 @@ class TestTildeShift:
 
 class TestSpectralDecomposition:
     def test_identity(self):
-        basis = spectral_decomposition(normalize_shift(GraphShift(np.eye(4))))
+        basis = spectral_decomposition(GraphShift(np.eye(4)))
         np.testing.assert_allclose(basis.values, np.ones(4))
 
     def test_cycle_eigenvalues_are_cube_roots_of_unity(self):
@@ -299,7 +299,7 @@ class TestSpectralDecomposition:
         rng = np.random.default_rng(9)
         w = rng.normal(size=(6, 6))
         w = (w + w.T) / 2
-        basis = spectral_decomposition(normalize_shift(GraphShift(w)))
+        basis = spectral_decomposition(GraphShift(w))
         assert basis.vectors.dtype.kind == "f"
         np.testing.assert_allclose(basis.inverse @ basis.vectors, np.eye(6),
                                    atol=1e-10)
@@ -308,12 +308,12 @@ class TestSpectralDecomposition:
         shift = random_kregular_shift(8, 3, seed=4)
         basis = spectral_decomposition(shift)
         recon = (basis.vectors * basis.values) @ basis.inverse
-        np.testing.assert_allclose(recon, shift.weights, atol=1e-8)
+        np.testing.assert_allclose(recon, shift.matrix.toarray(), atol=1e-8)
 
 
 class TestFourier:
     def test_identity_basis_is_passthrough(self):
-        basis = spectral_decomposition(normalize_shift(GraphShift(np.eye(3))))
+        basis = spectral_decomposition(GraphShift(np.eye(3)))
         x = np.array([1.0, 2.0, 3.0])
         np.testing.assert_allclose(igft(gft(x, basis), basis), x)
 

@@ -18,7 +18,6 @@ from gsrec import (
     load_mask_csv,
     load_signal_csv,
     load_solver_config,
-    normalize_shift,
     sample_mask,
     save_bundle,
     save_graph_dense,
@@ -29,7 +28,7 @@ from gsrec import (
     synth_instance,
 )
 from gsrec.cli import main
-from gsrec.io import result_to_dict, solver_config_from_dict
+from gsrec.io import result_to_dict, spec_from_dict
 
 
 # sidecar spectral_radius values load_graph must reject
@@ -42,7 +41,7 @@ def small_shift(n, seed):
     w = np.abs(rng.normal(size=(n, n)))
     w = (w + w.T) / 2
     np.fill_diagonal(w, 0.0)
-    return normalize_shift(GraphShift(w))
+    return GraphShift(w)
 
 
 class TestSignalCsv:
@@ -241,7 +240,7 @@ class TestGraphFormats:
         p = tmp_path / "g.csv"
         save_graph_edges(p, shift)
         back = load_graph(p)
-        np.testing.assert_array_equal(back.weights, shift.weights)
+        np.testing.assert_array_equal(back.matrix.toarray(), shift.matrix.toarray())
         assert back.normalized == shift.normalized
         assert back.spectral_radius == shift.spectral_radius
 
@@ -268,7 +267,7 @@ class TestGraphFormats:
         p = tmp_path / "g.csv"
         save_graph_dense(p, shift)
         back = load_graph(p)
-        np.testing.assert_array_equal(back.weights, shift.weights)
+        np.testing.assert_array_equal(back.matrix.toarray(), shift.matrix.toarray())
         assert back.normalized
         assert back.spectral_radius == shift.spectral_radius
 
@@ -279,7 +278,7 @@ class TestGraphFormats:
             {"n": 2, "normalized": False, "format": "edges"}))
         back = load_graph(p)
         # src,dst means the weight lands in row dst, column src
-        np.testing.assert_allclose(back.weights * back.spectral_radius,
+        np.testing.assert_allclose(back.matrix.toarray() * back.spectral_radius,
                                    [[0.0, 2.0], [0.5, 0.0]], rtol=1e-14)
         assert back.spectral_radius == pytest.approx(1.0, rel=1e-14)
 
@@ -289,7 +288,7 @@ class TestGraphFormats:
         np.savetxt(p, np.eye(3) * 0.5, delimiter=",")
         back = load_graph(p)
         assert back.n == 3 and back.spectral_radius == 0.5
-        np.testing.assert_array_equal(back.weights, np.eye(3))
+        np.testing.assert_array_equal(back.matrix.toarray(), np.eye(3))
 
     def test_edges_need_n_in_sidecar(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -325,7 +324,7 @@ class TestGraphFormats:
         (tmp_path / "g.json").write_text(json.dumps({"n": 3, "format": "edges"}))
         back = load_graph(p)
         # rtol with no atol: the dropped 2 -> 1 edge must be exactly 0
-        np.testing.assert_allclose(back.weights * back.spectral_radius,
+        np.testing.assert_allclose(back.matrix.toarray() * back.spectral_radius,
                                    [[0, 4, 0], [0.75, 0, 0], [0, 0, 0]], rtol=1e-14)
         assert back.spectral_radius == pytest.approx(3.0 ** 0.5, rel=1e-14)
 
@@ -365,13 +364,18 @@ class TestSolverConfigIO:
         p.write_text(json.dumps(asdict(cfg)))
         assert load_solver_config(p) == cfg
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            solver_config_from_dict({"alpha": 1.0, "bogus": 2})
+    def test_unknown_key_rejected(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"alpha": 1.0, "bogus": 2}))
+        with pytest.raises(ConfigError, match=r"cfg.json: unknown keys \['bogus'\]"):
+            load_solver_config(p)
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):
-            solver_config_from_dict([1, 2, 3])
+            spec_from_dict(SolverConfig, [1, 2, 3], "config")
+
+    def test_no_path_means_the_defaults(self):
+        assert load_solver_config(None) == SolverConfig()
 
     def test_broken_json(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -409,7 +413,7 @@ class TestBundle:
         d = tmp_path / "bundle"
         save_bundle(d, shift, inst, mask)
         shift2, inst2, mask2 = load_bundle(d)
-        np.testing.assert_array_equal(shift2.weights, shift.weights)
+        np.testing.assert_array_equal(shift2.matrix.toarray(), shift.matrix.toarray())
         np.testing.assert_array_equal(inst2.x0, inst.x0)
         np.testing.assert_array_equal(inst2.noise, inst.noise)
         np.testing.assert_array_equal(inst2.outliers, inst.outliers)
@@ -440,7 +444,7 @@ class TestBundle:
 
     def test_written_files_match_the_format(self, tmp_path):
         w = np.array([[0.0, 0.5, 0.5], [0.25, 0.0, 0.75], [0.0, 1.0, 0.0]])
-        shift = normalize_shift(GraphShift(w))  # row-stochastic: radius 1
+        shift = GraphShift(w)  # row-stochastic: radius 1
         inst = synth_instance(shift, SyntheticSpec(n=3, l=2), 1)
         mask = np.array([[True, False], [False, True], [True, True]])
         save_bundle(tmp_path, shift, inst, mask)

@@ -110,3 +110,25 @@ def test_only_graph_computes_or_checks_a_radius():
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert not calls, f"radius computed or checked outside graph.py: {calls}"
     assert not hasattr(gsrec.graph, "_require_normalized")
+
+
+def test_only_io_maps_errors_to_config_errors():
+    # how an outside value becomes a setting, and when a bad one is a config
+    # error, is decided in io.py: no other module catches a TypeError,
+    # ValueError or GsrecError to raise a ConfigError
+    caught = {"TypeError", "ValueError", "GsrecError"}
+    mappings = []
+    for path in sorted((ROOT / "src" / "gsrec").glob("*.py")):
+        if path.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                continue
+            names = {n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+                     for n in ast.walk(node.type)}
+            raised = {n.exc.func.id for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                      and isinstance(n.exc.func, ast.Name)}
+            if names & caught and "ConfigError" in raised:
+                mappings.append(f"{path.name}:{node.lineno}")
+    assert not mappings, f"errors mapped to ConfigError outside io.py: {mappings}"

@@ -25,7 +25,6 @@ from gsrec import (
     gsr_admm,
     gtvm,
     gtvr,
-    normalize_shift,
     quadratic_variation,
     random_features,
     rgtvr,
@@ -34,7 +33,7 @@ from gsrec import (
     synth_instance,
     tilde_shift,
 )
-from gsrec.io import solver_config_from_dict
+from gsrec.io import spec_from_dict
 from gsrec.solvers import FEAS_RTOL
 
 
@@ -44,12 +43,12 @@ def symmetric_shift(n, seed):
     w = np.abs(rng.normal(size=(n, n)))
     w = 0.5 * (w + w.T)
     np.fill_diagonal(w, 0.0)
-    return normalize_shift(GraphShift(w))
+    return GraphShift(w)
 
 
 def smooth_vector(shift, seed, modes=2):
     """Random mix of the eigenvectors whose eigenvalues sit nearest the radius."""
-    _, vecs = np.linalg.eigh(shift.weights)
+    _, vecs = np.linalg.eigh(shift.matrix.toarray())
     rng = np.random.default_rng(seed)
     u = vecs[:, -modes:] @ rng.normal(size=modes)
     return u / np.linalg.norm(u)
@@ -93,8 +92,8 @@ class TestSolverConfig:
     def test_non_integer_max_outer_rejected(self, value):
         with pytest.raises(ValueError, match="max_outer"):
             SolverConfig(max_outer=value)
-        with pytest.raises(ConfigError):
-            solver_config_from_dict({"max_outer": value})
+        with pytest.raises(ConfigError, match="max_outer"):
+            spec_from_dict(SolverConfig, {"max_outer": value}, "config")
 
     def test_numpy_integer_max_outer_accepted(self):
         assert SolverConfig(max_outer=np.int64(3)).max_outer == 3
@@ -107,20 +106,18 @@ class TestSolverConfig:
 
     def test_dict_round_trip(self):
         cfg = SolverConfig(alpha=2.0, beta=0.5, gamma=0.1, max_outer=30)
-        again = SolverConfig.from_dict(dataclasses.asdict(cfg))
+        again = spec_from_dict(SolverConfig, dataclasses.asdict(cfg), "config")
         assert again == cfg
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig.from_dict({"alpha": 1.0, "bogus": 2})
+        with pytest.raises(ConfigError, match=r"config: unknown keys \['bogus'\]"):
+            spec_from_dict(SolverConfig, {"alpha": 1.0, "bogus": 2}, "config")
         # keys of settings no solver reads any more; the step search is fixed
         for key in ("epsilon", "tol_inner", "max_inner", "step"):
-            with pytest.raises(ValueError):
-                SolverConfig.from_dict({"alpha": 1.0, key: 1.0})
-        with pytest.raises(ValueError):
-            SolverConfig.from_dict({"step": {"t0": 1.0}})
-        with pytest.raises(ConfigError):
-            solver_config_from_dict({"alpha": 1.0, "max_inner": 100})
+            with pytest.raises(ConfigError, match=key):
+                spec_from_dict(SolverConfig, {"alpha": 1.0, key: 1.0}, "config")
+        with pytest.raises(ConfigError, match="step"):
+            spec_from_dict(SolverConfig, {"step": {"t0": 1.0}}, "config")
 
     def test_replace_returns_modified_copy(self):
         cfg = SolverConfig()
@@ -293,7 +290,7 @@ class TestGtvr:
         t = np.array([1.0, 0.0, 0.0])
         m = np.array([True, False, False])
         res = gtvr(t, m, shift, 1.0)
-        xref, _ = oracles.quadratic_inpaint_oracle(t, m, shift.weights, 1.0)
+        xref, _ = oracles.quadratic_inpaint_oracle(t, m, shift.matrix.toarray(), 1.0)
         np.testing.assert_allclose(res.x, xref, atol=1e-6)
 
     def test_random_instances_match_numeric_minimizer(self):
@@ -302,7 +299,7 @@ class TestGtvr:
             t, m = random_masked_vector(9, seed + 50, keep=0.6)
             alpha = 0.8
             res = gtvr(t, m, shift, alpha)
-            xref, _ = oracles.quadratic_inpaint_oracle(t, m, shift.weights, alpha)
+            xref, _ = oracles.quadratic_inpaint_oracle(t, m, shift.matrix.toarray(), alpha)
             np.testing.assert_allclose(res.x, xref, atol=1e-6)
 
     def test_negative_alpha_rejected(self):
@@ -536,7 +533,7 @@ class TestAnomalyDetect:
         correlations = 2.0 * (tilde_shift(shift) @ (t - e))
         weight = float(np.mean(np.abs(correlations[support])))
         assert weight > beta
-        assert oracles.lasso_kkt_violation(shift.weights, t, e, weight) <= 1e-10
+        assert oracles.lasso_kkt_violation(shift.matrix.toarray(), t, e, weight) <= 1e-10
         objective = (quadratic_variation(t - e, shift)
                      + beta * float(np.abs(e).sum()))
         assert res.objective_trace[-2] == pytest.approx(objective, rel=1e-12)
@@ -574,7 +571,7 @@ class TestAnomalyDetect:
             shift, t, beta = self.detection_instance(seed)
             res = anomaly_detect(t, shift, beta)
             assert res.converged, seed
-            kkt = oracles.lasso_kkt_violation(shift.weights, t, res.outliers, beta)
+            kkt = oracles.lasso_kkt_violation(shift.matrix.toarray(), t, res.outliers, beta)
             assert kkt <= 1e-8, (seed, kkt)
             assert res.meta["stationarity"] <= 1e-8
 
@@ -604,7 +601,7 @@ class TestAnomalyDetect:
         for shift, t, beta in cases:
             res = anomaly_detect(t, shift, beta)
             e, step = res.outliers, res.meta["step"]
-            d = np.eye(shift.n) - shift.weights
+            d = np.eye(shift.n) - shift.matrix.toarray()
             v = e + step * 2.0 * d.T @ (d @ (t - e))
             moved = np.sign(v) * np.maximum(np.abs(v) - step * beta, 0.0)
             assert np.max(np.abs(e - moved)) <= 1e-12
@@ -631,9 +628,9 @@ class TestAnomalyDetect:
         # n 20-40 and weights 10^U(-1, 1), where the descent takes well under
         # a second
         shift, t, beta = self.detection_instance(900 + seed, kind, (20, 41), (-1.0, 1.0))
-        reference = oracles.lasso_coordinate_descent(shift.weights, t, beta,
+        reference = oracles.lasso_coordinate_descent(shift.matrix.toarray(), t, beta,
                                                      kkt_tol=1e-10)
-        delta_cd = oracles.lasso_kkt_violation(shift.weights, t, reference, beta)
+        delta_cd = oracles.lasso_kkt_violation(shift.matrix.toarray(), t, reference, beta)
         res = anomaly_detect(t, shift, beta)
         assert res.converged
 
@@ -683,7 +680,7 @@ class TestAnomalyDetect:
         assert np.flatnonzero(res.outliers).tolist() == [2]
         assert abs(res.outliers[2] - (5.0 - 0.25e-9)) <= 4 * np.spacing(5.0)
         assert np.all(np.isfinite(res.x))
-        miss = 1e-9 * oracles.lasso_kkt_violation(shift.weights, t, res.outliers, 1e-9)
+        miss = 1e-9 * oracles.lasso_kkt_violation(shift.matrix.toarray(), t, res.outliers, 1e-9)
         assert miss <= 4 * np.finfo(float).eps * 20.0  # max |2 T t| = 20
         assert res.converged
 
@@ -856,7 +853,7 @@ class TestAnomalyDetectConstrained:
         res = anomaly_detect_constrained(t, shift, eta)
         assert res.converged and np.any(res.outliers)
         beta = res.meta["beta_reg"]
-        assert oracles.lasso_kkt_violation(shift.weights, t, res.outliers,
+        assert oracles.lasso_kkt_violation(shift.matrix.toarray(), t, res.outliers,
                                            beta) <= 1e-12
 
     def test_converged_solves_keep_their_step(self):
@@ -1036,7 +1033,7 @@ class TestGsrAdmm:
         assert np.max(np.abs(res.x - prox)) <= 1e-4
 
     def test_identity_shift_full_mask_is_singular_value_shrinkage(self):
-        eye = normalize_shift(GraphShift(np.eye(6)))
+        eye = GraphShift(np.eye(6))
         T = np.random.default_rng(38).normal(size=(6, 4))
         res = gsr_admm(T, np.ones(T.shape, dtype=bool), eye,
                        SolverConfig(alpha=0.0, beta=0.8, gamma=0.0,
@@ -1173,7 +1170,7 @@ TRACE_CONFIG = SolverConfig(alpha=1.0, beta=0.2, gamma=0.1)
 
 
 def _variation(X, shift):
-    d = X - shift.weights @ X
+    d = X - shift.matrix.toarray() @ X
     return float(np.sum(d * d))
 
 

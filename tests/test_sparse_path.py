@@ -1,7 +1,7 @@
 """The sparse operator path against dense references built here.
 
 Every closed form factors a sparse system once; these tests rebuild each
-system densely from ``GraphShift.weights`` and solve it with
+system densely from ``shift.matrix.toarray()`` and solve it with
 ``np.linalg.lstsq`` (or ``np.linalg.pinv`` where it is singular), and they
 run every ``gsrec run`` task with the dense view switched off. The Lanczos
 eigenpairs of ``tilde_shift`` are checked against a dense ``np.linalg.eigh``
@@ -38,7 +38,6 @@ from gsrec import (
     gtvr,
     laplacian_baseline,
     laplacian_from_shift,
-    normalize_shift,
     random_features,
     sample_mask,
     save_bundle,
@@ -66,12 +65,12 @@ GRAPHS = {
 
 
 def dense_tilde(shift):
-    d = np.eye(shift.n) - shift.weights
+    d = np.eye(shift.n) - shift.matrix.toarray()
     return d.T @ d
 
 
 def dense_laplacian(shift):
-    w = np.maximum(np.maximum(shift.weights, shift.weights.T), 0.0)
+    w = np.maximum(np.maximum(shift.matrix.toarray(), shift.matrix.toarray().T), 0.0)
     return np.diag(w.sum(axis=1)) - w
 
 
@@ -159,7 +158,7 @@ def two_clusters(seed):
 def two_cycles():
     """Two disjoint directed cycles; exact zero pivots."""
     w = sp.block_diag([cycle_shift(7).matrix, cycle_shift(5).matrix])
-    return normalize_shift(GraphShift(w))
+    return GraphShift(w)
 
 
 SINGULAR = {"two-clusters": lambda: two_clusters(4), "two-cycles": two_cycles}
@@ -535,7 +534,7 @@ def test_anomaly_constrained_on_many_closed_classes_makes_no_eigensolve(eigsh_ca
     of ``tilde_shift`` at 3e-6: a shift-invert ``eigsh`` for its lowest end
     may not converge. The lasso path needs no eigensolve at all."""
     shift = build_knn_graph(random_features(297, 2, 136), GraphBuildSpec(k=3))
-    assert scipy.linalg.null_space(np.eye(shift.n) - shift.weights).shape[1] == 13
+    assert scipy.linalg.null_space(np.eye(shift.n) - shift.matrix.toarray()).shape[1] == 13
     t = spiked_noise(shift.n, 0, spikes=6)
     variation = float(np.sum((t - shift.matrix @ t) ** 2))
     result = anomaly_detect_constrained(t, shift, np.sqrt(0.3 * variation))
@@ -562,7 +561,7 @@ def test_anomaly_constrained_meets_tiny_caps(fraction):
     d = result.x - shift.matrix @ result.x
     cap = eta ** 2 * (1.0 + 1e-6) + 1e-9 * (1.0 + variation)
     assert float(d @ d) <= cap
-    assert oracles.lasso_kkt_violation(shift.weights, t, result.outliers,
+    assert oracles.lasso_kkt_violation(shift.matrix.toarray(), t, result.outliers,
                                        result.meta["beta_reg"]) <= 1e-8
 
 
@@ -598,7 +597,7 @@ def test_anomaly_constrained_is_l1_optimal_along_variation_free_signals(kind):
     """
     for seed in range(1, 9):
         shift = CLOSED_CLASS_GRAPHS[kind](seed)
-        d = np.eye(shift.n) - shift.weights
+        d = np.eye(shift.n) - shift.matrix.toarray()
         null = scipy.linalg.null_space(d)
         assert shift.n <= 40 and 1 <= null.shape[1] <= 5
         t = spiked_noise(shift.n, seed)
