@@ -41,6 +41,7 @@ from .io import (
     load_mask_csv,
     load_signal_csv,
     load_solver_config,
+    read_json,
     save_bundle,
     save_graph_dense,
     save_graph_edges,
@@ -352,13 +353,7 @@ def _cmd_eval(args) -> int:
 def _cmd_run(args) -> int:
     if not args.config:
         raise ConfigError("run needs --config with an experiment description")
-    try:
-        with open(args.config) as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}: {exc}") from exc
+    data = read_json(args.config)
     if args.seed is not None and isinstance(data, dict):
         data["seed"] = args.seed
     spec = ExperimentSpec.from_dict(data)

@@ -313,120 +313,142 @@ def solve_recovery(method: str, observed: np.ndarray, mask: np.ndarray | None,
 class SolverEntry:
     """One method to run inside an experiment, with its parameter policy.
 
-    ``selection_mode`` is ``fixed`` (run ``config``), ``holdout`` (tune
-    ``grid`` on held-out observed entries) or ``oracle`` (tune ``grid``
-    against ground truth).
+    ``name`` defaults to the method. Without a ``grid`` the entry runs
+    ``config``; :meth:`ExperimentSpec.selection_mode` says how it tunes one.
     """
 
-    name: str
     method: str
-    config: SolverConfig
+    name: str | None = None
+    config: SolverConfig = field(default_factory=SolverConfig)
     grid: tuple[SolverConfig, ...] = ()
     eta_smooth: float | None = None
-    selection_mode: str = "fixed"
+
+    def __post_init__(self):
+        if self.name is None:
+            object.__setattr__(self, "name", self.method)
+        if not self.name:
+            raise ValueError("name must be a nonempty string")
+        if self.eta_smooth is not None and not self.eta_smooth >= 0:
+            raise ValueError(f"eta_smooth must be nonnegative, got {self.eta_smooth}")
+        if self.method == "anomaly-constrained" and self.eta_smooth is None:
+            raise ValueError("anomaly-constrained needs eta_smooth")
+
+
+@dataclass(frozen=True)
+class Corruption:
+    """How many measured entries :func:`~gsrec.datagen.corrupt_labels` spoils, and how."""
+
+    fraction: float = 0.0
+    mode: str = "regression"
+
+    def __post_init__(self):
+        if not 0.0 <= self.fraction <= 1.0:
+            raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
+        if self.mode not in ("classification", "regression"):
+            raise ValueError(f"mode must be classification or regression, got {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class Opinions:
+    """A :func:`~gsrec.datagen.synth_opinion_instance` draw's sizes and accuracies."""
+
+    n: int = 200
+    experts: int = 20
+    easy_acc: float = 0.9
+    hard_acc: float = 0.3
+    hard_fraction: float = 0.25
+    k: int = 8
+
+    def __post_init__(self):
+        if not (1 <= self.k < self.n and self.experts >= 1 and all(
+                0 <= p <= 1 for p in (self.easy_acc, self.hard_acc, self.hard_fraction))):
+            raise ValueError("needs 1 <= k < n, experts >= 1, and easy_acc, hard_acc "
+                             f"and hard_fraction in [0, 1], got {self}")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Validated experiment description.
 
-    ``from_dict`` checks every block before any graph is built, and rejects
-    any key the task does not read.  ``raw`` keeps the original dict for
-    echoing into the report.  ``graph`` is None or a typed block (a knn
-    block carries its ``GraphBuildSpec`` under ``build``).  ``signal`` holds
-    one block: ``synthetic`` as a ``SyntheticSpec``, ``bundle`` as a
-    directory path, or ``opinions`` as a dict of typed values.  ``ratios``
-    are accessible-entry fractions and collapse to a single dummy value for
-    the detect and combine tasks.
+    ``from_dict`` reads every block before any graph is built, and rejects
+    any key the task does not read; a null block or setting means its
+    defaults. ``raw`` keeps the original dict for echoing into the report.
+    ``graph`` is None or a typed block (a knn block carries its
+    ``GraphBuildSpec`` under ``build``). ``signal`` holds one block:
+    ``synthetic`` as a ``SyntheticSpec``, ``bundle`` as a directory path, or
+    ``opinions`` as :class:`Opinions`. ``ratios`` are accessible-entry
+    fractions and collapse to a single dummy value for the detect and
+    combine tasks.
     """
 
-    task: str
-    seed: int
-    trials: int
-    ratios: tuple[float, ...]
-    solvers: tuple[SolverEntry, ...]
-    graph: dict | None
-    signal: dict
-    corrupt: dict | None
-    score: str
-    eval_on: str
-    oracle_select: bool
+    task: str | None = None
+    seed: int = 0
+    trials: int = 1
+    ratios: tuple[float, ...] | None = None
+    solvers: tuple[SolverEntry, ...] = ()
+    graph: dict | None = None
+    signal: dict | None = None
+    corrupt: Corruption | None = None
+    score: str | None = None
+    eval_on: str | None = None
+    oracle_select: bool = False
     raw: dict = field(repr=False, default_factory=dict)
 
     @staticmethod
-    def from_dict(data: dict) -> "ExperimentSpec":
-        if not isinstance(data, dict):
-            raise ConfigError("experiment description must be an object")
-        unknown = set(data) - _SPEC_KEYS
-        if unknown:
-            raise ConfigError(f"unknown experiment keys {sorted(unknown)}")
-        task = data.get("task")
-        if task == "combine-opinions":
-            task = "combine"
+    def from_dict(data) -> "ExperimentSpec":
+        return spec_from_dict(ExperimentSpec, data, "", raw=data)
+
+    def selection_mode(self, entry: SolverEntry) -> str:
+        """``fixed`` (run ``entry.config``), or tune ``entry.grid`` on held-out
+        observed entries (``holdout``) or against ground truth (``oracle``)."""
+        return "fixed" if not entry.grid else "oracle" if self.oracle_select else "holdout"
+
+    def __post_init__(self):
+        task = "combine" if self.task == "combine-opinions" else self.task
         if task not in _TASKS:
-            raise ConfigError(f"task must be one of {list(_TASKS)}, got {task!r}")
+            raise ConfigError(f"task must be one of {list(_TASKS)}, got {self.task!r}")
         recovery = task in _RECOVERY_TASKS
-        seed = json_value(data.get("seed", 0), int, "seed")
-        trials = json_value(data.get("trials", 1), int, "trials")
-        if seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {seed}")
-        if trials < 1:
-            raise ConfigError(f"trials must be positive, got {trials}")
-        ratios_raw = data.get("ratios")
-        if not recovery:
-            if ratios_raw not in (None, [1.0]):
-                raise ConfigError(f"task {task!r} does not sweep accessibility ratios")
-            ratios = (1.0,)
-        else:
-            if ratios_raw is None:
-                ratios_raw = [0.5]
-            if not isinstance(ratios_raw, list) or not ratios_raw:
-                raise ConfigError("ratios must be a nonempty list of fractions")
-            ratios = tuple(json_value(r, float, "ratios") for r in ratios_raw)
-            for r in ratios:
-                if not 0.0 < r <= 1.0:
-                    raise ConfigError(f"ratios must lie in (0, 1], got {r}")
-        oracle_select = json_value(data.get("oracle_select", False), bool, "oracle_select")
-        solvers_raw = data.get("solvers")
-        if not isinstance(solvers_raw, list) or not solvers_raw:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.trials < 1:
+            raise ConfigError(f"trials must be positive, got {self.trials}")
+        ratios = ((0.5,) if recovery else (1.0,)) if self.ratios is None else self.ratios
+        if not recovery and ratios != (1.0,):
+            raise ConfigError(f"task {task!r} does not sweep accessibility ratios")
+        if not ratios or not all(0.0 < r <= 1.0 for r in ratios):
+            raise ConfigError(f"ratios must be a nonempty list of fractions in (0, 1], "
+                              f"got {list(ratios)}")
+        if not self.solvers:
             raise ConfigError("solvers must be a nonempty list")
-        solvers = tuple(_solver_entry(s, i, task, oracle_select)
-                        for i, s in enumerate(solvers_raw))
-        names = [s.name for s in solvers]
+        for index, entry in enumerate(self.solvers):
+            if entry.method not in _TASK_METHODS[task]:
+                raise ConfigError(
+                    f"solvers[{index}]: method {entry.method!r} is not valid for task "
+                    f"{task!r} (choose from {list(_TASK_METHODS[task])})")
+            if self.selection_mode(entry) == "holdout" and not recovery:
+                raise ConfigError(f"solvers[{index}]: task {task!r} has no holdout to "
+                                  "tune on; set oracle_select to search a grid")
+        names = [entry.name for entry in self.solvers]
         if len(set(names)) != len(names):
             raise ConfigError(f"solver names must be unique, got {names}")
-        graph, signal = _graph_and_signal(task, data.get("graph"), data.get("signal"))
-        corrupt = data.get("corrupt")
-        if corrupt is not None:
-            if not recovery:
-                raise ConfigError(f"task {task!r} does not take a corrupt block")
-            if not isinstance(corrupt, dict):
-                raise ConfigError("corrupt must be an object")
-            unknown = set(corrupt) - {"fraction", "mode"}
-            if unknown:
-                raise ConfigError(f"corrupt: unknown keys {sorted(unknown)}")
-            fraction = json_value(corrupt.get("fraction", 0.0), float, "corrupt.fraction")
-            mode = corrupt.get("mode", "regression")
-            if not 0.0 <= fraction <= 1.0:
-                raise ConfigError(f"corrupt.fraction must lie in [0, 1], got {fraction}")
-            if mode not in ("classification", "regression"):
-                raise ConfigError("corrupt.mode must be classification or regression")
-            corrupt = {"fraction": fraction, "mode": mode}
+        graph, signal = _graph_and_signal(task, self.graph, self.signal)
+        if self.corrupt is not None and not recovery:
+            raise ConfigError(f"task {task!r} does not take a corrupt block")
         scores = _TASK_SCORES.get(task, ("regression", "classification"))
-        score = data.get("score", scores[0] if scores else "regression")
-        if "score" in data and score not in scores:
+        score = self.score
+        if score is None:
+            score = scores[0] if scores else "regression"
+        elif score not in scores:
             raise ConfigError(f"task {task!r} takes score in {list(scores)}, got {score!r}")
         if score == "classification" and "synthetic" in signal:
             raise ConfigError("score 'classification' compares +/-1 labels with the "
                               "truth, and a synthetic signal is real-valued")
-        eval_on = data.get("eval_on", "hidden" if recovery else "all")
+        eval_on = ("hidden" if recovery else "all") if self.eval_on is None else self.eval_on
         if eval_on not in (("hidden", "all") if recovery else ("all",)):
             raise ConfigError(f"eval_on {eval_on!r} is not valid for task {task!r}")
-        return ExperimentSpec(
-            task=task, seed=seed, trials=trials, ratios=ratios, solvers=solvers,
-            graph=graph, signal=signal, corrupt=corrupt, score=score,
-            eval_on=eval_on, oracle_select=oracle_select, raw=dict(data),
-        )
+        for key, value in dict(task=task, ratios=ratios, graph=graph, signal=signal,
+                               score=score, eval_on=eval_on).items():
+            object.__setattr__(self, key, value)
 
 
 _RECOVERY_TASKS = ("inpaint", "robust-inpaint", "complete")
@@ -440,61 +462,9 @@ _TASK_METHODS = {
 }
 _TASK_SIGNALS = {"detect": ("synthetic",), "combine": ("opinions",)}
 _TASK_SCORES = {"detect": (), "combine": ("classification",)}
-_SPEC_KEYS = {"task", "seed", "trials", "ratios", "solvers", "graph", "signal",
-              "corrupt", "score", "eval_on", "oracle_select"}
 _GRAPH_KEYS = {"cycle": {"kind", "n"},
                "knn": {"kind", "n", "dim", "k", "symmetrize", "normalization"},
                "file": {"kind", "path"}}
-_OPINION_DEFAULTS = {"n": 200, "experts": 20, "easy_acc": 0.9, "hard_acc": 0.3,
-                     "hard_fraction": 0.25, "k": 8}
-
-
-def _solver_entry(data: dict, index: int, task: str,
-                  oracle_select: bool) -> SolverEntry:
-    if not isinstance(data, dict):
-        raise ConfigError(f"solvers[{index}]: expected an object")
-    allowed = {"name", "method", "config", "grid", "eta_smooth"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"solvers[{index}]: unknown keys {sorted(unknown)}")
-    method = data.get("method")
-    if method not in _TASK_METHODS[task]:
-        raise ConfigError(
-            f"solvers[{index}]: method {method!r} is not valid for task {task!r} "
-            f"(choose from {list(_TASK_METHODS[task])})")
-    name = data.get("name", method)
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"solvers[{index}]: name must be a nonempty string")
-    grid_raw = data.get("grid", [])
-    if not isinstance(grid_raw, list):
-        raise ConfigError(f"solvers[{index}]: grid must be a list of config objects")
-    # null stands for the default config
-    grid = tuple(spec_from_dict(SolverConfig, {} if g is None else g,
-                                f"solvers[{index}].grid[{j}]")
-                 for j, g in enumerate(grid_raw))
-    mode = "fixed" if not grid else "oracle" if oracle_select else "holdout"
-    if mode == "holdout" and task not in _RECOVERY_TASKS:
-        raise ConfigError(
-            f"task {task!r} has no holdout to tune on; "
-            f"set oracle_select to search a grid")
-    eta_smooth = data.get("eta_smooth")
-    if eta_smooth is not None:
-        eta_smooth = json_value(eta_smooth, float, f"solvers[{index}].eta_smooth")
-        if not eta_smooth >= 0:
-            raise ConfigError(f"solvers[{index}]: eta_smooth must be nonnegative, "
-                              f"got {eta_smooth}")
-    if method == "anomaly-constrained" and eta_smooth is None:
-        raise ConfigError(f"solvers[{index}]: anomaly-constrained needs eta_smooth")
-    config = data.get("config")
-    return SolverEntry(
-        name=name,
-        method=method,
-        config=spec_from_dict(SolverConfig, {} if config is None else config,
-                              f"solvers[{index}].config"),
-        grid=grid,
-        eta_smooth=eta_smooth,
-        selection_mode=mode,
-    )
 
 
 def _graph_and_signal(task: str, graph, signal) -> tuple[dict | None, dict]:
@@ -515,21 +485,8 @@ def _graph_and_signal(task: str, graph, signal) -> tuple[dict | None, dict]:
         if not isinstance(block, str) or not block:
             raise ConfigError("signal.bundle must be a directory path")
         return None, signal
-    if not isinstance(block, dict):
-        raise ConfigError(f"signal.{kind} must be an object")
     if kind == "opinions":
-        unknown = set(block) - set(_OPINION_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"signal.opinions: unknown keys {sorted(unknown)}")
-        opinions = {key: json_value(block.get(key, default), type(default),
-                                    f"signal.opinions.{key}")
-                    for key, default in _OPINION_DEFAULTS.items()}
-        if not (1 <= opinions["k"] < opinions["n"] and opinions["experts"] >= 1 and all(
-                0 <= opinions[p] <= 1 for p in ("easy_acc", "hard_acc", "hard_fraction"))):
-            raise ConfigError("signal.opinions needs 1 <= k < n, experts >= 1, and "
-                              "easy_acc, hard_acc and hard_fraction in [0, 1], "
-                              f"got {opinions}")
-        return None, {"opinions": opinions}
+        return None, {"opinions": spec_from_dict(Opinions, block, "signal.opinions")}
     # a file graph's size is known once the file is read; until then n puts
     # no bound on rank or outliers_per_column, which are checked again then
     synthetic = spec_from_dict(SyntheticSpec, block, "signal.synthetic",
@@ -627,10 +584,9 @@ def _recovery_cell(spec: ExperimentSpec, shift: GraphShift,
     if spec.task != "complete":
         truth, observed = truth[:, 0], observed[:, 0]
     mask = sample_mask(observed.shape, ratio, spec.seed, ratio_index, trial)
-    if spec.corrupt is not None and spec.corrupt["fraction"] > 0:
-        observed, _ = corrupt_labels(observed, mask, spec.corrupt["fraction"],
-                                     spec.corrupt["mode"], spec.seed,
-                                     ratio_index, trial)
+    if spec.corrupt is not None and spec.corrupt.fraction > 0:
+        observed, _ = corrupt_labels(observed, mask, spec.corrupt.fraction,
+                                     spec.corrupt.mode, spec.seed, ratio_index, trial)
     eval_mask = ~mask if spec.eval_on == "hidden" else np.ones_like(mask)
     if not np.any(eval_mask):
         raise EmptyMask("nothing to evaluate: mask covers every entry and "
@@ -678,8 +634,8 @@ def _combine_cells(spec: ExperimentSpec) -> Iterator[_Cell]:
     o = spec.signal["opinions"]
     for trial in range(spec.trials):
         shift, truth, opinions, _ = synth_opinion_instance(
-            o["n"], o["experts"], o["easy_acc"], o["hard_acc"],
-            o["hard_fraction"], o["k"], spec.seed, trial)
+            o.n, o.experts, o.easy_acc, o.hard_acc, o.hard_fraction, o.k,
+            spec.seed, trial)
         yield _combine_cell(shift, truth, opinions, trial)
 
 
@@ -769,11 +725,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     for cell in cells(spec):
         for entry in spec.solvers:
             tick = time.perf_counter()
-            if entry.selection_mode == "oracle":
+            mode = spec.selection_mode(entry)
+            if mode == "oracle":
                 result, report = _oracle_pick(entry, cell)
             else:
-                config = (cell.holdout(entry) if entry.selection_mode == "holdout"
-                          else entry.config)
+                config = cell.holdout(entry) if mode == "holdout" else entry.config
                 result = cell.solve(entry, config)
                 report = cell.score(result)
             per_method_ms[entry.name] += (time.perf_counter() - tick) * 1000.0
@@ -796,7 +752,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
         "task": spec.task,
         "seed": spec.seed,
         "versions": _versions(),
-        "selection": {entry.name: entry.selection_mode for entry in spec.solvers},
+        "selection": {entry.name: spec.selection_mode(entry) for entry in spec.solvers},
         "aggregates": _aggregate(rows),
         "all_converged": all(row["converged"] for row in rows),
         "rows": len(rows),

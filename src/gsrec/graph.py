@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     EigensolveFailed,
     NotDiagonalizable,
+    TooManyNodes,
     ZeroSpectralRadius,
 )
 from .prox import factorized
@@ -46,8 +47,8 @@ _SUM_RTOL = 1e-12
 
 # Most nodes of a dense (n, n) pass: the co-observed distance matrix of
 # features with missing values (:func:`gsrec.datagen.pairwise_distances`),
-# and the dense ``eigvals`` that :func:`spectral_radius` falls back to where
-# ARPACK fails on a nonnegative matrix. One (n, n) float array is 200 MB here.
+# and the dense ``eigvals`` of :func:`spectral_radius` on a signed operator or
+# where ARPACK fails on a nonnegative one. One (n, n) float array is 200 MB.
 DENSE_MAX_NODES = 5000
 
 # Largest residual ``||W v - lambda v|| / ||v||`` accepted from the ARPACK
@@ -233,13 +234,17 @@ def spectral_radius(weights) -> float:
     one raises :class:`EigensolveFailed`. A matrix with a negative entry is
     densified for one dense ``eigvals`` at once, since ARPACK can settle on
     a smaller eigenvalue where many crowd the spectral circle, as in a
-    random signed matrix.
+    random signed matrix; above :data:`DENSE_MAX_NODES` nodes it raises
+    :class:`TooManyNodes` before anything is allocated.
     """
     w = _csr(weights)
     if (r := _sums_radius(w)) is not None:
         return r
     n = w.shape[0]
     if np.any(w.data < 0) or n <= 2:  # ARPACK needs k < n - 1
+        if n > DENSE_MAX_NODES:
+            raise TooManyNodes(f"a signed {n}-node operator needs a dense eigensolve, "
+                               f"which allows at most {DENSE_MAX_NODES} nodes")
         return _dense_radius(w)
     # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
     from scipy.sparse.linalg import ArpackError, eigs

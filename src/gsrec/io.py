@@ -12,19 +12,22 @@ entries as ``row,col`` pairs. One reader parses every CSV with a single
 number syntax: no ``1_0`` digit separators, and indices must be integers.
 The readers reject NaN and infinity, and name a bad row by its line number.
 
-Config files and experiment descriptions have one reader: :func:`json_value`
-takes a value only if JSON holds it with the setting's type, :func:`spec_from_dict`
-builds a dataclass from an object, and any error there, a range check
-included, is a ConfigError naming the key (:func:`config_values`).
+:func:`read_json` opens and decodes every JSON file. :func:`spec_from_dict`
+builds a dataclass from a JSON object as its field annotations say, nested
+blocks, lists and nulls included; :func:`json_value` takes a value only if
+JSON holds it with the setting's type. Any error there, a range check
+included, names its key: a ConfigError for configs and experiment
+descriptions, a DataError for graph sidecars and a bundle's ``spec.json``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import sys
 import typing
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +156,10 @@ def save_graph_dense(path, shift: GraphShift) -> None:
     _write_sidecar(path, shift, "dense")
 
 
+_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+_type_hints = functools.cache(typing.get_type_hints)  # a dataclass's field types
+
+
 def json_value(value, kind: type, where: str, error: type = ConfigError):
     """``value`` if JSON holds it as ``kind`` (bool, int, float or str), else
     ``error``. Nothing is converted: a JSON boolean is no integer, though a
@@ -160,51 +167,70 @@ def json_value(value, kind: type, where: str, error: type = ConfigError):
     if isinstance(value, (int, float) if kind is float else kind) and (
             kind is bool or not isinstance(value, bool)):
         return value
-    named = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
-    raise error(f"{where} must be {named[kind]}, got {value!r}")
+    raise error(f"{where} must be {_JSON_KINDS[kind]}, got {value!r}")
 
 
 @contextlib.contextmanager
-def config_values(where: str):
-    """Report a GsrecError, TypeError or ValueError raised inside as a ConfigError."""
+def config_values(where: str, error: type = ConfigError):
+    """Report a GsrecError, TypeError or ValueError raised inside as ``error``."""
     try:
         yield
-    except ConfigError:
+    except error:
         raise
     except (GsrecError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise error(f"{where}: {exc}") from exc
 
 
-def spec_from_dict(cls, data, where: str, **fixed):
-    """``cls(**data, **fixed)``, where each key of the JSON object ``data`` is a
-    field of the dataclass ``cls`` not in ``fixed`` and each value has its
-    field's JSON type; a field typed ``X | None`` also takes null."""
+def spec_from_dict(cls, data, where: str, error: type = ConfigError, **fixed):
+    """``cls(**data, **fixed)``, each key of the JSON object ``data`` (null for
+    {}) a field of the dataclass ``cls`` not in ``fixed``, read as annotated:
+    a dataclass from an object, ``tuple[X, ...]`` from a list, ``X | None``
+    also from null, bool, int, float and str by :func:`json_value`, and any
+    other type as it is. ``where`` names ``data``; "" is the description."""
+    data = {} if data is None else data
+    block = where or "the description"
     if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be an object, got {data!r}")
-    hints = typing.get_type_hints(cls)
+        raise error(f"{block} must be an object, got {data!r}")
+    hints = _type_hints(cls)
     unknown = set(data) - (set(hints) - set(fixed))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    for key, value in data.items():
-        kinds = typing.get_args(hints[key]) or (hints[key],)
-        if value is not None or type(None) not in kinds:
-            json_value(value, kinds[0], f"{where}.{key}")
-    with config_values(where):
-        return cls(**data, **fixed)
+        raise error(f"{block}: unknown keys {sorted(unknown)}")
+    values = {key: _typed(value, hints[key], f"{where}.{key}" if where else key, error)
+              for key, value in data.items()}
+    with config_values(block, error):
+        return cls(**values, **fixed)
+
+
+def _typed(value, hint, where: str, error: type):
+    """``value`` read as the annotation ``hint`` (see :func:`spec_from_dict`)."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise error(f"{where} must be a list, got {value!r}")
+        return tuple(_typed(v, args[0], f"{where}[{i}]", error)
+                     for i, v in enumerate(value))
+    if args:  # X | None
+        return None if value is None else _typed(value, args[0], where, error)
+    if is_dataclass(hint):
+        return spec_from_dict(hint, value, where, error)
+    return json_value(value, hint, where, error) if hint in _JSON_KINDS else value
+
+
+def read_json(path, error: type = ConfigError):
+    """The JSON value a file holds; an unreadable or malformed file is ``error``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # JSONDecodeError too
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def load_graph(path) -> GraphShift:
     """Graph from CSV; the sidecar picks the format, dense assumed without one."""
     path = Path(path)
     sidecar = _sidecar_path(path)
-    meta = {}
-    if sidecar.exists():
-        try:
-            meta = json.loads(sidecar.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read sidecar {sidecar}: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise DataError(f"{sidecar}: the sidecar must be a JSON object")
+    meta = read_json(sidecar, DataError) if sidecar.exists() else {}
+    if not isinstance(meta, dict):
+        raise DataError(f"{sidecar}: the sidecar must be a JSON object")
     fmt = meta.get("format", "dense")
     normalized = json_value(meta.get("normalized", False), bool,
                             f"{sidecar}: 'normalized'", DataError)
@@ -251,11 +277,7 @@ def load_solver_config(path) -> SolverConfig:
     """The solver config a JSON file holds; the defaults when path is None."""
     if path is None:
         return SolverConfig()
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return spec_from_dict(SolverConfig, data, str(path))
+    return spec_from_dict(SolverConfig, read_json(path), str(path))
 
 
 def _jsonable(value):
@@ -311,15 +333,14 @@ def load_bundle(directory):
     shift = load_graph(directory / "graph.csv")
     x0, noise, outliers, observed = (load_signal_csv(directory / f"{name}.csv")
                                      for name in ("X0", "W", "E", "T"))
-    try:
-        meta = json.loads((directory / "spec.json").read_text())
-        spec = SyntheticSpec(**meta["synthetic"])
-        seed = meta["seed"]
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
-        raise DataError(f"cannot read {directory / 'spec.json'}: {exc}") from exc
-    if json_value(seed, int, f"{directory / 'spec.json'}: 'seed'", DataError) < 0:
-        raise DataError(f"{directory / 'spec.json'}: 'seed' must be an integer >= 0, "
-                        f"got {seed!r}")
+    path = directory / "spec.json"
+    meta = read_json(path, DataError)
+    if not isinstance(meta, dict) or not {"synthetic", "seed"} <= meta.keys():
+        raise DataError(f"{path} must be an object with keys 'synthetic' and 'seed'")
+    spec = spec_from_dict(SyntheticSpec, meta["synthetic"], f"{path}: synthetic", DataError)
+    seed = meta["seed"]
+    if json_value(seed, int, f"{path}: seed", DataError) < 0:
+        raise DataError(f"{path}: seed must be an integer >= 0, got {seed!r}")
     if x0.shape != (spec.n, spec.l) or shift.n != spec.n:
         raise DataError(f"{directory}: X0.csv shape {x0.shape} and the {shift.n}-node "
                         f"graph must match spec ({spec.n}, {spec.l})")

@@ -218,6 +218,13 @@ def _variation_grad(d: np.ndarray, shift: GraphShift) -> np.ndarray:
 # closed-form inpainting
 # ---------------------------------------------------------------------------
 
+def _finite(value: float) -> float:
+    """``value``, computed from the measured values, if it is finite."""
+    if not np.isfinite(value):
+        raise NonFiniteObjective(f"got {value}: a measured value is not finite")
+    return value
+
+
 def _regularized_fit(t: np.ndarray, m: np.ndarray, quadratic,
                      alpha: float) -> tuple[np.ndarray, float]:
     """Minimizer of ``||(x - t)_M||_2^2 + alpha x^T Q x`` and its objective.
@@ -229,7 +236,7 @@ def _regularized_fit(t: np.ndarray, m: np.ndarray, quadratic,
     x = factorized(sp.diags_array(m.astype(float)) + alpha * quadratic)(
         np.where(m, t, 0.0))
     r = (x - t)[m]
-    return x, float(r @ r) + alpha * float(x @ (quadratic @ x))
+    return x, _finite(float(r @ r) + alpha * float(x @ (quadratic @ x)))
 
 
 def gtvm(t: np.ndarray, mask: np.ndarray, shift: GraphShift) -> RecoveryResult:
@@ -249,7 +256,7 @@ def gtvm(t: np.ndarray, mask: np.ndarray, shift: GraphShift) -> RecoveryResult:
     if hidden.size:
         rows = at[hidden]
         x[hidden] = -factorized(rows[:, hidden])(rows[:, np.flatnonzero(m)] @ t[m])
-    obj = _residual_variation(x[:, None], shift)[0]
+    obj = _finite(_residual_variation(x[:, None], shift)[0])
     return RecoveryResult(
         x=x,
         objective_trace=np.array([obj]),
@@ -535,7 +542,7 @@ def _lasso_path(t: np.ndarray, shift: GraphShift, max_segments: int,
     """
     T, n = tilde_shift(shift), t.shape[0]
     b = T @ t
-    beta, trace = 2.0 * float(np.max(np.abs(b))), []
+    beta, trace = _finite(2.0 * float(np.max(np.abs(b)))), []
     if beta <= weight:
         return np.zeros(n), weight, 0, trace
     end = weight + 4.0 * np.finfo(float).eps * beta

@@ -71,6 +71,19 @@ class TestBuildGraph:
         shift = load_graph(out)
         assert shift.n == 10 and shift.normalized
 
+    def test_writes_an_edge_list(self, tmp_path):
+        feats = write_signal(tmp_path, "feat.csv",
+                             np.random.default_rng(1).normal(size=(10, 2)))
+        out = tmp_path / "g.csv"
+        assert main(["build-graph", "--features", str(feats), "--k", "3",
+                     "--format", "edges", "--out", str(out)]) == 0
+        assert json.loads(out.with_suffix(".json").read_text())["format"] == "edges"
+        dense = tmp_path / "dense.csv"
+        assert main(["build-graph", "--features", str(feats), "--k", "3",
+                     "--out", str(dense)]) == 0
+        np.testing.assert_array_equal(load_graph(out).matrix.toarray(),
+                                      load_graph(dense).matrix.toarray())
+
     def test_missing_out_is_config_error(self, tmp_path):
         feats = write_signal(tmp_path, "feat.csv",
                              np.arange(10, dtype=float)[:, None])
@@ -428,6 +441,22 @@ class TestRun:
         cfg.write_text("{nope")
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "r")]) == 2
+
+    def test_missing_description_is_config_error(self, tmp_path, capsys):
+        # like a malformed description, and like --config on every other command
+        assert main(["run", "--config", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read")
+
+    def test_unconverged_trial_exits_4(self, tmp_path, capsys):
+        desc = json.loads(self.experiment(tmp_path).read_text())
+        desc["solvers"] = [{"method": "rgtvr", "config": {"max_outer": 1}}]
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps(desc))
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "before convergence" in capsys.readouterr().err
+        assert (out / "trials.csv").read_text().rstrip().endswith(",false")
 
     @pytest.mark.parametrize("seed", [[], ["--seed", "2"]], ids=["", "seed"])
     def test_description_not_an_object(self, tmp_path, seed):

@@ -33,6 +33,7 @@ from gsrec import (
     threshold_labels,
 )
 from gsrec.cli import main
+from gsrec.experiments import Opinions
 from oracles import quadratic_inpaint_oracle
 
 
@@ -376,8 +377,8 @@ PARSE_ERRORS = [
     ("inpaint", ("solvers", 0, "eta_smooth"), -1.0, "eta_smooth"),
     ("inpaint", ("corrupt",), [0.1], "corrupt"),
     ("inpaint", ("corrupt",), {"rate": 0.1}, r"corrupt: unknown keys \['rate'\]"),
-    ("inpaint", ("corrupt",), {"fraction": 1.5}, "corrupt.fraction"),
-    ("inpaint", ("corrupt",), {"mode": "ordinal"}, "corrupt.mode"),
+    ("inpaint", ("corrupt",), {"fraction": 1.5}, "corrupt: fraction"),
+    ("inpaint", ("corrupt",), {"mode": "ordinal"}, "corrupt: mode"),
     ("inpaint", ("graph",), _DROP, "graph"),
     ("inpaint", ("graph",), "cycle", "graph"),
     ("inpaint", ("graph", "kind"), "grid", "graph.kind"),
@@ -486,16 +487,28 @@ class TestExperimentSpec:
         raw["solvers"] = [{"method": "gtvr", "config": None,
                            "grid": [None, {"alpha": 2, "max_outer": 5}]}]
         spec = ExperimentSpec.from_dict(raw)
-        assert spec.ratios == (1.0,) and spec.corrupt["fraction"] == 0.0
+        assert spec.ratios == (1.0,) and spec.corrupt.fraction == 0.0
         entry = spec.solvers[0]
         assert entry.config == entry.grid[0] == SolverConfig()
         assert entry.grid[1] == SolverConfig(alpha=2.0, max_outer=5)
+
+    def test_null_blocks_and_settings_mean_their_defaults(self):
+        raw = _edited("inpaint", ("solvers",), [{"method": "gtvr", "name": None,
+                                                 "config": None, "eta_smooth": None}])
+        raw.update(ratios=None, score=None, eval_on=None, corrupt=None)
+        spec = ExperimentSpec.from_dict(raw)
+        assert (spec.ratios, spec.score, spec.eval_on, spec.corrupt) == (
+            (0.5,), "regression", "hidden", None)
+        assert spec.solvers[0].name == "gtvr"
+        assert spec.solvers[0].config == SolverConfig()
+        raw = _edited("combine", ("signal", "opinions"), None)
+        assert ExperimentSpec.from_dict(raw).signal["opinions"] == Opinions()
 
     def test_valid_description(self):
         spec = ExperimentSpec.from_dict(_description("inpaint"))
         assert spec.task == "inpaint" and spec.trials == 2
         assert spec.ratios == (0.5,)
-        assert spec.solvers[0].selection_mode == "fixed"
+        assert spec.selection_mode(spec.solvers[0]) == "fixed"
 
     def test_combine_opinions_alias(self):
         raw = {

@@ -3,12 +3,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+import gsrec.graph
 from gsrec import (
     DimensionMismatch,
     EigensolveFailed,
     GraphBuildSpec,
     GraphShift,
     NotDiagonalizable,
+    TooManyNodes,
     ZeroSpectralRadius,
     build_knn_graph,
     cycle_shift,
@@ -203,6 +205,16 @@ class TestSpectralRadius:
         above = sp.diags_array(np.ones(DENSE_MAX_NODES), offsets=1, format="csr")
         with pytest.raises(EigensolveFailed, match=str(DENSE_MAX_NODES)):
             spectral_radius(above)
+
+    def test_large_signed_matrix_is_refused_before_densifying(self, monkeypatch):
+        # a dense copy of 5001 nodes is 200 MB and its eigvals O(n^3)
+        def no_dense(w):
+            raise AssertionError("densified")
+
+        monkeypatch.setattr(gsrec.graph, "_dense_radius", no_dense)
+        signed = -sp.diags_array(np.ones(DENSE_MAX_NODES), offsets=1, format="csr")
+        with pytest.raises(TooManyNodes, match=str(DENSE_MAX_NODES)):
+            spectral_radius(signed)
 
     def test_weighted_directed_cycle_gets_the_exact_radius(self):
         # its eigenvalues (prod w)^(1/n) exp(2 pi i k / n) all share one

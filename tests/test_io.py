@@ -475,6 +475,12 @@ def corrupt_bundle(d, case):
         spec["synthetic"]["recipe"] = "foo"
     elif case == "seed-not-a-number":
         spec["seed"] = "abc"
+    elif case == "synthetic-floats":  # typed like a description's block
+        spec["synthetic"].update(n=30.0, rank=2.5)
+    elif case == "synthetic-unknown-key":
+        spec["synthetic"]["noise"] = 0.1
+    elif case == "spec-not-an-object":
+        spec = [spec]
     elif case.startswith("seed-"):
         spec["seed"] = {"seed-fraction": 1.5, "seed-float": 1.0, "seed-negative": -1,
                         "seed-a-boolean": True, "seed-a-string": "1"}[case]
@@ -511,7 +517,8 @@ class TestMalformedBundle:
         "sidecar-not-an-object", *(f"sidecar-radius-{r}" for r in BAD_RADII),
         "seed-fraction", "seed-float", "seed-negative", "seed-a-boolean", "seed-a-string",
         "sidecar-n-negative", "sidecar-n-fraction", "sidecar-n-a-boolean",
-        "sidecar-n-a-string"])
+        "sidecar-n-a-string", "synthetic-floats", "synthetic-unknown-key",
+        "spec-not-an-object"])
     def test_rejected(self, tmp_path, case):
         shift = small_shift(30, 14)
         inst = synth_instance(shift, SyntheticSpec(n=30), 15)

@@ -132,3 +132,18 @@ def test_only_io_maps_errors_to_config_errors():
             if names & caught and "ConfigError" in raised:
                 mappings.append(f"{path.name}:{node.lineno}")
     assert not mappings, f"errors mapped to ConfigError outside io.py: {mappings}"
+
+
+def test_only_io_reads_json():
+    # every JSON file is opened and decoded by io.read_json, so no other
+    # function decodes JSON, and none maps a decoding error its own way
+    calls = []
+    for path in sorted((ROOT / "src" / "gsrec").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name == "io.py":
+            tree.body = [s for s in tree.body if getattr(s, "name", None) != "read_json"]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                calls.append(f"{path.name}:{node.lineno} json.{node.attr}")
+    assert not calls, f"JSON decoded outside io.read_json: {calls}"
