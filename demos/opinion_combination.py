@@ -31,7 +31,7 @@ for seed in range(10):
         k_neighbors=8, seed=seed)
     scores = {}
     for method in methods:
-        merged = combine_opinions(opinions, method, shift=shift, config=config)
+        merged = combine_opinions(opinions, method, shift=shift, config=config).x
         scores[method] = evaluate(truth, merged, score="classification").acc
         acc_sum[method] += scores[method]
     if seed < 3:

@@ -30,7 +30,7 @@ from .experiments import (
     DETECT_METHODS,
     MATRIX_METHODS,
     ExperimentSpec,
-    _combine,
+    combine_opinions,
     evaluate,
     run_experiment,
     solve_recovery,
@@ -104,37 +104,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.5,
                    help="accessible-entry fraction for the bundled mask")
 
-    p = sub.add_parser("inpaint", help="recover a single signal from a subset of nodes")
-    _add_common(p, config=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--signal", required=True)
-    p.add_argument("--mask", required=True)
-    p.add_argument("--method", choices=("gtvm", "gtvr", "laplacian"),
-                   default="gtvm")
-
-    p = sub.add_parser("complete", help="recover a signal matrix from observed entries")
-    _add_common(p, config=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--signal", required=True)
-    p.add_argument("--mask", required=True)
-    p.add_argument("--method", choices=MATRIX_METHODS, default="gmcm")
-
-    p = sub.add_parser("detect", help="split a signal into smooth part and outliers")
-    _add_common(p, config=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--signal", required=True)
-    p.add_argument("--method", choices=DETECT_METHODS, default="anomaly")
-    p.add_argument("--beta", type=float, default=None,
-                   help="sparsity weight for method 'anomaly'")
-    p.add_argument("--eta-smooth", type=float, default=None,
-                   help="variation budget for method 'anomaly-constrained'")
-
-    p = sub.add_parser("robust", help="inpaint while rejecting outliers")
-    _add_common(p, config=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--signal", required=True)
-    p.add_argument("--mask", required=True)
-    p.add_argument("--method", choices=("rgtvr", "admm"), default="rgtvr")
+    # the single-file recovery commands; each method list starts with its default
+    for name, text, methods in (
+            ("inpaint", "recover a single signal from a subset of nodes",
+             ("gtvm", "gtvr", "laplacian")),
+            ("complete", "recover a signal matrix from observed entries", MATRIX_METHODS),
+            ("detect", "split a signal into smooth part and outliers", DETECT_METHODS),
+            ("robust", "inpaint while rejecting outliers", ("rgtvr", "admm"))):
+        p = sub.add_parser(name, help=text)
+        _add_common(p, config=True)
+        p.add_argument("--graph", required=True)
+        p.add_argument("--signal", required=True)
+        if name != "detect":
+            p.add_argument("--mask", required=True)
+        p.add_argument("--method", choices=methods, default=methods[0])
+        if name == "detect":
+            p.add_argument("--beta", type=float, default=None,
+                           help="sparsity weight for method 'anomaly'")
+            p.add_argument("--eta-smooth", type=float, default=None,
+                           help="variation budget for method 'anomaly-constrained'")
 
     p = sub.add_parser("combine", help="fuse per-expert opinion columns into labels")
     _add_common(p, config=True)
@@ -283,12 +271,10 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_recovery(args, methods_with_mask: bool = True) -> int:
+def _cmd_recovery(args) -> int:
     shift = load_graph(args.graph)
     observed = load_signal_csv(args.signal)
-    mask = None
-    if methods_with_mask:
-        mask = load_mask_csv(args.mask, observed.shape)
+    mask = None if args.command == "detect" else load_mask_csv(args.mask, observed.shape)
     config = load_solver_config(args.config)
     eta_smooth = getattr(args, "eta_smooth", None)
     if eta_smooth is not None and not eta_smooth >= 0:
@@ -320,7 +306,8 @@ def _cmd_combine(args) -> int:
         if not args.graph:
             raise ConfigError(f"method {args.method!r} needs --graph")
         shift = load_graph(args.graph)
-    result = _combine(opinions, args.method, shift, load_solver_config(args.config))
+    result = combine_opinions(opinions, args.method, shift,
+                              load_solver_config(args.config))
     out = _out_dir(args)
     save_signal_csv(out / "labels.csv", result.x)
     print(f"wrote labels for {result.x.shape[0]} nodes to {out / 'labels.csv'}")
@@ -370,10 +357,7 @@ def main(argv=None) -> int:
     handlers = {
         "build-graph": _cmd_build_graph,
         "synth": _cmd_synth,
-        "inpaint": _cmd_recovery,
-        "complete": _cmd_recovery,
-        "detect": lambda a: _cmd_recovery(a, methods_with_mask=False),
-        "robust": _cmd_recovery,
+        **dict.fromkeys(("inpaint", "complete", "detect", "robust"), _cmd_recovery),
         "combine": _cmd_combine,
         "eval": _cmd_eval,
         "run": _cmd_run,

@@ -53,6 +53,7 @@ from .io import config_values, json_value, load_bundle, load_graph, spec_from_di
 from .solvers import (
     RecoveryResult,
     SolverConfig,
+    _closed_form,
     _regularized_fit,
     _vector_inputs,
     anomaly_detect,
@@ -141,14 +142,8 @@ def laplacian_baseline(t: np.ndarray, mask: np.ndarray, laplacian,
     if asym > 1e-10 * (1.0 + float(np.linalg.norm(laplacian.data))):
         raise NonSymmetricLaplacian(
             f"laplacian asymmetry {asym:.3e} exceeds tolerance")
-    x, objective = _regularized_fit(t, mask, laplacian, alpha)
-    return RecoveryResult(
-        x=x,
-        objective_trace=np.asarray([objective]),
-        iterations=1,
-        converged=True,
-        meta={"solver": "laplacian", "alpha": float(alpha)},
-    )
+    return _closed_form(*_regularized_fit(t, mask, laplacian, alpha),
+                        solver="laplacian", alpha=float(alpha))
 
 
 @dataclass(frozen=True)
@@ -214,24 +209,17 @@ def cross_validate(method: str, observed: np.ndarray, mask: np.ndarray,
 
 def combine_opinions(opinions: np.ndarray, method: str,
                      shift: GraphShift | None = None,
-                     config: SolverConfig | None = None) -> np.ndarray:
+                     config: SolverConfig | None = None) -> RecoveryResult:
     """Fuse per-expert +/-1 opinions into one +/-1 label per node.
 
     ``avg`` takes the sign of the mean opinion.  The denoise variants treat
     scores as a graph signal and smooth them before thresholding:
     ``gtvr-denoise`` smooths the mean-score vector, ``gmcr-denoise`` runs the
     low-rank recovery on the full opinion matrix and averages afterwards.
-    Ties threshold to +1.
-    """
-    return _combine(opinions, method, shift, config).x
-
-
-def _combine(opinions: np.ndarray, method: str, shift: GraphShift | None,
-             config: SolverConfig | None) -> RecoveryResult:
-    """:func:`combine_opinions`' solve, its ``x`` thresholded to the labels.
-
-    ``avg`` solves nothing: one iteration, converged. The denoise variants
-    keep their solver's iterations, convergence and trace.
+    Ties threshold to +1. Returns the solve's :class:`RecoveryResult` with
+    the labels in ``x``: ``avg`` solves nothing (one iteration, converged),
+    the denoise variants keep their solver's iterations, convergence and
+    trace.
     """
     opinions = np.asarray(opinions, dtype=float)
     if opinions.ndim != 2:
@@ -244,8 +232,7 @@ def _combine(opinions: np.ndarray, method: str, shift: GraphShift | None,
     config = config if config is not None else SolverConfig()
     scores = opinions.mean(axis=1)
     if method == "avg":
-        result = RecoveryResult(x=scores, objective_trace=np.asarray([0.0]),
-                                iterations=1, converged=True)
+        result = _closed_form(scores, 0.0)
     elif shift is None:
         raise ConfigError(f"method {method!r} needs a graph shift")
     elif shift.n != opinions.shape[0]:
@@ -373,12 +360,13 @@ class ExperimentSpec:
     ``from_dict`` reads every block before any graph is built, and rejects
     any key the task does not read; a null block or setting means its
     defaults. ``raw`` keeps the original dict for echoing into the report.
-    ``graph`` is None or a typed block (a knn block carries its
-    ``GraphBuildSpec`` under ``build``). ``signal`` holds one block:
+    ``graph`` is None or a typed block (a knn block keeps its
+    ``GraphBuildSpec`` keys flat). ``signal`` holds one block:
     ``synthetic`` as a ``SyntheticSpec``, ``bundle`` as a directory path, or
     ``opinions`` as :class:`Opinions`. ``ratios`` are accessible-entry
     fractions and collapse to a single dummy value for the detect and
-    combine tasks.
+    combine tasks. Parsing a parsed spec again (``dataclasses.replace``)
+    changes nothing.
     """
 
     task: str | None = None
@@ -437,7 +425,7 @@ class ExperimentSpec:
         scores = _TASK_SCORES.get(task, ("regression", "classification"))
         score = self.score
         if score is None:
-            score = scores[0] if scores else "regression"
+            score = scores[0] if scores else None
         elif score not in scores:
             raise ConfigError(f"task {task!r} takes score in {list(scores)}, got {score!r}")
         if score == "classification" and "synthetic" in signal:
@@ -524,7 +512,7 @@ def _graph_block(graph) -> dict:
     if n < 2 or dim < 1 or build.k >= n:
         raise ConfigError(f"knn graph needs n >= 2, dim >= 1 and 1 <= k < n, "
                           f"got n={n}, dim={dim}, k={build.k}")
-    return {"kind": kind, "n": n, "dim": dim, "build": build}
+    return dict(graph, dim=dim)
 
 
 def _resolve_graph(graph: dict, seed: int) -> GraphShift:
@@ -533,7 +521,8 @@ def _resolve_graph(graph: dict, seed: int) -> GraphShift:
     if graph["kind"] == "knn":
         features = random_features(graph["n"], graph["dim"],
                                    stream_rng(seed, STREAM_GRAPH).integers(2**31))
-        return build_knn_graph(features, graph["build"])
+        build = {key: graph[key] for key in graph.keys() - {"kind", "n", "dim"}}
+        return build_knn_graph(features, GraphBuildSpec(**build))
     return load_graph(graph["path"])
 
 
@@ -642,7 +631,7 @@ def _combine_cells(spec: ExperimentSpec) -> Iterator[_Cell]:
 def _combine_cell(shift: GraphShift, truth: np.ndarray, opinions: np.ndarray,
                   trial: int) -> _Cell:
     def solve(entry: SolverEntry, config: SolverConfig) -> RecoveryResult:
-        return _combine(opinions, entry.method, shift, config)
+        return combine_opinions(opinions, entry.method, shift, config)
 
     def score(result: RecoveryResult) -> MetricReport:
         return evaluate(truth, result.x, "classification")

@@ -186,7 +186,10 @@ def spec_from_dict(cls, data, where: str, error: type = ConfigError, **fixed):
     {}) a field of the dataclass ``cls`` not in ``fixed``, read as annotated:
     a dataclass from an object, ``tuple[X, ...]`` from a list, ``X | None``
     also from null, bool, int, float and str by :func:`json_value`, and any
-    other type as it is. ``where`` names ``data``; "" is the description."""
+    other type as it is. ``where`` names ``data``; "" is the description. An
+    instance of ``cls``, which no JSON value is, is returned as it is."""
+    if isinstance(data, cls):
+        return data
     data = {} if data is None else data
     block = where or "the description"
     if not isinstance(data, dict):

@@ -180,6 +180,12 @@ class RecoveryResult:
     meta: dict[str, Any] = field(default_factory=dict)
 
 
+def _closed_form(x: np.ndarray, objective: float, **meta) -> RecoveryResult:
+    """The result of a solve made in one step: converged, its objective traced once."""
+    return RecoveryResult(x=x, objective_trace=np.array([objective]), iterations=1,
+                          converged=True, meta=meta)
+
+
 def _matrix_inputs(T, mask, shift: GraphShift) -> tuple[np.ndarray, np.ndarray, bool]:
     """The signal as an (n, L) matrix, its mask, and whether it was a vector."""
     T2, m = np.asarray(T, dtype=float), np.asarray(mask)
@@ -256,14 +262,8 @@ def gtvm(t: np.ndarray, mask: np.ndarray, shift: GraphShift) -> RecoveryResult:
     if hidden.size:
         rows = at[hidden]
         x[hidden] = -factorized(rows[:, hidden])(rows[:, np.flatnonzero(m)] @ t[m])
-    obj = _finite(_residual_variation(x[:, None], shift)[0])
-    return RecoveryResult(
-        x=x,
-        objective_trace=np.array([obj]),
-        iterations=1,
-        converged=True,
-        meta={"solver": "gtvm"},
-    )
+    return _closed_form(x, _finite(_residual_variation(x[:, None], shift)[0]),
+                        solver="gtvm")
 
 
 def gtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift, alpha: float) -> RecoveryResult:
@@ -278,14 +278,8 @@ def gtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift, alpha: float) -> Re
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     t, m = _vector_inputs(t, mask, shift.n)
-    x, obj = _regularized_fit(t, m, tilde_shift(shift), alpha)
-    return RecoveryResult(
-        x=x,
-        objective_trace=np.array([obj]),
-        iterations=1,
-        converged=True,
-        meta={"solver": "gtvr", "alpha": alpha},
-    )
+    return _closed_form(*_regularized_fit(t, m, tilde_shift(shift), alpha),
+                        solver="gtvr", alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -440,30 +434,26 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
 # anomaly detection
 # ---------------------------------------------------------------------------
 
-def _lasso_kkt(t: np.ndarray, e: np.ndarray, beta: float,
-               shift: GraphShift) -> tuple[float, float, bool]:
+def _lasso_kkt(t: np.ndarray, e: np.ndarray, beta: float, shift: GraphShift,
+               c0: float) -> tuple[float, float, bool]:
     """The variation of ``x = t - e``, the lasso KKT violation of e, and its verdict.
 
     e minimizes ``||D (t - e)||^2 + beta ||e||_1`` (D = I - A) exactly when
     ``c = 2 D^T D (t - e)`` is ``beta sign(e_i)`` where e is nonzero and at
     most beta in absolute value elsewhere. The violation is the largest miss
-    over beta, at beta = 0 over ``c0 = max |c|`` at e = 0 (0 if that is 0
-    too). e is certified when the miss is at most ``1e-8 beta`` (``1e-8 c0``
-    at beta = 0) plus the rounding floor ``4 eps c0``: rounding e to doubles
-    moves the correlations by about that much, more than 1e-8 of a tiny
-    weight.
+    over beta, at beta = 0 over ``c0 = max |c|`` at e = 0, the start weight
+    :func:`_lasso_path` returns (0 if that is 0 too). e is certified when
+    the miss is at most ``1e-8 beta`` (``1e-8 c0`` at beta = 0) plus the
+    rounding floor ``4 eps c0``: rounding e to doubles moves the
+    correlations by about that much, more than 1e-8 of a tiny weight.
     """
     variation, d = _residual_variation((t - e)[:, None], shift)
     c = _variation_grad(d, shift)[:, 0]
     violation = np.where(e != 0, np.abs(c - beta * np.sign(e)), np.abs(c) - beta)
     worst = float(np.max(violation, initial=0.0))
-
-    def top() -> float:  # c0: one product with T, made only where it is read
-        return 2.0 * float(np.max(np.abs(tilde_shift(shift) @ t)))
-
-    scale = beta or top()
+    scale = beta or c0
     certified = (scale == 0 or worst <= 1e-8 * scale
-                 or worst <= 1e-8 * scale + 4.0 * np.finfo(float).eps * top())
+                 or worst <= 1e-8 * scale + 4.0 * np.finfo(float).eps * c0)
     return variation, (worst / scale if scale > 0 else 0.0), certified
 
 
@@ -487,8 +477,8 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
         raise ValueError("beta_reg must be nonnegative")
     config = config or SolverConfig()
     t = _vector_signal(t, shift.n)
-    e, _, segments, trace = _lasso_path(t, shift, config.max_outer, weight=beta_reg)
-    variation, stationarity, certified = _lasso_kkt(t, e, beta_reg, shift)
+    e, _, segments, trace, c0 = _lasso_path(t, shift, config.max_outer, weight=beta_reg)
+    variation, stationarity, certified = _lasso_kkt(t, e, beta_reg, shift, c0)
     T = tilde_shift(shift)
     # ||T||_inf bounds its largest eigenvalue; T = 0 (A = I) takes any step
     step = 0.5 / (float(abs(T).sum(axis=1).max()) or 1.0)
@@ -511,7 +501,7 @@ def _csr_row(M: sp.csr_array, i: int) -> np.ndarray:
 
 def _lasso_path(t: np.ndarray, shift: GraphShift, max_segments: int,
                 weight: float = 0.0, budget: float | None = None
-                ) -> tuple[np.ndarray, float, int, list[float]]:
+                ) -> tuple[np.ndarray, float, int, list[float], float]:
     """The point of :func:`anomaly_detect`'s solution path at a weight or a variation.
 
     With ``D = I - A``, ``T = D^T D`` and ``b = T t``, the minimizer e of
@@ -537,15 +527,15 @@ def _lasso_path(t: np.ndarray, shift: GraphShift, max_segments: int,
     The path stops at ``weight`` or, given a ``budget``, at the larger root
     of ``||r0 + beta r1||^2 = budget`` on the first segment whose lower end
     meets it; a run cut at ``max_segments`` stops at its last point.
-    Returns e, its weight, the segment count and the objective at
-    ``weight`` at each segment's lower end.
+    Returns e, its weight, the segment count, the objective at ``weight`` at
+    each segment's lower end, and the start weight c0.
     """
     T, n = tilde_shift(shift), t.shape[0]
     b = T @ t
-    beta, trace = _finite(2.0 * float(np.max(np.abs(b)))), []
-    if beta <= weight:
-        return np.zeros(n), weight, 0, trace
-    end = weight + 4.0 * np.finfo(float).eps * beta
+    c0, trace = _finite(2.0 * float(np.max(np.abs(b)))), []
+    if c0 <= weight:
+        return np.zeros(n), weight, 0, trace, c0
+    beta, end = c0, weight + 4.0 * np.finfo(float).eps * c0
     # s on the support, 0 off it; S lists the support in the order of the
     # block's rows. The largest correlation joins first
     signs, S, block = np.zeros(n), np.zeros(0, dtype=int), np.zeros((0, 0))
@@ -591,7 +581,7 @@ def _lasso_path(t: np.ndarray, shift: GraphShift, max_segments: int,
             break
     e = np.zeros(n)
     e[S] = s * np.maximum(s * (u - beta * v), 0.0)  # none rounded past 0
-    return e, beta, segment, trace
+    return e, beta, segment, trace, c0
 
 
 def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: float,
@@ -632,9 +622,9 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
                               meta=dict(meta, beta_reg=float("inf"), segments=0,
                                         smoothness=base_variation, stationarity=0.0))
 
-    e, beta, segments, _ = _lasso_path(t, shift, config.max_outer,
-                                       budget=target + 0.5 * slack)
-    smoothness, stationarity, certified = _lasso_kkt(t, e, beta, shift)
+    e, beta, segments, _, c0 = _lasso_path(t, shift, config.max_outer,
+                                           budget=target + 0.5 * slack)
+    smoothness, stationarity, certified = _lasso_kkt(t, e, beta, shift, c0)
     if smoothness > target + slack:
         end = f"ran out of segments at weight {beta:.3e}" if beta else "reaches weight 0"
         raise Infeasible(f"the lasso path {end} after {segments} segments, still above "

@@ -112,6 +112,11 @@ class TestSynth:
             assert (out / name).exists()
 
 
+def test_synth_without_out_is_config_error(graph_file, capsys):
+    assert main(["synth", "--graph", str(graph_file)]) == 2
+    assert capsys.readouterr().err == "config error: synth needs --out\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--ratio", "1.5"], ["synth", "--ratio", "0"], ["synth", "--rank", "0"],
     ["synth", "--l", "0"], ["synth", "--noise-sigma", "-1"],

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from gsrec import (
     GraphShift,
     NonBinaryInput,
     NonSymmetricLaplacian,
+    RecoveryResult,
     SolverConfig,
     SyntheticInstance,
     SyntheticSpec,
@@ -33,7 +35,7 @@ from gsrec import (
     threshold_labels,
 )
 from gsrec.cli import main
-from gsrec.experiments import Opinions
+from gsrec.experiments import Opinions, SolverEntry, _Cell, _oracle_pick
 from oracles import quadratic_inpaint_oracle
 
 
@@ -216,18 +218,18 @@ class TestCombineOpinions:
         assert np.array_equal(opinions, np.tile(truth[:, None], (1, 7)))
         cfg = SolverConfig(alpha=0.05, beta=0.01)
         for method in ("avg", "gtvr-denoise", "gmcr-denoise"):
-            out = combine_opinions(opinions, method, shift, cfg)
+            out = combine_opinions(opinions, method, shift, cfg).x
             np.testing.assert_array_equal(out, truth)
 
     def test_majority_row(self):
         opinions = np.array([[1.0, 1.0, -1.0],
                              [-1.0, -1.0, 1.0]])
-        out = combine_opinions(opinions, "avg")
+        out = combine_opinions(opinions, "avg").x
         np.testing.assert_array_equal(out, [1.0, -1.0])
 
     def test_tied_row_maps_to_plus_one(self):
         opinions = np.array([[1.0, -1.0]])
-        assert combine_opinions(opinions, "avg")[0] == 1.0
+        assert combine_opinions(opinions, "avg").x[0] == 1.0
 
     def test_denoising_beats_averaging_on_easy_hard_instances(self):
         cfg = SolverConfig(alpha=5.0, beta=1.0)
@@ -235,11 +237,11 @@ class TestCombineOpinions:
         for seed in range(10):
             shift, truth, opinions, _ = synth_opinion_instance(
                 200, 20, 0.9, 0.3, 0.25, 8, seed)
-            acc_avg = evaluate(truth, combine_opinions(opinions, "avg"),
+            acc_avg = evaluate(truth, combine_opinions(opinions, "avg").x,
                                "classification").acc
             acc_den = evaluate(truth,
                                combine_opinions(opinions, "gmcr-denoise",
-                                                shift, cfg),
+                                                shift, cfg).x,
                                "classification").acc
             wins += acc_den >= acc_avg
         assert wins >= 8
@@ -260,6 +262,18 @@ class TestCombineOpinions:
         shift = blob_shift(5, 20)
         with pytest.raises(DimensionMismatch):
             combine_opinions(np.ones((4, 3)), "gtvr-denoise", shift)
+
+
+class TestOraclePick:
+    def test_a_non_finite_score_loses_to_any_finite_one(self):
+        # NaN compares false both ways, so unranked it would keep the grid's
+        # first entry
+        estimates = {1.0: np.array([np.nan, 0.0]), 2.0: np.array([1.0, 0.0])}
+        cell = _Cell(1.0, 0, lambda entry, config: RecoveryResult(x=estimates[config.alpha]),
+                     lambda result: evaluate(np.zeros(2), result.x), None)
+        entry = SolverEntry("gtvr", grid=(SolverConfig(alpha=1.0), SolverConfig(alpha=2.0)))
+        result, report = _oracle_pick(entry, cell)
+        assert result.x[0] == 1.0 and report.mse == 0.5
 
 
 class TestSolveRecovery:
@@ -337,6 +351,22 @@ def _description(task):
                    "solvers": [{"method": "gtvm"}]},
     }[task]
 
+
+# one description of every task and signal source, for re-parsing
+_REPARSED = {
+    "inpaint": lambda: _description("inpaint"),
+    "inpaint-cycle": lambda: dict(_description("inpaint"), graph={"kind": "cycle", "n": 20}),
+    "inpaint-file": lambda: dict(_description("inpaint"),
+                                 graph={"kind": "file", "path": "graph.csv"}),
+    "complete": lambda: _description("complete"),
+    "robust-inpaint": lambda: dict(_description("inpaint"), task="robust-inpaint",
+                                   corrupt={"fraction": 0.1, "mode": "regression"}),
+    "detect": lambda: _description("detect"),
+    "combine-opinions": lambda: dict(
+        _description("combine"), task="combine-opinions", oracle_select=True,
+        solvers=[{"method": "gtvr-denoise", "grid": [{"alpha": 1}, {"alpha": 2}]}]),
+    "bundle": lambda: _description("bundle"),
+}
 
 _DROP = object()
 
@@ -509,6 +539,16 @@ class TestExperimentSpec:
         assert spec.task == "inpaint" and spec.trials == 2
         assert spec.ratios == (0.5,)
         assert spec.selection_mode(spec.solvers[0]) == "fixed"
+
+    @pytest.mark.parametrize("name", _REPARSED)
+    def test_replace_reparses_a_spec_unchanged(self, name):
+        # __post_init__ checks a replaced spec again: its typed blocks read as
+        # they are, so the copy is the spec its edited description parses to
+        raw = _REPARSED[name]()
+        copied = replace(ExperimentSpec.from_dict(raw), trials=3)
+        parsed = ExperimentSpec.from_dict(dict(raw, trials=3))
+        assert [getattr(copied, f.name) for f in fields(copied) if f.name != "raw"] == [
+            getattr(parsed, f.name) for f in fields(parsed) if f.name != "raw"]
 
     def test_combine_opinions_alias(self):
         raw = {

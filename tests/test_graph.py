@@ -206,6 +206,20 @@ class TestSpectralRadius:
         with pytest.raises(EigensolveFailed, match=str(DENSE_MAX_NODES)):
             spectral_radius(above)
 
+    def test_eigenpair_failing_its_residual_is_not_trusted(self, monkeypatch):
+        # unequal row and column sums, so the radius needs an eigensolve
+        w = sp.csr_array(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [3.0, 0.0, 0.0]]))
+
+        def wrong_pair(*args, **kwargs):
+            return np.array([1.0 + 0j]), np.ones((3, 1), dtype=complex)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", wrong_pair)
+        # the dense solve gets the radius 6^(1/3), not the patched 1
+        assert spectral_radius(w) == pytest.approx(6.0 ** (1 / 3), rel=1e-12)
+        monkeypatch.setattr(gsrec.graph, "DENSE_MAX_NODES", 2)
+        with pytest.raises(EigensolveFailed, match="residual"):
+            spectral_radius(w)
+
     def test_large_signed_matrix_is_refused_before_densifying(self, monkeypatch):
         # a dense copy of 5001 nodes is 200 MB and its eigvals O(n^3)
         def no_dense(w):
@@ -305,6 +319,14 @@ class TestSpectralDecomposition:
     def test_defective_matrix_raises(self):
         shift = GraphShift(np.array([[1.0, 1.0], [0.0, 1.0]]), normalized=True)
         with pytest.raises(NotDiagonalizable):
+            spectral_decomposition(shift)
+
+    def test_basis_that_misses_the_shift_raises(self, monkeypatch):
+        # a well-conditioned eigenvector matrix whose values do not rebuild
+        # the shift: only the reconstruction check catches it
+        shift = random_kregular_shift(5, 2, seed=1)
+        monkeypatch.setattr(np.linalg, "eig", lambda w: (np.zeros(5), np.eye(5)))
+        with pytest.raises(NotDiagonalizable, match="reconstruction"):
             spectral_decomposition(shift)
 
     def test_symmetric_branch_returns_orthonormal_real_basis(self):

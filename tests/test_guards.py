@@ -18,6 +18,9 @@ from gsrec import (
     corrupt_labels,
     cross_validate,
     cycle_shift,
+    gmcm,
+    gmcr,
+    gsr_admm,
     laplacian_baseline,
     pairwise_distances,
     residual_decomposition,
@@ -42,6 +45,12 @@ GUARDS = {
         "gtvr", VALUES, ALL[:3], SHIFT, [SolverConfig()], 0)),
     "cross_validate-one-entry": (EmptyMask, "two accessible", lambda: cross_validate(
         "gtvr", VALUES, np.arange(4) == 0, SHIFT, [SolverConfig()], 0)),
+    "gmcm-mask-not-boolean": (DimensionMismatch, "boolean", lambda: gmcm(
+        VALUES, np.ones(4), SHIFT)),
+    "gmcr-mask-shape": (DimensionMismatch, "mask shape", lambda: gmcr(
+        np.ones((4, 2)), np.ones((4, 3), dtype=bool), SHIFT)),
+    "gsr_admm-mask-shape": (DimensionMismatch, "mask shape", lambda: gsr_admm(
+        np.ones((4, 2)), ALL, SHIFT)),
     "laplacian-not-square": (DimensionMismatch, "square", lambda: laplacian_baseline(
         VALUES, ALL, np.zeros((4, 3)), 1.0)),
     "svt-negative-threshold": (NegativeThreshold, "nonnegative", lambda: svt(

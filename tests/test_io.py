@@ -401,6 +401,13 @@ class TestResultJson:
         np.testing.assert_allclose(np.array(back["x"]), res.x.ravel()
                                    if res.x.ndim == 1 else res.x)
 
+    def test_lists_and_tuples_serialize_item_by_item(self):
+        res = anomaly_detect(np.zeros(6), small_shift(6, 4), 0.5)
+        res.meta.update(pair=(np.float64(0.5), np.int64(2)), flags=[np.bool_(True)])
+        d = result_to_dict(res)
+        assert d["meta"]["pair"] == [0.5, 2] and type(d["meta"]["pair"][1]) is int
+        assert d["meta"]["flags"] == [True] and d["meta"]["flags"][0] is True
+
 
 class TestBundle:
     def test_round_trip(self, tmp_path):

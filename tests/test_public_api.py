@@ -112,6 +112,22 @@ def test_only_graph_computes_or_checks_a_radius():
     assert not hasattr(gsrec.graph, "_require_normalized")
 
 
+def test_only_solvers_builds_a_recovery_result():
+    # every solve's result is built in solvers.py, a one-step solve's by
+    # _closed_form, so what a result says is decided in one module
+    calls = []
+    for path in sorted((ROOT / "src" / "gsrec").glob("*.py")):
+        if path.name == "solvers.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "RecoveryResult":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"RecoveryResult built outside solvers.py: {calls}"
+
+
 def test_only_io_maps_errors_to_config_errors():
     # how an outside value becomes a setting, and when a bad one is a config
     # error, is decided in io.py: no other module catches a TypeError,
