@@ -30,7 +30,6 @@ from .experiments import (
     DETECT_METHODS,
     MATRIX_METHODS,
     ExperimentSpec,
-    combine_opinions,
     evaluate,
     run_experiment,
     solve_recovery,
@@ -306,8 +305,8 @@ def _cmd_combine(args) -> int:
         if not args.graph:
             raise ConfigError(f"method {args.method!r} needs --graph")
         shift = load_graph(args.graph)
-    result = combine_opinions(opinions, args.method, shift,
-                              load_solver_config(args.config))
+    result = solve_recovery(args.method, opinions, None, shift,
+                            load_solver_config(args.config))
     out = _out_dir(args)
     save_signal_csv(out / "labels.csv", result.x)
     print(f"wrote labels for {result.x.shape[0]} nodes to {out / 'labels.csv'}")

@@ -105,6 +105,8 @@ class SyntheticSpec:
             )
         if self.outlier_lo < 0 or self.outlier_hi < self.outlier_lo:
             raise ValueError("outlier range needs 0 <= lo <= hi")
+        if self.outliers_per_column > 0 and self.outlier_hi == 0:
+            raise ValueError("outliers need outlier_hi > 0; a zero range plants zeros")
 
     @property
     def effective_rank(self) -> int:

@@ -8,8 +8,9 @@ into the output directory:
   and ``%.17g`` float formatting.  Re-running the same description with the
   same seed reproduces this file byte for byte, so it doubles as a regression
   fixture.  Wall-clock timing is deliberately kept out of it.
-* ``report.json``: the echoed description, library versions, per-method
-  aggregates, parameter-selection modes, and timing.
+* ``report.json``: the description as parsed, every default filled in,
+  library versions, per-method aggregates, parameter-selection modes, and
+  timing.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +29,6 @@ from .datagen import (
     STREAM_GRAPH,
     STREAM_SPLIT,
     GraphBuildSpec,
-    SyntheticInstance,
     SyntheticSpec,
     build_knn_graph,
     corrupt_labels,
@@ -49,7 +49,8 @@ from .errors import (
     NonSymmetricLaplacian,
 )
 from .graph import GraphShift, cycle_shift
-from .io import config_values, json_value, load_bundle, load_graph, spec_from_dict
+from .io import (_jsonable, config_values, json_value, load_bundle, load_graph,
+                 spec_from_dict)
 from .solvers import (
     RecoveryResult,
     SolverConfig,
@@ -164,9 +165,8 @@ def cross_validate(method: str, observed: np.ndarray, mask: np.ndarray,
 
     The split is drawn from a dedicated seeded stream, so repeated calls with
     the same arguments select the same configuration.  Validation score is
-    mean squared error against the held-out observed values; ties resolve to
-    the earliest grid entry, and non-finite scores are treated as infinitely
-    bad.
+    mean squared error against the held-out observed values, ranked by
+    :func:`_first_least`.
     """
     grid = list(grid)
     if not grid:
@@ -195,9 +195,8 @@ def cross_validate(method: str, observed: np.ndarray, mask: np.ndarray,
     for config in grid:
         result = solve_recovery(method, observed, train_mask, shift, config)
         pred = np.asarray(result.x, dtype=float).ravel()[val_idx]
-        mse = float(np.mean((pred - target) ** 2))
-        scores.append(mse if np.isfinite(mse) else np.inf)
-    best = int(np.argmin(scores))
+        scores.append(float(np.mean((pred - target) ** 2)))
+    best = _first_least(scores)
     return CvSelection(
         index=best,
         config=grid[best],
@@ -205,6 +204,11 @@ def cross_validate(method: str, observed: np.ndarray, mask: np.ndarray,
         train_count=int(train_count),
         val_count=int(flat.size - train_count),
     )
+
+
+def _first_least(keys: Sequence[float]) -> int:
+    """Index of the first least key, a non-finite key ranking last."""
+    return int(np.argmin([key if np.isfinite(key) else np.inf for key in keys]))
 
 
 def combine_opinions(opinions: np.ndarray, method: str,
@@ -248,17 +252,21 @@ def combine_opinions(opinions: np.ndarray, method: str,
 
 
 def solve_recovery(method: str, observed: np.ndarray, mask: np.ndarray | None,
-                   shift: GraphShift, config: SolverConfig | None = None,
+                   shift: GraphShift | None, config: SolverConfig | None = None,
                    eta_smooth: float | None = None) -> RecoveryResult:
     """Dispatch one recovery method by name against uniform array handling.
 
     Vector-only methods accept an (n, 1) matrix and squeeze it; matrix
-    methods take a vector as it is and return a vector.  The anomaly methods
-    ignore the mask.  ``config.gamma`` doubles as the sparsity weight for
-    ``anomaly``.
+    methods take a vector as it is and return a vector.  The anomaly and
+    combination methods ignore the mask; the combination methods read
+    ``observed`` as the (n, experts) opinions of :func:`combine_opinions`,
+    and only ``avg`` takes no shift.  ``config.gamma`` doubles as the
+    sparsity weight for ``anomaly``.
     """
     config = config if config is not None else SolverConfig()
     observed = np.asarray(observed, dtype=float)
+    if method in COMBINE_METHODS:
+        return combine_opinions(observed, method, shift, config)
     if method in DETECT_METHODS:
         t = observed[:, 0] if observed.ndim == 2 and observed.shape[1] == 1 else observed
         if method == "anomaly":
@@ -359,9 +367,8 @@ class ExperimentSpec:
 
     ``from_dict`` reads every block before any graph is built, and rejects
     any key the task does not read; a null block or setting means its
-    defaults. ``raw`` keeps the original dict for echoing into the report.
-    ``graph`` is None or a typed block (a knn block keeps its
-    ``GraphBuildSpec`` keys flat). ``signal`` holds one block:
+    defaults. ``graph`` is None or a typed block (a knn block keeps its
+    ``GraphBuildSpec`` keys flat, defaults filled in). ``signal`` holds one block:
     ``synthetic`` as a ``SyntheticSpec``, ``bundle`` as a directory path, or
     ``opinions`` as :class:`Opinions`. ``ratios`` are accessible-entry
     fractions and collapse to a single dummy value for the detect and
@@ -380,11 +387,10 @@ class ExperimentSpec:
     score: str | None = None
     eval_on: str | None = None
     oracle_select: bool = False
-    raw: dict = field(repr=False, default_factory=dict)
 
     @staticmethod
     def from_dict(data) -> "ExperimentSpec":
-        return spec_from_dict(ExperimentSpec, data, "", raw=data)
+        return spec_from_dict(ExperimentSpec, data, "")
 
     def selection_mode(self, entry: SolverEntry) -> str:
         """``fixed`` (run ``entry.config``), or tune ``entry.grid`` on held-out
@@ -420,6 +426,11 @@ class ExperimentSpec:
         if len(set(names)) != len(names):
             raise ConfigError(f"solver names must be unique, got {names}")
         graph, signal = _graph_and_signal(task, self.graph, self.signal)
+        columns = signal["synthetic"].l if "synthetic" in signal else 1
+        for index, entry in enumerate(self.solvers):
+            if entry.method in VECTOR_METHODS and columns != 1:
+                raise ConfigError(f"solvers[{index}]: method {entry.method!r} handles "
+                                  f"single signals, got signal.synthetic.l = {columns}")
         if self.corrupt is not None and not recovery:
             raise ConfigError(f"task {task!r} does not take a corrupt block")
         scores = _TASK_SCORES.get(task, ("regression", "classification"))
@@ -441,13 +452,8 @@ class ExperimentSpec:
 
 _RECOVERY_TASKS = ("inpaint", "robust-inpaint", "complete")
 _TASKS = _RECOVERY_TASKS + ("detect", "combine")
-_TASK_METHODS = {
-    "inpaint": VECTOR_METHODS + MATRIX_METHODS,
-    "robust-inpaint": VECTOR_METHODS + MATRIX_METHODS,
-    "complete": VECTOR_METHODS + MATRIX_METHODS,
-    "detect": DETECT_METHODS,
-    "combine": COMBINE_METHODS,
-}
+_TASK_METHODS = {**dict.fromkeys(_RECOVERY_TASKS, VECTOR_METHODS + MATRIX_METHODS),
+                 "detect": DETECT_METHODS, "combine": COMBINE_METHODS}
 _TASK_SIGNALS = {"detect": ("synthetic",), "combine": ("opinions",)}
 _TASK_SCORES = {"detect": (), "combine": ("classification",)}
 _GRAPH_KEYS = {"cycle": {"kind", "n"},
@@ -512,7 +518,8 @@ def _graph_block(graph) -> dict:
     if n < 2 or dim < 1 or build.k >= n:
         raise ConfigError(f"knn graph needs n >= 2, dim >= 1 and 1 <= k < n, "
                           f"got n={n}, dim={dim}, k={build.k}")
-    return dict(graph, dim=dim)
+    return {"kind": kind, "n": n, "dim": dim, "k": build.k,
+            "symmetrize": build.symmetrize, "normalization": build.normalization}
 
 
 def _resolve_graph(graph: dict, seed: int) -> GraphShift:
@@ -527,17 +534,20 @@ def _resolve_graph(graph: dict, seed: int) -> GraphShift:
 
 
 class _Cell(NamedTuple):
-    """One (ratio, trial) draw: how to solve, score and tune on it.
-
-    ``holdout(entry)`` returns the config a holdout search picks; it is None
-    for tasks without a holdout.
-    """
+    """One (ratio, trial) draw, as data: what :func:`solve_recovery` takes,
+    the truth, the entries :func:`_score` scores (every entry when None) and
+    detection's planted outlier support. A holdout split's subkeys are
+    ``(ratio_index, trial)``."""
 
     ratio: float
+    ratio_index: int
     trial: int
-    solve: Callable[[SolverEntry, SolverConfig], RecoveryResult]
-    score: Callable[[RecoveryResult], MetricReport]
-    holdout: Callable[[SolverEntry], SolverConfig] | None
+    shift: GraphShift
+    observed: np.ndarray
+    mask: np.ndarray | None
+    truth: np.ndarray
+    scored: np.ndarray | None = None
+    support: np.ndarray | None = None
 
 
 def _synthetic_draws(spec: ExperimentSpec, shift: GraphShift):
@@ -563,60 +573,29 @@ def _recovery_cells(spec: ExperimentSpec) -> Iterator[_Cell]:
     for ratio_index, ratio in enumerate(spec.ratios):
         for trial in range(spec.trials):
             instance = fixed if fixed is not None else draw(ratio_index, trial)
-            yield _recovery_cell(spec, shift, instance, ratio, ratio_index, trial)
-
-
-def _recovery_cell(spec: ExperimentSpec, shift: GraphShift,
-                   instance: SyntheticInstance, ratio: float, ratio_index: int,
-                   trial: int) -> _Cell:
-    truth, observed = instance.x0, instance.observed
-    if spec.task != "complete":
-        truth, observed = truth[:, 0], observed[:, 0]
-    mask = sample_mask(observed.shape, ratio, spec.seed, ratio_index, trial)
-    if spec.corrupt is not None and spec.corrupt.fraction > 0:
-        observed, _ = corrupt_labels(observed, mask, spec.corrupt.fraction,
-                                     spec.corrupt.mode, spec.seed, ratio_index, trial)
-    eval_mask = ~mask if spec.eval_on == "hidden" else np.ones_like(mask)
-    if not np.any(eval_mask):
-        raise EmptyMask("nothing to evaluate: mask covers every entry and "
-                        "eval_on is 'hidden'")
-
-    def solve(entry: SolverEntry, config: SolverConfig) -> RecoveryResult:
-        return solve_recovery(entry.method, observed, mask, shift, config,
-                              entry.eta_smooth)
-
-    def score(result: RecoveryResult) -> MetricReport:
-        est = np.asarray(result.x, dtype=float)
-        return evaluate(truth[eval_mask], est[eval_mask], spec.score)
-
-    def holdout(entry: SolverEntry) -> SolverConfig:
-        return cross_validate(entry.method, observed, mask, shift, entry.grid,
-                              spec.seed, ratio_index, trial).config
-
-    return _Cell(ratio, trial, solve, score, holdout)
+            truth, observed = instance.x0, instance.observed
+            if spec.task != "complete":
+                truth, observed = truth[:, 0], observed[:, 0]
+            mask = sample_mask(observed.shape, ratio, spec.seed, ratio_index, trial)
+            if spec.corrupt is not None and spec.corrupt.fraction > 0:
+                observed, _ = corrupt_labels(observed, mask, spec.corrupt.fraction,
+                                             spec.corrupt.mode, spec.seed, ratio_index,
+                                             trial)
+            scored = ~mask if spec.eval_on == "hidden" else np.ones_like(mask)
+            if not np.any(scored):
+                raise EmptyMask("nothing to evaluate: mask covers every entry and "
+                                "eval_on is 'hidden'")
+            yield _Cell(ratio, ratio_index, trial, shift, observed, mask, truth, scored)
 
 
 def _detect_cells(spec: ExperimentSpec) -> Iterator[_Cell]:
     shift = _resolve_graph(spec.graph, spec.seed)
     draw = _synthetic_draws(spec, shift)
     for trial in range(spec.trials):
-        yield _detect_cell(shift, draw(trial), trial)
-
-
-def _detect_cell(shift: GraphShift, instance: SyntheticInstance, trial: int) -> _Cell:
-    t = instance.observed[:, 0]
-    clean = instance.x0[:, 0] + instance.noise[:, 0]
-    true_support = instance.outliers[:, 0] != 0.0
-
-    def solve(entry: SolverEntry, config: SolverConfig) -> RecoveryResult:
-        return solve_recovery(entry.method, t, None, shift, config, entry.eta_smooth)
-
-    def score(result: RecoveryResult) -> MetricReport:
-        found = np.asarray(result.outliers, dtype=float) != 0.0
-        return replace(evaluate(clean, result.x),
-                       acc=float(np.mean(found == true_support)))
-
-    return _Cell(1.0, trial, solve, score, None)
+        instance = draw(trial)
+        yield _Cell(1.0, 0, trial, shift, instance.observed[:, 0], None,
+                    instance.x0[:, 0] + instance.noise[:, 0],
+                    support=instance.outliers[:, 0] != 0.0)
 
 
 def _combine_cells(spec: ExperimentSpec) -> Iterator[_Cell]:
@@ -625,36 +604,49 @@ def _combine_cells(spec: ExperimentSpec) -> Iterator[_Cell]:
         shift, truth, opinions, _ = synth_opinion_instance(
             o.n, o.experts, o.easy_acc, o.hard_acc, o.hard_fraction, o.k,
             spec.seed, trial)
-        yield _combine_cell(shift, truth, opinions, trial)
+        yield _Cell(1.0, 0, trial, shift, opinions, None, truth)
 
 
-def _combine_cell(shift: GraphShift, truth: np.ndarray, opinions: np.ndarray,
-                  trial: int) -> _Cell:
-    def solve(entry: SolverEntry, config: SolverConfig) -> RecoveryResult:
-        return combine_opinions(opinions, entry.method, shift, config)
+def _score(spec: ExperimentSpec, cell: _Cell, result: RecoveryResult) -> MetricReport:
+    """``result`` against the cell's truth by the task's score; for detection
+    ``acc`` is the share of nodes whose outlier support it finds."""
+    truth, est = cell.truth, np.asarray(result.x, dtype=float)
+    if cell.scored is not None:
+        truth, est = truth[cell.scored], est[cell.scored]
+    report = evaluate(truth, est, spec.score or "regression")
+    if cell.support is None:
+        return report
+    found = np.asarray(result.outliers, dtype=float) != 0.0
+    return replace(report, acc=float(np.mean(found == cell.support)))
 
-    def score(result: RecoveryResult) -> MetricReport:
-        return evaluate(truth, result.x, "classification")
 
-    return _Cell(1.0, trial, solve, score, None)
+def _solve_row(spec: ExperimentSpec, entry: SolverEntry,
+               cell: _Cell) -> tuple[RecoveryResult, MetricReport]:
+    """One row's result and score: ``entry.config``'s, the holdout pick's,
+    or (``oracle``, for ceiling studies) the best grid entry's against the
+    truth, by accuracy when the score has one, by mean squared error
+    otherwise, ranked by :func:`_first_least`."""
+    mode = spec.selection_mode(entry)
+    configs = entry.grid if mode == "oracle" else (entry.config,)
+    if mode == "holdout":
+        configs = (cross_validate(entry.method, cell.observed, cell.mask, cell.shift,
+                                  entry.grid, spec.seed, cell.ratio_index,
+                                  cell.trial).config,)
+    tried = []
+    for config in configs:
+        result = solve_recovery(entry.method, cell.observed, cell.mask, cell.shift,
+                                config, entry.eta_smooth)
+        tried.append((result, _score(spec, cell, result)))
+    return tried[_first_least([-report.acc if report.acc is not None else report.mse
+                               for _, report in tried])]
 
 
-def _oracle_pick(entry: SolverEntry, cell: _Cell) -> tuple[RecoveryResult, MetricReport]:
-    """Search the grid with access to ground truth; used for ceiling studies.
-
-    Ranks by accuracy when the score has one, by mean squared error otherwise;
-    ties and non-finite scores go to the earliest grid entry.
-    """
-    best = None
-    for config in entry.grid:
-        result = cell.solve(entry, config)
-        report = cell.score(result)
-        key = -report.acc if report.acc is not None else report.mse
-        if not np.isfinite(key):
-            key = np.inf
-        if best is None or key < best[0]:
-            best = (key, result, report)
-    return best[1], best[2]
+def _echo(spec: ExperimentSpec) -> dict:
+    """The description ``spec`` parses from, every default filled in. A
+    synthetic signal's ``n`` is the graph's node count, no key of it."""
+    echo = _jsonable(asdict(spec))
+    echo["signal"].get("synthetic", {}).pop("n", None)
+    return echo
 
 
 def _csv_field(value) -> str:
@@ -714,13 +706,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     for cell in cells(spec):
         for entry in spec.solvers:
             tick = time.perf_counter()
-            mode = spec.selection_mode(entry)
-            if mode == "oracle":
-                result, report = _oracle_pick(entry, cell)
-            else:
-                config = cell.holdout(entry) if mode == "holdout" else entry.config
-                result = cell.solve(entry, config)
-                report = cell.score(result)
+            result, report = _solve_row(spec, entry, cell)
             per_method_ms[entry.name] += (time.perf_counter() - tick) * 1000.0
             rows.append({
                 "task": spec.task, "method": entry.name, "ratio": cell.ratio,
@@ -737,7 +723,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     trials_path = out_dir / "trials.csv"
     trials_path.write_text("\n".join(lines) + "\n", newline="\n")
     report = {
-        "spec": spec.raw,
+        "spec": _echo(spec),
         "task": spec.task,
         "seed": spec.seed,
         "versions": _versions(),

@@ -121,6 +121,7 @@ def test_synth_without_out_is_config_error(graph_file, capsys):
     ["synth", "--ratio", "1.5"], ["synth", "--ratio", "0"], ["synth", "--rank", "0"],
     ["synth", "--l", "0"], ["synth", "--noise-sigma", "-1"],
     ["synth", "--outlier-lo", "3", "--outlier-hi", "1"], ["synth", "--seed", "-1"],
+    ["synth", "--outliers-per-column", "2", "--outlier-lo", "0", "--outlier-hi", "0"],
     ["build-graph", "--k", "0"],
 ], ids=" ".join)
 def test_out_of_range_flag_is_config_error(tmp_path, graph_file, capsys, argv):

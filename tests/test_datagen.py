@@ -467,6 +467,12 @@ class TestSynthInstance:
         with pytest.raises(ValueError):
             SyntheticSpec(n=4, recipe="bogus")
 
+    def test_outliers_need_a_positive_range(self):
+        # the default range is [0, 0], which would plant outliers of size 0
+        with pytest.raises(ValueError, match="outlier_hi > 0"):
+            SyntheticSpec(n=4, outliers_per_column=1)
+        assert SyntheticSpec(n=4, outliers_per_column=1, outlier_hi=1.0).outlier_lo == 0.0
+
 
 class TestSampleMask:
     def test_full_ratio_covers_everything(self):

@@ -35,7 +35,7 @@ from gsrec import (
     threshold_labels,
 )
 from gsrec.cli import main
-from gsrec.experiments import Opinions, SolverEntry, _Cell, _oracle_pick
+from gsrec.experiments import Opinions, SolverEntry, _Cell, _echo, _solve_row
 from oracles import quadratic_inpaint_oracle
 
 
@@ -265,14 +265,17 @@ class TestCombineOpinions:
 
 
 class TestOraclePick:
-    def test_a_non_finite_score_loses_to_any_finite_one(self):
+    def test_a_non_finite_score_loses_to_any_finite_one(self, monkeypatch):
         # NaN compares false both ways, so unranked it would keep the grid's
         # first entry
         estimates = {1.0: np.array([np.nan, 0.0]), 2.0: np.array([1.0, 0.0])}
-        cell = _Cell(1.0, 0, lambda entry, config: RecoveryResult(x=estimates[config.alpha]),
-                     lambda result: evaluate(np.zeros(2), result.x), None)
+        monkeypatch.setattr(gsrec.experiments, "solve_recovery",
+                            lambda method, observed, mask, shift, config, eta_smooth:
+                            RecoveryResult(x=estimates[config.alpha]))
+        spec = ExperimentSpec.from_dict(dict(_description("inpaint"), oracle_select=True))
         entry = SolverEntry("gtvr", grid=(SolverConfig(alpha=1.0), SolverConfig(alpha=2.0)))
-        result, report = _oracle_pick(entry, cell)
+        cell = _Cell(1.0, 0, 0, None, np.zeros(2), np.ones(2, dtype=bool), np.zeros(2))
+        result, report = _solve_row(spec, entry, cell)
         assert result.x[0] == 1.0 and report.mse == 0.5
 
 
@@ -461,6 +464,11 @@ PARSE_ERRORS = [
     ("combine", ("signal", "opinions", "hard_fraction"), 3, "hard_fraction"),
     ("combine", ("signal", "opinions", "easy_acc"), 2, "easy_acc"),
     ("combine", ("signal", "opinions", "hard_acc"), -0.5, "hard_acc"),
+    # outliers need a range to draw from, and a vector method one column
+    ("inpaint", ("signal", "synthetic", "outliers_per_column"), 2,
+     "signal.synthetic: outliers need outlier_hi > 0"),
+    ("complete", ("signal", "synthetic", "l"), 2,
+     r"solvers\[0\]: method 'gtvm' handles single signals, got signal.synthetic.l = 2"),
 ]
 
 
@@ -549,6 +557,15 @@ class TestExperimentSpec:
         parsed = ExperimentSpec.from_dict(dict(raw, trials=3))
         assert [getattr(copied, f.name) for f in fields(copied) if f.name != "raw"] == [
             getattr(parsed, f.name) for f in fields(parsed) if f.name != "raw"]
+
+    @pytest.mark.parametrize("name", _REPARSED)
+    def test_echo_parses_to_the_spec(self, name):
+        # the report echoes the spec that ran, a replaced one too, with every
+        # default filled in
+        spec = replace(ExperimentSpec.from_dict(_REPARSED[name]()), trials=3)
+        echo = _echo(spec)
+        assert echo["trials"] == 3 and "n" not in echo["signal"].get("synthetic", {})
+        assert ExperimentSpec.from_dict(echo) == spec
 
     def test_combine_opinions_alias(self):
         raw = {
@@ -778,6 +795,28 @@ class TestRunExperiment:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert shapes == [(30,)]
 
+    @pytest.mark.parametrize("raw", [
+        dict(_description("inpaint"), ratios=[0.4, 0.7],
+             solvers=[{"method": "gtvm"}, {"method": "gmcr"}]),
+        dict(_description("detect"), trials=2, solvers=[
+            {"method": "anomaly", "config": {"gamma": 1.0}},
+            {"method": "anomaly-constrained", "eta_smooth": 1.0}]),
+        dict(_description("combine"), trials=2,
+             solvers=[{"method": "avg"}, {"method": "gtvr-denoise"}]),
+    ], ids=["inpaint", "detect", "combine"])
+    def test_one_solve_recovery_call_per_fixed_row(self, tmp_path, monkeypatch, raw):
+        calls = []
+        solve = gsrec.experiments.solve_recovery
+
+        def recorded(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(gsrec.experiments, "solve_recovery", recorded)
+        report = run_experiment(ExperimentSpec.from_dict(raw), tmp_path)
+        assert len(calls) == report["rows"] == 2 * len(raw["solvers"]) * len(
+            raw.get("ratios", [1.0]))
+
     def test_full_information_recovers_perfectly(self, tmp_path):
         raw = {
             "task": "inpaint",
@@ -927,8 +966,12 @@ class TestRunExperiment:
             "signal": {"synthetic": {"l": 1, "rank": 3}},
             "solvers": [{"method": "gtvm"}],
         }
-        report = run_experiment(ExperimentSpec.from_dict(raw), tmp_path)
-        assert report["spec"] == raw
+        spec = ExperimentSpec.from_dict(raw)
+        report = run_experiment(spec, tmp_path)
+        written = json.loads((tmp_path / "report.json").read_text())["spec"]
+        assert written == report["spec"] and ExperimentSpec.from_dict(written) == spec
+        assert written["graph"] == dict(raw["graph"], symmetrize=False,
+                                        normalization="row")
         assert set(report["versions"]) >= {"python", "numpy", "scipy"}
         assert report["versions"]["gsrec"] == gsrec.__version__
         assert (tmp_path / "report.json").exists()

@@ -486,6 +486,8 @@ def corrupt_bundle(d, case):
         spec["synthetic"].update(n=30.0, rank=2.5)
     elif case == "synthetic-unknown-key":
         spec["synthetic"]["noise"] = 0.1
+    elif case == "synthetic-zero-outliers":
+        spec["synthetic"].update(outliers_per_column=2, outlier_lo=0.0, outlier_hi=0.0)
     elif case == "spec-not-an-object":
         spec = [spec]
     elif case.startswith("seed-"):
@@ -525,7 +527,7 @@ class TestMalformedBundle:
         "seed-fraction", "seed-float", "seed-negative", "seed-a-boolean", "seed-a-string",
         "sidecar-n-negative", "sidecar-n-fraction", "sidecar-n-a-boolean",
         "sidecar-n-a-string", "synthetic-floats", "synthetic-unknown-key",
-        "spec-not-an-object"])
+        "synthetic-zero-outliers", "spec-not-an-object"])
     def test_rejected(self, tmp_path, case):
         shift = small_shift(30, 14)
         inst = synth_instance(shift, SyntheticSpec(n=30), 15)

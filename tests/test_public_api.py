@@ -163,3 +163,27 @@ def test_only_io_reads_json():
                     and isinstance(node.value, ast.Name) and node.value.id == "json"):
                 calls.append(f"{path.name}:{node.lineno} json.{node.attr}")
     assert not calls, f"JSON decoded outside io.read_json: {calls}"
+
+
+def test_solvers_are_reached_only_through_solve_recovery():
+    # the runner and the CLI make every solve with solve_recovery, the call
+    # a run's rows come from; outside solvers.py only it and the combiner it
+    # dispatches to call a solver
+    solvers = {"gtvm", "gtvr", "rgtvr", "gmcm", "gmcr", "gsr_admm", "anomaly_detect",
+               "anomaly_detect_constrained", "laplacian_baseline", "combine_opinions"}
+    callers = {"solve_recovery", "combine_opinions"}
+    calls = []
+    for path in sorted((ROOT / "src" / "gsrec").glob("*.py")):
+        if path.name == "solvers.py":
+            continue
+        for statement in ast.parse(path.read_text(), filename=str(path)).body:
+            if getattr(statement, "name", None) in callers:
+                continue
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(
+                        func, "attr", None)
+                    if name in solvers:
+                        calls.append(f"{path.name}:{node.lineno} {name}")
+    assert not calls, f"solver called outside solve_recovery: {calls}"

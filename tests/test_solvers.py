@@ -975,7 +975,8 @@ class TestRgtvr:
         shift = build_knn_graph(random_features(200, 2, 6), GraphBuildSpec(k=8))
         inst = synth_instance(shift, SyntheticSpec(n=200, l=1, rank=5,
                                                    noise_sigma=0.05,
-                                                   outliers_per_column=10), 6)
+                                                   outliers_per_column=10,
+                                                   outlier_lo=5.0, outlier_hi=10.0), 6)
         t, m = inst.observed[:, 0], sample_mask((200,), 0.6, 6)
         cfg = SolverConfig(alpha=1.0, gamma=0.5)
         relaxed = rgtvr(t, m, shift, cfg)
@@ -1005,10 +1006,10 @@ class TestRgtvr:
                          "config": {"alpha": 1.0, "gamma": 0.5}}],
         })
         cell = next(_recovery_cells(spec))
-        entry = spec.solvers[0]
-        res = cell.solve(entry, entry.config)
-        ref = cell.solve(entry, entry.config.replace(tol_outer=1e-14,
-                                                     max_outer=20000))
+        config = spec.solvers[0].config
+        res = rgtvr(cell.observed, cell.mask, cell.shift, config)
+        ref = rgtvr(cell.observed, cell.mask, cell.shift,
+                    config.replace(tol_outer=1e-14, max_outer=20000))
         assert res.converged and ref.converged
         assert np.linalg.norm(res.x - ref.x) <= 1e-4 * np.linalg.norm(ref.x)
 
@@ -1253,7 +1254,8 @@ def trace_instance():
     shift = build_knn_graph(random_features(40, 2, 3), GraphBuildSpec(k=6))
     inst = synth_instance(shift, SyntheticSpec(n=40, l=6, rank=3,
                                                noise_sigma=0.05,
-                                               outliers_per_column=1), 4)
+                                               outliers_per_column=1,
+                                               outlier_lo=5.0, outlier_hi=10.0), 4)
     return shift, inst.observed, sample_mask(inst.observed.shape, 0.6, 5)
 
 
