@@ -26,10 +26,9 @@ from .datagen import (
 )
 from .errors import ConfigError, DataError, GsrecError
 from .experiments import (
-    COMBINE_METHODS,
-    DETECT_METHODS,
-    MATRIX_METHODS,
+    METHODS,
     ExperimentSpec,
+    check_reads,
     evaluate,
     run_experiment,
     solve_recovery,
@@ -103,32 +102,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.5,
                    help="accessible-entry fraction for the bundled mask")
 
-    # the single-file recovery commands; each method list starts with its default
-    for name, text, methods in (
-            ("inpaint", "recover a single signal from a subset of nodes",
-             ("gtvm", "gtvr", "laplacian")),
-            ("complete", "recover a signal matrix from observed entries", MATRIX_METHODS),
-            ("detect", "split a signal into smooth part and outliers", DETECT_METHODS),
-            ("robust", "inpaint while rejecting outliers", ("rgtvr", "admm"))):
+    # the commands that solve with one --method
+    for name, text in (
+            ("inpaint", "recover a single signal from a subset of nodes"),
+            ("complete", "recover a signal matrix from observed entries"),
+            ("detect", "split a signal into smooth part and outliers"),
+            ("robust", "inpaint while rejecting outliers"),
+            ("combine", "fuse per-expert opinion columns into labels")):
         p = sub.add_parser(name, help=text)
         _add_common(p, config=True)
-        p.add_argument("--graph", required=True)
-        p.add_argument("--signal", required=True)
-        if name != "detect":
+        if name == "combine":
+            p.add_argument("--opinions", required=True, help="CSV of +/-1 opinions")
+            p.add_argument("--graph", default=None,
+                           help="graph CSV; required for the denoise methods")
+        else:
+            p.add_argument("--graph", required=True)
+            p.add_argument("--signal", required=True)
+        if name not in ("detect", "combine"):
             p.add_argument("--mask", required=True)
+        methods = [method for method, row in METHODS.items() if name in row.commands]
         p.add_argument("--method", choices=methods, default=methods[0])
         if name == "detect":
             p.add_argument("--beta", type=float, default=None,
                            help="sparsity weight for method 'anomaly'")
             p.add_argument("--eta-smooth", type=float, default=None,
                            help="variation budget for method 'anomaly-constrained'")
-
-    p = sub.add_parser("combine", help="fuse per-expert opinion columns into labels")
-    _add_common(p, config=True)
-    p.add_argument("--opinions", required=True, help="CSV of +/-1 opinions")
-    p.add_argument("--graph", default=None,
-                   help="graph CSV; required for the denoise methods")
-    p.add_argument("--method", choices=COMBINE_METHODS, default="avg")
 
     p = sub.add_parser("eval", help="score an estimate against ground truth")
     _add_common(p)
@@ -270,46 +268,36 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_recovery(args) -> int:
-    shift = load_graph(args.graph)
-    observed = load_signal_csv(args.signal)
-    mask = None if args.command == "detect" else load_mask_csv(args.mask, observed.shape)
+def _cmd_solve(args) -> int:
     config = load_solver_config(args.config)
-    eta_smooth = getattr(args, "eta_smooth", None)
+    check_reads(str(args.config), args.method, config)
+    beta, eta_smooth = getattr(args, "beta", None), getattr(args, "eta_smooth", None)
     if eta_smooth is not None and not eta_smooth >= 0:
         raise ConfigError(f"--eta-smooth must be nonnegative, got {eta_smooth}")
-    if args.command == "detect":
-        flag, value = (("--eta-smooth", eta_smooth) if args.method == "anomaly"
-                       else ("--beta", args.beta))
-        if value is not None:
-            raise ConfigError(f"method {args.method!r} does not read {flag}")
-    if args.command == "detect" and args.method == "anomaly":
-        if args.beta is not None:
-            with config_values(f"--beta {args.beta}"):
-                config = config.replace(gamma=args.beta)
-        if config.gamma <= 0:
-            raise ConfigError("method 'anomaly' needs --beta > 0")
-    result = solve_recovery(args.method, observed, mask, shift, config,
-                            eta_smooth)
+    check_reads("--eta-smooth", args.method, config, eta_smooth)
+    if beta is not None:
+        with config_values(f"--beta {beta}"):
+            config = config.replace(gamma=beta)
+        check_reads("--beta", args.method, config)
+    if args.method == "anomaly" and config.gamma <= 0:
+        raise ConfigError("method 'anomaly' needs --beta > 0")
+    if bool(args.graph) != METHODS[args.method].shift:
+        raise ConfigError(f"method {args.method!r} "
+                          + ("does not read --graph" if args.graph else "needs --graph"))
+    shift = load_graph(args.graph) if args.graph else None
+    if args.command == "combine":
+        observed, mask = load_signal_csv(args.opinions), None
+    else:
+        observed = load_signal_csv(args.signal)
+        mask = None if args.command == "detect" else load_mask_csv(args.mask, observed.shape)
+    result = solve_recovery(args.method, observed, mask, shift, config, eta_smooth)
     out = _out_dir(args)
-    _write_result(out, result)
-    print(f"{args.method}: {result.iterations} iterations, "
-          f"converged={result.converged}")
-    return _finish(result)
-
-
-def _cmd_combine(args) -> int:
-    opinions = load_signal_csv(args.opinions)
-    shift = None
-    if args.method != "avg":
-        if not args.graph:
-            raise ConfigError(f"method {args.method!r} needs --graph")
-        shift = load_graph(args.graph)
-    result = solve_recovery(args.method, opinions, None, shift,
-                            load_solver_config(args.config))
-    out = _out_dir(args)
-    save_signal_csv(out / "labels.csv", result.x)
-    print(f"wrote labels for {result.x.shape[0]} nodes to {out / 'labels.csv'}")
+    if args.command == "combine":
+        save_signal_csv(out / "labels.csv", result.x)
+        print(f"wrote labels for {result.x.shape[0]} nodes to {out / 'labels.csv'}")
+    else:
+        _write_result(out, result)
+        print(f"{args.method}: {result.iterations} iterations, converged={result.converged}")
     return _finish(result)
 
 
@@ -356,8 +344,7 @@ def main(argv=None) -> int:
     handlers = {
         "build-graph": _cmd_build_graph,
         "synth": _cmd_synth,
-        **dict.fromkeys(("inpaint", "complete", "detect", "robust"), _cmd_recovery),
-        "combine": _cmd_combine,
+        **dict.fromkeys(("inpaint", "complete", "detect", "robust", "combine"), _cmd_solve),
         "eval": _cmd_eval,
         "run": _cmd_run,
     }

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -67,10 +68,40 @@ from .solvers import (
     rgtvr,
 )
 
-VECTOR_METHODS = ("gtvm", "gtvr", "rgtvr", "laplacian")
-MATRIX_METHODS = ("gmcm", "gmcr", "admm")
-DETECT_METHODS = ("anomaly", "anomaly-constrained")
-COMBINE_METHODS = ("avg", "gtvr-denoise", "gmcr-denoise")
+# Every method by name: its signal kind (vector, matrix, detect or opinions; the
+# last two ignore the mask), the settings it reads (SolverConfig fields and
+# eta_smooth), the CLI commands that list it, and whether it takes a shift. No
+# row holds its solver: solve_recovery looks each one up when called.
+Method = namedtuple("Method", "kind reads commands shift", defaults=(True,))
+_LOOP = ("tol_outer", "max_outer")
+METHODS = {
+    "gtvm": Method("vector", (), ("inpaint",)),
+    "gtvr": Method("vector", ("alpha",), ("inpaint",)),
+    "rgtvr": Method("vector", ("alpha", "gamma", "penalty", *_LOOP), ("robust",)),
+    "laplacian": Method("vector", ("alpha",), ("inpaint",)),
+    "gmcm": Method("matrix", ("beta", *_LOOP), ("complete",)),
+    "gmcr": Method("matrix", ("alpha", "beta", *_LOOP), ("complete",)),
+    "admm": Method("matrix", ("alpha", "beta", "gamma", "penalty", *_LOOP),
+                   ("complete", "robust")),
+    "anomaly": Method("detect", ("gamma", "max_outer"), ("detect",)),
+    "anomaly-constrained": Method("detect", ("max_outer", "eta_smooth"), ("detect",)),
+    "avg": Method("opinions", (), ("combine",), shift=False),
+    "gtvr-denoise": Method("opinions", ("alpha",), ("combine",)),
+    "gmcr-denoise": Method("opinions", ("alpha", "beta", *_LOOP), ("combine",)),
+}
+
+
+def check_reads(where: str, method: str, config: SolverConfig,
+                eta_smooth: float | None = None) -> None:
+    """Raise a ConfigError at ``where`` naming each setting that ``config`` or
+    ``eta_smooth`` moves off its default (``SolverConfig()``'s, None) and
+    that ``method`` does not read."""
+    moved = [f.name for f in fields(config) if getattr(config, f.name) != f.default]
+    moved += ["eta_smooth"] if eta_smooth is not None else []
+    unread = [name for name in moved if name not in METHODS[method].reads]
+    if unread:
+        raise ConfigError(f"{where}: method {method!r} does not read {', '.join(unread)}")
+
 
 TRIALS_HEADER = "task,method,ratio,trial,seed,acc,mse,rmse,mae,iterations,converged"
 
@@ -166,8 +197,10 @@ def cross_validate(method: str, observed: np.ndarray, mask: np.ndarray,
     The split is drawn from a dedicated seeded stream, so repeated calls with
     the same arguments select the same configuration.  Validation score is
     mean squared error against the held-out observed values, ranked by
-    :func:`_first_least`.
+    :func:`_first_least`. A method that ignores the mask is a ConfigError.
     """
+    if method in METHODS and METHODS[method].kind in ("detect", "opinions"):
+        raise ConfigError(f"method {method!r} ignores the mask: nothing to hold out")
     grid = list(grid)
     if not grid:
         raise EmptyGrid("empty configuration grid")
@@ -231,7 +264,7 @@ def combine_opinions(opinions: np.ndarray, method: str,
             f"expected an (n, experts) matrix, got shape {opinions.shape}")
     if not np.all(np.isin(opinions, (-1.0, 1.0))):
         raise NonBinaryInput("opinions must be +/-1 valued")
-    if method not in COMBINE_METHODS:
+    if method not in METHODS or METHODS[method].kind != "opinions":
         raise ConfigError(f"unknown combination method {method!r}")
     config = config if config is not None else SolverConfig()
     scores = opinions.mean(axis=1)
@@ -254,20 +287,20 @@ def combine_opinions(opinions: np.ndarray, method: str,
 def solve_recovery(method: str, observed: np.ndarray, mask: np.ndarray | None,
                    shift: GraphShift | None, config: SolverConfig | None = None,
                    eta_smooth: float | None = None) -> RecoveryResult:
-    """Dispatch one recovery method by name against uniform array handling.
-
-    Vector-only methods accept an (n, 1) matrix and squeeze it; matrix
-    methods take a vector as it is and return a vector.  The anomaly and
-    combination methods ignore the mask; the combination methods read
-    ``observed`` as the (n, experts) opinions of :func:`combine_opinions`,
-    and only ``avg`` takes no shift.  ``config.gamma`` doubles as the
-    sparsity weight for ``anomaly``.
+    """Dispatch one recovery method by its :data:`METHODS` row, not checking
+    the settings against its ``reads``. Vector methods accept an (n, 1)
+    matrix and squeeze it; matrix methods take a vector as it is and return
+    one. ``opinions`` methods read ``observed`` as the (n, experts) opinions
+    of :func:`combine_opinions`; ``config.gamma`` is ``anomaly``'s sparsity weight.
     """
+    if method not in METHODS:
+        raise ConfigError(f"unknown recovery method {method!r}")
+    row = METHODS[method]
     config = config if config is not None else SolverConfig()
     observed = np.asarray(observed, dtype=float)
-    if method in COMBINE_METHODS:
+    if row.kind == "opinions":
         return combine_opinions(observed, method, shift, config)
-    if method in DETECT_METHODS:
+    if row.kind == "detect":
         t = observed[:, 0] if observed.ndim == 2 and observed.shape[1] == 1 else observed
         if method == "anomaly":
             return anomaly_detect(t, shift, config.gamma, config)
@@ -280,28 +313,22 @@ def solve_recovery(method: str, observed: np.ndarray, mask: np.ndarray | None,
     if observed.shape != mask.shape:
         raise DimensionMismatch(
             f"observed shape {observed.shape} vs mask shape {mask.shape}")
-    if method in VECTOR_METHODS:
+    if row.kind == "vector":
         if observed.ndim == 2:
             if observed.shape[1] != 1:
                 raise ConfigError(
                     f"method {method!r} handles single signals, got shape {observed.shape}")
-            observed = observed[:, 0]
-            mask = mask[:, 0]
+            observed, mask = observed[:, 0], mask[:, 0]
         if method == "gtvm":
             return gtvm(observed, mask, shift)
         if method == "gtvr":
             return gtvr(observed, mask, shift, config.alpha)
-        if method == "rgtvr":
-            return rgtvr(observed, mask, shift, config)
-        return laplacian_baseline(observed, mask, laplacian_from_shift(shift),
-                                  config.alpha)
-    if method in MATRIX_METHODS:
-        if method == "gmcm":
-            return gmcm(observed, mask, shift, config)
-        if method == "gmcr":
-            return gmcr(observed, mask, shift, config)
-        return gsr_admm(observed, mask, shift, config)
-    raise ConfigError(f"unknown recovery method {method!r}")
+        if method == "laplacian":
+            return laplacian_baseline(observed, mask, laplacian_from_shift(shift),
+                                      config.alpha)
+    # the solvers that read the whole config, looked up when called
+    solver = {"rgtvr": rgtvr, "gmcm": gmcm, "gmcr": gmcr, "admm": gsr_admm}[method]
+    return solver(observed, mask, shift, config)
 
 
 @dataclass(frozen=True)
@@ -414,23 +441,27 @@ class ExperimentSpec:
                               f"got {list(ratios)}")
         if not self.solvers:
             raise ConfigError("solvers must be a nonempty list")
+        graph, signal = _graph_and_signal(task, self.graph, self.signal)
+        columns = signal["synthetic"].l if "synthetic" in signal else 1
+        kinds = _TASK_KINDS.get(task, ("vector", "matrix"))
+        methods = [name for name, row in METHODS.items() if row.kind in kinds]
         for index, entry in enumerate(self.solvers):
-            if entry.method not in _TASK_METHODS[task]:
+            if entry.method not in methods:
                 raise ConfigError(
                     f"solvers[{index}]: method {entry.method!r} is not valid for task "
-                    f"{task!r} (choose from {list(_TASK_METHODS[task])})")
+                    f"{task!r} (choose from {methods})")
+            if METHODS[entry.method].kind == "vector" and columns != 1:
+                raise ConfigError(f"solvers[{index}]: method {entry.method!r} handles "
+                                  f"single signals, got signal.synthetic.l = {columns}")
+            check_reads(f"solvers[{index}]", entry.method, entry.config, entry.eta_smooth)
+            for i, config in enumerate(entry.grid):
+                check_reads(f"solvers[{index}].grid[{i}]", entry.method, config)
             if self.selection_mode(entry) == "holdout" and not recovery:
                 raise ConfigError(f"solvers[{index}]: task {task!r} has no holdout to "
                                   "tune on; set oracle_select to search a grid")
         names = [entry.name for entry in self.solvers]
         if len(set(names)) != len(names):
             raise ConfigError(f"solver names must be unique, got {names}")
-        graph, signal = _graph_and_signal(task, self.graph, self.signal)
-        columns = signal["synthetic"].l if "synthetic" in signal else 1
-        for index, entry in enumerate(self.solvers):
-            if entry.method in VECTOR_METHODS and columns != 1:
-                raise ConfigError(f"solvers[{index}]: method {entry.method!r} handles "
-                                  f"single signals, got signal.synthetic.l = {columns}")
         if self.corrupt is not None and not recovery:
             raise ConfigError(f"task {task!r} does not take a corrupt block")
         scores = _TASK_SCORES.get(task, ("regression", "classification"))
@@ -452,8 +483,7 @@ class ExperimentSpec:
 
 _RECOVERY_TASKS = ("inpaint", "robust-inpaint", "complete")
 _TASKS = _RECOVERY_TASKS + ("detect", "combine")
-_TASK_METHODS = {**dict.fromkeys(_RECOVERY_TASKS, VECTOR_METHODS + MATRIX_METHODS),
-                 "detect": DETECT_METHODS, "combine": COMBINE_METHODS}
+_TASK_KINDS = {"detect": ("detect",), "combine": ("opinions",)}
 _TASK_SIGNALS = {"detect": ("synthetic",), "combine": ("opinions",)}
 _TASK_SCORES = {"detect": (), "combine": ("classification",)}
 _GRAPH_KEYS = {"cycle": {"kind", "n"},

@@ -123,13 +123,12 @@ class SolverConfig:
     """Weights and iteration controls shared by every solver.
 
     alpha weights quadratic variation, beta the nuclear norm, gamma the
-    outlier l1 norm, penalty is the ADMM penalty parameter. tol_outer and
-    max_outer stop the iterative solvers; detection reads only max_outer,
-    as a cap on its path's segments. The step search of
-    the proximal-gradient solvers is fixed by the module constants
-    ``STEP_T0``, ``STEP_RHO``, ``STEP_HALVINGS`` and ``STEP_GROW_AFTER``,
-    the ADMM over-relaxation by ``ADMM_RELAX`` (Boyd et al. 2011, section
-    3.4.3).
+    outlier l1 norm, penalty is the ADMM penalty parameter; tol_outer and
+    max_outer stop the iterative solvers. The fields each method reads are
+    declared in ``gsrec.experiments.METHODS``. The step search of the
+    proximal-gradient solvers is fixed by the module constants ``STEP_T0``,
+    ``STEP_RHO``, ``STEP_HALVINGS`` and ``STEP_GROW_AFTER``, the ADMM
+    over-relaxation by ``ADMM_RELAX`` (Boyd et al. 2011, section 3.4.3).
     """
 
     alpha: float = 1.0

@@ -19,7 +19,8 @@ from gsrec import (
     synth_opinion_instance,
 )
 import gsrec.cli
-from gsrec.cli import main
+from gsrec.cli import build_parser, main
+from gsrec.experiments import METHODS
 
 
 @pytest.fixture
@@ -141,6 +142,7 @@ def test_out_of_range_flag_is_config_error(tmp_path, graph_file, capsys, argv):
     ["combine", "--seed", "1"], ["eval", "--seed", "1"], ["eval", "--config", "c.json"],
     ["detect", "--method", "anomaly-constrained", "--eta-smooth", "1", "--beta", "1"],
     ["detect", "--beta", "1", "--eta-smooth", "1"],
+    ["combine", "--method", "avg", "--graph", "g.csv"],
 ], ids=" ".join)
 def test_flag_the_command_does_not_read_is_config_error(tmp_path, graph_file, capsys,
                                                         argv):
@@ -190,6 +192,20 @@ class TestInpaint:
                      "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 2
 
+    @pytest.mark.parametrize("alpha, code", [(9, 2), (1.0, 0)])
+    def test_setting_the_method_does_not_read_is_config_error(self, tmp_path, graph_file,
+                                                              capsys, alpha, code):
+        # gtvm reads no setting; alpha at its default is not set
+        signal = write_signal(tmp_path, "t.csv", np.zeros(12))
+        mask_path = tmp_path / "mask.csv"
+        save_mask_csv(mask_path, np.ones((12, 1), dtype=bool))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": alpha}))
+        assert main(["inpaint", "--graph", str(graph_file), "--signal", str(signal),
+                     "--mask", str(mask_path), "--method", "gtvm", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == code
+        if code == 2:
+            assert "method 'gtvm' does not read alpha" in capsys.readouterr().err
 
     def test_bad_sidecar_node_count_is_data_error(self, tmp_path):
         graph = tmp_path / "graph.csv"
@@ -565,6 +581,20 @@ class TestParser:
     def test_missing_required_flag_exits(self):
         with pytest.raises(SystemExit):
             main(["inpaint"])
+
+    @pytest.mark.parametrize("command, methods", [
+        ("inpaint", ["gtvm", "gtvr", "laplacian"]),
+        ("complete", ["gmcm", "gmcr", "admm"]),
+        ("detect", ["anomaly", "anomaly-constrained"]),
+        ("robust", ["rgtvr", "admm"]),
+        ("combine", ["avg", "gtvr-denoise", "gmcr-denoise"]),
+    ])
+    def test_method_choices_are_the_table_rows_of_the_command(self, command, methods):
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        flag = next(a for a in commands.choices[command]._actions if a.dest == "method")
+        assert list(flag.choices) == methods == [
+            name for name, row in METHODS.items() if command in row.commands]
+        assert flag.default == methods[0]
 
 
 REPO = Path(__file__).resolve().parents[1]

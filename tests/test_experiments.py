@@ -16,6 +16,7 @@ from gsrec import (
     EmptyMask,
     ExperimentSpec,
     GraphShift,
+    Infeasible,
     NonBinaryInput,
     NonSymmetricLaplacian,
     RecoveryResult,
@@ -25,6 +26,7 @@ from gsrec import (
     anomaly_detect,
     combine_opinions,
     cross_validate,
+    cycle_shift,
     evaluate,
     laplacian_baseline,
     run_experiment,
@@ -35,7 +37,7 @@ from gsrec import (
     threshold_labels,
 )
 from gsrec.cli import main
-from gsrec.experiments import Opinions, SolverEntry, _Cell, _echo, _solve_row
+from gsrec.experiments import METHODS, Opinions, SolverEntry, _Cell, _echo, _solve_row
 from oracles import quadratic_inpaint_oracle
 
 
@@ -210,6 +212,14 @@ class TestCrossValidate:
             cross_validate("gtvr", np.ones(10), np.ones(10, dtype=bool),
                            shift, [], 0)
 
+    @pytest.mark.parametrize("method", ["anomaly", "avg"])
+    def test_a_method_that_ignores_the_mask_is_refused(self, method):
+        # anomaly fits every node, so a held-out node would never be held out
+        grid = [SolverConfig(gamma=0.5), SolverConfig(gamma=2.0)]
+        with pytest.raises(ConfigError, match=f"method '{method}' ignores the mask"):
+            cross_validate(method, np.sin(np.arange(12.0)), np.ones(12, dtype=bool),
+                           cycle_shift(12), grid, 0)
+
 
 class TestCombineOpinions:
     def test_unanimous_experts_win_under_every_method(self):
@@ -330,6 +340,53 @@ class TestSolveRecovery:
         shift = blob_shift(6, 31)
         with pytest.raises(ConfigError):
             solve_recovery("magic", np.ones(6), np.ones(6, dtype=bool), shift)
+
+    def test_unknown_method_is_named_before_a_missing_mask(self):
+        with pytest.raises(ConfigError, match="unknown recovery method 'magic'"):
+            solve_recovery("magic", np.ones(4), None, cycle_shift(4))
+
+
+# a base value of every SolverConfig field and of eta_smooth, and a move of each
+_BASE = dict(alpha=1.0, beta=0.5, gamma=0.5, penalty=1.0, tol_outer=1e-8,
+             max_outer=2000, eta_smooth=0.5)
+_MOVES = dict(alpha=2.5, beta=1.5, gamma=1.5, penalty=3.0, tol_outer=1e-2,
+              max_outer=2, eta_smooth=0.25)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_reads_lists_exactly_the_settings_the_method_reads(method):
+    # moving a setting the row does not list leaves x and iterations
+    # bit-identical; moving one it lists changes one of them or raises
+    assert set(_BASE) == {f.name for f in fields(SolverConfig)} | {"eta_smooth"}
+    assert set(METHODS[method].reads) <= set(_BASE)
+    rng = np.random.default_rng(0)
+    T = rng.normal(size=(8, 3))
+    T[3, 0] += 4.0
+    accessible = rng.uniform(size=(8, 3)) < 0.7
+    opinions = np.where(rng.uniform(size=(8, 3)) < 0.5, 1.0, -1.0)
+    observed, mask = {"vector": (T[:, 0], accessible[:, 0]), "matrix": (T, accessible),
+                      "detect": (T[:, 0], None),
+                      "opinions": (opinions, None)}[METHODS[method].kind]
+
+    def solve(name=None):
+        settings = dict(_BASE, **({name: _MOVES[name]} if name else {}))
+        eta_smooth = settings.pop("eta_smooth")
+        result = solve_recovery(method, observed, mask, cycle_shift(8),
+                                SolverConfig(**settings), eta_smooth)
+        return result.x, result.iterations
+
+    x, iterations = solve()
+    for name in _MOVES:
+        if name not in METHODS[method].reads:
+            moved_x, moved_iterations = solve(name)
+            np.testing.assert_array_equal(moved_x, x, err_msg=name)
+            assert moved_iterations == iterations, name
+            continue
+        try:
+            moved_x, moved_iterations = solve(name)
+        except Infeasible:
+            continue
+        assert moved_iterations != iterations or not np.array_equal(moved_x, x), name
 
 
 def _description(task):
@@ -469,6 +526,16 @@ PARSE_ERRORS = [
      "signal.synthetic: outliers need outlier_hi > 0"),
     ("complete", ("signal", "synthetic", "l"), 2,
      r"solvers\[0\]: method 'gtvm' handles single signals, got signal.synthetic.l = 2"),
+    # a setting moved off its default that the method does not read
+    ("inpaint", ("solvers", 0), {"method": "gtvr", "config": {
+        "alpha": 1, "beta": 5, "gamma": 3, "penalty": 7, "tol_outer": 1e-3}},
+     r"solvers\[0\]: method 'gtvr' does not read beta, gamma, penalty, tol_outer"),
+    ("inpaint", ("solvers", 0, "config"), {"alpha": 9},
+     r"solvers\[0\]: method 'gtvm' does not read alpha"),
+    ("inpaint", ("solvers", 0), {"method": "gtvr", "eta_smooth": 1.0},
+     r"solvers\[0\]: method 'gtvr' does not read eta_smooth"),
+    ("inpaint", ("solvers", 0), {"method": "gtvr", "grid": [{"alpha": 2}, {"beta": 1}]},
+     r"solvers\[0\]\.grid\[1\]: method 'gtvr' does not read beta"),
 ]
 
 
@@ -522,7 +589,7 @@ class TestExperimentSpec:
         raw["task"] = "robust-inpaint"
         raw["ratios"] = [1]
         raw["corrupt"] = {"fraction": 0}
-        raw["solvers"] = [{"method": "gtvr", "config": None,
+        raw["solvers"] = [{"method": "rgtvr", "config": None,
                            "grid": [None, {"alpha": 2, "max_outer": 5}]}]
         spec = ExperimentSpec.from_dict(raw)
         assert spec.ratios == (1.0,) and spec.corrupt.fraction == 0.0
@@ -638,7 +705,7 @@ class TestExperimentSpec:
         raw = {
             "task": "combine-opinions",
             "signal": {"opinions": {"n": 20, "experts": 3}},
-            "solvers": [{"method": "avg",
+            "solvers": [{"method": "gtvr-denoise",
                          "grid": [{"alpha": 1.0}, {"alpha": 2.0}]}],
         }
         with pytest.raises(ConfigError):
