@@ -153,10 +153,16 @@ _OPENBLAS_SUFFIXES = ("64_", "")
 
 
 def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of each loaded numpy/scipy OpenBLAS.
+    """(get, set) thread-count functions of numpy's and scipy's OpenBLAS.
 
-    A library counts only when already loaded (``RTLD_NOLOAD``), so this
-    never pulls a new copy of OpenBLAS into the process.
+    Each library is opened from its package's own ``<package>.libs``
+    folder, the copy that package's extension modules link to, whether or
+    not it is loaded yet. scipy's is loaded only by the first
+    ``scipy.linalg`` or ``scipy.sparse.linalg`` import, inside the command,
+    and kept its own default thread count from then on: a fresh
+    ``gsrec run`` of the ``inpaint-large`` benchmark description took
+    0.42 s with it at two threads and 0.27 s capped from the start (median
+    of 5, 2-vCPU Xeon guest). Opening it at start takes about 2 ms.
     """
     import ctypes
     import os
@@ -164,13 +170,13 @@ def _openblas_thread_controls() -> list[tuple]:
     import scipy
 
     controls = []
-    if not hasattr(os, "RTLD_NOLOAD"):  # no dlopen (Windows)
+    if os.name != "posix":  # the .libs folders are the manylinux wheels' layout
         return controls
     for package in (np, scipy):
         libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
         for path in sorted(libs.glob(_OPENBLAS_GLOB)):
             try:
-                library = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                library = ctypes.CDLL(str(path))
             except OSError:
                 continue
             for suffix in _OPENBLAS_SUFFIXES:
@@ -188,10 +194,11 @@ def _openblas_thread_controls() -> list[tuple]:
 def _limit_threads(threads: int | None):
     """Cap the BLAS thread count of numpy's and scipy's OpenBLAS.
 
-    Sets the count through each loaded library's
-    ``scipy_openblas_set_num_threads[64_]`` and restores the previous counts
-    on exit. ``None`` means :data:`DEFAULT_THREADS`. With no known library
-    loaded the cap is ignored, with a warning when it was asked for.
+    Sets the count through each library's
+    ``scipy_openblas_set_num_threads[64_]`` for the whole command, scipy's
+    too before anything loads it, and restores the previous counts on exit.
+    ``None`` means :data:`DEFAULT_THREADS`. With no known library found the
+    cap is ignored, with a warning when it was asked for.
     """
     asked = threads is not None
     threads = threads if asked else DEFAULT_THREADS
@@ -199,7 +206,7 @@ def _limit_threads(threads: int | None):
         raise ConfigError(f"--threads must be positive, got {threads}")
     controls = _openblas_thread_controls()
     if not controls and asked:
-        warnings.warn("no scipy-openblas library is loaded; --threads ignored",
+        warnings.warn("no scipy-openblas library found; --threads ignored",
                       stacklevel=3)
     previous = [get() for get, _ in controls]
     for _, put in controls:

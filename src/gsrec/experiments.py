@@ -337,6 +337,7 @@ class SolverEntry:
 
     ``name`` defaults to the method. Without a ``grid`` the entry runs
     ``config``; :meth:`ExperimentSpec.selection_mode` says how it tunes one.
+    A grid entry runs only its grid, so it may not set ``config`` as well.
     """
 
     method: str
@@ -354,6 +355,8 @@ class SolverEntry:
             raise ValueError(f"eta_smooth must be nonnegative, got {self.eta_smooth}")
         if self.method == "anomaly-constrained" and self.eta_smooth is None:
             raise ValueError("anomaly-constrained needs eta_smooth")
+        if self.grid and self.config != SolverConfig():
+            raise ValueError("config is never read beside a grid; set one or the other")
 
 
 @dataclass(frozen=True)

@@ -39,17 +39,11 @@ from .errors import (
     TooManyNodes,
     ZeroSpectralRadius,
 )
-from .prox import factorized
+from .prox import DENSE_MAX_NODES, factorized
 
 # Relative spread of row (or column) sums below which a nonnegative matrix's
 # spectral radius is read off its sums instead of an eigensolve.
 _SUM_RTOL = 1e-12
-
-# Most nodes of a dense (n, n) pass: the co-observed distance matrix of
-# features with missing values (:func:`gsrec.datagen.pairwise_distances`),
-# and the dense ``eigvals`` of :func:`spectral_radius` on a signed operator or
-# where ARPACK fails on a nonnegative one. One (n, n) float array is 200 MB.
-DENSE_MAX_NODES = 5000
 
 # Largest residual ``||W v - lambda v|| / ||v||`` accepted from the ARPACK
 # eigenpair of :func:`spectral_radius`, relative to ``||W||_F >= |lambda|``.
@@ -61,14 +55,15 @@ _DIAG_RECON_TOL = 1e-8
 
 # Shift of the shift-invert eigensolve for the lowest eigenpairs of the PSD
 # ``tilde_shift`` T, as a fraction of T's largest absolute row sum (a bound
-# on its spectrum). Negative, so ``T - sigma I`` is positive definite and its
-# LU never meets a singular pivot, even on an exact null space: its smallest
-# pivot ratio is at least about this fraction (2e-6 to 4e-4 on the graphs
-# below), a thousand times ``prox.PINV_CUTOFF``, so the solve is never the
-# dense ``lstsq`` one. Small, because shift-invert Lanczos converges fast
-# only when the shift is close to the wanted eigenvalues against their
-# spread (Ericsson & Ruhe, Math. Comp. 1980), and the 10 lowest of the
-# n = 20 000 kNN graph lie within 1.2e-7 of its row sum.
+# on its spectrum). Negative, so ``T - sigma I`` is positive definite, even on
+# an exact null space of T, and is factored with ``definite=True``: its
+# smallest pivot ratio is at least about this fraction (2e-6 to 4e-4 on the
+# graphs below), a thousand times ``prox.PINV_CUTOFF``, so no pivot is read
+# and the solve is never the dense pseudo-inverse. Small, because
+# shift-invert Lanczos converges fast only when the shift is close to the
+# wanted eigenvalues against their spread (Ericsson & Ruhe, Math. Comp.
+# 1980), and the 10 lowest of the n = 20 000 kNN graph lie within 1.2e-7 of
+# its row sum.
 # For the 10 lowest pairs (one BLAS thread, 2-vCPU Xeon guest, factorization
 # included), fractions of -1e-9, -1e-8, -1e-7, -1e-6 and -1e-5 take 34, 34,
 # 34, 34-35 and 45-49 solves (0.023-0.029 s) on the n = 2000, k = 8 kNN
@@ -359,7 +354,8 @@ def _lowest_eigenpairs(shift: GraphShift, k: int) -> tuple[np.ndarray, np.ndarra
         # T = 0 (A = I) has no scale of its own; any positive one will do
         sigma = _EIGSH_SIGMA * (float(abs(matrix).sum(axis=1).max()) or 1.0)
         inverse = LinearOperator(
-            (n, n), matvec=factorized(matrix - sigma * sp.eye_array(n)), dtype=float)
+            (n, n), matvec=factorized(matrix - sigma * sp.eye_array(n), definite=True),
+            dtype=float)
         attempts = (None, min(n, 3 * max(2 * k + 1, 20)))
         for ncv in attempts:
             try:

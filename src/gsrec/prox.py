@@ -7,10 +7,19 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, NegativeThreshold
+from .errors import DimensionMismatch, NegativeThreshold, TooManyNodes
 
-# Singular values below this fraction of the largest are treated as zero.
+# Pivots and singular values of a graph system at or below this fraction of
+# its largest entry are treated as zero (see factorized).
 PINV_CUTOFF = 1e-10
+
+# Most nodes of a dense (n, n) pass: the co-observed distance matrix of
+# features with missing values (:func:`gsrec.datagen.pairwise_distances`),
+# the dense ``eigvals`` of :func:`gsrec.graph.spectral_radius` on a signed
+# operator or where ARPACK fails on a nonnegative one, and the dense
+# pseudo-inverse of a singular component in :func:`factorized`. One (n, n)
+# float array is 200 MB.
+DENSE_MAX_NODES = 5000
 
 
 def shrink(x: np.ndarray, tau: float) -> np.ndarray:
@@ -122,21 +131,79 @@ def _nuclear_norm(X: np.ndarray) -> float:
     return float(np.sum(s))
 
 
-def _min_norm_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.lstsq(H, b, rcond=PINV_CUTOFF)[0]
+def _min_norm_solve(H: np.ndarray, b: np.ndarray, floor: float) -> np.ndarray:
+    """Minimum-norm least-squares solution of ``H y = b`` from the SVD of the
+    dense H, with the singular values at or below ``floor`` counted as zero."""
+    u, s, vt = np.linalg.svd(H)
+    rank = int(np.count_nonzero(s > floor))
+    c = (u[:, :rank].T @ b) / s[:rank].reshape((rank,) + (1,) * (b.ndim - 1))
+    return vt[:rank].T @ c
 
 
-def factorized(H) -> Callable[[np.ndarray], np.ndarray]:
+def _lu(H: sp.csc_array):
+    """SuperLU factorization of H in symmetric mode, or None when ``splu``
+    meets an exactly zero pivot."""
+    # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
+    from scipy.sparse.linalg import splu
+
+    try:
+        return splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                    options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return None
+
+
+def _regular(lu, floor: float) -> bool:
+    """Whether every pivot of a SuperLU factorization is above ``floor``.
+
+    ``SuperLU.U`` copies the whole U factor to hand back its diagonal (about
+    43 MiB at n = 20 000), so only systems not known to be nonsingular come
+    here."""
+    return lu is not None and float(np.abs(lu.U.diagonal()).min()) > floor
+
+
+def factorized(H, definite: bool = False) -> Callable[[np.ndarray], np.ndarray]:
     """Solver for ``H y = b`` from one sparse LU factorization of square H.
 
     H (sparse or dense) is factored once by ``scipy.sparse.linalg.splu``; the
-    returned function solves for a vector or a matrix of right-hand sides.
-    H counts as singular when ``splu`` raises (an exactly zero pivot) or when
-    some pivot ``|U_ii|`` is at most ``PINV_CUTOFF`` times the largest. For
-    a singular H the function instead applies the pseudo-inverse of the dense
-    form of H, by one ``np.linalg.lstsq`` (LAPACK gelsd) with singular values
-    at or below ``PINV_CUTOFF`` times the largest counted as zero, so the
-    system keeps its minimum-norm least-squares solution.
+    returned function solves for a vector or a matrix of right-hand sides and
+    gives a singular H its minimum-norm least-squares solution.
+
+    ``definite=True`` is the caller's statement that H is symmetric positive
+    definite, as ``I + c T`` (c >= 0, every eigenvalue at least 1) and
+    ``T - sigma I`` (sigma < 0, every eigenvalue at least ``|sigma|``) are
+    for the PSD ``T = (I - A)^T (I - A)``. Such an H is nonsingular, so its
+    minimum-norm solution is its only one, and the pivot test below could
+    only pass. A diagonal pivot is a diagonal entry of a Schur complement of
+    H, whose eigenvalues lie between the smallest and the largest of H
+    (Cauchy interlacing), while every ``|H_ij|`` is at most the largest; so
+    each pivot is at least ``1 / cond(H)`` times the largest ``|H_ij|``:
+    ``1 / (1 + c ||T||)`` for ``I + c T``, and about ``|sigma| / ||T||``,
+    1e-7, for the eigen draw's shift, both far above ``PINV_CUTOFF``. A
+    pivot taken off the diagonal is the largest entry of its column, which
+    is nonzero, since every Schur complement of a nonsingular H is
+    nonsingular. The function is then the LU's own solve, with no pivot
+    read.
+
+    Otherwise H counts as singular when ``splu`` raises (an exactly zero
+    pivot) or when some pivot ``|U_ii|`` is at most ``PINV_CUTOFF`` times
+    the largest entry ``|H_ij|``. A singular H is split into the weakly
+    connected components of its nonzero pattern (stored zeros dropped), on
+    which it is block diagonal, so its pseudo-inverse is the pseudo-inverse
+    of each block and each component's solution depends on its own
+    right-hand side alone. A solve then gives every component whose
+    right-hand side is zero its minimum-norm value, 0, with no work;
+    factors the components the right-hand side reaches, together, once more
+    with ``splu``; and where that too fails the pivot test, factors each of
+    them alone. A component that is singular by itself gets the
+    pseudo-inverse of its dense block from one SVD, with singular values at
+    or below ``PINV_CUTOFF`` times the largest ``|H_ij|`` counted as zero;
+    above :data:`DENSE_MAX_NODES` nodes it raises :class:`TooManyNodes`
+    instead. For ``gtvr`` on two disjoint kNN clusters (k = 8) of 2000
+    nodes each, the second with no measured node, the solve factors the
+    first cluster alone and returns 0 on the second: about 0.1 s, where the
+    dense pseudo-inverse of the whole system took 22 to 30 s (one thread,
+    2-vCPU Xeon guest).
 
     Every system the package factors is symmetric positive (semi)definite,
     so ``splu`` runs in SuperLU's symmetric mode (Li, "An overview of
@@ -156,20 +223,51 @@ def factorized(H) -> Callable[[np.ndarray], np.ndarray]:
     (median 4.6e-12) where the ``PINV_CUTOFF`` pivot test let the LU stand;
     0.1 gave at most 8.1e-15.
     """
-    # imported on first use: scipy.sparse.linalg adds 35 modules to start-up
-    from scipy.sparse.linalg import splu
-
     H = sp.csc_array(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionMismatch(f"expected square system, got {H.shape}")
-    try:
-        lu = splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                  options={"SymmetricMode": True})
-    except RuntimeError:  # exactly singular
-        lu = None
-    if lu is not None:
-        pivots = np.abs(lu.U.diagonal())
-        if pivots.min() > PINV_CUTOFF * pivots.max():
-            return lu.solve
-    dense = H.toarray()
-    return lambda b: _min_norm_solve(dense, b)
+    lu = _lu(H)
+    if lu is not None and definite:
+        return lu.solve
+    floor = PINV_CUTOFF * float(max(H.max(), -H.min()))
+    if _regular(lu, floor):
+        return lu.solve
+    return _by_components(H, floor)
+
+
+def _by_components(H: sp.csc_array, floor: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Minimum-norm solver of a singular H, one weakly connected component
+    of its nonzero pattern at a time (see :func:`factorized`)."""
+    # imported on the singular path only: the import adds 1.1 MB of RSS
+    from scipy.sparse.csgraph import connected_components
+
+    H = H.copy()
+    H.eliminate_zeros()
+    labels = connected_components(H, connection="weak")[1]
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        y = np.zeros(b.shape)
+        reached = np.unique(labels[np.any(b.reshape(len(b), -1) != 0, axis=1)])
+        nodes = np.flatnonzero(np.isin(labels, reached))
+        if not nodes.size:
+            return y
+        lu = _lu(H[nodes][:, nodes])
+        if _regular(lu, floor):
+            y[nodes] = lu.solve(b[nodes])
+            return y
+        for label in reached:
+            part = np.flatnonzero(labels == label)
+            block = H[part][:, part]
+            lu = _lu(block)
+            if _regular(lu, floor):
+                y[part] = lu.solve(b[part])
+            elif part.size > DENSE_MAX_NODES:
+                raise TooManyNodes(
+                    f"a singular {part.size}-node component needs a dense "
+                    f"pseudo-inverse, which allows at most {DENSE_MAX_NODES} nodes")
+            else:
+                y[part] = _min_norm_solve(block.toarray(), b[part], floor)
+        return y
+
+    return solve

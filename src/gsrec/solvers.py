@@ -673,7 +673,8 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     config = config or SolverConfig()
     T2, m, was_vec = _matrix_inputs(T, mask, shift)
     alpha, beta, gamma, eta = config.alpha, config.beta, config.gamma, config.penalty
-    solve = factorized(sp.eye_array(shift.n) + (2.0 * alpha / eta) * tilde_shift(shift))
+    solve = factorized(sp.eye_array(shift.n) + (2.0 * alpha / eta) * tilde_shift(shift),
+                       definite=True)
 
     # the W-step's weight is eta / (eta + 2) where W costs ||W||^2, 1 off M
     Tm, weight = np.where(m, T2, 0.0), np.where(m, eta / (eta + 2.0), 1.0)

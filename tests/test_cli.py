@@ -558,6 +558,39 @@ class TestThreadsFlag:
             for (_, put), count in zip(controls, previous):
                 put(count)
 
+    def test_a_fresh_command_caps_scipy_openblas_before_it_loads(self, tmp_path):
+        """scipy loads its own OpenBLAS with its first ``scipy.sparse.linalg``
+        import, inside the command's first factorization. Both libraries
+        report one thread after every solve, and their own count again once
+        the command returns."""
+        cfg = TestRun().experiment(tmp_path)
+        script = tmp_path / "fresh.py"
+        script.write_text(
+            "import json, sys\n"
+            "import gsrec.cli, gsrec.experiments\n"
+            "from test_cli import openblas_thread_counts\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules\n"
+            "before, inside = openblas_thread_counts(), []\n"
+            "solve = gsrec.experiments.solve_recovery\n"
+            "def counted(*args, **kwargs):\n"
+            "    result = solve(*args, **kwargs)\n"
+            "    inside.append(openblas_thread_counts())\n"
+            "    return result\n"
+            "gsrec.experiments.solve_recovery = counted\n"
+            f"code = gsrec.cli.main(['run', '--config', {str(cfg)!r},"
+            f" '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(json.dumps([code, before, inside, openblas_thread_counts()]))\n")
+        src = Path(gsrec.cli.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+        done = subprocess.run([sys.executable, str(script)], env=env, timeout=120,
+                              capture_output=True, text=True, check=True)
+        code, before, inside, after = json.loads(done.stdout.splitlines()[-1])
+        if len(after) != 2 or set(after.values()) != {2}:
+            pytest.skip(f"needs numpy's and scipy's OpenBLAS at 2 threads, got {after}")
+        assert code == 0 and len(before) == 1
+        assert inside == [{name: 1 for name in after}]
+
     def test_default_is_silent_without_a_known_library(self, tmp_path, monkeypatch,
                                                        recwarn):
         monkeypatch.setattr(gsrec.cli, "_openblas_thread_controls", lambda: [])

@@ -536,6 +536,10 @@ PARSE_ERRORS = [
      r"solvers\[0\]: method 'gtvr' does not read eta_smooth"),
     ("inpaint", ("solvers", 0), {"method": "gtvr", "grid": [{"alpha": 2}, {"beta": 1}]},
      r"solvers\[0\]\.grid\[1\]: method 'gtvr' does not read beta"),
+    # a grid entry runs its grid alone
+    ("inpaint", ("solvers", 0), {"method": "gtvr", "config": {"alpha": 5.0},
+                                 "grid": [{"alpha": 1.0}, {"alpha": 2.0}]},
+     r"solvers\[0\]: config is never read beside a grid"),
 ]
 
 

@@ -10,6 +10,7 @@ made here, and the run path is run with that ``eigh`` switched off.
 
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from gsrec import (
     GraphShift,
     SolverConfig,
     SyntheticSpec,
+    TooManyNodes,
     anomaly_detect_constrained,
     build_knn_graph,
     cycle_shift,
@@ -93,9 +95,9 @@ def pinv_calls(monkeypatch):
     calls = []
     original = gsrec.prox._min_norm_solve
 
-    def counted(H, b):
+    def counted(H, *args):
         calls.append(H.shape)
-        return original(H, b)
+        return original(H, *args)
 
     monkeypatch.setattr(gsrec.prox, "_min_norm_solve", counted)
     return calls
@@ -181,7 +183,7 @@ class TestSingularSystemsMatchPinv:
         ref = np.where(m, t, 0.0)
         ref[~m] = -np.linalg.pinv(at[np.ix_(~m, ~m)]) @ (at[np.ix_(~m, m)] @ t[m])
         assert_close(gtvm(t, m, shift).x, ref, 1e-8)
-        assert len(pinv_calls) == 1
+        assert pinv_calls == []
 
     def test_gtvr_unmeasured_closed_class(self, kind, pinv_calls):
         shift = SINGULAR[kind]()
@@ -189,7 +191,7 @@ class TestSingularSystemsMatchPinv:
         t = np.random.default_rng(6).normal(size=shift.n)
         ref = np.linalg.pinv(np.diag(m.astype(float)) + dense_tilde(shift)) @ (m * t)
         assert_close(gtvr(t, m, shift, 1.0).x, ref, 1e-8)
-        assert len(pinv_calls) == 1
+        assert pinv_calls == []
 
     def test_laplacian_unmeasured_component(self, kind, pinv_calls):
         shift = SINGULAR[kind]()
@@ -199,14 +201,51 @@ class TestSingularSystemsMatchPinv:
         ref = np.linalg.pinv(np.diag(m.astype(float)) + 2.0 * lap) @ (m * t)
         got = laplacian_baseline(t, m, laplacian_from_shift(shift), 2.0).x
         assert_close(got, ref, 1e-8)
-        assert len(pinv_calls) == 1
+        assert pinv_calls == []
 
     def test_gtvr_alpha_zero(self, kind, pinv_calls):
         shift = SINGULAR[kind]()
         t, m = signal_and_mask(shift.n, 8)
         ref = np.linalg.pinv(np.diag(m.astype(float))) @ (m * t)
         assert_close(gtvr(t, m, shift, 0.0).x, ref, 1e-8)
-        assert len(pinv_calls) == 1
+        assert pinv_calls == []
+
+
+def two_far_clusters(n):
+    """kNN graph (k = 8) of two far-apart halves of n nodes, and a mask that
+    measures half of the first and none of the second."""
+    half = n // 2
+    features = np.vstack([random_features(half, 2, 1),
+                          100.0 + random_features(n - half, 2, 2)])
+    mask = np.zeros(n, dtype=bool)
+    mask[:half] = sample_mask((half,), 0.5, 4)
+    return build_knn_graph(features, GraphBuildSpec(k=8)), mask
+
+
+@pytest.mark.parametrize("method", ["gtvr", "gtvm"])
+def test_large_unmeasured_cluster_is_zero_without_a_dense_solve(pinv_calls, method):
+    """The second cluster is a closed class with no measured node, so the
+    system is singular. Its right-hand side is zero there, and the
+    minimum-norm solution is 0 on it and the first cluster's own solution
+    elsewhere, from a sparse solve of the first cluster's block here."""
+    shift, m = two_far_clusters(2000)
+    t = np.random.default_rng(3).normal(size=shift.n)
+    half = shift.n // 2
+    at = tilde_shift(shift)
+    first = np.arange(half)
+    if method == "gtvr":
+        x = gtvr(t, m, shift, 1.0).x
+        h = sp.diags_array(m[:half].astype(float)) + at[first][:, first]
+        ref = scipy.sparse.linalg.spsolve(sp.csc_array(h), (m * t)[:half])
+    else:
+        x = gtvm(t, m, shift).x
+        hidden, measured = np.flatnonzero(~m[:half]), np.flatnonzero(m[:half])
+        ref = np.where(m[:half], t[:half], 0.0)
+        ref[hidden] = -scipy.sparse.linalg.spsolve(
+            sp.csc_array(at[hidden][:, hidden]), at[hidden][:, measured] @ t[measured])
+    assert pinv_calls == []
+    np.testing.assert_array_equal(x[half:], 0.0)
+    assert_close(x[:half], ref, 1e-10)
 
 
 class TestFactorized:
@@ -218,6 +257,27 @@ class TestFactorized:
         h = np.diag([1.0, 1e-13])
         np.testing.assert_allclose(factorized(h)(np.array([2.0, 1.0])), [2.0, 0.0])
         assert len(pinv_calls) == 1
+
+    def test_only_a_singular_component_is_solved_densely(self, pinv_calls):
+        """A regular block and a rank-2 block with a right-hand side on both:
+        the dense pseudo-inverse sees the 3-node block alone."""
+        rng = np.random.default_rng(2)
+        g = rng.normal(size=(6, 6))
+        v = rng.normal(size=(3, 2))
+        h = sp.block_diag([g @ g.T + np.eye(6), v @ v.T])
+        b = rng.normal(size=(9, 2))
+        assert_close(factorized(h)(b), np.linalg.pinv(h.toarray()) @ b, 1e-10)
+        assert pinv_calls == [(3, 3)]
+
+    def test_a_large_singular_component_is_refused(self, monkeypatch, pinv_calls):
+        monkeypatch.setattr(gsrec.prox, "DENSE_MAX_NODES", 2)
+        h = sp.block_diag([np.eye(4), np.ones((3, 3))])
+        solve = factorized(h)
+        np.testing.assert_array_equal(solve(np.r_[np.ones(4), np.zeros(3)]),
+                                      np.r_[np.ones(4), np.zeros(3)])
+        with pytest.raises(TooManyNodes, match="3-node"):
+            solve(np.ones(7))
+        assert pinv_calls == []
 
 
 def _no_dense_view(self):
@@ -707,15 +767,84 @@ def test_zero_diagonal_is_pivoted_off_the_diagonal(pinv_calls):
     assert pinv_calls == []
 
 
+def test_a_definite_system_is_factored_without_copying_u(kept_lus):
+    """``SuperLU.U`` builds a CSC copy of the whole U factor, and the
+    SuperLU object keeps it; tracemalloc sees that copy (numpy arrays), not
+    SuperLU's own storage. Declared definite, ``I + 2 T`` allocates less
+    than the copy's data array at any moment; its pivot read allocates
+    more."""
+    shift = knn8(2000, 1)
+    h = sp.csc_array(sp.eye_array(shift.n) + 2.0 * tilde_shift(shift))
+
+    def peak(**kwargs):
+        tracemalloc.start()
+        try:
+            factorized(h, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    definite, read = peak(definite=True), peak()
+    u_data = 8 * kept_lus[-1].U.nnz
+    assert definite < u_data <= read
+
+
+@pytest.fixture
+def pivot_reads(monkeypatch):
+    """The size of every system whose pivots ``factorized`` reads (each
+    ``SuperLU.U`` access), and of every system ``splu`` factors."""
+    reads, factored = [], []
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            if name == "U":
+                reads.append(self.lu.shape[0])
+            return getattr(self.lu, name)
+
+    def counted(h, **kwargs):
+        factored.append(h.shape[0])
+        return Counted(SCIPY_SPLU(h, **kwargs))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    return reads, factored
+
+
+def test_run_reads_pivots_of_the_semidefinite_systems_only(tmp_path, pivot_reads):
+    """The eigen draw's ``T - sigma I`` and the ADMM's ``I + c T`` are
+    positive definite, so only ``gtvm``, ``gtvr`` and ``laplacian`` read
+    their pivots: 3 reads of 5 factorizations on a robust inpainting run,
+    none of 1 on a completion run with ``admm``."""
+    reads, factored = pivot_reads
+    description = {"task": "robust-inpaint", "seed": 3, "ratios": [0.6],
+                   "graph": {"kind": "knn", "n": 60, "k": 4},
+                   "signal": {"synthetic": {"rank": 3, "noise_sigma": 0.05}},
+                   "corrupt": {"fraction": 0.1},
+                   "solvers": [{"method": "gtvm"},
+                               {"method": "gtvr", "config": {"alpha": 1.0}},
+                               {"method": "laplacian", "config": {"alpha": 1.0}},
+                               {"method": "rgtvr", "config": {"gamma": 0.5}}]}
+    assert _run(tmp_path, description) == 0
+    assert len(factored) == 5 and len(reads) == 3
+    complete = _complete(tmp_path)  # its bundle's eigen draw factors too
+    complete["solvers"] = [{"method": "admm", "config": {"beta": 0.5}}]
+    reads.clear()
+    factored.clear()
+    assert _run(tmp_path, complete) == 0
+    assert factored == [40] and reads == []
+
+
 @pytest.mark.parametrize("make", [_inpaint, _robust_inpaint, _complete, _detect,
                                   _combine], ids=lambda f: f.__name__[1:])
 def test_run_factors_only_exactly_symmetric_systems(tmp_path, monkeypatch, make):
     """The minimum degree ordering of ``H + H^T`` assumes a symmetric H."""
     systems = []
 
-    def recorded(h):
+    def recorded(h, **kwargs):
         systems.append(sp.csr_array(h))
-        return factorized(h)
+        return factorized(h, **kwargs)
 
     monkeypatch.setattr(gsrec.solvers, "factorized", recorded)
     monkeypatch.setattr(gsrec.graph, "factorized", recorded)
