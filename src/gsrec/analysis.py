@@ -22,7 +22,7 @@ from .errors import (
 from .graph import (
     GraphShift,
     SpectralBasis,
-    check_node_mask,
+    check_mask,
     gft,
     igft,
     matrix_variation,
@@ -115,7 +115,7 @@ def inpainting_bound(shift: GraphShift, node_mask: np.ndarray,
     leaves a 2-norm unchanged, so both come from column slices of one dense
     copy of ``I + A``: O(N^2) memory, O(N^3) time.
     """
-    mask = check_node_mask(node_mask, shift.n)
+    mask = check_mask(node_mask, (shift.n,))
     b = shift.matrix.toarray() + np.eye(shift.n)
     p = _spectral_norm(b[:, mask])
     q = _spectral_norm(b[:, ~mask])
@@ -148,7 +148,7 @@ def verify_inpainting_bound(shift: GraphShift, node_mask: np.ndarray,
     (certified) form should pass constants that also dominate the recovered
     signal. Raises :class:`BoundNotApplicable` when q >= 2.
     """
-    mask = check_node_mask(node_mask, shift.n)
+    mask = check_mask(node_mask, (shift.n,))
     x0 = np.asarray(x0, dtype=float)
     t = np.asarray(t, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)

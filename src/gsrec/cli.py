@@ -309,6 +309,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.on == "hidden" and args.mask is None:
+        raise ConfigError("eval --on hidden needs --mask to know the hidden entries")
     truth = load_signal_csv(args.truth)
     estimate = load_signal_csv(args.estimate)
     if truth.shape != estimate.shape:

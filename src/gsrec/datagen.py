@@ -21,7 +21,7 @@ from .errors import (
     KTooLarge,
     TooManyNodes,
 )
-from .graph import DENSE_MAX_NODES, GraphShift, _lowest_eigenpairs
+from .graph import DENSE_MAX_NODES, GraphShift, _lowest_eigenpairs, check_mask
 
 # Stream tags for seed derivation; never reuse across operations.
 STREAM_MASK = 1
@@ -529,9 +529,7 @@ def corrupt_labels(values: np.ndarray, mask: np.ndarray, fraction: float,
     if not (0.0 <= fraction <= 1.0):
         raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
     values = np.asarray(values, dtype=float)
-    mask = np.asarray(mask)
-    if mask.dtype != np.bool_ or mask.shape != values.shape:
-        raise DimensionMismatch("mask must be boolean and match the values")
+    mask = check_mask(mask, values.shape)
     accessible = np.flatnonzero(mask.ravel())
     count = round_half_up(fraction * accessible.size)
     corrupted = values.copy()

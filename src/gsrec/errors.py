@@ -75,7 +75,7 @@ class NonSymmetricLaplacian(GsrecError):
 
 
 class NonBinaryInput(GsrecError):
-    """Opinion combination requires entries in {-1, +1}."""
+    """Labels that must lie in {-1, +1} (opinions, a classification truth) do not."""
 
 
 class Infeasible(GsrecError):

@@ -49,7 +49,7 @@ from .errors import (
     NonBinaryInput,
     NonSymmetricLaplacian,
 )
-from .graph import GraphShift, cycle_shift
+from .graph import GraphShift, check_mask, cycle_shift
 from .io import (_jsonable, config_values, json_value, load_bundle, load_graph,
                  spec_from_dict)
 from .solvers import (
@@ -127,7 +127,7 @@ def evaluate(truth: np.ndarray, estimate: np.ndarray,
     """Compare an estimate against ground truth.
 
     ``score="classification"`` additionally thresholds the estimate at zero
-    and reports label accuracy against +/-1 truth.
+    and reports label accuracy against the truth, which must be +/-1.
     """
     truth = np.asarray(truth, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
@@ -142,6 +142,8 @@ def evaluate(truth: np.ndarray, estimate: np.ndarray,
     mse = float(np.mean(err * err))
     acc = None
     if score == "classification":
+        if not np.all(np.isin(truth, (-1.0, 1.0))):
+            raise NonBinaryInput("score 'classification' needs a +/-1 truth")
         acc = float(np.mean(threshold_labels(estimate) == truth))
     return MetricReport(
         mse=mse,
@@ -208,10 +210,7 @@ def cross_validate(method: str, observed: np.ndarray, mask: np.ndarray,
     if observed.ndim not in (1, 2) or observed.shape[0] != shift.n:
         raise DimensionMismatch(
             f"expected {shift.n} signal rows, got shape {observed.shape}")
-    mask = np.asarray(mask, dtype=bool)
-    if observed.shape != mask.shape:
-        raise DimensionMismatch(
-            f"observed shape {observed.shape} vs mask shape {mask.shape}")
+    mask = check_mask(mask, observed.shape)
     flat = np.flatnonzero(mask.ravel())
     if flat.size < 2:
         raise EmptyMask("holdout selection needs at least two accessible entries")
@@ -309,10 +308,7 @@ def solve_recovery(method: str, observed: np.ndarray, mask: np.ndarray | None,
         return anomaly_detect_constrained(t, shift, eta_smooth, config)
     if mask is None:
         raise ConfigError(f"method {method!r} needs an accessibility mask")
-    mask = np.asarray(mask, dtype=bool)
-    if observed.shape != mask.shape:
-        raise DimensionMismatch(
-            f"observed shape {observed.shape} vs mask shape {mask.shape}")
+    mask = check_mask(mask, observed.shape)
     if row.kind == "vector":
         if observed.ndim == 2:
             if observed.shape[1] != 1:

@@ -19,9 +19,9 @@ block norms of :func:`~gsrec.analysis.inpainting_bound`), and each such
 place calls ``.toarray()`` itself.
 
 Signals are plain numpy arrays: a vector signal has shape ``(N,)`` and a signal
-matrix (one signal per column) has shape ``(N, L)``. Masks of accessible entries
-are boolean arrays of the same shape; :func:`check_node_mask` validates a
-node mask.
+matrix (one signal per column) has shape ``(N, L)``. A mask of accessible entries
+is a boolean array of the signal's shape; :func:`check_mask` is the one place
+that judges a mask, and no caller casts one.
 """
 
 from __future__ import annotations
@@ -428,11 +428,12 @@ def igft(coeffs: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     return basis.vectors @ coeffs
 
 
-def check_node_mask(mask: np.ndarray, n: int) -> np.ndarray:
-    """Validate a boolean node mask of accessible entries."""
+def check_mask(mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``mask`` as an array, if it is boolean and of the signal's ``shape``; a
+    cast of any other mask would quietly pick the entries counted as measured."""
     m = np.asarray(mask)
     if m.dtype != np.bool_:
         raise DimensionMismatch("mask must be a boolean array")
-    if m.shape != (n,):
-        raise DimensionMismatch(f"node mask shape {m.shape} != ({n},)")
+    if m.shape != shape:
+        raise DimensionMismatch(f"mask shape {m.shape} != signal shape {shape}")
     return m

@@ -96,7 +96,7 @@ from .graph import (
     GraphShift,
     _residual_variation,
     _vector_signal,
-    check_node_mask,
+    check_mask,
     tilde_shift,
 )
 from .prox import _nuclear_norm, factorized, shrink, svt
@@ -187,26 +187,22 @@ def _closed_form(x: np.ndarray, objective: float, **meta) -> RecoveryResult:
 
 def _matrix_inputs(T, mask, shift: GraphShift) -> tuple[np.ndarray, np.ndarray, bool]:
     """The signal as an (n, L) matrix, its mask, and whether it was a vector."""
-    T2, m = np.asarray(T, dtype=float), np.asarray(mask)
-    was_vec = T2.ndim == 1
-    if was_vec:
-        T2, m = T2[:, None], (m[:, None] if m.ndim == 1 else m)
-    if T2.ndim != 2:
+    T2 = np.asarray(T, dtype=float)
+    if T2.ndim not in (1, 2):
         raise DimensionMismatch(f"signal must be 1-d or 2-d, got {T2.ndim}-d")
     if T2.shape[0] != shift.n:
         raise DimensionMismatch(f"signal rows {T2.shape[0]} != nodes {shift.n}")
-    if m.dtype != np.bool_:
-        raise DimensionMismatch("mask must be a boolean array")
-    if m.shape != T2.shape:
-        raise DimensionMismatch(f"mask shape {m.shape} != signal shape {T2.shape}")
+    m = check_mask(mask, T2.shape)
     if not m.any():
         raise EmptyAccessibleSet("mask marks no entry as accessible")
-    return T2, m, was_vec
+    if T2.ndim == 1:
+        return T2[:, None], m[:, None], True
+    return T2, m, False
 
 
 def _vector_inputs(t, mask, n: int) -> tuple[np.ndarray, np.ndarray]:
     """A vector signal of length n and its boolean node mask, which must mark a node."""
-    t, m = _vector_signal(t, n), check_node_mask(mask, n)
+    t, m = _vector_signal(t, n), check_mask(mask, (n,))
     if not m.any():
         raise EmptyAccessibleSet("mask marks no entry as accessible")
     return t, m

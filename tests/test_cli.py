@@ -397,6 +397,21 @@ class TestEval:
         assert main(["eval", "--truth", str(truth),
                      "--estimate", str(est)]) == 3
 
+    def test_hidden_scoring_without_a_mask_is_config_error(self, tmp_path, capsys):
+        truth = write_signal(tmp_path, "truth.csv", np.array([1.0, 2.0, 3.0]))
+        est = write_signal(tmp_path, "est.csv", np.array([1.0, 2.0, 4.0]))
+        assert main(["eval", "--truth", str(truth), "--estimate", str(est),
+                     "--on", "hidden"]) == 2
+        captured = capsys.readouterr()
+        assert "--on" in captured.err and captured.out == ""
+
+    def test_classification_of_a_real_truth_is_data_error(self, tmp_path, capsys):
+        truth = write_signal(tmp_path, "truth.csv", np.array([1.0, 2.0, 3.0]))
+        est = write_signal(tmp_path, "est.csv", np.array([1.0, 2.0, 4.0]))
+        assert main(["eval", "--truth", str(truth), "--estimate", str(est),
+                     "--score", "classification"]) == 3
+        assert "NonBinaryInput" in capsys.readouterr().err
+
 
 class TestRun:
     def experiment(self, tmp_path):

@@ -89,6 +89,11 @@ class TestEvaluate:
                        "classification")
         assert rep.acc == 0.5
 
+    def test_classification_needs_a_signed_truth(self):
+        with pytest.raises(NonBinaryInput, match="classification"):
+            evaluate(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 4.0]),
+                     "classification")
+
     def test_hand_arithmetic(self):
         rep = evaluate(np.zeros(2), np.array([3.0, 4.0]))
         assert abs(rep.mse - 12.5) <= 1e-12

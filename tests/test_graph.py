@@ -24,7 +24,7 @@ from gsrec import (
     spectral_radius,
     tilde_shift,
 )
-from gsrec.graph import DENSE_MAX_NODES, check_node_mask
+from gsrec.graph import DENSE_MAX_NODES, check_mask
 
 
 def random_kregular_shift(n, k, seed):
@@ -376,6 +376,6 @@ class TestPartition:
 
     def test_mask_validation(self):
         with pytest.raises(DimensionMismatch):
-            check_node_mask(np.array([1, 0, 1]), 3)
+            check_mask(np.array([1, 0, 1]), (3,))
         with pytest.raises(DimensionMismatch):
-            check_node_mask(np.array([True, False]), 3)
+            check_mask(np.array([True, False]), (3,))

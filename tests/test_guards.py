@@ -43,6 +43,10 @@ GUARDS = {
         "gtvm", VALUES, ALL[:3], SHIFT)),
     "cross_validate-mask-shape": (DimensionMismatch, "mask shape", lambda: cross_validate(
         "gtvr", VALUES, ALL[:3], SHIFT, [SolverConfig()], 0)),
+    "solve_recovery-mask-float": (DimensionMismatch, "boolean", lambda: solve_recovery(
+        "gtvm", VALUES, np.ones(4), SHIFT)),
+    "cross_validate-mask-float": (DimensionMismatch, "boolean", lambda: cross_validate(
+        "gtvr", VALUES, np.ones(4), SHIFT, [SolverConfig()], 0)),
     "cross_validate-one-entry": (EmptyMask, "two accessible", lambda: cross_validate(
         "gtvr", VALUES, np.arange(4) == 0, SHIFT, [SolverConfig()], 0)),
     "gmcm-mask-not-boolean": (DimensionMismatch, "boolean", lambda: gmcm(
@@ -77,6 +81,8 @@ GUARDS = {
         VALUES, ALL, 1.5, "regression", 0)),
     "corrupt-mask-shape": (DimensionMismatch, "mask", lambda: corrupt_labels(
         VALUES, ALL[:3], 0.5, "regression", 0)),
+    "corrupt-mask-float": (DimensionMismatch, "boolean", lambda: corrupt_labels(
+        VALUES, np.ones(4), 0.5, "regression", 0)),
     "shift-3d": (DimensionMismatch, "square", lambda: GraphShift(np.zeros((2, 2, 2)))),
     "shift-no-nodes": (DimensionMismatch, "one node", lambda: GraphShift(np.zeros((0, 0)))),
     "cycle-no-nodes": (DimensionMismatch, "one node", lambda: cycle_shift(0)),

@@ -276,6 +276,13 @@ class TestRegularizedSolve:
         X = factorized(H)(B)
         np.testing.assert_allclose(H @ X, B, atol=1e-9)
 
+    def test_singular_system_with_zero_right_hand_side(self):
+        # no component is reached, so nothing is factored: a 0 x 0 block has
+        # no pivots to judge
+        solve = factorized(np.diag([1.0, 0.0]))
+        assert np.array_equal(solve(np.zeros(2)), np.zeros(2))
+        assert np.array_equal(solve(np.zeros((2, 3))), np.zeros((2, 3)))
+
     def test_pseudo_matches_numpy_pinv(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
