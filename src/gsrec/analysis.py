@@ -23,6 +23,7 @@ from .graph import (
     GraphShift,
     SpectralBasis,
     check_mask,
+    check_signal,
     gft,
     igft,
     matrix_variation,
@@ -149,11 +150,7 @@ def verify_inpainting_bound(shift: GraphShift, node_mask: np.ndarray,
     signal. Raises :class:`BoundNotApplicable` when q >= 2.
     """
     mask = check_mask(node_mask, (shift.n,))
-    x0 = np.asarray(x0, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    if not (x0.shape == t.shape == x_hat.shape == (shift.n,)):
-        raise DimensionMismatch("x0, t, x_hat must be vectors matching the shift")
+    x0, t, x_hat = (check_signal(v, shift.n, (1,)) for v in (x0, t, x_hat))
     if epsilon is None:
         epsilon = float(np.linalg.norm((x0 - t)[mask]))
     if eta_smooth is None:
@@ -174,9 +171,7 @@ def _thin_svd(X: np.ndarray, shift: GraphShift
     Raises ``np.linalg.LinAlgError`` for a non-finite X before the SVD, as
     :func:`~gsrec.prox.svt` does: an inf makes LAPACK's SVD loop without end.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != shift.n:
-        raise DimensionMismatch(f"expected ({shift.n}, L) matrix, got {X.shape}")
+    X = check_signal(X, shift.n, (2,))
     if not np.all(np.isfinite(X)):
         raise np.linalg.LinAlgError("singular values of a non-finite matrix")
     u, s, _ = np.linalg.svd(X, full_matrices=False)
@@ -220,10 +215,7 @@ def subspace_smoothness_bound(U: np.ndarray, a: np.ndarray,
     ``||U - A U||_F^2 ||a||^2``. Raises :class:`NonOrthonormalBasis` when the
     columns are not orthonormal within 1e-8.
     """
-    U = np.asarray(U, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if U.ndim != 2 or U.shape[0] != shift.n:
-        raise DimensionMismatch(f"expected ({shift.n}, r) basis, got {U.shape}")
+    U, a = check_signal(U, shift.n, (2,)), np.asarray(a, dtype=float)
     if a.shape != (U.shape[1],):
         raise DimensionMismatch(
             f"coefficients shape {a.shape} does not match basis width {U.shape[1]}"

@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score", choices=("regression", "classification"),
                    default="regression")
     p.add_argument("--mask", default=None,
-                   help="restrict scoring relative to this accessibility mask")
+                   help="accessibility mask whose hidden entries --on hidden scores")
     p.add_argument("--on", choices=("hidden", "all"), default="all")
 
     p = sub.add_parser("run", help="run a full experiment description")
@@ -309,18 +309,17 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.on == "hidden" and args.mask is None:
-        raise ConfigError("eval --on hidden needs --mask to know the hidden entries")
+    if (args.on == "hidden") != (args.mask is not None):
+        raise ConfigError("eval takes --mask exactly with --on hidden: the mask "
+                          "names the hidden entries, which only --on hidden scores")
     truth = load_signal_csv(args.truth)
     estimate = load_signal_csv(args.estimate)
     if truth.shape != estimate.shape:
         raise DataError(
             f"truth shape {truth.shape} vs estimate shape {estimate.shape}")
     if args.mask is not None:
-        mask = load_mask_csv(args.mask, truth.shape)
-        select = ~mask if args.on == "hidden" else np.ones_like(mask)
-        truth = truth[select]
-        estimate = estimate[select]
+        hidden = ~load_mask_csv(args.mask, truth.shape)
+        truth, estimate = truth[hidden], estimate[hidden]
     report = evaluate(truth, estimate, args.score)
     payload = {"mse": report.mse, "rmse": report.rmse, "mae": report.mae,
                "count": report.count}

@@ -49,15 +49,16 @@ from .errors import (
     NonBinaryInput,
     NonSymmetricLaplacian,
 )
-from .graph import GraphShift, check_mask, cycle_shift
+from .graph import GraphShift, check_mask, check_signal, cycle_shift
 from .io import (_jsonable, config_values, json_value, load_bundle, load_graph,
                  spec_from_dict)
 from .solvers import (
     RecoveryResult,
     SolverConfig,
     _closed_form,
+    _inputs,
     _regularized_fit,
-    _vector_inputs,
+    _weight,
     anomaly_detect,
     anomaly_detect_constrained,
     gmcm,
@@ -168,9 +169,8 @@ def laplacian_baseline(t: np.ndarray, mask: np.ndarray, laplacian,
     laplacian = sp.csr_array(laplacian, dtype=float)
     if laplacian.ndim != 2 or laplacian.shape[0] != laplacian.shape[1]:
         raise DimensionMismatch(f"laplacian must be square, got shape {laplacian.shape}")
-    t, mask = _vector_inputs(t, mask, laplacian.shape[0])
-    if alpha < 0:
-        raise ConfigError(f"alpha must be nonnegative, got {alpha}")
+    _weight("alpha", alpha)
+    t, mask = _inputs(t, mask, laplacian.shape[0], (1,))
     # Frobenius norms, from the stored entries
     asym = float(np.linalg.norm((laplacian - laplacian.T).data))
     if asym > 1e-10 * (1.0 + float(np.linalg.norm(laplacian.data))):
@@ -206,10 +206,7 @@ def cross_validate(method: str, observed: np.ndarray, mask: np.ndarray,
     grid = list(grid)
     if not grid:
         raise EmptyGrid("empty configuration grid")
-    observed = np.asarray(observed, dtype=float)
-    if observed.ndim not in (1, 2) or observed.shape[0] != shift.n:
-        raise DimensionMismatch(
-            f"expected {shift.n} signal rows, got shape {observed.shape}")
+    observed = check_signal(observed, shift.n)
     mask = check_mask(mask, observed.shape)
     flat = np.flatnonzero(mask.ravel())
     if flat.size < 2:
@@ -253,9 +250,10 @@ def combine_opinions(opinions: np.ndarray, method: str,
     ``gtvr-denoise`` smooths the mean-score vector, ``gmcr-denoise`` runs the
     low-rank recovery on the full opinion matrix and averages afterwards.
     Ties threshold to +1. Returns the solve's :class:`RecoveryResult` with
-    the labels in ``x``: ``avg`` solves nothing (one iteration, converged),
-    the denoise variants keep their solver's iterations, convergence and
-    trace.
+    the labels in ``x``: ``avg`` is one closed-form step whose trace is the
+    objective ``sum_ij (o_ij - s_i)^2`` its mean scores s minimize, the
+    denoise variants keep their solver's iterations, convergence and trace,
+    each traced at the scores before thresholding.
     """
     opinions = np.asarray(opinions, dtype=float)
     if opinions.ndim != 2:
@@ -268,7 +266,7 @@ def combine_opinions(opinions: np.ndarray, method: str,
     config = config if config is not None else SolverConfig()
     scores = opinions.mean(axis=1)
     if method == "avg":
-        result = _closed_form(scores, 0.0)
+        result = _closed_form(scores, float(np.sum((opinions - scores[:, None]) ** 2)))
     elif shift is None:
         raise ConfigError(f"method {method!r} needs a graph shift")
     elif shift.n != opinions.shape[0]:

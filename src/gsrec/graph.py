@@ -19,9 +19,10 @@ block norms of :func:`~gsrec.analysis.inpainting_bound`), and each such
 place calls ``.toarray()`` itself.
 
 Signals are plain numpy arrays: a vector signal has shape ``(N,)`` and a signal
-matrix (one signal per column) has shape ``(N, L)``. A mask of accessible entries
-is a boolean array of the signal's shape; :func:`check_mask` is the one place
-that judges a mask, and no caller casts one.
+matrix (one signal per column) has shape ``(N, L)``; :func:`check_signal` is
+the one place that judges a signal. A mask of accessible entries is a boolean
+array of the signal's shape; :func:`check_mask` is the one place that judges a
+mask, and no caller casts one.
 """
 
 from __future__ import annotations
@@ -282,14 +283,6 @@ def normalize_shift(shift: GraphShift) -> GraphShift:
     return shift
 
 
-def _vector_signal(t, n: int) -> np.ndarray:
-    """``t`` as a float vector of length n; anything else is a DimensionMismatch."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.shape[0] != n:
-        raise DimensionMismatch(f"expected vector of length {n}, got shape {t.shape}")
-    return t
-
-
 def _residual_variation(X: np.ndarray, shift: GraphShift) -> tuple[float, np.ndarray]:
     """``||X - A X||_F^2`` and the residual ``d = X - A X`` it sums, unchecked."""
     d = X - shift.matrix @ X
@@ -298,7 +291,7 @@ def _residual_variation(X: np.ndarray, shift: GraphShift) -> tuple[float, np.nda
 
 def quadratic_variation(x: np.ndarray, shift: GraphShift) -> float:
     """Quadratic total variation of a vector signal: ``||x - A x||_2^2``."""
-    return _residual_variation(_vector_signal(x, shift.n), shift)[0]
+    return _residual_variation(check_signal(x, shift.n, (1,)), shift)[0]
 
 
 def matrix_variation(X: np.ndarray, shift: GraphShift) -> float:
@@ -306,11 +299,7 @@ def matrix_variation(X: np.ndarray, shift: GraphShift) -> float:
 
     Equals the sum of :func:`quadratic_variation` over columns.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != shift.n:
-        raise DimensionMismatch(
-            f"expected a matrix of {shift.n} rows, got shape {X.shape}")
-    return _residual_variation(X, shift)[0]
+    return _residual_variation(check_signal(X, shift.n, (2,)), shift)[0]
 
 
 def tilde_shift(shift: GraphShift) -> sp.csr_array:
@@ -426,6 +415,16 @@ def igft(coeffs: np.ndarray, basis: SpectralBasis) -> np.ndarray:
             f"coefficients have shape {coeffs.shape}, basis has {basis.n} rows"
         )
     return basis.vectors @ coeffs
+
+
+def check_signal(x, n: int, ndim: tuple[int, ...] = (1, 2)) -> np.ndarray:
+    """``x`` as a float array, if it has one of the ranks ``ndim`` and n rows:
+    a vector of n nodes, or an (n, L) matrix of one signal per column."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in ndim or x.shape[0] != n:
+        raise DimensionMismatch(f"expected a {' or '.join(f'{d}-d' for d in ndim)} "
+                                f"signal of {n} rows, got shape {x.shape}")
+    return x
 
 
 def check_mask(mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -28,7 +28,7 @@ def shrink(x: np.ndarray, tau: float) -> np.ndarray:
     The proximal operator of ``tau * || . ||_1``. Entries with magnitude
     exactly tau map to zero.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise NegativeThreshold(f"threshold must be nonnegative, got {tau}")
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
@@ -103,7 +103,7 @@ def svt(X: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     depends on the signs LAPACK picks for the singular vectors. A non-finite
     X raises ``np.linalg.LinAlgError``.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise NegativeThreshold(f"threshold must be nonnegative, got {tau}")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:

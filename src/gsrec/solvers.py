@@ -87,7 +87,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
-    DimensionMismatch,
     EmptyAccessibleSet,
     Infeasible,
     NonFiniteObjective,
@@ -95,8 +94,8 @@ from .errors import (
 from .graph import (
     GraphShift,
     _residual_variation,
-    _vector_signal,
     check_mask,
+    check_signal,
     tilde_shift,
 )
 from .prox import _nuclear_norm, factorized, shrink, svt
@@ -116,6 +115,13 @@ STEP_GROW_AFTER = 4
 
 # Over-relaxation factor of the ADMM loop (Boyd et al. 2011, section 3.4.3)
 ADMM_RELAX = 1.6
+
+
+def _weight(name: str, value: float) -> None:
+    """Refuse a weight that is not a nonnegative finite number: a NaN or an
+    inf one would reach a factorization or a path segment."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +146,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
+            _weight(name, getattr(self, name))
         for name in ("penalty", "tol_outer"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -185,27 +190,14 @@ def _closed_form(x: np.ndarray, objective: float, **meta) -> RecoveryResult:
                           converged=True, meta=meta)
 
 
-def _matrix_inputs(T, mask, shift: GraphShift) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The signal as an (n, L) matrix, its mask, and whether it was a vector."""
-    T2 = np.asarray(T, dtype=float)
-    if T2.ndim not in (1, 2):
-        raise DimensionMismatch(f"signal must be 1-d or 2-d, got {T2.ndim}-d")
-    if T2.shape[0] != shift.n:
-        raise DimensionMismatch(f"signal rows {T2.shape[0]} != nodes {shift.n}")
-    m = check_mask(mask, T2.shape)
+def _inputs(T, mask, n: int, ndim: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """A signal of n rows and one of the ranks ``ndim``, and its mask, which
+    must mark an entry."""
+    T = check_signal(T, n, ndim)
+    m = check_mask(mask, T.shape)
     if not m.any():
         raise EmptyAccessibleSet("mask marks no entry as accessible")
-    if T2.ndim == 1:
-        return T2[:, None], m[:, None], True
-    return T2, m, False
-
-
-def _vector_inputs(t, mask, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A vector signal of length n and its boolean node mask, which must mark a node."""
-    t, m = _vector_signal(t, n), check_mask(mask, (n,))
-    if not m.any():
-        raise EmptyAccessibleSet("mask marks no entry as accessible")
-    return t, m
+    return T, m
 
 
 def _variation_grad(d: np.ndarray, shift: GraphShift) -> np.ndarray:
@@ -250,14 +242,14 @@ def gtvm(t: np.ndarray, mask: np.ndarray, shift: GraphShift) -> RecoveryResult:
     class of the graph holds no measured node, and the hidden values are
     then the minimum-norm solution.
     """
-    t, m = _vector_inputs(t, mask, shift.n)
+    t, m = _inputs(t, mask, shift.n, (1,))
     at = tilde_shift(shift)
     x = np.where(m, t, 0.0)
     hidden = np.flatnonzero(~m)
     if hidden.size:
         rows = at[hidden]
         x[hidden] = -factorized(rows[:, hidden])(rows[:, np.flatnonzero(m)] @ t[m])
-    return _closed_form(x, _finite(_residual_variation(x[:, None], shift)[0]),
+    return _closed_form(x, _finite(_residual_variation(x, shift)[0]),
                         solver="gtvm")
 
 
@@ -270,9 +262,8 @@ def gtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift, alpha: float) -> Re
     nodes, or a closed class of the graph without a measured node) gets the
     minimum-norm solution.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    t, m = _vector_inputs(t, mask, shift.n)
+    _weight("alpha", alpha)
+    t, m = _inputs(t, mask, shift.n, (1,))
     return _closed_form(*_regularized_fit(t, m, tilde_shift(shift), alpha),
                         solver="gtvr", alpha=alpha)
 
@@ -369,7 +360,8 @@ def gmcm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     until the objective does not increase.
     """
     config = config or SolverConfig()
-    T2, m, was_vec = _matrix_inputs(T, mask, shift)
+    T, m = _inputs(T, mask, shift.n, (1, 2))
+    T2, m = T.reshape(shift.n, -1), m.reshape(shift.n, -1)
     beta = config.beta
 
     def pinned_svt(V, t):
@@ -382,7 +374,7 @@ def gmcm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     res = _prox_gradient(X, lambda Xc: _residual_variation(Xc, shift),
                          lambda Xc, d: _variation_grad(d, shift), pinned_svt,
                          beta * _nuclear_norm(X) if beta > 0 else 0.0, config)
-    res.x, res.meta["solver"] = (res.x[:, 0] if was_vec else res.x), "gmcm"
+    res.x, res.meta["solver"] = res.x.reshape(T.shape), "gmcm"
     return res
 
 
@@ -396,7 +388,8 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     composite objective never increases).
     """
     config = config or SolverConfig()
-    T2, m, was_vec = _matrix_inputs(T, mask, shift)
+    T, m = _inputs(T, mask, shift.n, (1, 2))
+    T2, m = T.reshape(shift.n, -1), m.reshape(shift.n, -1)
     alpha, beta = config.alpha, config.beta
 
     # products with the float mask w are cheaper than masked gathers and
@@ -421,7 +414,7 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
                          beta * _nuclear_norm(Tm) if beta > 0 else 0.0, config,
                          curvature=lambda S, dD: (float(np.vdot(S * w, S))
                                                   + alpha * float(np.vdot(dD, dD))))
-    res.x, res.meta["solver"] = (res.x[:, 0] if was_vec else res.x), "gmcr"
+    res.x, res.meta["solver"] = res.x.reshape(T.shape), "gmcr"
     return res
 
 
@@ -442,8 +435,8 @@ def _lasso_kkt(t: np.ndarray, e: np.ndarray, beta: float, shift: GraphShift,
     rounding floor ``4 eps c0``: rounding e to doubles moves the
     correlations by about that much, more than 1e-8 of a tiny weight.
     """
-    variation, d = _residual_variation((t - e)[:, None], shift)
-    c = _variation_grad(d, shift)[:, 0]
+    variation, d = _residual_variation(t - e, shift)
+    c = _variation_grad(d, shift)
     violation = np.where(e != 0, np.abs(c - beta * np.sign(e)), np.abs(c) - beta)
     worst = float(np.max(violation, initial=0.0))
     scale = beta or c0
@@ -468,17 +461,16 @@ def anomaly_detect(t: np.ndarray, shift: GraphShift, beta_reg: float,
     and ``converged`` says :func:`_lasso_kkt` certified it: at most 1e-8
     but for a rounding floor; ``meta["smooth"]`` is the variation.
     """
-    if beta_reg < 0:
-        raise ValueError("beta_reg must be nonnegative")
+    _weight("beta_reg", beta_reg)
     config = config or SolverConfig()
-    t = _vector_signal(t, shift.n)
+    t = check_signal(t, shift.n, (1,))
     e, _, segments, trace, c0 = _lasso_path(t, shift, config.max_outer, weight=beta_reg)
     variation, stationarity, certified = _lasso_kkt(t, e, beta_reg, shift, c0)
     T = tilde_shift(shift)
     # ||T||_inf bounds its largest eigenvalue; T = 0 (A = I) takes any step
     step = 0.5 / (float(abs(T).sum(axis=1).max()) or 1.0)
     moved = shrink(e + 2.0 * step * (T @ (t - e)), step * beta_reg)
-    trace.append(_residual_variation((t - moved)[:, None], shift)[0]
+    trace.append(_residual_variation(t - moved, shift)[0]
                  + beta_reg * float(np.sum(np.abs(moved))))
     return RecoveryResult(
         x=t - e, outliers=e, objective_trace=np.array(trace),
@@ -606,14 +598,14 @@ def anomaly_detect_constrained(t: np.ndarray, shift: GraphShift, eta_smooth: flo
     if not eta_smooth >= 0:
         raise ValueError(f"eta_smooth must be nonnegative, got {eta_smooth}")
     config = config or SolverConfig()
-    t = _vector_signal(t, shift.n)
+    t = check_signal(t, shift.n, (1,))
     target = eta_smooth ** 2
-    base_variation = _residual_variation(t[:, None], shift)[0]
+    base_variation = _residual_variation(t, shift)[0]
     slack = target * 1e-6 + 1e-9 * (1.0 + base_variation)
     meta = {"solver": "anomaly_detect_constrained", "target": target}
     if base_variation <= target + slack:
         return RecoveryResult(x=t.copy(), outliers=np.zeros_like(t),
-                              objective_trace=np.array([0.0]), converged=True,
+                              objective_trace=np.array([base_variation]), converged=True,
                               meta=dict(meta, beta_reg=float("inf"), segments=0,
                                         smoothness=base_variation, stationarity=0.0))
 
@@ -667,7 +659,8 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     robust denoising.
     """
     config = config or SolverConfig()
-    T2, m, was_vec = _matrix_inputs(T, mask, shift)
+    T, m = _inputs(T, mask, shift.n, (1, 2))
+    T2, m = T.reshape(shift.n, -1), m.reshape(shift.n, -1)
     alpha, beta, gamma, eta = config.alpha, config.beta, config.gamma, config.penalty
     solve = factorized(sp.eye_array(shift.n) + (2.0 * alpha / eta) * tilde_shift(shift),
                        definite=True)
@@ -723,18 +716,14 @@ def gsr_admm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
             converged = True
             break
         F = F_new
-
-    def out(arr):
-        return arr[:, 0] if was_vec else arr
-
-    aux = {"slack": out(np.where(m, 0.0, T2 - X)), "multiplier_split": out(Y1)}
+    aux = {"slack": np.where(m, 0.0, T2 - X), "multiplier_split": Y1}
     if beta > 0:
-        aux.update(duplicate=out(Z), multiplier_duplicate=out(Y2))
+        aux.update(duplicate=Z, multiplier_duplicate=Y2)
     return RecoveryResult(
-        x=out(X),
-        outliers=out(E),
-        noise=out(np.where(m, W, 0.0)),
-        aux=aux,
+        x=X.reshape(T.shape),
+        outliers=E.reshape(T.shape),
+        noise=np.where(m, W, 0.0).reshape(T.shape),
+        aux={key: value.reshape(T.shape) for key, value in aux.items()},
         objective_trace=np.array(trace),
         iterations=it,
         converged=converged,
@@ -752,7 +741,7 @@ def rgtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift,
     Like :func:`gsr_admm` it reads t only on the mask. With gamma = 0 the
     outlier variable is dropped and the solution matches :func:`gtvr`.
     """
-    t, m = _vector_inputs(t, mask, shift.n)
+    t, m = _inputs(t, mask, shift.n, (1,))
     result = gsr_admm(t, m, shift, (config or SolverConfig()).replace(beta=0.0))
     result.meta["solver"] = "rgtvr"
     return result

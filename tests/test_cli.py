@@ -405,6 +405,17 @@ class TestEval:
         captured = capsys.readouterr()
         assert "--on" in captured.err and captured.out == ""
 
+    def test_mask_without_hidden_scoring_is_config_error(self, tmp_path, capsys):
+        # the mask names hidden entries; scoring every entry would ignore it
+        truth = write_signal(tmp_path, "truth.csv", np.array([1.0, 2.0, 3.0]))
+        est = write_signal(tmp_path, "est.csv", np.array([1.0, 2.0, 4.0]))
+        mask_path = tmp_path / "mask.csv"
+        save_mask_csv(mask_path, np.array([[True], [False], [True]]))
+        assert main(["eval", "--truth", str(truth), "--estimate", str(est),
+                     "--mask", str(mask_path)]) == 2
+        captured = capsys.readouterr()
+        assert "--mask" in captured.err and captured.out == ""
+
     def test_classification_of_a_real_truth_is_data_error(self, tmp_path, capsys):
         truth = write_signal(tmp_path, "truth.csv", np.array([1.0, 2.0, 3.0]))
         est = write_signal(tmp_path, "est.csv", np.array([1.0, 2.0, 4.0]))

@@ -153,7 +153,7 @@ class TestLaplacianBaseline:
             laplacian_baseline(np.zeros(3), np.ones(3, dtype=bool), lap, 1.0)
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             laplacian_baseline(np.zeros(3), np.ones(3, dtype=bool),
                                path_laplacian(3), -1.0)
 
@@ -245,6 +245,14 @@ class TestCombineOpinions:
     def test_tied_row_maps_to_plus_one(self):
         opinions = np.array([[1.0, -1.0]])
         assert combine_opinions(opinions, "avg").x[0] == 1.0
+
+    def test_avg_traces_the_objective_its_mean_scores_minimize(self):
+        opinions = np.array([[1.0, 1.0, -1.0],
+                             [1.0, -1.0, -1.0]])
+        res = combine_opinions(opinions, "avg")
+        # each row's mean, 1/3 or -1/3, misses its opinions by 2/3, 2/3 and 4/3
+        assert res.objective_trace.tolist() == pytest.approx([2 * (4 + 4 + 16) / 9])
+        assert res.iterations == 1 and res.converged
 
     def test_denoising_beats_averaging_on_easy_hard_instances(self):
         cfg = SolverConfig(alpha=5.0, beta=1.0)

@@ -14,6 +14,7 @@ from gsrec import (
     SolverConfig,
     SpectralBasis,
     SyntheticSpec,
+    anomaly_detect,
     build_knn_graph,
     corrupt_labels,
     cross_validate,
@@ -21,9 +22,14 @@ from gsrec import (
     gmcm,
     gmcr,
     gsr_admm,
+    gtvr,
     laplacian_baseline,
+    laplacian_from_shift,
+    matrix_variation,
     pairwise_distances,
+    random_features,
     residual_decomposition,
+    shrink,
     solve_recovery,
     spectral_decomposition,
     subspace_smoothness_bound,
@@ -35,6 +41,8 @@ ALL = np.ones(4, dtype=bool)
 FEATURES = np.arange(8.0).reshape(4, 2)
 DISTANCES = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
 VALUES = np.arange(4.0)
+# the one message of graph.check_signal, for a signal of 5 rows on 4 nodes
+OTHER_NODE_COUNT = r"signal of 4 rows, got shape \(5,"
 # a basis whose inverse is not the inverse of its vectors
 WRONG_INVERSE = SpectralBasis(values=np.ones(4), vectors=np.eye(4), inverse=2 * np.eye(4))
 
@@ -59,7 +67,16 @@ GUARDS = {
         VALUES, ALL, np.zeros((4, 3)), 1.0)),
     "svt-negative-threshold": (NegativeThreshold, "nonnegative", lambda: svt(
         np.eye(3), -1.0)),
+    "svt-nan-threshold": (NegativeThreshold, "nonnegative", lambda: svt(np.eye(3), np.nan)),
+    "shrink-nan-threshold": (NegativeThreshold, "nonnegative", lambda: shrink(
+        np.array([1.0, -2.0]), np.nan)),
     "svt-not-a-matrix": (DimensionMismatch, "matrix", lambda: svt(VALUES, 1.0)),
+    "cross_validate-node-count": (DimensionMismatch, OTHER_NODE_COUNT, lambda: cross_validate(
+        "gtvr", np.ones(5), np.ones(5, dtype=bool), SHIFT, [SolverConfig()], 0)),
+    "gmcr-node-count": (DimensionMismatch, OTHER_NODE_COUNT, lambda: gmcr(
+        np.ones((5, 2)), np.ones((5, 2), dtype=bool), SHIFT)),
+    "matrix_variation-node-count": (DimensionMismatch, OTHER_NODE_COUNT, lambda: (
+        matrix_variation(np.ones((5, 2)), SHIFT))),
     "knn-unknown-metric": (ValueError, "metric", lambda: GraphBuildSpec(metric="cosine")),
     "knn-unknown-missing": (ValueError, "missing", lambda: GraphBuildSpec(missing="drop")),
     "synthetic-diffusion-steps": (ValueError, "diffusion_steps", lambda: SyntheticSpec(
@@ -103,3 +120,24 @@ GUARDS = {
 def test_guard_raises(error, match, call):
     with pytest.raises(error, match=match):
         call()
+
+
+# an unchecked NaN or inf weight reaches a dense SVD that does not converge,
+# LAPACK complaints on stderr, or a lasso path run to its segment cap
+KNN = build_knn_graph(random_features(60, 2, 1), GraphBuildSpec(k=8))
+SIGNAL = np.sin(np.arange(60.0))
+MEASURED = np.arange(60) % 3 != 0
+WEIGHT_GUARDS = {
+    "gtvr-alpha-nan": ("alpha", lambda: gtvr(SIGNAL, MEASURED, KNN, np.nan)),
+    "laplacian-alpha-inf": ("alpha", lambda: laplacian_baseline(
+        SIGNAL, MEASURED, laplacian_from_shift(KNN), np.inf)),
+    "anomaly_detect-beta-nan": ("beta_reg", lambda: anomaly_detect(SIGNAL, KNN, np.nan)),
+    "anomaly_detect-beta-inf": ("beta_reg", lambda: anomaly_detect(SIGNAL, KNN, np.inf)),
+}
+
+
+@pytest.mark.parametrize("name, call", WEIGHT_GUARDS.values(), ids=WEIGHT_GUARDS.keys())
+def test_weight_guard_raises_quietly(name, call, capfd):
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
+        call()
+    assert capfd.readouterr().err == ""

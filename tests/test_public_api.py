@@ -94,6 +94,28 @@ def test_zero_dimensional_signal_is_a_dimension_mismatch(call):
         call(np.float64(1.0))
 
 
+# The takers that judge their signal by graph.check_signal, each called with
+# a signal of n + 1 nodes of a rank it takes; the others judge an input that
+# is not a real signal on the shift's nodes: coefficients that may be complex
+# (gft, igft), opinions, or two signals matched against a basis.
+CHECKED_TAKERS = {
+    **{name: SIGNAL_TAKERS[name] for name in SIGNAL_TAKERS.keys() - {
+        "gft", "igft", "combine_opinions", "residual_decomposition", "solve_recovery"}},
+    # the mask is judged first here, so it has the signal's shape
+    "solve_recovery": lambda x: gsrec.solve_recovery(
+        "gtvr", x, np.ones(x.shape, dtype=bool), SHIFT),
+}
+MATRIX_TAKERS = {"matrix_variation", "tv_svd_terms", "nuclear_tv_bound",
+                 "subspace_smoothness_bound"}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_TAKERS))
+def test_signal_of_another_node_count_gets_the_one_message(name):
+    x = np.ones((5, 1)) if name in MATRIX_TAKERS else np.ones(5)
+    with pytest.raises(gsrec.DimensionMismatch, match=r"signal of 4 rows, got shape \(5,"):
+        CHECKED_TAKERS[name](x)
+
+
 def test_only_graph_computes_or_checks_a_radius():
     # a GraphShift is normalized when it is made, in graph.py, so no other
     # module computes a spectral radius or checks that a shift has one

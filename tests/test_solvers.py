@@ -773,6 +773,14 @@ class TestAnomalyDetectConstrained:
         np.testing.assert_array_equal(res.x, t)
         assert res.meta["segments"] == 0 and res.converged
 
+    def test_signal_within_the_cap_traces_its_variation(self):
+        # at e = 0 the penalized objective V + beta ||e||_1 is V(t)
+        t = np.arange(3.0)
+        res = anomaly_detect_constrained(t, cycle_shift(3), np.inf)
+        np.testing.assert_array_equal(res.objective_trace,
+                                      [quadratic_variation(t, cycle_shift(3))])
+        assert res.objective_trace[0] == 6.0
+
     def test_iterations_count_every_bisection_solve(self, monkeypatch):
         """``iterations`` counts the lasso path's segments, and no penalized
         solve runs."""
