@@ -219,8 +219,6 @@ def _limit_threads(threads: int | None):
 
 
 def _out_dir(args) -> Path:
-    if not args.out:
-        raise ConfigError(f"{args.command} needs --out")
     path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -248,14 +246,11 @@ def _cmd_build_graph(args) -> int:
                               normalization=args.normalization,
                               symmetrize=args.symmetrize, missing=args.missing)
     shift = build_knn_graph(features, spec)
-    out = args.out
-    if not out:
-        raise ConfigError("build-graph needs --out")
     if args.format == "edges":
-        save_graph_edges(out, shift)
+        save_graph_edges(args.out, shift)
     else:
-        save_graph_dense(out, shift)
-    print(f"wrote graph with {shift.n} nodes to {out}")
+        save_graph_dense(args.out, shift)
+    print(f"wrote graph with {shift.n} nodes to {args.out}")
     return 0
 
 
@@ -357,6 +352,9 @@ def main(argv=None) -> int:
         "run": _cmd_run,
     }
     try:
+        # every command but eval writes its output there: say so before any work
+        if not args.out and args.command != "eval":
+            raise ConfigError(f"{args.command} needs --out")
         with _limit_threads(args.threads):
             return handlers[args.command](args)
     except ConfigError as exc:

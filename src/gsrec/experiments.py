@@ -119,8 +119,8 @@ class MetricReport:
 
 
 def threshold_labels(estimate: np.ndarray) -> np.ndarray:
-    """Map real scores to +/-1 labels.  Exact zeros go to -1."""
-    return np.where(np.asarray(estimate, dtype=float) > 0.0, 1.0, -1.0)
+    """Map real scores to +/-1 labels.  Exact zeros go to +1."""
+    return np.where(np.asarray(estimate, dtype=float) >= 0.0, 1.0, -1.0)
 
 
 def evaluate(truth: np.ndarray, estimate: np.ndarray,
@@ -277,7 +277,7 @@ def combine_opinions(opinions: np.ndarray, method: str,
     else:
         result = gmcr(opinions, np.ones(opinions.shape, dtype=bool), shift, config)
         result.x = result.x.mean(axis=1)
-    result.x = np.where(result.x >= 0.0, 1.0, -1.0)
+    result.x = threshold_labels(result.x)
     return result
 
 
@@ -456,6 +456,8 @@ class ExperimentSpec:
             if self.selection_mode(entry) == "holdout" and not recovery:
                 raise ConfigError(f"solvers[{index}]: task {task!r} has no holdout to "
                                   "tune on; set oracle_select to search a grid")
+        if self.oracle_select and not any(entry.grid for entry in self.solvers):
+            raise ConfigError("oracle_select tunes a grid, and no solver entry has one")
         names = [entry.name for entry in self.solvers]
         if len(set(names)) != len(names):
             raise ConfigError(f"solver names must be unique, got {names}")
@@ -473,6 +475,9 @@ class ExperimentSpec:
         eval_on = ("hidden" if recovery else "all") if self.eval_on is None else self.eval_on
         if eval_on not in (("hidden", "all") if recovery else ("all",)):
             raise ConfigError(f"eval_on {eval_on!r} is not valid for task {task!r}")
+        if eval_on == "hidden" and 1.0 in ratios:
+            raise ConfigError("ratios: a ratio of 1 measures every entry and leaves "
+                              "eval_on 'hidden' nothing to score")
         for key, value in dict(task=task, ratios=ratios, graph=graph, signal=signal,
                                score=score, eval_on=eval_on).items():
             object.__setattr__(self, key, value)

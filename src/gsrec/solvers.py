@@ -23,17 +23,16 @@ ADMM
               sparse corruption of the measurements
 
 The two proximal-gradient solvers run one shared loop,
-:func:`_prox_gradient`, which returns their :class:`RecoveryResult`; each
-supplies only its smooth part, that part's gradient and a proximal step
-(an ``svt``) that also returns the nonsmooth value of its result,
-and then names itself and shapes ``x``. The loop backtracks the step until
-the smooth part lies below its quadratic model (Beck & Teboulle 2009),
-tested by the exact curvature of the quadratic smooth part along the move,
-so no difference of two nearly equal objectives lets rounding shrink the
-step; ``gmcm``, whose re-pinned step is no proximal map, accepts a
-candidate when the objective does not increase. The accepted candidate's
-shift residual ``X - A X`` serves the next gradient, and each step search
-starts at the step accepted last (see :func:`_prox_gradient`).
+:func:`_prox_gradient`, on their one smooth part ``||w X - T_M||_F^2 +
+alpha ||X - A X||_F^2`` (w ``gmcr``'s float mask; ``gmcm`` has no data
+term and alpha 1). Each passes that data and a proximal step (an ``svt``)
+that also returns the nonsmooth value of its result, then names itself and
+shapes ``x``. The loop backtracks the step until the smooth part lies below
+its quadratic model (Beck & Teboulle 2009), tested by its exact curvature
+along the move, so no difference of two nearly equal objectives lets
+rounding shrink the step; ``gmcm``, whose re-pinned step is no proximal
+map, accepts a candidate when the objective does not increase. The
+accepted candidate's shift residual ``X - A X`` serves the next gradient.
 
 ``gsr_admm`` is the one ADMM loop, and every block update in it is one
 closed form: a solve with a sparse LU factorization made once per call, an
@@ -200,11 +199,11 @@ def _inputs(T, mask, n: int, ndim: tuple[int, ...]) -> tuple[np.ndarray, np.ndar
     return T, m
 
 
-def _variation_grad(d: np.ndarray, shift: GraphShift) -> np.ndarray:
-    # gradient of ||X - A X||_F^2, 2 (I - A)^T (I - A) X, from the residual
-    # d = X - A X, with the shift's own CSR transpose: ``A.T @ d`` would
-    # build a CSC transpose on every gradient
-    return 2.0 * (d - shift._transpose @ d)
+def _variation_grad(d: np.ndarray, shift: GraphShift, scale: float = 2.0) -> np.ndarray:
+    # scale (I - A)^T (I - A) X, at scale 2 the gradient of ||X - A X||_F^2,
+    # from the residual d = X - A X, with the shift's own CSR transpose:
+    # ``A.T @ d`` would build a CSC transpose on every gradient
+    return scale * (d - shift._transpose @ d)
 
 
 # ---------------------------------------------------------------------------
@@ -272,36 +271,39 @@ def gtvr(t: np.ndarray, mask: np.ndarray, shift: GraphShift, alpha: float) -> Re
 # proximal gradient
 # ---------------------------------------------------------------------------
 
-def _prox_gradient(x: np.ndarray,
-                   smooth: Callable[[np.ndarray], tuple[float, np.ndarray]],
-                   grad: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def _prox_gradient(x: np.ndarray, shift: GraphShift,
                    prox: Callable[[np.ndarray, float], tuple[np.ndarray, float]],
-                   nonsmooth: float,
-                   config: SolverConfig,
-                   curvature: Callable[[np.ndarray, np.ndarray], float] | None = None
-                   ) -> RecoveryResult:
-    """Minimize ``f + g`` by proximal gradient with a backtracked step.
+                   nonsmooth: float, config: SolverConfig, alpha: float = 1.0,
+                   w: np.ndarray | None = None, target: np.ndarray | None = None,
+                   descent: bool = False) -> RecoveryResult:
+    """Minimize ``f + g``, ``f(X) = ||w X - target||_F^2 + alpha ||X - A X||_F^2``
+    (without ``w`` no data term), by proximal gradient with a backtracked step.
 
-    ``smooth(x)`` returns f at x together with the shift residual
-    ``d = X - A X`` it was built from, and ``grad(x, d)`` the gradient of f
-    at x from that residual: the accepted candidate's residual serves the
-    next gradient, so no iteration forms ``A X`` twice. g is reached only
-    through ``prox(v, t)``, which returns ``prox_{t g}(v)`` together with g
-    at that point, and ``nonsmooth`` is g at the start point x. The step
-    search follows the module constants ``STEP_*`` (see there) until a
-    candidate is accepted. For a quadratic f, ``curvature(s, d_cand - d)``
-    is ``f(x + s) - f(x) - grad(x) . s`` for the move s to the candidate,
-    and the candidate is accepted when it is at most ``||s||^2 / (2 t)``: f
-    then lies below its quadratic model there, which keeps the objective
-    from increasing. Without ``curvature`` the candidate is accepted when
-    the objective ``f + g`` itself does not increase. Without an accepted
-    candidate the iterate stays where it is.
+    The loop carries the shift residual ``d = X - A X`` of its iterate and
+    takes f, the gradient and the step test from it: the accepted
+    candidate's residual serves the next gradient, so no iteration forms
+    ``A X`` twice. g is reached only through ``prox(v, t)``, which returns
+    ``prox_{t g}(v)`` together with g at that point, and ``nonsmooth`` is g
+    at the start point x. The step search follows the module constants
+    ``STEP_*`` (see there) until a candidate is accepted: the move s to it
+    when its exact curvature ``||w s||^2 + alpha ||s - A s||^2`` is at most
+    ``||s||^2 / (2 t)``, so f lies below its quadratic model there, which
+    keeps the objective from increasing; with ``descent`` when the objective
+    ``f + g`` itself does not increase. Without an accepted candidate the
+    iterate stays where it is.
 
     The run stops, with ``converged`` set, once the objective changes by
     less than ``config.tol_outer``. The result's ``meta`` holds the final
     ``step``, the rejected candidates (``backtracks``) and f at the
     returned point (``smooth``).
     """
+    def smooth(xc):  # f at xc, and the residual it was built from
+        variation, d = _residual_variation(xc, shift)
+        if w is None:
+            return alpha * variation, d
+        r = w * xc - target
+        return float(np.vdot(r, r)) + alpha * variation, d
+
     f_val, d = smooth(x)
     F = f_val + nonsmooth
     trace = []
@@ -311,7 +313,9 @@ def _prox_gradient(x: np.ndarray,
     converged = False
     it = 0
     for it in range(1, config.max_outer + 1):
-        g = grad(x, d)
+        g = _variation_grad(d, shift, 2.0 * alpha)
+        if w is not None:
+            g += 2.0 * (w * x - target)
         if streak >= STEP_GROW_AFTER:
             t = min(t / STEP_RHO, STEP_T0)
             streak = 0
@@ -319,11 +323,14 @@ def _prox_gradient(x: np.ndarray,
         for tries in range(STEP_HALVINGS + 1):
             cand, g_cand = prox(x - t * g, t)
             f_cand, d_cand = smooth(cand)
-            if curvature is None:
+            if descent:
                 moved = f_cand + g_cand <= F
             else:
-                s = cand - x
-                moved = curvature(s, d_cand - d) <= float(np.vdot(s, s)) / (2.0 * t)
+                s, ds = cand - x, d_cand - d
+                curvature = alpha * float(np.vdot(ds, ds))
+                if w is not None:
+                    curvature = float(np.vdot(s * w, s)) + curvature
+                moved = curvature <= float(np.vdot(s, s)) / (2.0 * t)
             if moved:
                 break
             t *= STEP_RHO
@@ -371,9 +378,8 @@ def gmcm(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
         return V, (beta * _nuclear_norm(V) if beta > 0 else 0.0)
 
     X = np.where(m, T2, 0.0)
-    res = _prox_gradient(X, lambda Xc: _residual_variation(Xc, shift),
-                         lambda Xc, d: _variation_grad(d, shift), pinned_svt,
-                         beta * _nuclear_norm(X) if beta > 0 else 0.0, config)
+    res = _prox_gradient(X, shift, pinned_svt, beta * _nuclear_norm(X) if beta > 0 else 0.0,
+                         config, descent=True)
     res.x, res.meta["solver"] = res.x.reshape(T.shape), "gmcm"
     return res
 
@@ -390,19 +396,7 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
     config = config or SolverConfig()
     T, m = _inputs(T, mask, shift.n, (1, 2))
     T2, m = T.reshape(shift.n, -1), m.reshape(shift.n, -1)
-    alpha, beta = config.alpha, config.beta
-
-    # products with the float mask w are cheaper than masked gathers and
-    # scatters; Tm is T on M and 0 off it, so a NaN off M never enters
-    w, Tm = m.astype(float), np.where(m, T2, 0.0)
-
-    def smooth(Xc):
-        r = w * Xc - Tm
-        variation, d = _residual_variation(Xc, shift)
-        return float(np.vdot(r, r)) + alpha * variation, d
-
-    def smooth_grad(Xc, d):
-        return 2.0 * (w * Xc - Tm) + alpha * _variation_grad(d, shift)
+    beta = config.beta
 
     def nuclear_prox(V, t):
         if beta > 0:
@@ -410,10 +404,12 @@ def gmcr(T: np.ndarray, mask: np.ndarray, shift: GraphShift,
             return V, beta * float(np.sum(s))
         return V, 0.0
 
-    res = _prox_gradient(Tm, smooth, smooth_grad, nuclear_prox,
+    # products with the float mask w are cheaper than masked gathers and
+    # scatters; Tm is T on M and 0 off it, so a NaN off M never enters
+    Tm = np.where(m, T2, 0.0)
+    res = _prox_gradient(Tm, shift, nuclear_prox,
                          beta * _nuclear_norm(Tm) if beta > 0 else 0.0, config,
-                         curvature=lambda S, dD: (float(np.vdot(S * w, S))
-                                                  + alpha * float(np.vdot(dD, dD))))
+                         alpha=config.alpha, w=m.astype(float), target=Tm)
     res.x, res.meta["solver"] = res.x.reshape(T.shape), "gmcr"
     return res
 

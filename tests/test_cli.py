@@ -118,6 +118,20 @@ def test_synth_without_out_is_config_error(graph_file, capsys):
     assert capsys.readouterr().err == "config error: synth needs --out\n"
 
 
+@pytest.mark.parametrize("command", ["build-graph", "synth", "inpaint", "complete",
+                                     "detect", "robust", "combine"])
+def test_missing_out_is_refused_before_any_input_is_read(tmp_path, capsys, command):
+    # exit 2 naming --out, not 3 for the missing file it would read first
+    missing = str(tmp_path / "missing.csv")
+    solve = ["--graph", missing, "--signal", missing]
+    inputs = {"build-graph": ["--features", missing], "synth": ["--graph", missing],
+              "detect": solve + ["--beta", "1"], "combine": ["--opinions", missing],
+              **dict.fromkeys(("inpaint", "complete", "robust"),
+                              solve + ["--mask", missing])}
+    assert main([command, *inputs[command]]) == 2
+    assert capsys.readouterr().err == f"config error: {command} needs --out\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--ratio", "1.5"], ["synth", "--ratio", "0"], ["synth", "--rank", "0"],
     ["synth", "--l", "0"], ["synth", "--noise-sigma", "-1"],

@@ -37,7 +37,7 @@ from gsrec import (
     threshold_labels,
 )
 from gsrec.cli import main
-from gsrec.experiments import METHODS, Opinions, SolverEntry, _Cell, _echo, _solve_row
+from gsrec.experiments import METHODS, Opinions, _Cell, _echo, _solve_row
 from oracles import quadratic_inpaint_oracle
 
 
@@ -73,8 +73,10 @@ class TestThresholdLabels:
         out = threshold_labels(np.array([2.5, -0.1, 1e-12]))
         np.testing.assert_array_equal(out, [1.0, -1.0, 1.0])
 
-    def test_exact_zero_goes_negative(self):
-        assert threshold_labels(np.array([0.0]))[0] == -1.0
+    def test_exact_zero_goes_positive(self):
+        # the tie rule of combine_opinions, which labels through this function
+        np.testing.assert_array_equal(threshold_labels(np.array([0.0, -0.0])), [1.0, 1.0])
+        assert combine_opinions(np.array([[1.0, -1.0]]), "avg").x[0] == 1.0
 
 
 class TestEvaluate:
@@ -295,8 +297,10 @@ class TestOraclePick:
         monkeypatch.setattr(gsrec.experiments, "solve_recovery",
                             lambda method, observed, mask, shift, config, eta_smooth:
                             RecoveryResult(x=estimates[config.alpha]))
-        spec = ExperimentSpec.from_dict(dict(_description("inpaint"), oracle_select=True))
-        entry = SolverEntry("gtvr", grid=(SolverConfig(alpha=1.0), SolverConfig(alpha=2.0)))
+        spec = ExperimentSpec.from_dict(dict(
+            _description("inpaint"), oracle_select=True,
+            solvers=[{"method": "gtvr", "grid": [{"alpha": 1.0}, {"alpha": 2.0}]}]))
+        entry = spec.solvers[0]
         cell = _Cell(1.0, 0, 0, None, np.zeros(2), np.ones(2, dtype=bool), np.zeros(2))
         result, report = _solve_row(spec, entry, cell)
         assert result.x[0] == 1.0 and report.mse == 0.5
@@ -553,6 +557,9 @@ PARSE_ERRORS = [
     ("inpaint", ("solvers", 0), {"method": "gtvr", "config": {"alpha": 5.0},
                                  "grid": [{"alpha": 1.0}, {"alpha": 2.0}]},
      r"solvers\[0\]: config is never read beside a grid"),
+    # settings that nothing would read, or a run that could score nothing
+    ("inpaint", ("oracle_select",), True, "oracle_select"),
+    ("inpaint", ("ratios",), [0.5, 1.0], "ratios: a ratio of 1"),
 ]
 
 
@@ -604,7 +611,7 @@ class TestExperimentSpec:
     def test_float_settings_take_json_integers_and_null_configs_default(self):
         raw = _description("inpaint")
         raw["task"] = "robust-inpaint"
-        raw["ratios"] = [1]
+        raw["ratios"], raw["eval_on"] = [1], "all"
         raw["corrupt"] = {"fraction": 0}
         raw["solvers"] = [{"method": "rgtvr", "config": None,
                            "grid": [None, {"alpha": 2, "max_outer": 5}]}]
@@ -1070,5 +1077,9 @@ class TestRunExperiment:
             "signal": {"synthetic": {"l": 1, "rank": 3}},
             "solvers": [{"method": "gtvm"}],
         }
-        with pytest.raises(EmptyMask):
-            run_experiment(ExperimentSpec.from_dict(raw), tmp_path)
+        with pytest.raises(ConfigError, match="nothing to score"):
+            ExperimentSpec.from_dict(raw)
+        ExperimentSpec.from_dict(dict(raw, eval_on="all"))
+        # 0.99 of 15 nodes measures all 15, which only the drawn mask shows
+        with pytest.raises(EmptyMask, match="nothing to evaluate"):
+            run_experiment(ExperimentSpec.from_dict(dict(raw, ratios=[0.99])), tmp_path)
